@@ -19,6 +19,7 @@ from .lebesgue import NegativeIntegrandError
 from .rationals import parse_rational
 from .spaces import OutsideDomainError, SpaceMismatchError
 from .tasks import (
+    MAX_LEVEL,
     TaskSpecError,
     case_fragment,
     load_task,
@@ -93,8 +94,8 @@ def _cmd_compare(args) -> int:
     task = load_task(args.spec)
     _check_task_matches(task.task, ("compare",), "compare")
     if args.depth is not None:
-        if not 1 <= args.depth <= 30:
-            raise TaskSpecError("--depth", "must be between 1 and 30")
+        if not 1 <= args.depth <= MAX_LEVEL:
+            raise TaskSpecError("--depth", f"must be between 1 and {MAX_LEVEL}")
         task.parameters["depth"] = args.depth
     if args.eta is not None:
         try:
@@ -113,8 +114,8 @@ def _cmd_table(args) -> int:
     task = load_task(args.spec)
     _check_task_matches(task.task, ("approx_table",), "table")
     if args.max_level is not None:
-        if not 1 <= args.max_level <= 30:
-            raise TaskSpecError("--max-level", "must be between 1 and 30")
+        if not 1 <= args.max_level <= MAX_LEVEL:
+            raise TaskSpecError("--max-level", f"must be between 1 and {MAX_LEVEL}")
         task.parameters["max_level"] = args.max_level
     text = render_table_csv(run_table(task))
     if args.out:

@@ -11,6 +11,14 @@ piecewise-linear integrand has one too (an arithmetic-series formula), so
 stage-two convergence is checkable exactly at any level without
 materializing the staircase.
 
+`DyadicApproximation.integral` keeps one table per (approximation,
+measure).  On first use against a measure it builds the cells once and
+brings every level-independent coefficient to one common integer
+denominator L; level n is then an integer numerator over L * 4^n, and
+each level costs one `Fraction`, made once and kept.  Simple and
+piecewise-linear integrands go through the same sweep: a value held on a
+mass is the slope-free case of an affine cell.
+
 Where an integrand decreases through a grid value exactly, the staircase
 level sets are half-open like every other set in the package, which puts
 those finitely many points one grid step below the pointwise floor
@@ -107,15 +115,6 @@ def _staircase_value(value: Fraction, level: int) -> Fraction:
     return min(Fraction(level), floor_to_grid(value, level))
 
 
-def _staircase_antiderivative(y: Fraction, cap_index: int) -> Fraction:
-    """Integral of t -> min(cap_index, floor(t)) from 0 to y, for y >= 0."""
-    if y > cap_index + 1:
-        head = Fraction(cap_index * (cap_index + 1), 2)
-        return head + cap_index * (y - cap_index - 1)
-    k = y.numerator // y.denominator
-    return Fraction(k * (k - 1), 2) + k * (y - k)
-
-
 def _measure_cells(
     fn: PiecewiseLinear, measure: Measure
 ) -> Iterator[tuple[Fraction, Fraction, Fraction, Fraction, Fraction]]:
@@ -172,7 +171,7 @@ class DyadicApproximation:
                 raise NegativeIntegrandError("integrand takes negative values")
             self._terms = None
             self._bound = target.upper_bound()
-        self._integral_cache: dict = {}
+        self._tables: list = []  # (measure, _StaircaseTable) pairs
 
     @property
     def space(self):
@@ -306,34 +305,96 @@ class DyadicApproximation:
         """Integral of the level-n staircase, closed form, any level."""
         if level < 0:
             raise ValueError("level must be >= 0")
-        key = (level, measure)
-        cached = self._integral_cache.get(key)
-        if cached is not None:
-            return cached
+        for known, table in self._tables:
+            if known is measure:
+                return table.at(level)
+        for known, table in self._tables:
+            if known == measure:
+                return table.at(level)
         check_integrand_measure(self.target, measure)
+        table = _StaircaseTable(self._staircase_entries(measure))
+        self._tables.append((measure, table))
+        return table.at(level)
+
+    def _staircase_entries(self, measure: Measure) -> dict:
+        """{y: [e, c]} such that the level-n staircase integral is
+        4^-n * sum(e * k * 2^n - c * k(k+1)/2), with k = min(n*2^n, floor(2^n y)).
+
+        A value y held on mass m contributes m * k / 2^n: e = m, c = 0.  An
+        affine cell of slope a and density d contributes d/a times the
+        difference of F(y) = k*2^n*y - k(k+1)/2, the antiderivative of the
+        scaled staircase t -> min(n*2^n, floor(t)) at t = 2^n*y, between its
+        endpoint values, so each endpoint adds +-(d/a * y, d/a).
+        """
+        entries: dict = {}
+
+        def add(y: Fraction, e: Fraction, c: Fraction = ZERO) -> None:
+            entry = entries.setdefault(y, [ZERO, ZERO])
+            entry[0] += e
+            entry[1] += c
+
         if self._terms is not None:
-            total = ZERO
             for v, part in self._terms:
-                stair = _staircase_value(v, level)
-                if stair != 0:
-                    total += stair * measure.measure_of(part)
-        else:
-            scale = 1 << level
-            cap_index = level * scale
-            total = ZERO
-            for u, w, a, b, d in _measure_cells(self.target, measure):
-                if d == 0:
-                    continue
-                if a == 0:
-                    total += d * (w - u) * _staircase_value(b, level)
-                else:
-                    y0, y1 = scale * (a * u + b), scale * (a * w + b)
-                    diff = _staircase_antiderivative(
-                        y1, cap_index
-                    ) - _staircase_antiderivative(y0, cap_index)
-                    total += d * diff / (a * scale * scale)
-        self._integral_cache[key] = total
-        return total
+                if v != 0:
+                    add(v, measure.measure_of(part))
+            return entries
+        for u, w, a, b, d in _measure_cells(self.target, measure):
+            if d == 0:
+                continue
+            if a == 0:
+                add(b, d * (w - u))
+                continue
+            ratio = d / a
+            y_u, y_w = a * u + b, a * w + b
+            add(y_w, ratio * y_w, ratio)
+            add(y_u, -ratio * y_u, -ratio)
+        return entries
+
+
+class _StaircaseTable:
+    """Staircase integrals of one approximation against one measure, by level.
+
+    The level-independent coefficients are brought to one common integer
+    denominator L once; level n is then an integer numerator over L * 4^n,
+    turned into a single `Fraction` and kept.  Missing levels are filled
+    in one sweep up to the level asked for.
+    """
+
+    def __init__(self, entries: dict):
+        rows = [
+            (y, e, c)
+            for y, (e, c) in entries.items()
+            if y != 0 and (e != 0 or c != 0)
+        ]
+        self._denominator = math.lcm(
+            *(e.denominator for _, e, _ in rows), *(c.denominator for _, _, c in rows)
+        )
+        scale = self._denominator
+        self._rows = tuple(
+            (
+                y.numerator,
+                y.denominator,
+                e.numerator * (scale // e.denominator),
+                c.numerator * (scale // c.denominator),
+            )
+            for y, e, c in rows
+        )
+        self._values: list[Fraction] = []
+
+    def at(self, level: int) -> Fraction:
+        values = self._values
+        while len(values) <= level:
+            values.append(self._level(len(values)))
+        return values[level]
+
+    def _level(self, n: int) -> Fraction:
+        cap = n << n
+        linear = quadratic = 0
+        for p, q, e, c in self._rows:
+            k = min(cap, (p << n) // q)
+            linear += e * k
+            quadratic += c * (k * (k + 1) >> 1)
+        return Fraction((linear << n) - quadratic, self._denominator << (2 * n))
 
 
 def integrate_nonneg_at_level(
@@ -373,11 +434,8 @@ class IntegralResult:
     negative_part: Fraction
 
 
-def lebesgue_integral(fn: Integrand, measure: Measure) -> IntegralResult:
-    """Signed integral via the positive/negative decomposition."""
-    positive, negative = pos_neg_parts(fn)
-    pos_value = integrate_nonneg(positive, measure)
-    neg_value = integrate_nonneg(negative, measure)
+def _result_from_parts(pos_value: Fraction, neg_value: Fraction) -> IntegralResult:
+    """The signed integral from the integrals of the two parts."""
     classification = _classify(
         isinstance(pos_value, Fraction), isinstance(neg_value, Fraction)
     )
@@ -385,6 +443,14 @@ def lebesgue_integral(fn: Integrand, measure: Measure) -> IntegralResult:
     if classification is IntegrabilityClass.INTEGRABLE:
         value = pos_value - neg_value
     return IntegralResult(classification, value, pos_value, neg_value)
+
+
+def lebesgue_integral(fn: Integrand, measure: Measure) -> IntegralResult:
+    """Signed integral via the positive/negative decomposition."""
+    positive, negative = pos_neg_parts(fn)
+    return _result_from_parts(
+        integrate_nonneg(positive, measure), integrate_nonneg(negative, measure)
+    )
 
 
 def integrate_over(

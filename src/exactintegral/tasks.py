@@ -291,7 +291,9 @@ def parse_parameters(obj, field_path: str = "parameters") -> dict:
         _require(eta >= 0, f"{field_path}.eta", "must be >= 0")
         params["eta"] = eta
     if "truncation" in obj:
-        params["truncation"] = _integer(obj["truncation"], f"{field_path}.truncation", 0)
+        params["truncation"] = _integer(
+            obj["truncation"], f"{field_path}.truncation", 0, MAX_LEVEL
+        )
     if "seed" in obj:
         params["seed"] = _integer(obj["seed"], f"{field_path}.seed", 0)
     if "max_level" in obj:
@@ -350,6 +352,8 @@ def load_task(path: str) -> TaskSpec:
         raise TaskSpecError(
             "<file>", f"{path} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from None
+    except RecursionError:
+        raise TaskSpecError("<file>", f"{path} nests too deeply to parse") from None
     return parse_task_document(doc)
 
 

@@ -68,3 +68,53 @@ def measure_oracle(measure, part) -> Fraction:
     one = Fraction(1)
     indicator = SimpleFunction.indicator(one, part)
     return integral_oracle(indicator, measure)
+
+
+def _staircase_value(value: Fraction, level: int) -> Fraction:
+    scale = 1 << level
+    return min(Fraction(level), Fraction((value.numerator * scale) // value.denominator, scale))
+
+
+def _staircase_antiderivative(y: Fraction, cap_index: int) -> Fraction:
+    """Integral of t -> min(cap_index, floor(t)) from 0 to y, for y >= 0."""
+    if y > cap_index + 1:
+        head = Fraction(cap_index * (cap_index + 1), 2)
+        return head + cap_index * (y - cap_index - 1)
+    k = y.numerator // y.denominator
+    return Fraction(k * (k - 1), 2) + k * (y - k)
+
+
+def staircase_integral_oracle(fn, measure, level: int) -> Fraction:
+    """Integral of the level-n staircase of a nonnegative integrand.
+
+    The per-cell `Fraction` formula: simple terms weigh their staircase
+    value by the oracle measure of their set; piecewise-linear cells of the
+    merged function/measure grid integrate the capped floor through its
+    antiderivative (an arithmetic series), one cell at a time.
+    """
+    if isinstance(fn, SimpleFunction):
+        total = ZERO
+        for value, part in fn.terms:
+            stair = _staircase_value(value, level)
+            if stair != 0:
+                total += stair * measure_oracle(measure, part)
+        return total
+    scale = 1 << level
+    cap_index = level * scale
+    total = ZERO
+    grid = _interval_grid(fn, measure)
+    for lo, hi in zip(grid, grid[1:]):
+        a = fn.slope_at(lo)
+        b = fn.evaluate(lo) - a * lo
+        d = _density_at(measure, lo)
+        if d == 0:
+            continue
+        if a == 0:
+            total += d * (hi - lo) * _staircase_value(b, level)
+        else:
+            y0, y1 = scale * (a * lo + b), scale * (a * hi + b)
+            diff = _staircase_antiderivative(y1, cap_index) - _staircase_antiderivative(
+                y0, cap_index
+            )
+            total += d * diff / (a * scale * scale)
+    return total

@@ -8,12 +8,14 @@ import pytest
 from exactintegral import (
     CertificateError,
     FiniteSeries,
+    FunctionSeries,
     IntervalMeasure,
     IntervalSet,
     NormKind,
     PiecewiseLinear,
     RuleSeries,
     SimpleFunction,
+    TelescopeSeries,
     UNIT_INTERVAL,
     Vec,
     absolute_sum_check,
@@ -330,3 +332,51 @@ def test_report_identity_certified_gap():
     assert report["difference_bound_certified"]
     assert report["difference_within_bound"]
     assert report["recovered_matches_target"]
+
+
+def _random_signed_case(rng):
+    measure = random_measure(rng)
+    if isinstance(measure, IntervalMeasure) and rng.random() < 0.5:
+        return random_piecewise_linear(rng), measure
+    return random_simple_function(rng, measure, max_terms=5, max_denominator=64), measure
+
+
+def test_telescoped_partial_sums_equal_summed_terms():
+    rng = random.Random(61)
+    for _ in range(20):
+        fn, measure = _random_signed_case(rng)
+        _, trace = series_from_integrand(fn, measure, depth=8)
+        for term_count in (None, 3):
+            series = TelescopeSeries(
+                measure,
+                trace.positive_approx,
+                trace.negative_approx,
+                trace.positive_integral,
+                trace.negative_integral,
+                term_count=term_count,
+            )
+            for upto in range(0, 10):
+                assert series.partial_integral_sum(upto) == FunctionSeries.partial_integral_sum(
+                    series, upto
+                )
+                assert series.partial_abs_sum(upto) == FunctionSeries.partial_abs_sum(
+                    series, upto
+                )
+
+
+def test_report_recovery_equals_integral_from_series():
+    rng = random.Random(67)
+    for _ in range(20):
+        fn, measure = _random_signed_case(rng)
+        depth = rng.choice((4, 9))
+        report = equivalence_report(fn, measure, depth=depth)
+        rep, _ = series_from_integrand(fn, measure, depth=depth)
+        truncation = None if rep.series.term_count is not None else depth
+        recovered = integral_from_series(rep, truncation)
+        direct = lebesgue_integral(fn, measure)
+        assert report["recovered_integral"] == recovered.value
+        assert report["recovered_matches_target"] == recovered.matches_target
+        assert report["integral_value"] == direct.value == recovered.target_value
+        assert report["positive_part_integral"] == direct.positive_part
+        assert report["negative_part_integral"] == direct.negative_part
+        assert report["integral_class"] == direct.classification.value

@@ -164,3 +164,26 @@ def test_gen_byte_identical_across_processes():
     second = run_cli("gen", "--family", "series", "--seed", "17", "--count", "3")
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_truncation_beyond_max_level_exit_1(tmp_path, capsys):
+    doc = {
+        "space": {"type": "interval", "breakpoints": ["0", "1"], "densities": ["1"]},
+        "function": {"type": "series_rule", "rule": "geometric_indicator", "ratio": "1/3"},
+        "task": "integrate_bochner",
+        "parameters": {"truncation": 10000},
+    }
+    code = main(["integrate", "--spec", write_task(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "parameters.truncation" in err
+
+
+def test_deeply_nested_json_exit_1_without_traceback(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code = main(["integrate", "--spec", str(path)])
+    err_lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("validation error: <file>: ")

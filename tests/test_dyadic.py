@@ -9,14 +9,18 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactintegral import (
+    DiscreteSet,
+    DiscreteSpace,
     DyadicApproximation,
     IntervalMeasure,
     IntervalSet,
     NegativeIntegrandError,
     PiecewiseLinear,
     SimpleFunction,
+    SpaceMismatchError,
     UNIT_INTERVAL,
     integrate_nonneg,
     integrate_nonneg_at_level,
@@ -28,6 +32,7 @@ from exactintegral.generators import (
     random_simple_function,
     sample_points,
 )
+from oracles import integral_oracle, staircase_integral_oracle
 
 
 def iv(*pairs):
@@ -187,3 +192,133 @@ def test_staircase_integrals_nondecreasing():
         approx = DyadicApproximation(fn)
         values = [approx.integral(n, measure) for n in range(0, 15)]
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+# Values up to 12 keep the level-n cap min(n, .) active on the low levels.
+stair_values = st.fractions(min_value=0, max_value=12, max_denominator=16)
+weights = st.fractions(min_value=0, max_value=4, max_denominator=8)
+
+
+@st.composite
+def unit_grids(draw, max_cuts=4):
+    cuts = draw(
+        st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=32).filter(
+                lambda t: 0 < t < 1
+            ),
+            unique=True,
+            max_size=max_cuts,
+        )
+    )
+    return [F(0), *sorted(cuts), F(1)]
+
+
+@st.composite
+def step_measures(draw):
+    grid = draw(unit_grids())
+    densities = draw(st.lists(weights, min_size=len(grid) - 1, max_size=len(grid) - 1))
+    return IntervalMeasure(tuple(grid), tuple(densities))
+
+
+@st.composite
+def nonneg_piecewise(draw):
+    """Each cell joins two drawn nonnegative end values, so f >= 0 by construction."""
+    grid = draw(unit_grids())
+    pieces = []
+    for u, w in zip(grid, grid[1:]):
+        left, right = draw(stair_values), draw(stair_values)
+        slope = (right - left) / (w - u)
+        pieces.append((slope, left - slope * u))
+    return PiecewiseLinear(grid, pieces)
+
+
+@st.composite
+def interval_simple(draw):
+    grid = draw(unit_grids())
+    terms = [
+        (draw(stair_values), iv((u, w)))
+        for u, w in zip(grid, grid[1:])
+        if draw(st.booleans())
+    ]
+    return SimpleFunction(UNIT_INTERVAL, terms)
+
+
+@st.composite
+def discrete_case(draw):
+    space = DiscreteSpace(tuple(draw(st.lists(weights, min_size=1, max_size=6))))
+    labels = draw(
+        st.lists(st.integers(0, 3), min_size=space.size, max_size=space.size)
+    )
+    terms = [
+        (draw(stair_values), DiscreteSet(space, [i for i, g in enumerate(labels) if g == label]))
+        for label in sorted(set(labels))
+    ]
+    return SimpleFunction(space, terms), space
+
+
+integrand_cases = st.one_of(
+    st.tuples(nonneg_piecewise(), step_measures()),
+    st.tuples(interval_simple(), step_measures()),
+    discrete_case(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integrand_cases)
+def test_staircase_table_matches_per_cell_reference(case):
+    fn, measure = case
+    approx = DyadicApproximation(fn)
+    for n in range(0, 31):
+        assert approx.integral(n, measure) == staircase_integral_oracle(fn, measure, n), n
+    for n in range(0, 7):
+        assert approx.integral(n, measure) == integral_oracle(approx.level(n), measure), n
+
+
+def test_table_answers_any_measure_and_level_order():
+    rng = random.Random(37)
+    for _ in range(8):
+        first = random_measure(rng, kind="interval")
+        second = random_measure(rng, kind="interval")
+        twin = IntervalMeasure(first.breakpoints, first.densities)
+        assert twin == first and twin is not first
+        for fn in (
+            random_piecewise_linear(rng, nonneg=True),
+            random_simple_function(rng, first, values="nonneg"),
+        ):
+            shared = DyadicApproximation(fn)
+            for level, measure in (
+                (30, first),
+                (5, second),
+                (0, first),
+                (5, twin),
+                (30, second),
+                (12, twin),
+                (3, first),
+            ):
+                fresh = DyadicApproximation(fn).integral(level, measure)
+                assert shared.integral(level, measure) == fresh, (level, measure)
+
+
+def test_errors_on_first_use_leave_the_approximation_usable():
+    approx = DyadicApproximation(IDENTITY)
+    with pytest.raises(SpaceMismatchError):
+        approx.integral(3, DiscreteSpace((F(1), F(1))))
+    with pytest.raises(ValueError):
+        approx.integral(-1, LEBESGUE)
+    assert approx.integral(3, LEBESGUE) == closed_form_identity_level(3)
+
+    pair = DiscreteSpace((F(1), F(1)))
+    on_pair = DyadicApproximation(SimpleFunction.indicator(F(3, 2), DiscreteSet(pair, [0])))
+    with pytest.raises(SpaceMismatchError):
+        on_pair.integral(2, DiscreteSpace((F(1), F(3))))
+    with pytest.raises(SpaceMismatchError):
+        on_pair.integral(2, LEBESGUE)
+    assert on_pair.integral(2, pair) == F(3, 2)
+
+    step = DyadicApproximation(SimpleFunction.indicator(F(1), iv((0, "1/2"))))
+    with pytest.raises(SpaceMismatchError):
+        step.integral(1, pair)
+    assert step.integral(1, LEBESGUE) == F(1, 2)
+
+    with pytest.raises(NegativeIntegrandError):
+        integrate_nonneg_at_level(IDENTITY - PiecewiseLinear.constant(F(1, 2)), LEBESGUE, 4)
