@@ -264,10 +264,7 @@ def split_representation(rng: random.Random, fn: SimpleFunction) -> SimpleFuncti
         for piece in _split_set(rng, part):
             if not piece.is_empty:
                 terms.append((value, piece))
-    covered = fn.space.empty_set()
-    for _, part in fn.terms:
-        covered = covered.union(part)
-    rest = covered.complement()
+    rest = fn.space.union_of(part for _, part in fn.terms).complement()
     if not rest.is_empty and rng.random() < 0.5:
         zero = ZERO if fn.dim is None else Vec.zero(fn.dim)
         terms.append((zero, _split_set(rng, rest)[0]))

@@ -9,6 +9,16 @@ partition the whole space, a zero-value term padding the complement when
 needed.  Equality compares canonical forms, so different representations
 of the same function compare equal while their integrals must also agree
 (tested as the coherence property).
+
+Costs, for n terms holding K intervals or indices in all: the constructor
+checks disjointness by one sort-and-scan of the intervals (O(K log K)) or
+one count of the indices; `canonical()` and `support()` build each set
+with one n-ary union and the zero-padding complement once; the binary
+operations (`+`, `-`, `pointwise_max/min`) refine the two canonical
+partitions in one sweep, O(K log K) for intervals and O(N) on a discrete
+space of N points, instead of intersecting every pair of terms.  The
+kind-specific algorithms live on the space classes, so nothing here
+branches on the set kind.
 """
 
 from __future__ import annotations
@@ -140,7 +150,8 @@ class SimpleFunction:
             term_list.append((value, part))
         self.space = space
         self.dim = self._resolve_dim(term_list, dim)
-        self._check_pairwise_disjoint(term_list)
+        if len(term_list) > 1 and not space._pairwise_disjoint([p for _, p in term_list]):
+            raise ValueError("term sets must be pairwise disjoint")
         self.terms: tuple[tuple[Value, MeasurableSet], ...] = tuple(term_list)
         self._canonical: Optional["SimpleFunction"] = None
 
@@ -159,13 +170,6 @@ class SimpleFunction:
         if dim is not None and inferred != dim:
             raise ValueError("declared dimension disagrees with the values")
         return inferred
-
-    @staticmethod
-    def _check_pairwise_disjoint(terms) -> None:
-        for i in range(len(terms)):
-            for j in range(i + 1, len(terms)):
-                if not terms[i][1].intersection(terms[j][1]).is_empty:
-                    raise ValueError("term sets must be pairwise disjoint")
 
     @classmethod
     def _trusted(cls, space, terms, dim) -> "SimpleFunction":
@@ -218,18 +222,15 @@ class SimpleFunction:
             return self._canonical
         groups: dict = {}
         for value, part in self.terms:
-            key = _value_key(value)
             if _value_is_zero(value) or part.is_empty:
                 continue
-            if key in groups:
-                groups[key] = (value, groups[key][1].union(part))
-            else:
-                groups[key] = (value, part)
-        covered = self.space.empty_set()
-        for _, part in groups.values():
-            covered = covered.union(part)
-        rest = covered.complement()
-        terms = [groups[key] for key in groups]
+            key = _value_key(value)
+            parts = groups[key][1] if key in groups else []
+            parts.append(part)
+            groups[key] = (value, parts)
+        union_of = self.space.union_of
+        terms = [(value, union_of(parts)) for value, parts in groups.values()]
+        rest = union_of(part for _, part in terms).complement()
         if not rest.is_empty:
             terms.append((self._zero(), rest))
         terms.sort(key=lambda term: _value_key(term[0]))
@@ -256,12 +257,9 @@ class SimpleFunction:
     def _combine(self, other: "SimpleFunction", op) -> "SimpleFunction":
         """Pointwise binary op on the common refinement of both canonical partitions."""
         self._require_compatible(other)
-        terms = []
-        for v, a in self.canonical().terms:
-            for w, b in other.canonical().terms:
-                cell = a.intersection(b)
-                if not cell.is_empty:
-                    terms.append((op(v, w), cell))
+        left, right = self.canonical().terms, other.canonical().terms
+        cells = self.space._refinement([a for _, a in left], [b for _, b in right])
+        terms = [(op(left[i][0], right[j][0]), cell) for i, j, cell in cells]
         return SimpleFunction._trusted(self.space, terms, self.dim)
 
     def __add__(self, other: "SimpleFunction") -> "SimpleFunction":
@@ -305,11 +303,9 @@ class SimpleFunction:
 
     def support(self) -> MeasurableSet:
         """Union of the sets carrying a nonzero value."""
-        out = self.space.empty_set()
-        for value, part in self.terms:
-            if not _value_is_zero(value):
-                out = out.union(part)
-        return out
+        return self.space.union_of(
+            part for value, part in self.terms if not _value_is_zero(value)
+        )
 
     def component(self, index: int) -> "SimpleFunction":
         """Scalar component of a vector-valued function."""

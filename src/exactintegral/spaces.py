@@ -15,13 +15,37 @@ almost-everywhere statements need no separate null-set machinery.
 Every value here is immutable after construction and every operation is
 pure; instances may be shared freely.  Cross-space operations raise
 SpaceMismatchError rather than coercing.
+
+Costs, for sets of k intervals or indices, a discrete space of N points
+and a measure of c cells:
+
+* public constructors validate and normalise: O(k log k);
+* `union`, and `union_of` on a space for any number of sets: one sort of
+  all the intervals and one merge pass, or one `set` update for indices;
+* `intersection`, `difference`, `complement`: one linear pass (two-pointer
+  merge of intervals, membership tests for indices; O(N) for a discrete
+  complement);
+* `contains`: O(log k) by bisection;
+* `IntervalMeasure.measure_of`: O(k log c), from the cumulative masses at
+  the breakpoints computed once per measure; `DiscreteSpace.measure_of`
+  sums the k weights.
+
+Results of the set operations on canonical operands are canonical by
+construction, so they come from the private `_canonical` constructors,
+which trust their input and check nothing.  The spaces also carry the
+two private kind-specific algorithms `SimpleFunction` relies on:
+`_pairwise_disjoint` (sort-and-scan for intervals, a count for indices)
+and `_refinement`, the common refinement of two partitions of the whole
+space in one sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence, Union
 
 from .rationals import ONE, ZERO
 
@@ -49,6 +73,9 @@ class OutsideDomainError(ValueError):
     """A point lies outside the sample space."""
 
 
+_lower_end = itemgetter(0)
+
+
 @dataclass(frozen=True)
 class UnitIntervalSpace:
     """The sample space [0, 1).  All instances are interchangeable."""
@@ -59,16 +86,82 @@ class UnitIntervalSpace:
         return 0 <= point < 1
 
     def full_set(self) -> "IntervalSet":
-        return IntervalSet([(ZERO, ONE)])
+        return IntervalSet._canonical(((ZERO, ONE),))
 
     def empty_set(self) -> "IntervalSet":
-        return IntervalSet([])
+        return IntervalSet._canonical(())
+
+    def union_of(self, parts: Iterable["MeasurableSet"]) -> "IntervalSet":
+        """Union of any number of interval sets: one sort, one merge pass."""
+        pieces = []
+        for part in parts:
+            if not isinstance(part, IntervalSet):
+                raise SpaceMismatchError("sets belong to different spaces")
+            pieces.extend(part.intervals)
+        pieces.sort(key=_lower_end)
+        return IntervalSet._canonical(_merge_sorted(pieces))
+
+    def _pairwise_disjoint(self, parts: Iterable["IntervalSet"]) -> bool:
+        # Sorted by lower end, half-open intervals are pairwise disjoint iff
+        # each starts at or after the end of the one before it.
+        reach = ZERO
+        for lo, hi in sorted((iv for part in parts for iv in part.intervals), key=_lower_end):
+            if lo < reach:
+                return False
+            reach = hi
+        return True
+
+    def _refinement(
+        self, left: Sequence["IntervalSet"], right: Sequence["IntervalSet"]
+    ) -> list[tuple[int, int, "IntervalSet"]]:
+        """(i, j, left[i] & right[j]) for every nonempty cell, in (i, j) order.
+
+        Both arguments must partition [0, 1).  Their intervals, tagged with
+        the index of their set, then tile [0, 1) when sorted, and one
+        two-pointer sweep over the two tilings yields every cell.  Pieces of
+        one cell never touch (their sets are canonical), so each cell's
+        pieces, collected left to right, are already canonical.
+        """
+        a, b = _tiling(left), _tiling(right)
+        cells: dict[tuple[int, int], list] = {}
+        i = j = 0
+        while i < len(a) and j < len(b):
+            a_lo, a_hi, p = a[i]
+            b_lo, b_hi, q = b[j]
+            cells.setdefault((p, q), []).append((max(a_lo, b_lo), min(a_hi, b_hi)))
+            if a_hi <= b_hi:
+                i += 1
+            if b_hi <= a_hi:
+                j += 1
+        return [
+            (p, q, IntervalSet._canonical(tuple(pieces)))
+            for (p, q), pieces in sorted(cells.items())
+        ]
 
     def __repr__(self) -> str:
         return "UnitIntervalSpace()"
 
 
 UNIT_INTERVAL = UnitIntervalSpace()
+
+
+def _merge_sorted(pieces: Iterable[tuple[Fraction, Fraction]]) -> tuple:
+    """Nonempty intervals sorted by lower end -> canonical tuple (overlapping
+    and adjacent runs merged)."""
+    merged: list[tuple[Fraction, Fraction]] = []
+    for lo, hi in pieces:
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def _tiling(parts: Sequence["IntervalSet"]) -> list[tuple[Fraction, Fraction, int]]:
+    tagged = [(lo, hi, k) for k, part in enumerate(parts) for lo, hi in part.intervals]
+    tagged.sort(key=_lower_end)
+    return tagged
 
 
 @dataclass(frozen=True)
@@ -101,10 +194,50 @@ class DiscreteSpace:
         return isinstance(point, int) and not isinstance(point, bool) and 0 <= point < self.size
 
     def full_set(self) -> "DiscreteSet":
-        return DiscreteSet(self, range(self.size))
+        return DiscreteSet._canonical(self, tuple(range(self.size)))
 
     def empty_set(self) -> "DiscreteSet":
-        return DiscreteSet(self, ())
+        return DiscreteSet._canonical(self, ())
+
+    def union_of(self, parts: Iterable["MeasurableSet"]) -> "DiscreteSet":
+        """Union of any number of sets of this space: one `set` update."""
+        members: set[int] = set()
+        for part in parts:
+            if not isinstance(part, DiscreteSet) or part.space != self:
+                raise SpaceMismatchError("sets belong to different spaces")
+            members.update(part.indices)
+        return DiscreteSet._canonical(self, tuple(sorted(members)))
+
+    def _pairwise_disjoint(self, parts: Sequence["DiscreteSet"]) -> bool:
+        members: set[int] = set()
+        count = 0
+        for part in parts:
+            members.update(part.indices)
+            count += len(part.indices)
+        return count == len(members)
+
+    def _refinement(
+        self, left: Sequence["DiscreteSet"], right: Sequence["DiscreteSet"]
+    ) -> list[tuple[int, int, "DiscreteSet"]]:
+        """(i, j, left[i] & right[j]) for every nonempty cell, in (i, j) order.
+
+        Both arguments must partition the space: every point has one owner
+        on the right, so each left set splits by the owners of its points.
+        """
+        owner = [0] * self.size
+        for q, part in enumerate(right):
+            for point in part.indices:
+                owner[point] = q
+        out = []
+        for p, part in enumerate(left):
+            cells: dict[int, list[int]] = {}
+            for point in part.indices:
+                cells.setdefault(owner[point], []).append(point)
+            out.extend(
+                (p, q, DiscreteSet._canonical(self, tuple(points)))
+                for q, points in sorted(cells.items())
+            )
+        return out
 
     def measure_of(self, subset: "MeasurableSet") -> Fraction:
         if not isinstance(subset, DiscreteSet) or subset.space != self:
@@ -123,6 +256,14 @@ class DiscreteSet:
         self.space = space
         self.indices: tuple[int, ...] = tuple(idx)
 
+    @classmethod
+    def _canonical(cls, space: DiscreteSpace, indices: tuple[int, ...]) -> "DiscreteSet":
+        # Trusted: `indices` is a strictly increasing tuple of points of `space`.
+        out = cls.__new__(cls)
+        out.space = space
+        out.indices = indices
+        return out
+
     @property
     def is_empty(self) -> bool:
         return not self.indices
@@ -130,7 +271,8 @@ class DiscreteSet:
     def contains(self, point) -> bool:
         if not self.space.contains(point):
             raise OutsideDomainError(f"point {point!r} outside the discrete space")
-        return point in set(self.indices)
+        k = bisect_left(self.indices, point)
+        return k < len(self.indices) and self.indices[k] == point
 
     def _require_same_space(self, other: "MeasurableSet") -> "DiscreteSet":
         if not isinstance(other, DiscreteSet) or other.space != self.space:
@@ -138,19 +280,23 @@ class DiscreteSet:
         return other
 
     def union(self, other: "MeasurableSet") -> "DiscreteSet":
-        other = self._require_same_space(other)
-        return DiscreteSet(self.space, set(self.indices) | set(other.indices))
+        return self.space.union_of((self, other))
 
     def intersection(self, other: "MeasurableSet") -> "DiscreteSet":
-        other = self._require_same_space(other)
-        return DiscreteSet(self.space, set(self.indices) & set(other.indices))
+        members = set(self._require_same_space(other).indices)
+        return DiscreteSet._canonical(self.space, tuple(i for i in self.indices if i in members))
 
     def difference(self, other: "MeasurableSet") -> "DiscreteSet":
-        other = self._require_same_space(other)
-        return DiscreteSet(self.space, set(self.indices) - set(other.indices))
+        members = set(self._require_same_space(other).indices)
+        return DiscreteSet._canonical(
+            self.space, tuple(i for i in self.indices if i not in members)
+        )
 
     def complement(self) -> "DiscreteSet":
-        return DiscreteSet(self.space, set(range(self.space.size)) - set(self.indices))
+        members = set(self.indices)
+        return DiscreteSet._canonical(
+            self.space, tuple(i for i in range(self.space.size) if i not in members)
+        )
 
     __or__ = union
     __and__ = intersection
@@ -183,15 +329,16 @@ class IntervalSet:
                 raise ValueError(f"interval [{lo}, {hi}) not inside [0, 1)")
             if lo < hi:  # degenerate [a, a) is empty and dropped
                 cleaned.append((lo, hi))
-        cleaned.sort()
-        merged: list[tuple[Fraction, Fraction]] = []
-        for lo, hi in cleaned:
-            if merged and lo <= merged[-1][1]:
-                last_lo, last_hi = merged[-1]
-                merged[-1] = (last_lo, max(last_hi, hi))
-            else:
-                merged.append((lo, hi))
-        self.intervals: tuple[tuple[Fraction, Fraction], ...] = tuple(merged)
+        cleaned.sort(key=_lower_end)
+        self.intervals: tuple[tuple[Fraction, Fraction], ...] = _merge_sorted(cleaned)
+
+    @classmethod
+    def _canonical(cls, intervals: tuple[tuple[Fraction, Fraction], ...]) -> "IntervalSet":
+        # Trusted: `intervals` is sorted, nonempty, pairwise disjoint and
+        # non-adjacent, with Fraction endpoints inside [0, 1].
+        out = cls.__new__(cls)
+        out.intervals = intervals
+        return out
 
     @property
     def space(self) -> UnitIntervalSpace:
@@ -208,7 +355,8 @@ class IntervalSet:
     def contains(self, point) -> bool:
         if not UNIT_INTERVAL.contains(point):
             raise OutsideDomainError(f"point {point!r} outside [0, 1)")
-        return any(lo <= point < hi for lo, hi in self.intervals)
+        k = bisect_right(self.intervals, point, key=_lower_end)
+        return k > 0 and point < self.intervals[k - 1][1]
 
     def endpoints(self) -> Iterator[Fraction]:
         for lo, hi in self.intervals:
@@ -221,8 +369,7 @@ class IntervalSet:
         return other
 
     def union(self, other: "MeasurableSet") -> "IntervalSet":
-        other = self._require_same_space(other)
-        return IntervalSet(self.intervals + other.intervals)
+        return UNIT_INTERVAL.union_of((self, other))
 
     def intersection(self, other: "MeasurableSet") -> "IntervalSet":
         other = self._require_same_space(other)
@@ -238,7 +385,7 @@ class IntervalSet:
                 i += 1
             else:
                 j += 1
-        return IntervalSet(out)
+        return IntervalSet._canonical(tuple(out))
 
     def complement(self) -> "IntervalSet":
         out = []
@@ -249,7 +396,7 @@ class IntervalSet:
             cursor = hi
         if cursor < 1:
             out.append((cursor, ONE))
-        return IntervalSet(out)
+        return IntervalSet._canonical(tuple(out))
 
     def difference(self, other: "MeasurableSet") -> "IntervalSet":
         return self.intersection(self._require_same_space(other).complement())
@@ -278,10 +425,18 @@ class IntervalMeasure:
     The density is constant on each cell of the breakpoint grid; unit
     density on a single cell recovers Lebesgue measure.  Total mass is
     always a finite rational.
+
+    `breakpoints` and `densities` keep the cells as given.  Equality and
+    the hash use the form with adjacent equal-density cells merged, so
+    measures that agree on every set compare equal.
     """
 
     breakpoints: tuple[Fraction, ...]
     densities: tuple[Fraction, ...]
+    # The merged (breakpoints, densities), and the mass of [0, t) at each
+    # merged breakpoint t.
+    _merged: tuple = field(init=False, repr=False, compare=False)
+    _cumulative: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bp = tuple(Fraction(t) for t in self.breakpoints)
@@ -296,6 +451,26 @@ class IntervalMeasure:
             raise ValueError("densities must be nonnegative")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "densities", dens)
+        grid, steps = [ZERO], []
+        for density, hi in zip(dens, bp[1:]):
+            if steps and steps[-1] == density:
+                grid[-1] = hi
+            else:
+                steps.append(density)
+                grid.append(hi)
+        cumulative = [ZERO]
+        for k, density in enumerate(steps):
+            cumulative.append(cumulative[-1] + density * (grid[k + 1] - grid[k]))
+        object.__setattr__(self, "_merged", (tuple(grid), tuple(steps)))
+        object.__setattr__(self, "_cumulative", tuple(cumulative))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntervalMeasure):
+            return NotImplemented
+        return self._merged == other._merged
+
+    def __hash__(self) -> int:
+        return hash(self._merged)
 
     @classmethod
     def lebesgue(cls) -> "IntervalMeasure":
@@ -307,10 +482,7 @@ class IntervalMeasure:
 
     @property
     def total_mass(self) -> Fraction:
-        return sum(
-            (d * (hi - lo) for (lo, hi, d) in self.density_cells()),
-            ZERO,
-        )
+        return self._cumulative[-1]
 
     def density_cells(self) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
         for k, density in enumerate(self.densities):
@@ -319,12 +491,22 @@ class IntervalMeasure:
     def measure_of(self, subset: "MeasurableSet") -> Fraction:
         if not isinstance(subset, IntervalSet):
             raise SpaceMismatchError("set does not belong to the interval space")
+        grid, steps = self._merged
+        cumulative = self._cumulative
+        cells = len(steps)
         total = ZERO
         for lo, hi in subset.intervals:
-            for cell_lo, cell_hi, density in self.density_cells():
-                overlap = min(hi, cell_hi) - max(lo, cell_lo)
-                if overlap > 0 and density != 0:
-                    total += density * overlap
+            # grid[k] <= lo < grid[k + 1] and grid[m] < hi <= grid[m + 1]
+            k = bisect_right(grid, lo, 0, cells) - 1
+            m = bisect_left(grid, hi, k + 1, cells) - 1
+            if k == m:
+                total += steps[k] * (hi - lo)
+            else:
+                total += (
+                    cumulative[m] - cumulative[k + 1]
+                    + steps[k] * (grid[k + 1] - lo)
+                    + steps[m] * (hi - grid[m])
+                )
         return total
 
 

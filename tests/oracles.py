@@ -1,10 +1,15 @@
-"""Independent integration oracles for the tests.
+"""Independent integration oracles and reference algorithms for the tests.
 
-These deliberately avoid the library's closed-form integration paths: they
-only call `evaluate` pointwise.  Midpoint quadrature on a grid refined by
-every breakpoint is exact for integrands that are affine (or constant) per
-cell, which covers both integrand classes here; discrete spaces are
-integrated by full enumeration.
+The integration oracles deliberately avoid the library's closed-form
+integration paths: they only call `evaluate` pointwise.  Midpoint
+quadrature on a grid refined by every breakpoint is exact for integrands
+that are affine (or constant) per cell, which covers both integrand
+classes here; discrete spaces are integrated by full enumeration.
+
+The set-algebra references are the plain quadratic algorithms the library
+replaced by sweeps: pairwise disjointness checks, sequential unions,
+every-pair intersections and per-cell overlaps.  They use only the binary
+set operations.
 """
 
 from __future__ import annotations
@@ -117,4 +122,77 @@ def staircase_integral_oracle(fn, measure, level: int) -> Fraction:
                 y0, cap_index
             )
             total += d * diff / (a * scale * scale)
+    return total
+
+
+# --- set-algebra references ----------------------------------------------------
+
+
+def pairwise_disjoint_reference(parts) -> bool:
+    """Every pair of sets intersects in the empty set."""
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            if not parts[i].intersection(parts[j]).is_empty:
+                return False
+    return True
+
+
+def _sequential_union(space, parts):
+    out = space.empty_set()
+    for part in parts:
+        out = out.union(part)
+    return out
+
+
+def _value_key(value):
+    return value.components if isinstance(value, Vec) else value
+
+
+def _is_zero(value) -> bool:
+    return value.is_zero if isinstance(value, Vec) else value == 0
+
+
+def canonical_terms_reference(fn: SimpleFunction) -> tuple:
+    """Canonical terms by unioning each value's sets one at a time."""
+    groups: dict = {}
+    for value, part in fn.terms:
+        if _is_zero(value) or part.is_empty:
+            continue
+        key = _value_key(value)
+        if key in groups:
+            groups[key] = (value, groups[key][1].union(part))
+        else:
+            groups[key] = (value, part)
+    rest = _sequential_union(fn.space, [part for _, part in groups.values()]).complement()
+    terms = list(groups.values())
+    if not rest.is_empty:
+        zero = ZERO if fn.dim is None else Vec.zero(fn.dim)
+        terms.append((zero, rest))
+    terms.sort(key=lambda term: _value_key(term[0]))
+    return tuple(terms)
+
+
+def combine_terms_reference(f: SimpleFunction, g: SimpleFunction, op) -> tuple:
+    """Terms of op(f, g) by intersecting every canonical term of f with every one of g."""
+    terms = []
+    for v, a in canonical_terms_reference(f):
+        for w, b in canonical_terms_reference(g):
+            cell = a.intersection(b)
+            if not cell.is_empty:
+                terms.append((op(v, w), cell))
+    return tuple(terms)
+
+
+def support_reference(fn: SimpleFunction):
+    return _sequential_union(fn.space, [part for value, part in fn.terms if not _is_zero(value)])
+
+
+def measure_of_reference(measure: IntervalMeasure, part) -> Fraction:
+    """Sum of density * overlap over every (interval, density cell) pair."""
+    total = ZERO
+    for lo, hi in part.intervals:
+        for cell_lo, cell_hi, density in measure.density_cells():
+            overlap = min(hi, cell_hi) - max(lo, cell_lo)
+            if overlap > 0:
+                total += density * overlap
     return total

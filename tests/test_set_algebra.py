@@ -1,0 +1,236 @@
+"""The near-linear set algebra against the quadratic reference algorithms.
+
+Every property compares `terms` tuples (or sets) for identity with the
+reference in `oracles.py`, not merely for equality as functions, so the
+order of the cells and the values they carry are pinned too.
+"""
+
+import operator
+import time
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, strategies as st
+
+from exactintegral import (
+    DiscreteSet,
+    DiscreteSpace,
+    IntervalMeasure,
+    IntervalSet,
+    SimpleFunction,
+    UNIT_INTERVAL,
+    Vec,
+    integrate_simple,
+)
+
+from oracles import (
+    canonical_terms_reference,
+    combine_terms_reference,
+    measure_of_reference,
+    pairwise_disjoint_reference,
+    support_reference,
+)
+
+GRID = 12  # endpoints on the 1/12 grid, so touching and shared ends are common
+VALUES = [F(0), F(1), F(1), F(-1), F(2), F(1, 2), F(-3, 2)]
+
+
+@st.composite
+def interval_sets(draw):
+    """Any interval set: overlapping, touching, degenerate and empty input pairs."""
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, GRID), st.integers(0, GRID)).map(sorted),
+            max_size=4,
+        )
+    )
+    return IntervalSet([(F(lo, GRID), F(hi, GRID)) for lo, hi in pairs])
+
+
+@st.composite
+def discrete_spaces(draw):
+    size = draw(st.integers(1, 12))
+    return DiscreteSpace((F(1),) * size)
+
+
+@st.composite
+def discrete_sets(draw, space):
+    return DiscreteSet(space, draw(st.lists(st.integers(0, space.size - 1), max_size=6)))
+
+
+@st.composite
+def disjoint_parts(draw, space):
+    """Pairwise-disjoint sets, some empty, built from cells of a grid.
+
+    Interval cells of one set may touch, which merges them into one run;
+    cells owned by no set leave the function's implicit zero uncovered.
+    """
+    count = draw(st.integers(0, 6))
+
+    def owners(cells):  # -1: owned by no set
+        return draw(st.lists(st.integers(-1, count - 1), min_size=cells, max_size=cells))
+
+    if isinstance(space, DiscreteSpace):
+        owner = owners(space.size)
+        return [
+            DiscreteSet(space, [p for p, o in enumerate(owner) if o == k]) for k in range(count)
+        ]
+    cuts = sorted(draw(st.sets(st.integers(1, GRID - 1), max_size=7)))
+    edges = [0, *cuts, GRID]
+    owner = owners(len(edges) - 1)
+    return [
+        IntervalSet(
+            [(F(edges[c], GRID), F(edges[c + 1], GRID)) for c, o in enumerate(owner) if o == k]
+        )
+        for k in range(count)
+    ]
+
+
+@st.composite
+def simple_functions(draw, space, dim=None):
+    parts = draw(disjoint_parts(space))
+    values = [draw(st.sampled_from(VALUES)) for _ in parts]
+    if dim is not None:
+        values = [Vec((v, draw(st.sampled_from(VALUES)))) for v in values]
+    return SimpleFunction(space, list(zip(values, parts)), dim)
+
+
+spaces = st.one_of(st.just(UNIT_INTERVAL), discrete_spaces())
+
+
+@st.composite
+def function_pairs(draw, dim=None):
+    space = draw(spaces)
+    return draw(simple_functions(space, dim)), draw(simple_functions(space, dim))
+
+
+# --- constructor ------------------------------------------------------------------
+
+
+@st.composite
+def term_set_lists(draw):
+    space = draw(spaces)
+    if space is UNIT_INTERVAL:
+        return space, draw(st.lists(interval_sets(), max_size=5))
+    return space, draw(st.lists(discrete_sets(space), max_size=5))
+
+
+@given(term_set_lists())
+def test_constructor_rejects_exactly_the_overlapping_term_sets(drawn):
+    space, parts = drawn
+    terms = [(F(k + 1), part) for k, part in enumerate(parts)]
+    if pairwise_disjoint_reference(parts):
+        assert SimpleFunction(space, terms).terms == tuple(terms)
+    else:
+        with pytest.raises(ValueError, match="term sets must be pairwise disjoint"):
+            SimpleFunction(space, terms)
+
+
+def test_touching_and_empty_term_sets_are_disjoint():
+    touching = [IntervalSet([(0, F(1, 3))]), IntervalSet([(F(1, 3), F(2, 3))]), IntervalSet([])]
+    assert SimpleFunction(UNIT_INTERVAL, [(F(1), s) for s in touching]).terms
+    shared_start = [IntervalSet([(F(1, 3), F(1, 2))]), IntervalSet([(F(1, 3), F(2, 3))])]
+    with pytest.raises(ValueError, match="term sets must be pairwise disjoint"):
+        SimpleFunction(UNIT_INTERVAL, [(F(1), s) for s in shared_start])
+
+
+# --- canonical form, support and the binary operations ------------------------------
+
+
+@given(function_pairs())
+def test_canonical_and_support_match_sequential_unions(pair):
+    for fn in pair:
+        assert fn.canonical().terms == canonical_terms_reference(fn)
+        assert fn.support() == support_reference(fn)
+
+
+@given(function_pairs())
+def test_binary_operations_match_every_pair_intersections(pair):
+    f, g = pair
+    assert (f + g).terms == combine_terms_reference(f, g, operator.add)
+    assert (f - g).terms == combine_terms_reference(f, g, operator.sub)
+    assert f.pointwise_max(g).terms == combine_terms_reference(f, g, max)
+    assert f.pointwise_min(g).terms == combine_terms_reference(f, g, min)
+
+
+@given(function_pairs(dim=2))
+def test_vector_canonical_and_sum_match_the_references(pair):
+    f, g = pair
+    assert f.canonical().terms == canonical_terms_reference(f)
+    assert (f + g).terms == combine_terms_reference(f, g, operator.add)
+
+
+# --- measure_of -----------------------------------------------------------------------
+
+
+@st.composite
+def step_measures_with_zeros(draw):
+    """Step measures whose breakpoints lie on the set grid; zero and repeated
+    densities are common, so adjacent cells often carry the same density."""
+    cuts = sorted(draw(st.sets(st.integers(1, GRID - 1), max_size=6)))
+    breakpoints = [F(0), *(F(c, GRID) for c in cuts), F(1)]
+    densities = draw(
+        st.lists(
+            st.sampled_from([F(0), F(0), F(1), F(2, 3), F(5)]),
+            min_size=len(breakpoints) - 1,
+            max_size=len(breakpoints) - 1,
+        )
+    )
+    return IntervalMeasure(tuple(breakpoints), tuple(densities))
+
+
+@given(interval_sets(), step_measures_with_zeros())
+def test_measure_of_matches_per_cell_reference(part, measure):
+    assert measure.measure_of(part) == measure_of_reference(measure, part)
+    assert measure.total_mass == measure_of_reference(measure, UNIT_INTERVAL.full_set())
+
+
+@given(discrete_spaces(), st.data())
+def test_discrete_set_operations_stay_sorted_and_unique(space, data):
+    a = data.draw(discrete_sets(space))
+    b = data.draw(discrete_sets(space))
+    members_a, members_b = set(a.indices), set(b.indices)
+    assert a.union(b).indices == tuple(sorted(members_a | members_b))
+    assert a.intersection(b).indices == tuple(sorted(members_a & members_b))
+    assert a.difference(b).indices == tuple(sorted(members_a - members_b))
+    assert a.complement().indices == tuple(sorted(set(range(space.size)) - members_a))
+    for point in range(space.size):
+        assert a.contains(point) == (point in members_a)
+
+
+@given(interval_sets(), st.integers(0, 2 * GRID - 1))
+def test_interval_contains_matches_a_scan(part, tick):
+    point = F(tick, 2 * GRID)
+    assert part.contains(point) == any(lo <= point < hi for lo, hi in part.intervals)
+
+
+# --- scale ----------------------------------------------------------------------------
+
+
+def test_two_thousand_term_functions_stay_fast_and_exact():
+    """2000 terms each: construction, canonical() and f + g, with the integral
+    of the sum equal to the sum of the integrals.  Quadratic set algebra took
+    more than 11 s to construct one such function."""
+    n = 2000
+    measure = IntervalMeasure((F(0), F(1, 3), F(1, 2), F(1)), (F(2), F(0), F(3, 2)))
+    started = time.perf_counter()
+    f = SimpleFunction(
+        UNIT_INTERVAL,
+        [(F(k % 5), IntervalSet([(F(k, n), F(k + 1, n))])) for k in range(n)],
+    )
+    g = SimpleFunction(
+        UNIT_INTERVAL,
+        [
+            (F(k % 7, 3), IntervalSet([(F(2 * k + 1, 2 * n), F(2 * k + 2, 2 * n))]))
+            for k in range(n)
+        ],
+    )
+    canonical = f.canonical()
+    total = f + g
+    elapsed = time.perf_counter() - started
+    assert len(canonical.terms) == 5
+    assert integrate_simple(canonical, measure) == integrate_simple(f, measure)
+    assert integrate_simple(total, measure) == integrate_simple(f, measure) + integrate_simple(
+        g, measure
+    )
+    assert elapsed < 5

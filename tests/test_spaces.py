@@ -197,3 +197,47 @@ def test_total_mass_is_full_set_measure(measure):
 def test_lebesgue_recovered_by_unit_density():
     assert LEBESGUE.total_mass == 1
     assert LEBESGUE.measure_of(iv(("1/3", "2/3"))) == F(1, 3)
+
+
+def test_measures_compare_equal_after_merging_equal_density_cells():
+    split = IntervalMeasure((F(0), F(1, 2), F(1)), (F(1), F(1)))
+    assert split == LEBESGUE
+    assert hash(split) == hash(LEBESGUE)
+    assert split.breakpoints == (F(0), F(1, 2), F(1))  # the cells are kept as given
+    assert repr(split) == (
+        "IntervalMeasure(breakpoints=(Fraction(0, 1), Fraction(1, 2), Fraction(1, 1)), "
+        "densities=(Fraction(1, 1), Fraction(1, 1)))"
+    )
+    zeros = IntervalMeasure((F(0), F(1, 4), F(1, 2), F(1)), (F(0), F(0), F(3)))
+    assert zeros == IntervalMeasure((F(0), F(1, 2), F(1)), (F(0), F(3)))
+    assert IntervalMeasure((F(0), F(1, 2), F(1)), (F(1), F(2))) != LEBESGUE
+    assert IntervalMeasure((F(0), F(1, 3), F(1)), (F(0), F(1))) != IntervalMeasure(
+        (F(0), F(1, 2), F(1)), (F(0), F(1))
+    )
+
+
+@given(step_measures(), st.fractions(min_value=0, max_value=1, max_denominator=32))
+def test_splitting_a_cell_keeps_the_measure_equal(measure, cut):
+    if not 0 < cut < 1 or cut in measure.breakpoints:
+        return
+    k = sum(1 for t in measure.breakpoints if t < cut) - 1
+    split = IntervalMeasure(
+        (*measure.breakpoints[: k + 1], cut, *measure.breakpoints[k + 1 :]),
+        (*measure.densities[: k + 1], *measure.densities[k:]),
+    )
+    assert split == measure
+    assert hash(split) == hash(measure)
+    assert split.total_mass == measure.total_mass
+
+
+def test_contains_bisects_to_the_right_interval():
+    part = iv((0, "1/4"), ("1/2", "3/4"))
+    assert [part.contains(F(k, 8)) for k in range(8)] == [
+        True, True, False, False, True, True, False, False,
+    ]
+    space = DiscreteSpace((F(1),) * 5)
+    assert [DiscreteSet(space, [1, 3]).contains(p) for p in range(5)] == [
+        False, True, False, True, False,
+    ]
+    with pytest.raises(OutsideDomainError):
+        DiscreteSet(space, [1]).contains(True)
