@@ -20,7 +20,6 @@ from exactintegral import (
     equivalence_report,
     integral_from_series,
     lebesgue_integral,
-    pointwise_partial_sum,
     series_from_integrand,
 )
 
@@ -77,5 +76,5 @@ for level in (5, 10, 20):
 # Pointwise, the partial sums climb toward the integrand.
 point = F(2, 3)
 print("partial sums at 2/3:",
-      [pointwise_partial_sum(depth_rep, point, n) for n in (1, 2, 3, 8)],
+      [depth_rep.series.partial_value_at(point, n) for n in (1, 2, 3, 8)],
       "-> target", identity.evaluate(point))

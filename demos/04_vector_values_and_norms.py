@@ -16,7 +16,6 @@ from exactintegral import (
     SimpleFunction,
     UNIT_INTERVAL,
     Vec,
-    absolute_sum_check,
     bochner_integrate,
     integrate_simple,
     l1_norm,
@@ -57,5 +56,5 @@ print()
 # L1 norms of vector functions back the certificates of vector series.
 series = FiniteSeries(lebesgue, [f], norm_kind=NormKind.L1)
 print("one-term vector series integral:", bochner_integrate(series))
-print("its summability certificate    :", absolute_sum_check(series, 1))
+print("its summability certificate    :", series.certificate(1))
 print("l1_norm(f) under L1            :", l1_norm(f, lebesgue, NormKind.L1))

@@ -41,7 +41,6 @@ from .simple import NormKind, SimpleFunction, Vec, integrate_simple
 from .piecewise import PiecewiseLinear
 from .lebesgue import (
     DyadicApproximation,
-    IntegrabilityClass,
     Integrand,
     IntegralResult,
     NegativeIntegrandError,
@@ -62,13 +61,11 @@ from .bochner import (
     SeriesIntegralResult,
     TelescopeSeries,
     TraceRow,
-    absolute_sum_check,
     bochner_integrate,
     equivalence_report,
     geometric_indicator_series,
     integral_from_series,
     l1_norm,
-    pointwise_partial_sum,
     series_from_integrand,
 )
 from .generators import (

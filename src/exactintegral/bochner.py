@@ -23,9 +23,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .lebesgue import (
+    INTEGRAL_CLASS,
     DyadicApproximation,
     Integrand,
-    _result_from_parts,
     check_integrand_measure,
     integrate_nonneg,
     lebesgue_integral,
@@ -47,9 +47,7 @@ __all__ = [
     "BochnerRepresentation",
     "TraceRow",
     "ConstructionTrace",
-    "absolute_sum_check",
     "bochner_integrate",
-    "pointwise_partial_sum",
     "series_from_integrand",
     "SeriesIntegralResult",
     "integral_from_series",
@@ -290,20 +288,22 @@ class TelescopeSeries(FunctionSeries):
         terms += [(-v, s) for v, s in neg_inc.terms if v != 0]
         return SimpleFunction._trusted(space_of(self.measure), terms, None)
 
-    def _part_rise(self, part: DyadicApproximation, lower: int, upper: int) -> Fraction:
-        """Staircase integral of one part at level `upper` minus at `lower`."""
-        return part.integral(upper, self.measure) - part.integral(lower, self.measure)
+    def _rises(self, lower: int, upper: int) -> tuple[Fraction, Fraction]:
+        """(positive, negative) part staircase integrals at `upper` minus at `lower`."""
+        measure = self.measure
+        return (
+            self.positive.integral(upper, measure) - self.positive.integral(lower, measure),
+            self.negative.integral(upper, measure) - self.negative.integral(lower, measure),
+        )
 
     def term_integral(self, index: int) -> Fraction:
-        return self._part_rise(self.positive, index - 1, index) - self._part_rise(
-            self.negative, index - 1, index
-        )
+        pos, neg = self._rises(index - 1, index)
+        return pos - neg
 
     def term_abs_integral(self, index: int) -> Fraction:
         # |h_n| = h_n(+part) + h_n(-part): the two parts have disjoint supports.
-        return self._part_rise(self.positive, index - 1, index) + self._part_rise(
-            self.negative, index - 1, index
-        )
+        pos, neg = self._rises(index - 1, index)
+        return pos + neg
 
     def term_value_at(self, index: int, point) -> Fraction:
         pos = self.positive.value_at(index, point) - self.positive.value_at(
@@ -317,16 +317,12 @@ class TelescopeSeries(FunctionSeries):
     # The partial sums telescope: summing h_1..h_k leaves level k minus level 0.
 
     def partial_integral_sum(self, upto: int) -> Fraction:
-        upto = self._effective(upto)
-        return self._part_rise(self.positive, 0, upto) - self._part_rise(
-            self.negative, 0, upto
-        )
+        pos, neg = self._rises(0, self._effective(upto))
+        return pos - neg
 
     def partial_abs_sum(self, upto: int) -> Fraction:
-        upto = self._effective(upto)
-        return self._part_rise(self.positive, 0, upto) + self._part_rise(
-            self.negative, 0, upto
-        )
+        pos, neg = self._rises(0, self._effective(upto))
+        return pos + neg
 
     def tail_bound(self, after: int) -> Fraction:
         """Exact remainder: what the part staircases still miss at `after`."""
@@ -411,15 +407,6 @@ def _as_series(series_or_rep) -> FunctionSeries:
     raise TypeError("expected a FunctionSeries or BochnerRepresentation")
 
 
-def absolute_sum_check(series_or_rep, upto: int) -> tuple[Fraction, Fraction]:
-    """The summability certificate at `upto`: (partial sum, tail bound).
-
-    The represented series is absolutely summable iff partial + tail is
-    finite, which the returned exact rationals witness.
-    """
-    return _as_series(series_or_rep).certificate(upto)
-
-
 def bochner_integrate(series_or_rep, truncation: Optional[int] = None):
     """(sum of the first N term integrals, error bound from the tail).
 
@@ -436,11 +423,6 @@ def bochner_integrate(series_or_rep, truncation: Optional[int] = None):
     value = series.partial_integral_sum(truncation)
     bound = series.tail_bound(truncation)
     return value, bound
-
-
-def pointwise_partial_sum(series_or_rep, point, upto: int):
-    """Sum of the first `upto` term values at a point."""
-    return _as_series(series_or_rep).partial_value_at(point, upto)
 
 
 def series_from_integrand(
@@ -467,8 +449,8 @@ def series_from_integrand(
     positive, negative = pos_neg_parts(fn)
     pos_approx = DyadicApproximation(positive)
     neg_approx = DyadicApproximation(negative)
-    pos_limit = integrate_nonneg(positive, measure)
-    neg_limit = integrate_nonneg(negative, measure)
+    pos_limit = pos_approx.limit(measure)
+    neg_limit = neg_approx.limit(measure)
 
     pos_terminal = pos_approx.termination_level()
     neg_terminal = neg_approx.termination_level()
@@ -490,8 +472,7 @@ def series_from_integrand(
     rows = []
     running = ZERO
     for level in range(1, depth + 1):
-        dp = telescope._part_rise(pos_approx, level - 1, level)
-        dn = telescope._part_rise(neg_approx, level - 1, level)
+        dp, dn = telescope._rises(level - 1, level)
         running += dp + dn
         rows.append(TraceRow(level, dp, dn, dp + dn, running))
 
@@ -592,21 +573,21 @@ def equivalence_report(
     terms and compares them with the same direct integral.
     """
     representation, trace = series_from_integrand(fn, measure, eta, depth)
-    direct = _result_from_parts(trace.positive_integral, trace.negative_integral)
+    direct_value = trace.positive_integral - trace.negative_integral
     truncation = None if representation.series.term_count is not None else depth
     series_value, series_bound = bochner_integrate(representation, truncation)
 
-    difference = abs(series_value - direct.value)
+    difference = abs(series_value - direct_value)
     mass = measure.total_mass
     difference_bound = 2 * Fraction(1, 1 << depth) * mass
     certified = depth >= max(
         trace.positive_approx.cap_level, trace.negative_approx.cap_level
     )
     return {
-        "integral_class": direct.classification.value,
-        "integral_value": direct.value,
-        "positive_part_integral": direct.positive_part,
-        "negative_part_integral": direct.negative_part,
+        "integral_class": INTEGRAL_CLASS,
+        "integral_value": direct_value,
+        "positive_part_integral": trace.positive_integral,
+        "negative_part_integral": trace.negative_integral,
         "series_depth": depth,
         "series_terminates": representation.exact,
         "series_term_count": representation.series.term_count,

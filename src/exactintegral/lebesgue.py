@@ -5,19 +5,29 @@ nonnegative integrands as the limit of a fixed nondecreasing staircase
 sequence: level n rounds the integrand down to the grid {k/2^n} and caps
 it at n.  Stage three splits a signed integrand into its positive and
 negative parts.  Supported integrands are simple functions (either space
-kind) and piecewise-linear functions on [0, 1); for both, the limit
-integral has a closed form, and the staircase integral of a
-piecewise-linear integrand has one too (an arithmetic-series formula), so
-stage-two convergence is checkable exactly at any level without
-materializing the staircase.
+kind) and piecewise-linear functions on [0, 1).
 
-`DyadicApproximation.integral` keeps one table per (approximation,
-measure).  On first use against a measure it builds the cells once and
-brings every level-independent coefficient to one common integer
-denominator L; level n is then an integer numerator over L * 4^n, and
-each level costs one `Fraction`, made once and kept.  Simple and
-piecewise-linear integrands go through the same sweep: a value held on a
-mass is the slope-free case of an affine cell.
+A nonnegative integrand f enters stage two only through the distribution
+m∘f⁻¹ of its values: the limit is the mean of that distribution, and each
+staircase level is `∫ s_n(f) dm = ∫ s_n(y) d(m∘f⁻¹)(y)`.  For both
+integrand classes the distribution is a finite list of (lo, hi, mass)
+entries: an atom (lo == hi) for a value held on a set, a simple term or
+a slope-0 piece, and mass spread uniformly over [lo, hi] for a sloped
+affine piece, split at the breakpoints of the measure's density.  The
+limit is sum(mass * (lo + hi) / 2), and the staircase integral of either
+kind of entry has a closed form at every level (an atom contributes
+mass * s_n(y), a uniform piece an arithmetic series), so stage-two
+convergence is checkable exactly at any level without materializing the
+staircase, and neither the integral nor the staircase branches on the
+integrand class.
+
+`DyadicApproximation` lowers its target once to spatial cells (part,
+slope, intercept), a simple term being a slope-0 cell on its set.  On
+first use against a measure it reads the value distribution off the
+cells and keeps one table: the limit, and every level-independent
+staircase coefficient over one common integer denominator L; level n is
+then an integer numerator over L * 4^n, and each level costs one
+`Fraction`, made once and kept.
 
 Where an integrand decreases through a grid value exactly, the staircase
 level sets are half-open like every other set in the package, which puts
@@ -32,26 +42,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .piecewise import PiecewiseLinear
 from .rationals import ZERO, floor_to_grid, is_on_grid, power_of_two_level
-from .simple import SimpleFunction, integrate_simple
+from .simple import SimpleFunction
 from .spaces import (
-    IntervalMeasure,
     IntervalSet,
     Measure,
     MeasurableSet,
     SpaceMismatchError,
-    UNIT_INTERVAL,
     space_of,
 )
 
 __all__ = [
     "NegativeIntegrandError",
-    "IntegrabilityClass",
     "Integrand",
     "IntegralResult",
     "DyadicApproximation",
@@ -65,6 +71,10 @@ __all__ = [
 
 Integrand = Union[SimpleFunction, PiecewiseLinear]
 
+# Finite measures and bounded integrands make every integrand here
+# integrable; the reports still state the class.
+INTEGRAL_CLASS = "integrable"
+
 # Materializing a staircase with more cells than this is refused; the lazy
 # value/integral accessors cover the deep levels.
 _MATERIALIZE_CELL_LIMIT = 1 << 22
@@ -72,21 +82,6 @@ _MATERIALIZE_CELL_LIMIT = 1 << 22
 
 class NegativeIntegrandError(ValueError):
     """A nonnegative integrand was required."""
-
-
-class IntegrabilityClass(Enum):
-    """Finiteness pattern of the two part integrals.
-
-    PLUS means only the positive part diverges (integral +oo), MINUS only
-    the negative part (integral -oo).  With the finite measures and bounded
-    integrands constructible here the computed class is always INTEGRABLE,
-    but it is computed, never assumed.
-    """
-
-    INTEGRABLE = "integrable"
-    QUASI_INTEGRABLE_PLUS = "quasi-integrable-plus"
-    QUASI_INTEGRABLE_MINUS = "quasi-integrable-minus"
-    NOT_QUASI_INTEGRABLE = "not-quasi-integrable"
 
 
 def _require_scalar_integrand(fn: Integrand) -> None:
@@ -115,39 +110,87 @@ def _staircase_value(value: Fraction, level: int) -> Fraction:
     return min(Fraction(level), floor_to_grid(value, level))
 
 
-def _measure_cells(
-    fn: PiecewiseLinear, measure: Measure
-) -> Iterator[tuple[Fraction, Fraction, Fraction, Fraction, Fraction]]:
-    """Cells of the merged function/measure grid: (u, w, slope, intercept, density)."""
-    if not isinstance(measure, IntervalMeasure):
-        raise SpaceMismatchError("piecewise-linear integrands need an interval measure")
-    grid = sorted(set(fn.breakpoints) | set(measure.breakpoints))
-    refined = fn.refined(grid)
-    densities = dict(
-        (lo, d) for lo, _, d in measure.density_cells()
-    )
-    current = None
-    for u, w, a, b in refined.cells():
-        if u in densities:
-            current = densities[u]
-        yield u, w, a, b, current
+def _cells(fn: Integrand) -> tuple[list, Fraction]:
+    """(cells, bound) of a nonnegative integrand: spatial cells (part, slope,
+    intercept) and a bound >= its sup.
+
+    A simple term with a nonzero value on a nonempty set is a slope-0 cell
+    on that set (the function is zero off its cells); a piecewise-linear
+    piece is a cell on its half-open interval.
+    """
+    _require_scalar_integrand(fn)
+    if isinstance(fn, SimpleFunction):
+        cells = [(part, ZERO, v) for v, part in fn.terms if v != 0 and not part.is_empty]
+        if any(v < 0 for _, _, v in cells):
+            raise NegativeIntegrandError("simple integrand takes negative values")
+        return cells, max((v for _, _, v in cells), default=ZERO)
+    if not fn.is_nonnegative():
+        raise NegativeIntegrandError("integrand takes negative values")
+    cells = [(IntervalSet._canonical(((u, w),)), a, b) for u, w, a, b in fn.cells()]
+    return cells, fn.upper_bound()
+
+
+def _value_distribution(cells: list, measure: Measure) -> list:
+    """The distribution of the cells' values under the measure: (lo, hi, mass)
+    entries, an atom when lo == hi and uniform mass on [lo, hi] otherwise.
+
+    Sloped cells are split at the density breakpoints, so each piece has
+    one density.  Zero values and null masses contribute to no integral
+    and are left out.
+    """
+    distribution = []
+    for part, a, b in cells:
+        if a == 0:
+            if b != 0:
+                mass = measure.measure_of(part)
+                if mass != 0:
+                    distribution.append((b, b, mass))
+            continue
+        for u, w in part.intervals:
+            for p, q, d in measure.density_cells():
+                lo, hi = max(p, u), min(q, w)
+                if d != 0 and lo < hi:
+                    y_lo, y_hi = sorted((a * lo + b, a * hi + b))
+                    distribution.append((y_lo, y_hi, d * (hi - lo)))
+    return distribution
+
+
+def _mean(distribution: list) -> Fraction:
+    return sum((mass * (lo + hi) for lo, hi, mass in distribution), ZERO) / 2
+
+
+def _staircase_entries(distribution: list) -> dict:
+    """{y: [e, c]} such that the level-n staircase integral is
+    4^-n * sum(e * k * 2^n - c * k(k+1)/2), with k = min(n*2^n, floor(2^n y)).
+
+    An atom of mass m at y contributes m * k / 2^n: e = m, c = 0.  Mass m
+    spread uniformly over [lo, hi] has density r = m / (hi - lo) and
+    contributes r times the difference of F(y) = k*2^n*y - k(k+1)/2, the
+    antiderivative of the scaled staircase t -> min(n*2^n, floor(t)) at
+    t = 2^n*y, between its ends, so each end adds +-(r * y, r).
+    """
+    entries: dict = {}
+
+    def add(y: Fraction, e: Fraction, c: Fraction = ZERO) -> None:
+        entry = entries.setdefault(y, [ZERO, ZERO])
+        entry[0] += e
+        entry[1] += c
+
+    for lo, hi, mass in distribution:
+        if lo == hi:
+            add(lo, mass)
+            continue
+        r = mass / (hi - lo)
+        add(hi, r * hi, r)
+        add(lo, -r * lo, -r)
+    return entries
 
 
 def integrate_nonneg(fn: Integrand, measure: Measure) -> Fraction:
-    """Exact limit integral of a nonnegative integrand (closed form)."""
+    """Exact limit integral of a nonnegative integrand: the mean of its values."""
     check_integrand_measure(fn, measure)
-    if isinstance(fn, SimpleFunction):
-        _require_scalar_integrand(fn)
-        if any(v < 0 for v, _ in fn.canonical().terms):
-            raise NegativeIntegrandError("simple integrand takes negative values")
-        return integrate_simple(fn, measure)
-    if not fn.is_nonnegative():
-        raise NegativeIntegrandError("integrand takes negative values")
-    total = ZERO
-    for u, w, a, b, d in _measure_cells(fn, measure):
-        if d != 0:
-            total += d * (a * (w * w - u * u) / 2 + b * (w - u))
-    return total
+    cells, _ = _cells(fn)
+    return _mean(_value_distribution(cells, measure))
 
 
 class DyadicApproximation:
@@ -160,17 +203,7 @@ class DyadicApproximation:
 
     def __init__(self, target: Integrand):
         self.target = target
-        if isinstance(target, SimpleFunction):
-            _require_scalar_integrand(target)
-            self._terms = target.canonical().terms
-            if any(v < 0 for v, _ in self._terms):
-                raise NegativeIntegrandError("simple integrand takes negative values")
-            self._bound = max(v for v, _ in self._terms)
-        else:
-            if not target.is_nonnegative():
-                raise NegativeIntegrandError("integrand takes negative values")
-            self._terms = None
-            self._bound = target.upper_bound()
+        self._cells, self._bound = _cells(target)
         self._tables: list = []  # (measure, _StaircaseTable) pairs
 
     @property
@@ -193,14 +226,10 @@ class DyadicApproximation:
         Finite exactly when the target is piecewise constant with values on
         a dyadic grid; None otherwise (the sequence then only converges).
         """
-        if self._terms is not None:
-            values = [v for v, _ in self._terms]
-        else:
-            if any(a != 0 for _, _, a, _ in self.target.cells()):
-                return None
-            values = [b for _, _, _, b in self.target.cells()]
+        if any(a != 0 for _, a, _ in self._cells):
+            return None
         level = 0
-        for v in values:
+        for _, _, v in self._cells:
             if v == 0:
                 continue
             grid = power_of_two_level(v)
@@ -216,143 +245,109 @@ class DyadicApproximation:
         value = self.target.evaluate(point)
         if level == 0:
             return ZERO
-        if (
-            self._terms is None
-            and value > 0
-            and value <= level
-            and self.target.slope_at(point) < 0
-            and is_on_grid(value, level)
-        ):
+        if 0 < value <= level and is_on_grid(value, level) and self._slope_at(point) < 0:
             # Decreasing through a grid value exactly: the half-open level
             # sets put this point in the cell just below.
             return value - Fraction(1, 1 << level)
         return _staircase_value(value, level)
 
-    def _pwl_sweep(self, level: int, lower_level: Optional[int]) -> list:
-        """Cells (u, w, value) of the level-n staircase, or of the increment
+    def _slope_at(self, point) -> Fraction:
+        for part, a, _ in self._cells:
+            if part.contains(point):
+                return a
+        return ZERO
+
+    def _sweep(self, level: int, lower_level: Optional[int]) -> list:
+        """Cells (part, value) of the level-n staircase, or of the increment
         from `lower_level` when given.  Crossing points of every grid value
         up to the cap are cell boundaries, so each open cell maps into one
         grid step and the midpoint determines the cell value."""
         scale = 1 << level
         cap_index = level * scale
         cells = []
-        for u, w, a, b in self.target.cells():
+        for part, a, b in self._cells:
             if a == 0:
                 value = _staircase_value(b, level)
                 if lower_level is not None:
                     value -= _staircase_value(b, lower_level)
-                cells.append((u, w, value))
+                cells.append((part, value))
                 continue
-            y_u, y_w = a * u + b, a * w + b
-            lo, hi = (y_u, y_w) if y_u <= y_w else (y_w, y_u)
-            k_min = max(1, (lo.numerator * scale) // lo.denominator + 1)
-            k_max = min(cap_index, -((-hi.numerator * scale) // hi.denominator) - 1)
-            if k_max - k_min > _MATERIALIZE_CELL_LIMIT:
-                raise ValueError(
-                    f"level {level} would materialize about {k_max - k_min} cells; "
-                    "use value_at/integral instead"
-                )
-            cuts = [u]
-            for k in range(k_min, k_max + 1):
-                x = (Fraction(k, scale) - b) / a
-                if u < x < w:
-                    cuts.append(x)
-            cuts.append(w)
-            cuts.sort()
-            for p, q in zip(cuts, cuts[1:]):
-                if p == q:
-                    continue
-                mid_value = a * (p + q) / 2 + b
-                value = _staircase_value(mid_value, level)
-                if lower_level is not None:
-                    value -= _staircase_value(mid_value, lower_level)
-                cells.append((p, q, value))
+            for u, w in part.intervals:
+                y_u, y_w = a * u + b, a * w + b
+                lo, hi = (y_u, y_w) if y_u <= y_w else (y_w, y_u)
+                k_min = max(1, (lo.numerator * scale) // lo.denominator + 1)
+                k_max = min(cap_index, -((-hi.numerator * scale) // hi.denominator) - 1)
+                if k_max - k_min > _MATERIALIZE_CELL_LIMIT:
+                    raise ValueError(
+                        f"level {level} would materialize about {k_max - k_min} cells; "
+                        "use value_at/integral instead"
+                    )
+                cuts = [u]
+                for k in range(k_min, k_max + 1):
+                    x = (Fraction(k, scale) - b) / a
+                    if u < x < w:
+                        cuts.append(x)
+                cuts.append(w)
+                cuts.sort()
+                for p, q in zip(cuts, cuts[1:]):
+                    if p == q:
+                        continue
+                    mid_value = a * (p + q) / 2 + b
+                    value = _staircase_value(mid_value, level)
+                    if lower_level is not None:
+                        value -= _staircase_value(mid_value, lower_level)
+                    cells.append((IntervalSet._canonical(((p, q),)), value))
         return cells
 
     def _from_cells(self, cells) -> SimpleFunction:
         groups: dict = {}
-        for u, w, value in cells:
-            groups.setdefault(value, []).append((u, w))
-        terms = [
-            (value, IntervalSet(groups[value])) for value in sorted(groups)
-        ]
-        return SimpleFunction._trusted(UNIT_INTERVAL, terms, None)
+        for part, value in cells:
+            groups.setdefault(value, []).append(part)
+        union_of = self.space.union_of
+        terms = [(value, union_of(groups[value])) for value in sorted(groups)]
+        return SimpleFunction._trusted(self.space, terms, None)
 
     def level(self, level: int) -> SimpleFunction:
         """The level-n staircase as a simple function."""
         if level < 0:
             raise ValueError("level must be >= 0")
-        if self._terms is not None:
-            terms = [(_staircase_value(v, level), s) for v, s in self._terms]
-            return SimpleFunction._trusted(self.space, terms, None)
-        return self._from_cells(self._pwl_sweep(level, None))
+        return self._from_cells(self._sweep(level, None))
 
     def increment(self, level: int) -> SimpleFunction:
         """level(n) - level(n-1), built in a single sweep; nonnegative."""
         if level < 1:
             raise ValueError("increments start at level 1")
-        if self._terms is not None:
-            terms = [
-                (_staircase_value(v, level) - _staircase_value(v, level - 1), s)
-                for v, s in self._terms
-            ]
-            return SimpleFunction._trusted(self.space, terms, None)
         # Level-(n-1) discontinuities sit on the level-n crossing grid, so
         # one sweep at level n refines both staircases.
-        return self._from_cells(self._pwl_sweep(level, level - 1))
+        return self._from_cells(self._sweep(level, level - 1))
 
     def integral(self, level: int, measure: Measure) -> Fraction:
         """Integral of the level-n staircase, closed form, any level."""
         if level < 0:
             raise ValueError("level must be >= 0")
+        return self._table(measure).at(level)
+
+    def limit(self, measure: Measure) -> Fraction:
+        """The limit of the staircase integrals: the integral of the target."""
+        return self._table(measure).limit
+
+    def _table(self, measure: Measure) -> "_StaircaseTable":
         for known, table in self._tables:
             if known is measure:
-                return table.at(level)
+                return table
         for known, table in self._tables:
             if known == measure:
-                return table.at(level)
+                return table
         check_integrand_measure(self.target, measure)
-        table = _StaircaseTable(self._staircase_entries(measure))
+        distribution = _value_distribution(self._cells, measure)
+        table = _StaircaseTable(_staircase_entries(distribution), _mean(distribution))
         self._tables.append((measure, table))
-        return table.at(level)
-
-    def _staircase_entries(self, measure: Measure) -> dict:
-        """{y: [e, c]} such that the level-n staircase integral is
-        4^-n * sum(e * k * 2^n - c * k(k+1)/2), with k = min(n*2^n, floor(2^n y)).
-
-        A value y held on mass m contributes m * k / 2^n: e = m, c = 0.  An
-        affine cell of slope a and density d contributes d/a times the
-        difference of F(y) = k*2^n*y - k(k+1)/2, the antiderivative of the
-        scaled staircase t -> min(n*2^n, floor(t)) at t = 2^n*y, between its
-        endpoint values, so each endpoint adds +-(d/a * y, d/a).
-        """
-        entries: dict = {}
-
-        def add(y: Fraction, e: Fraction, c: Fraction = ZERO) -> None:
-            entry = entries.setdefault(y, [ZERO, ZERO])
-            entry[0] += e
-            entry[1] += c
-
-        if self._terms is not None:
-            for v, part in self._terms:
-                if v != 0:
-                    add(v, measure.measure_of(part))
-            return entries
-        for u, w, a, b, d in _measure_cells(self.target, measure):
-            if d == 0:
-                continue
-            if a == 0:
-                add(b, d * (w - u))
-                continue
-            ratio = d / a
-            y_u, y_w = a * u + b, a * w + b
-            add(y_w, ratio * y_w, ratio)
-            add(y_u, -ratio * y_u, -ratio)
-        return entries
+        return table
 
 
 class _StaircaseTable:
-    """Staircase integrals of one approximation against one measure, by level.
+    """Staircase integrals of one approximation against one measure, by level,
+    and their limit.
 
     The level-independent coefficients are brought to one common integer
     denominator L once; level n is then an integer numerator over L * 4^n,
@@ -360,7 +355,8 @@ class _StaircaseTable:
     in one sweep up to the level asked for.
     """
 
-    def __init__(self, entries: dict):
+    def __init__(self, entries: dict, limit: Fraction):
+        self.limit = limit
         rows = [
             (y, e, c)
             for y, (e, c) in entries.items()
@@ -414,43 +410,21 @@ def integrate_nonneg_at_level(
     return value, bound
 
 
-def _classify(pos_finite: bool, neg_finite: bool) -> IntegrabilityClass:
-    if pos_finite and neg_finite:
-        return IntegrabilityClass.INTEGRABLE
-    if neg_finite:
-        return IntegrabilityClass.QUASI_INTEGRABLE_PLUS
-    if pos_finite:
-        return IntegrabilityClass.QUASI_INTEGRABLE_MINUS
-    return IntegrabilityClass.NOT_QUASI_INTEGRABLE
-
-
 @dataclass(frozen=True)
 class IntegralResult:
-    """Outcome of the signed integral: class, value and the two part integrals."""
+    """Outcome of the signed integral: the value and the two part integrals."""
 
-    classification: IntegrabilityClass
-    value: Optional[Fraction]
+    value: Fraction
     positive_part: Fraction
     negative_part: Fraction
-
-
-def _result_from_parts(pos_value: Fraction, neg_value: Fraction) -> IntegralResult:
-    """The signed integral from the integrals of the two parts."""
-    classification = _classify(
-        isinstance(pos_value, Fraction), isinstance(neg_value, Fraction)
-    )
-    value = None
-    if classification is IntegrabilityClass.INTEGRABLE:
-        value = pos_value - neg_value
-    return IntegralResult(classification, value, pos_value, neg_value)
 
 
 def lebesgue_integral(fn: Integrand, measure: Measure) -> IntegralResult:
     """Signed integral via the positive/negative decomposition."""
     positive, negative = pos_neg_parts(fn)
-    return _result_from_parts(
-        integrate_nonneg(positive, measure), integrate_nonneg(negative, measure)
-    )
+    pos_value = integrate_nonneg(positive, measure)
+    neg_value = integrate_nonneg(negative, measure)
+    return IntegralResult(pos_value - neg_value, pos_value, neg_value)
 
 
 def integrate_over(

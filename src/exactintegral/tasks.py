@@ -29,7 +29,7 @@ from .bochner import (
     geometric_indicator_series,
 )
 from .generators import GeneratedCase
-from .lebesgue import DyadicApproximation, Integrand, integrate_nonneg, lebesgue_integral
+from .lebesgue import INTEGRAL_CLASS, DyadicApproximation, Integrand, lebesgue_integral
 from .piecewise import PiecewiseLinear
 from .rationals import ZERO, decimal_string, format_rational, parse_rational
 from .simple import NormKind, SimpleFunction, Vec
@@ -389,7 +389,7 @@ def run_integrate(task: TaskSpec) -> dict:
         result = lebesgue_integral(fn, task.measure)
         return {
             "task": name,
-            "classification": result.classification.value,
+            "classification": INTEGRAL_CLASS,
             "value": result.value,
             "positive_part_integral": result.positive_part,
             "negative_part_integral": result.negative_part,
@@ -444,8 +444,8 @@ def approx_table_rows(fn: Integrand, measure: Measure, max_level: int) -> list[d
     """
     if max_level > MAX_LEVEL:
         raise ValueError(f"max_level capped at {MAX_LEVEL}")
-    exact = integrate_nonneg(fn, measure)
     approx = DyadicApproximation(fn)
+    exact = approx.limit(measure)
     mass = measure.total_mass
     rows = []
     for level in range(1, max_level + 1):

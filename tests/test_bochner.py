@@ -18,14 +18,12 @@ from exactintegral import (
     TelescopeSeries,
     UNIT_INTERVAL,
     Vec,
-    absolute_sum_check,
     bochner_integrate,
     equivalence_report,
     geometric_indicator_series,
     integral_from_series,
     l1_norm,
     lebesgue_integral,
-    pointwise_partial_sum,
     series_from_integrand,
 )
 from exactintegral.generators import (
@@ -60,21 +58,21 @@ TWO_TERM = FiniteSeries(
 
 
 def test_finite_series_certificate():
-    assert absolute_sum_check(TWO_TERM, 2) == (F(3, 2), F(0))
-    assert absolute_sum_check(TWO_TERM, 1) == (F(1), F(1, 2))
+    assert TWO_TERM.certificate(2) == (F(3, 2), F(0))
+    assert TWO_TERM.certificate(1) == (F(1), F(1, 2))
 
 
 def test_geometric_certificate():
     series = geometric_indicator_series(LEBESGUE, F(1, 2))
     for upto in (1, 3, 8):
-        partial, tail = absolute_sum_check(series, upto)
+        partial, tail = series.certificate(upto)
         assert partial == 1 - F(1, 1 << upto)
         assert tail == F(1, 1 << upto)
 
 
 def test_empty_series_certificate_and_integral():
     empty = FiniteSeries(LEBESGUE, [])
-    assert absolute_sum_check(empty, 0) == (F(0), F(0))
+    assert empty.certificate(0) == (F(0), F(0))
     assert bochner_integrate(empty) == (F(0), F(0))
 
 
@@ -83,7 +81,7 @@ def test_rule_series_without_tail_bound_refuses():
         LEBESGUE, rule=lambda n: SimpleFunction.indicator(F(1, n), iv((0, 1)))
     )
     with pytest.raises(CertificateError):
-        absolute_sum_check(series, 3)
+        series.certificate(3)
     with pytest.raises(CertificateError):
         bochner_integrate(series)
 
@@ -122,10 +120,10 @@ def test_geometric_truncation_and_bound():
 
 def test_pointwise_partial_sums():
     series = geometric_indicator_series(LEBESGUE, F(1, 2))
-    assert pointwise_partial_sum(series, F(1, 3), 0) == 0
-    assert pointwise_partial_sum(series, F(2, 3), 5) == 1 - F(1, 32)
-    assert pointwise_partial_sum(TWO_TERM, F(1, 4), 2) == 0
-    assert pointwise_partial_sum(TWO_TERM, F(3, 4), 2) == 1
+    assert series.partial_value_at(F(1, 3), 0) == 0
+    assert series.partial_value_at(F(2, 3), 5) == 1 - F(1, 32)
+    assert TWO_TERM.partial_value_at(F(1, 4), 2) == 0
+    assert TWO_TERM.partial_value_at(F(3, 4), 2) == 1
 
 
 # --- the forward construction ----------------------------------------------------
@@ -138,7 +136,7 @@ def test_indicator_terminates_at_level_one():
     assert rep.series.term_count == 1
     assert rep.series.term(1) == fn
     assert rep.summability_partial == F(1, 2) == l1_norm(fn, LEBESGUE)
-    assert pointwise_partial_sum(rep, F(1, 4), 6) == 1
+    assert rep.series.partial_value_at(F(1, 4), 6) == 1
 
 
 def test_zero_function_gives_empty_series():
@@ -379,4 +377,4 @@ def test_report_recovery_equals_integral_from_series():
         assert report["integral_value"] == direct.value == recovered.target_value
         assert report["positive_part_integral"] == direct.positive_part
         assert report["negative_part_integral"] == direct.negative_part
-        assert report["integral_class"] == direct.classification.value
+        assert report["integral_class"] == "integrable"

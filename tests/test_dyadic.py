@@ -77,6 +77,33 @@ def test_negative_integrand_rejected():
         DyadicApproximation(SimpleFunction.indicator(F(-1), iv((0, "1/2"))))
 
 
+def test_negative_value_rejected_only_where_it_is_held():
+    # A term with a negative value on an empty set changes nothing; on a
+    # nonempty set, even a null one, it makes the integrand negative.
+    empty = SimpleFunction(UNIT_INTERVAL, [(F(-1), iv()), (F(1), iv((0, "1/2")))])
+    assert integrate_nonneg(empty, LEBESGUE) == F(1, 2)
+    assert DyadicApproximation(empty).integral(1, LEBESGUE) == F(1, 2)
+    held = SimpleFunction(UNIT_INTERVAL, [(F(-1), iv(("1/2", 1))), (F(1), iv((0, "1/2")))])
+    with pytest.raises(NegativeIntegrandError):
+        integrate_nonneg(held, LEBESGUE)
+    with pytest.raises(NegativeIntegrandError):
+        DyadicApproximation(held)
+    pair = DiscreteSpace((F(1), F(0)))
+    null = SimpleFunction(pair, [(F(2), DiscreteSet(pair, [0])), (F(-1), DiscreteSet(pair, [1]))])
+    with pytest.raises(NegativeIntegrandError):
+        integrate_nonneg(null, pair)
+    with pytest.raises(NegativeIntegrandError):
+        DyadicApproximation(null)
+
+
+def test_values_on_empty_sets_leave_termination_and_bound_alone():
+    fn = SimpleFunction(UNIT_INTERVAL, [(F(1, 3), iv()), (F(3, 4), iv((0, "1/2")))])
+    approx = DyadicApproximation(fn)
+    assert approx.termination_level() == 2
+    assert approx.upper_bound == F(3, 4)
+    assert approx.level(2) == SimpleFunction.indicator(F(3, 4), iv((0, "1/2")))
+
+
 def test_termination_levels():
     assert DyadicApproximation(SimpleFunction.zero(UNIT_INTERVAL)).termination_level() == 0
     third = SimpleFunction.indicator(F(1, 3), iv((0, "1/2")))
@@ -272,6 +299,7 @@ def test_staircase_table_matches_per_cell_reference(case):
         assert approx.integral(n, measure) == staircase_integral_oracle(fn, measure, n), n
     for n in range(0, 7):
         assert approx.integral(n, measure) == integral_oracle(approx.level(n), measure), n
+    assert approx.limit(measure) == integrate_nonneg(fn, measure) == integral_oracle(fn, measure)
 
 
 def test_table_answers_any_measure_and_level_order():
