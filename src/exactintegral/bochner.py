@@ -256,7 +256,9 @@ class TelescopeSeries(FunctionSeries):
     Term integrals, partial sums and tails come from the closed-form
     staircase integrals, so depth-20 certificates cost no materialization;
     `term(n)` still builds the level-n simple function on demand for
-    desk-scale levels.
+    desk-scale levels.  Terminating series are lazy too: with `term_count`
+    set to the termination level, the tail bound there is exactly zero and
+    `term` refuses indices past it, as `FiniteSeries.term` does.
     """
 
     def __init__(
@@ -280,12 +282,13 @@ class TelescopeSeries(FunctionSeries):
     def term(self, index: int) -> SimpleFunction:
         if index < 1:
             raise IndexError("series terms are 1-indexed")
-        pos_inc = self.positive.increment(index)
-        neg_inc = self.negative.increment(index)
-        # Nonzero increments live inside {f > 0} and {f < 0} respectively,
-        # so the merged term list stays pairwise disjoint.
-        terms = [(v, s) for v, s in pos_inc.terms if v != 0]
-        terms += [(-v, s) for v, s in neg_inc.terms if v != 0]
+        if self.term_count is not None and index > self.term_count:
+            raise IndexError(f"series has {self.term_count} terms, asked for {index}")
+        # Increments hold no zero term, and their nonzero values live inside
+        # {f > 0} and {f < 0} respectively, so the merged term list stays
+        # pairwise disjoint.
+        terms = list(self.positive.increment(index).terms)
+        terms += [(-v, s) for v, s in self.negative.increment(index).terms]
         return SimpleFunction._trusted(space_of(self.measure), terms, None)
 
     def _rises(self, lower: int, upper: int) -> tuple[Fraction, Fraction]:
@@ -438,7 +441,10 @@ def series_from_integrand(
     recorded as the allowed slack, not consumed).  When the integrand is
     piecewise constant with values on a dyadic grid the series terminates
     and the representation is exact; otherwise the tail bound at `depth` is
-    the exact remainder of the two part staircases.
+    the exact remainder of the two part staircases.  Either way the series
+    is a `TelescopeSeries` and no term is materialized: integrals, partial
+    sums and tails read the staircase tables, and `series.term(n)` builds
+    h_n only on request.
     """
     eta = Fraction(eta)
     if eta < 0:
@@ -458,21 +464,15 @@ def series_from_integrand(
     if pos_terminal is not None and neg_terminal is not None:
         terminal = max(pos_terminal, neg_terminal)
 
-    telescope = TelescopeSeries(
+    series = TelescopeSeries(
         measure, pos_approx, neg_approx, pos_limit, neg_limit, term_count=terminal
     )
     exact = terminal is not None and terminal <= depth
-    if exact:
-        series: FunctionSeries = FiniteSeries(
-            measure, [telescope.term(n) for n in range(1, terminal + 1)]
-        )
-    else:
-        series = telescope
 
     rows = []
     running = ZERO
     for level in range(1, depth + 1):
-        dp, dn = telescope._rises(level - 1, level)
+        dp, dn = series._rises(level - 1, level)
         running += dp + dn
         rows.append(TraceRow(level, dp, dn, dp + dn, running))
 
@@ -483,7 +483,7 @@ def series_from_integrand(
         eta=eta,
         depth=depth,
         summability_partial=running,
-        tail_at_depth=telescope.tail_bound(depth),
+        tail_at_depth=series.tail_bound(depth),
         exact=exact,
     )
     trace = ConstructionTrace(

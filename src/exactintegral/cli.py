@@ -5,11 +5,15 @@ integrate_bochner), `compare` runs both schemes and reports the certified
 difference, `table` emits the staircase convergence table as CSV, `gen`
 prints seeded random objects as task-file fragments.  Exit codes: 0 on
 success, 1 on validation errors, 2 on computation errors.
+
+`main` builds its argument parser on its first call, not at import, and
+reuses it for the life of the process; `build_parser()` returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -71,6 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--max-denominator", type=int, default=4096)
     gen.add_argument("--max-dim", type=int, default=4)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state in the parser, so one parser serves every call.
+    return build_parser()
 
 
 def _check_task_matches(declared: Optional[str], allowed: tuple[str, ...], command: str) -> None:
@@ -153,7 +163,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except TaskSpecError as exc:

@@ -6,6 +6,11 @@ quadrature on a grid refined by every breakpoint is exact for integrands
 that are affine (or constant) per cell, which covers both integrand
 classes here; discrete spaces are integrated by full enumeration.
 
+`materialized_telescope_reference` is a terminating telescoped series
+with every term h_n materialized from the differences of the part
+staircase levels and integrated term by term; `term_points` lists the
+points where such step functions can change value.
+
 The set-algebra references are the plain quadratic algorithms the library
 replaced by sweeps: pairwise disjointness checks, sequential unions,
 every-pair intersections and per-cell overlaps.  They use only the binary
@@ -18,6 +23,7 @@ from fractions import Fraction
 
 from exactintegral import (
     DiscreteSpace,
+    FiniteSeries,
     IntervalMeasure,
     PiecewiseLinear,
     SimpleFunction,
@@ -123,6 +129,34 @@ def staircase_integral_oracle(fn, measure, level: int) -> Fraction:
             )
             total += d * diff / (a * scale * scale)
     return total
+
+
+def materialized_telescope_reference(series) -> FiniteSeries:
+    """A terminating `TelescopeSeries` as a `FiniteSeries` of built terms.
+
+    h_n = (f_n+ - f_(n-1)+) - (f_n- - f_(n-1)-), each staircase level
+    materialized by `level(n)` (not by `increment`); the `FiniteSeries`
+    integrates every term through its simple function, not the tables.
+    """
+    pos, neg = series.positive, series.negative
+    terms = [
+        (pos.level(n) - pos.level(n - 1)) - (neg.level(n) - neg.level(n - 1))
+        for n in range(1, series.term_count + 1)
+    ]
+    return FiniteSeries(series.measure, terms)
+
+
+def term_points(space, functions) -> list:
+    """Every point of a finite space; on [0, 1), every endpoint of the
+    functions' term intervals and the midpoints between them."""
+    if isinstance(space, DiscreteSpace):
+        return list(range(space.size))
+    ends = {ZERO, Fraction(1)}
+    for fn in functions:
+        for _, part in fn.terms:
+            ends.update(part.endpoints())
+    ends = sorted(ends)
+    return ends[:-1] + [(p + q) / 2 for p, q in zip(ends, ends[1:])]
 
 
 # --- set-algebra references ----------------------------------------------------

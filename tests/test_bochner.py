@@ -4,9 +4,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactintegral import (
     CertificateError,
+    DiscreteSet,
+    DiscreteSpace,
     FiniteSeries,
     FunctionSeries,
     IntervalMeasure,
@@ -32,6 +35,8 @@ from exactintegral.generators import (
     random_simple_function,
     sample_points,
 )
+
+from oracles import materialized_telescope_reference, term_points
 
 
 def iv(*pairs):
@@ -378,3 +383,75 @@ def test_report_recovery_equals_integral_from_series():
         assert report["positive_part_integral"] == direct.positive_part
         assert report["negative_part_integral"] == direct.negative_part
         assert report["integral_class"] == "integrable"
+
+
+# --- the lazy terminating series against the materialized one -------------------
+
+# Values on the 1/8 grid below 5 in size make every series terminate by level 5.
+grid_values = st.integers(-40, 40).map(lambda k: F(k, 8))
+weights = st.fractions(min_value=0, max_value=4, max_denominator=8)
+unit_cuts = st.lists(
+    st.fractions(min_value=0, max_value=1, max_denominator=32).filter(lambda t: 0 < t < 1),
+    unique=True,
+    max_size=4,
+)
+
+
+@st.composite
+def grid_aligned_cases(draw):
+    """(f, measure): dyadic values on [0, 1) under a step measure, or on a
+    weighted finite space."""
+    if draw(st.booleans()):
+        space = DiscreteSpace(tuple(draw(st.lists(weights, min_size=1, max_size=6))))
+        labels = draw(st.lists(st.integers(0, 3), min_size=space.size, max_size=space.size))
+        terms = [
+            (draw(grid_values), DiscreteSet(space, [i for i, g in enumerate(labels) if g == label]))
+            for label in sorted(set(labels))
+        ]
+        return SimpleFunction(space, terms), space
+    grid = [F(0), *sorted(draw(unit_cuts)), F(1)]
+    fn = sf(*((draw(grid_values), iv((u, w))) for u, w in zip(grid, grid[1:]) if draw(st.booleans())))
+    cells = [F(0), *sorted(draw(unit_cuts)), F(1)]
+    densities = draw(st.lists(weights, min_size=len(cells) - 1, max_size=len(cells) - 1))
+    return fn, IntervalMeasure(tuple(cells), tuple(densities))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_aligned_cases())
+def test_terminating_series_is_lazy_and_equals_the_materialized_one(case):
+    fn, measure = case
+    rep, trace = series_from_integrand(fn, measure, depth=8)
+    lazy = rep.series
+    assert rep.exact and isinstance(lazy, TelescopeSeries) and trace.series is lazy
+    reference = materialized_telescope_reference(lazy)
+    count = lazy.term_count
+    assert count == reference.term_count
+    for n in range(1, count + 1):
+        assert lazy.term(n) == reference.term(n), n
+        assert lazy.term_integral(n) == reference.term_integral(n), n
+        assert lazy.term_abs_integral(n) == reference.term_abs_integral(n), n
+    for k in range(0, count + 3):
+        assert lazy.partial_integral_sum(k) == reference.partial_integral_sum(k), k
+        assert lazy.partial_abs_sum(k) == reference.partial_abs_sum(k), k
+        assert lazy.tail_bound(k) == reference.tail_bound(k), k
+    assert lazy.tail_bound(count) == 0
+    for point in term_points(fn.space, (fn, *reference.terms)):
+        for k in range(0, count + 3):
+            assert lazy.partial_value_at(point, k) == reference.partial_value_at(point, k)
+        assert lazy.partial_value_at(point, count) == fn.evaluate(point)
+
+
+def test_terminating_series_refuses_terms_past_the_end():
+    step = sf((F(3, 4), iv((0, "1/4"))), (F(-1, 2), iv(("1/2", 1))))
+    for fn in (step, SimpleFunction.zero(UNIT_INTERVAL)):
+        lazy = series_from_integrand(fn, LEBESGUE, depth=6)[0].series
+        finite = FiniteSeries(LEBESGUE, [lazy.term(n) for n in range(1, lazy.term_count + 1)])
+        for index in (lazy.term_count + 1, lazy.term_count + 5):
+            messages = []
+            for series in (lazy, finite):
+                with pytest.raises(IndexError) as info:
+                    series.term(index)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1] == (
+                f"series has {lazy.term_count} terms, asked for {index}"
+            )

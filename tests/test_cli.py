@@ -1,8 +1,10 @@
 """The command-line interface: commands, exit codes, byte determinism."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -187,3 +189,44 @@ def test_deeply_nested_json_exit_1_without_traceback(tmp_path, capsys):
     assert code == 1
     assert len(err_lines) == 1
     assert err_lines[0].startswith("validation error: <file>: ")
+
+
+def test_one_process_reuses_its_parser_like_fresh_processes(tmp_path, monkeypatch):
+    # argparse wraps usage lines at the terminal width; fix it for both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    doc = {
+        "space": {"type": "interval", "breakpoints": ["0", "1"], "densities": ["1"]},
+        "function": {
+            "type": "simple",
+            "terms": [
+                {"value": "3/4", "set": {"intervals": [["0", "1/4"]]}},
+                {"value": "5/2", "set": {"intervals": [["1/2", "1"]]}},
+            ],
+        },
+        "parameters": {"depth": 9},
+    }
+    path = write_task(tmp_path, doc)
+    sequence = [
+        ["compare", "--spec", path, "--depth", "7"],
+        ["compare", "--spec", path],
+        ["compare", "--spec", path, "--depth", "0"],
+        ["compare", "--spec", path, "--no-such-flag"],
+        ["table", "--spec", path, "--max-level", "30"],
+        ["gen", "--family", "simple", "--seed", "1"],
+    ]
+    in_process = []
+    for argv in sequence:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        in_process.append((code, out.getvalue(), err.getvalue()))
+    fresh = [
+        (run.returncode, run.stdout, run.stderr) for run in (run_cli(*argv) for argv in sequence)
+    ]
+    assert in_process == fresh
+    assert [code for code, _, _ in in_process] == [0, 0, 1, 2, 0, 0]
+    assert json.loads(in_process[0][1])["series_depth"] == 7
+    assert json.loads(in_process[1][1])["series_depth"] == 9

@@ -32,7 +32,7 @@ from exactintegral.generators import (
     random_simple_function,
     sample_points,
 )
-from oracles import integral_oracle, staircase_integral_oracle
+from oracles import integral_oracle, staircase_integral_oracle, term_points
 
 
 def iv(*pairs):
@@ -300,6 +300,19 @@ def test_staircase_table_matches_per_cell_reference(case):
     for n in range(0, 7):
         assert approx.integral(n, measure) == integral_oracle(approx.level(n), measure), n
     assert approx.limit(measure) == integrate_nonneg(fn, measure) == integral_oracle(fn, measure)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integrand_cases)
+def test_increment_equals_the_difference_of_levels(case):
+    approx = DyadicApproximation(case[0])
+    for n in range(1, 5):
+        increment = approx.increment(n)
+        level, previous = approx.level(n), approx.level(n - 1)
+        assert increment == level - previous, n
+        assert all(value != 0 for value, _ in increment.terms), n
+        for x in term_points(approx.space, (level, previous)):
+            assert increment.evaluate(x) == level.evaluate(x) - previous.evaluate(x), (n, x)
 
 
 def test_table_answers_any_measure_and_level_order():
