@@ -284,11 +284,12 @@ class TelescopeSeries(FunctionSeries):
             raise IndexError("series terms are 1-indexed")
         if self.term_count is not None and index > self.term_count:
             raise IndexError(f"series has {self.term_count} terms, asked for {index}")
-        # Increments hold no zero term, and their nonzero values live inside
-        # {f > 0} and {f < 0} respectively, so the merged term list stays
-        # pairwise disjoint.
-        terms = list(self.positive.increment(index).terms)
-        terms += [(-v, s) for v, s in self.negative.increment(index).terms]
+        pos_inc = self.positive.increment(index)
+        neg_inc = self.negative.increment(index)
+        # Nonzero increments live inside {f > 0} and {f < 0} respectively,
+        # so the merged term list stays pairwise disjoint.
+        terms = [(v, s) for v, s in pos_inc.terms if v != 0]
+        terms += [(-v, s) for v, s in neg_inc.terms if v != 0]
         return SimpleFunction._trusted(space_of(self.measure), terms, None)
 
     def _rises(self, lower: int, upper: int) -> tuple[Fraction, Fraction]:
@@ -444,7 +445,9 @@ def series_from_integrand(
     the exact remainder of the two part staircases.  Either way the series
     is a `TelescopeSeries` and no term is materialized: integrals, partial
     sums and tails read the staircase tables, and `series.term(n)` builds
-    h_n only on request.
+    h_n only on request.  A caller that needs the task-file form of a
+    terminating series can rebuild it as
+    `FiniteSeries(measure, [series.term(n) for n in range(1, series.term_count + 1)])`.
     """
     eta = Fraction(eta)
     if eta < 0:

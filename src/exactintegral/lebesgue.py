@@ -258,25 +258,19 @@ class DyadicApproximation:
         return ZERO
 
     def _sweep(self, level: int, lower_level: Optional[int]) -> list:
-        """Cells (part, value) of the level-n staircase, or the nonzero cells
-        of the increment from `lower_level` when given.  Crossing points of
-        every grid value up to the cap are cell boundaries, so each open cell
-        maps into one grid step and the midpoint determines the cell value."""
-
-        def value_of(y: Fraction) -> Fraction:
-            value = _staircase_value(y, level)
-            if lower_level is not None:
-                value -= _staircase_value(y, lower_level)
-            return value
-
+        """Cells (part, value) of the level-n staircase, or of the increment
+        from `lower_level` when given.  Crossing points of every grid value
+        up to the cap are cell boundaries, so each open cell maps into one
+        grid step and the midpoint determines the cell value."""
         scale = 1 << level
         cap_index = level * scale
-        flat = {b: value_of(b) for b in {b for _, a, b in self._cells if a == 0}}
         cells = []
         for part, a, b in self._cells:
             if a == 0:
-                if flat[b] or lower_level is None:
-                    cells.append((part, flat[b]))
+                value = _staircase_value(b, level)
+                if lower_level is not None:
+                    value -= _staircase_value(b, lower_level)
+                cells.append((part, value))
                 continue
             for u, w in part.intervals:
                 y_u, y_w = a * u + b, a * w + b
@@ -298,9 +292,11 @@ class DyadicApproximation:
                 for p, q in zip(cuts, cuts[1:]):
                     if p == q:
                         continue
-                    value = value_of(a * (p + q) / 2 + b)
-                    if value or lower_level is None:
-                        cells.append((IntervalSet._canonical(((p, q),)), value))
+                    mid_value = a * (p + q) / 2 + b
+                    value = _staircase_value(mid_value, level)
+                    if lower_level is not None:
+                        value -= _staircase_value(mid_value, lower_level)
+                    cells.append((IntervalSet._canonical(((p, q),)), value))
         return cells
 
     def _from_cells(self, cells) -> SimpleFunction:
@@ -318,8 +314,7 @@ class DyadicApproximation:
         return self._from_cells(self._sweep(level, None))
 
     def increment(self, level: int) -> SimpleFunction:
-        """level(n) - level(n-1), built in a single sweep; nonnegative, with
-        no term for the zero increment."""
+        """level(n) - level(n-1), built in a single sweep; nonnegative."""
         if level < 1:
             raise ValueError("increments start at level 1")
         # Level-(n-1) discontinuities sit on the level-n crossing grid, so
