@@ -60,7 +60,6 @@ from .bochner import (
     RuleSeries,
     SeriesIntegralResult,
     TelescopeSeries,
-    TraceRow,
     bochner_integrate,
     equivalence_report,
     geometric_indicator_series,

@@ -11,9 +11,12 @@ The bridge to the monotone scheme goes through telescoping: the staircase
 sequences of the two parts of an integrand turn into the series
 h_n = (f_n+ - f_(n-1)+) - (f_n- - f_(n-1)-), whose partial sums reproduce
 the staircases exactly and whose absolute-integral sum never exceeds the
-integral of |f|.  The reverse direction recovers the integral of a target
-from any certified representation, including series whose terms are merely
-integrable (piecewise linear) rather than simple.
+integral of |f|.  That sum telescopes as well: up to depth d it is the
+two part staircase integrals at level d minus those at level 0, so the
+certificate reads two levels per part, whatever the depth.  The reverse
+direction recovers the integral of a target from any certified
+representation, including series whose terms are merely integrable
+(piecewise linear) rather than simple.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ __all__ = [
     "TelescopeSeries",
     "geometric_indicator_series",
     "BochnerRepresentation",
-    "TraceRow",
     "ConstructionTrace",
     "bochner_integrate",
     "series_from_integrand",
@@ -253,12 +255,14 @@ def geometric_indicator_series(measure: Measure, ratio: Fraction) -> RuleSeries:
 class TelescopeSeries(FunctionSeries):
     """h_n = (f_n+ - f_(n-1)+) - (f_n- - f_(n-1)-) for the part staircases.
 
-    Term integrals, partial sums and tails come from the closed-form
-    staircase integrals, so depth-20 certificates cost no materialization;
-    `term(n)` still builds the level-n simple function on demand for
-    desk-scale levels.  Terminating series are lazy too: with `term_count`
-    set to the termination level, the tail bound there is exactly zero and
-    `term` refuses indices past it, as `FiniteSeries.term` does.
+    The two part approximations determine the rest: the part limits are
+    their staircase limits, and `term_count` is the later of their
+    termination levels (None unless both terminate), where the tail bound
+    is exactly zero.  Term integrals, partial sums and tails come from the
+    closed-form staircase integrals, a partial sum telescoping to level k
+    minus level 0, so no term is materialized; `term(n)` builds h_n on
+    demand for desk-scale levels and refuses indices past `term_count`, as
+    `FiniteSeries.term` does.
     """
 
     def __init__(
@@ -266,18 +270,16 @@ class TelescopeSeries(FunctionSeries):
         measure: Measure,
         positive: DyadicApproximation,
         negative: DyadicApproximation,
-        positive_limit: Fraction,
-        negative_limit: Fraction,
-        term_count: Optional[int] = None,
     ):
         self.measure = measure
         self.norm_kind = None
         self.dim = None
-        self.term_count = term_count
         self.positive = positive
         self.negative = negative
-        self.positive_limit = positive_limit
-        self.negative_limit = negative_limit
+        self.positive_limit = positive.limit(measure)
+        self.negative_limit = negative.limit(measure)
+        levels = (positive.termination_level(), negative.termination_level())
+        self.term_count = None if None in levels else max(levels)
 
     def term(self, index: int) -> SimpleFunction:
         if index < 1:
@@ -337,22 +339,15 @@ class TelescopeSeries(FunctionSeries):
         return missing_pos + missing_neg
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """Per-level record of the telescoping construction."""
-
-    level: int
-    positive_increment_integral: Fraction
-    negative_increment_integral: Fraction
-    abs_increment_integral: Fraction
-    running_abs_sum: Fraction
-
-
 @dataclass
 class ConstructionTrace:
-    """The telescoping construction, level by level, with its certificate."""
+    """The telescoping construction and its certificate.
 
-    rows: tuple[TraceRow, ...]
+    `summability_partial` is the sum of the |h_n| integrals up to the
+    construction depth; per-level values are read off `series`.
+    """
+
+    summability_partial: Fraction
     positive_integral: Fraction
     negative_integral: Fraction
     eta: Fraction
@@ -367,8 +362,7 @@ class ConstructionTrace:
     @property
     def certificate_ok(self) -> bool:
         """Sum of |h_n| integrals up to depth stays within integral(|f|) + eta."""
-        running = self.rows[-1].running_abs_sum if self.rows else ZERO
-        return running <= self.absolute_integral + self.eta
+        return self.summability_partial <= self.absolute_integral + self.eta
 
     def partial_sum_value(self, upto: int, point):
         """g_k(point) = sum of the first k term values."""
@@ -443,10 +437,11 @@ def series_from_integrand(
     piecewise constant with values on a dyadic grid the series terminates
     and the representation is exact; otherwise the tail bound at `depth` is
     the exact remainder of the two part staircases.  Either way the series
-    is a `TelescopeSeries` and no term is materialized: integrals, partial
-    sums and tails read the staircase tables, and `series.term(n)` builds
-    h_n only on request.  A caller that needs the task-file form of a
-    terminating series can rebuild it as
+    is a `TelescopeSeries` and no term is materialized: the certificate
+    telescopes to the part staircase integrals at levels 0 and `depth`, so
+    only those levels are computed, and `series.term(n)` builds h_n only on
+    request.  A caller that needs the task-file form of a terminating
+    series can rebuild it as
     `FiniteSeries(measure, [series.term(n) for n in range(1, series.term_count + 1)])`.
     """
     eta = Fraction(eta)
@@ -456,47 +451,28 @@ def series_from_integrand(
         raise ValueError("depth must be >= 1")
     check_integrand_measure(fn, measure)
     positive, negative = pos_neg_parts(fn)
-    pos_approx = DyadicApproximation(positive)
-    neg_approx = DyadicApproximation(negative)
-    pos_limit = pos_approx.limit(measure)
-    neg_limit = neg_approx.limit(measure)
-
-    pos_terminal = pos_approx.termination_level()
-    neg_terminal = neg_approx.termination_level()
-    terminal = None
-    if pos_terminal is not None and neg_terminal is not None:
-        terminal = max(pos_terminal, neg_terminal)
-
     series = TelescopeSeries(
-        measure, pos_approx, neg_approx, pos_limit, neg_limit, term_count=terminal
+        measure, DyadicApproximation(positive), DyadicApproximation(negative)
     )
-    exact = terminal is not None and terminal <= depth
-
-    rows = []
-    running = ZERO
-    for level in range(1, depth + 1):
-        dp, dn = series._rises(level - 1, level)
-        running += dp + dn
-        rows.append(TraceRow(level, dp, dn, dp + dn, running))
-
+    summability_partial = series.partial_abs_sum(depth)
     representation = BochnerRepresentation(
         target=fn,
         measure=measure,
         series=series,
         eta=eta,
         depth=depth,
-        summability_partial=running,
+        summability_partial=summability_partial,
         tail_at_depth=series.tail_bound(depth),
-        exact=exact,
+        exact=series.term_count is not None and series.term_count <= depth,
     )
     trace = ConstructionTrace(
-        rows=tuple(rows),
-        positive_integral=pos_limit,
-        negative_integral=neg_limit,
+        summability_partial=summability_partial,
+        positive_integral=series.positive_limit,
+        negative_integral=series.negative_limit,
         eta=eta,
         series=series,
-        positive_approx=pos_approx,
-        negative_approx=neg_approx,
+        positive_approx=series.positive,
+        negative_approx=series.negative,
     )
     return representation, trace
 

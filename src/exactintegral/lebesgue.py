@@ -27,7 +27,11 @@ first use against a measure it reads the value distribution off the
 cells and keeps one table: the limit, and every level-independent
 staircase coefficient over one common integer denominator L; level n is
 then an integer numerator over L * 4^n, and each level costs one
-`Fraction`, made once and kept.
+`Fraction`, made once and kept.  Levels are kept sparsely, by level:
+asking for level n computes level n alone, so a caller that reads levels
+0 and d pays for two levels, not for d + 1.  From the termination level
+of a terminating staircase on, every level integral is the limit itself,
+so no level past it is ever computed.
 
 Where an integrand decreases through a grid value exactly, the staircase
 level sets are half-open like every other set in the package, which puts
@@ -130,6 +134,21 @@ def _cells(fn: Integrand) -> tuple[list, Fraction]:
     return cells, fn.upper_bound()
 
 
+def _termination_level(cells: list) -> Optional[int]:
+    """First level whose staircase equals the cells' function, or None."""
+    if any(a != 0 for _, a, _ in cells):
+        return None
+    level = 0
+    for _, _, v in cells:
+        if v == 0:
+            continue
+        grid = power_of_two_level(v)
+        if grid is None:
+            return None
+        level = max(level, grid, math.ceil(v))
+    return level
+
+
 def _value_distribution(cells: list, measure: Measure) -> list:
     """The distribution of the cells' values under the measure: (lo, hi, mass)
     entries, an atom when lo == hi and uniform mass on [lo, hi] otherwise.
@@ -204,6 +223,7 @@ class DyadicApproximation:
     def __init__(self, target: Integrand):
         self.target = target
         self._cells, self._bound = _cells(target)
+        self._termination = _termination_level(self._cells)
         self._tables: list = []  # (measure, _StaircaseTable) pairs
 
     @property
@@ -226,17 +246,7 @@ class DyadicApproximation:
         Finite exactly when the target is piecewise constant with values on
         a dyadic grid; None otherwise (the sequence then only converges).
         """
-        if any(a != 0 for _, a, _ in self._cells):
-            return None
-        level = 0
-        for _, _, v in self._cells:
-            if v == 0:
-                continue
-            grid = power_of_two_level(v)
-            if grid is None:
-                return None
-            level = max(level, grid, math.ceil(v))
-        return level
+        return self._termination
 
     def value_at(self, level: int, point) -> Fraction:
         """Evaluate the level-n staircase at a point, matching `level(n)` exactly."""
@@ -325,7 +335,10 @@ class DyadicApproximation:
         """Integral of the level-n staircase, closed form, any level."""
         if level < 0:
             raise ValueError("level must be >= 0")
-        return self._table(measure).at(level)
+        table = self._table(measure)
+        if self._termination is not None and level >= self._termination:
+            return table.limit
+        return table.at(level)
 
     def limit(self, measure: Measure) -> Fraction:
         """The limit of the staircase integrals: the integral of the target."""
@@ -351,8 +364,8 @@ class _StaircaseTable:
 
     The level-independent coefficients are brought to one common integer
     denominator L once; level n is then an integer numerator over L * 4^n,
-    turned into a single `Fraction` and kept.  Missing levels are filled
-    in one sweep up to the level asked for.
+    turned into a single `Fraction` and kept by level, so each level asked
+    for is computed alone.
     """
 
     def __init__(self, entries: dict, limit: Fraction):
@@ -375,13 +388,13 @@ class _StaircaseTable:
             )
             for y, e, c in rows
         )
-        self._values: list[Fraction] = []
+        self._values: dict[int, Fraction] = {}
 
     def at(self, level: int) -> Fraction:
-        values = self._values
-        while len(values) <= level:
-            values.append(self._level(len(values)))
-        return values[level]
+        value = self._values.get(level)
+        if value is None:
+            value = self._values[level] = self._level(level)
+        return value
 
     def _level(self, n: int) -> Fraction:
         cap = n << n

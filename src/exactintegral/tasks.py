@@ -8,7 +8,11 @@ Rationals travel as "p/q" strings ("p" for integers); JSON numbers are
 rejected for rational fields so floats can never leak into a computation.
 Reports are flat JSON objects in which every rational entry appears twice,
 exact ("p/q") and as a 12-significant-digit decimal under
-"<key>_decimal"; identical inputs produce byte-identical reports.
+"<key>_decimal"; identical inputs produce byte-identical reports.  An
+exact value whose numerator or denominator has more decimal digits than
+the interpreter renders (`sys.get_int_max_str_digits()`) is not rendered:
+rendering raises a `ValueError` naming the report entry (or table column
+and level) and the limit, and the limit itself is left as it is.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional, Union
@@ -475,6 +480,13 @@ def run_table(task: TaskSpec) -> list[dict]:
 # --- rendering ---------------------------------------------------------------
 
 
+def _unrenderable(entry: str) -> ValueError:
+    return ValueError(
+        f"{entry} cannot be rendered: its exact value has a numerator or denominator "
+        f"longer than the {sys.get_int_max_str_digits()}-digit limit for integer strings"
+    )
+
+
 def _render_value(key: str, value, out: dict) -> None:
     if isinstance(value, Fraction):
         out[key] = format_rational(value)
@@ -490,7 +502,10 @@ def render_report(report: dict) -> str:
     """Flat JSON with exact rationals and decimal companions; stable bytes."""
     rendered: dict = {}
     for key, value in report.items():
-        _render_value(key, value, rendered)
+        try:
+            _render_value(key, value, rendered)
+        except ValueError:
+            raise _unrenderable(f"report entry {key!r}") from None
     return json.dumps(rendered, sort_keys=True, indent=2) + "\n"
 
 
@@ -508,7 +523,10 @@ def render_table_csv(rows: list[dict]) -> str:
     for row in rows:
         record = [str(row["level"])]
         for name in _TABLE_COLUMNS[1:]:
-            record += [format_rational(row[name]), decimal_string(row[name])]
+            try:
+                record += [format_rational(row[name]), decimal_string(row[name])]
+            except ValueError:
+                raise _unrenderable(f"table column {name!r} at level {row['level']}") from None
         writer.writerow(record)
     return buffer.getvalue()
 

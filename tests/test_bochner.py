@@ -29,6 +29,7 @@ from exactintegral import (
     lebesgue_integral,
     series_from_integrand,
 )
+from exactintegral import lebesgue
 from exactintegral.generators import (
     random_measure,
     random_piecewise_linear,
@@ -152,12 +153,12 @@ def test_zero_function_gives_empty_series():
 
 
 def test_identity_partial_sums_follow_closed_form():
-    rep, trace = series_from_integrand(IDENTITY, LEBESGUE, depth=12)
+    rep, _ = series_from_integrand(IDENTITY, LEBESGUE, depth=12)
     assert not rep.exact
     running = F(0)
-    for row in trace.rows:
-        running += row.positive_increment_integral
-        assert running == F((1 << row.level) - 1, 1 << (row.level + 1))
+    for level in range(1, 13):
+        running += rep.series.term_integral(level)
+        assert running == F((1 << level) - 1, 1 << (level + 1))
     assert rep.summability_partial <= F(1, 2)
 
 
@@ -349,22 +350,37 @@ def test_telescoped_partial_sums_equal_summed_terms():
     for _ in range(20):
         fn, measure = _random_signed_case(rng)
         _, trace = series_from_integrand(fn, measure, depth=8)
-        for term_count in (None, 3):
-            series = TelescopeSeries(
-                measure,
-                trace.positive_approx,
-                trace.negative_approx,
-                trace.positive_integral,
-                trace.negative_integral,
-                term_count=term_count,
+        series = TelescopeSeries(measure, trace.positive_approx, trace.negative_approx)
+        assert series.positive_limit == trace.positive_integral
+        assert series.negative_limit == trace.negative_integral
+        for upto in range(0, 10):
+            assert series.partial_integral_sum(upto) == FunctionSeries.partial_integral_sum(
+                series, upto
             )
-            for upto in range(0, 10):
-                assert series.partial_integral_sum(upto) == FunctionSeries.partial_integral_sum(
-                    series, upto
-                )
-                assert series.partial_abs_sum(upto) == FunctionSeries.partial_abs_sum(
-                    series, upto
-                )
+            assert series.partial_abs_sum(upto) == FunctionSeries.partial_abs_sum(series, upto)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        PiecewiseLinear([F(0), F(1, 3), F(1)], [(F(3), F(-1, 2)), (F(-1), F(2))]),
+        sf((F(3, 4), iv((0, "1/4"))), (F(-5, 2), iv(("1/2", 1)))),
+        sf((F(40), iv((0, "1/2"))), (F(-3, 8), iv(("1/2", 1)))),
+    ],
+    ids=["piecewise_linear", "terminating_simple", "terminating_past_depth"],
+)
+def test_report_computes_at_most_two_staircase_levels_per_part(fn, monkeypatch):
+    computed = {}
+    original = lebesgue._StaircaseTable._level
+
+    def counting_level(table, n):
+        computed[id(table)] = computed.get(id(table), 0) + 1
+        return original(table, n)
+
+    monkeypatch.setattr(lebesgue._StaircaseTable, "_level", counting_level)
+    report = equivalence_report(fn, LEBESGUE, depth=30)
+    assert report["integral_value"] == lebesgue_integral(fn, LEBESGUE).value
+    assert computed and max(computed.values()) <= 2, computed
 
 
 def test_report_recovery_equals_integral_from_series():

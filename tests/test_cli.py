@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -230,3 +231,61 @@ def test_one_process_reuses_its_parser_like_fresh_processes(tmp_path, monkeypatc
     assert [code for code, _, _ in in_process] == [0, 0, 1, 2, 0, 0]
     assert json.loads(in_process[0][1])["series_depth"] == 7
     assert json.loads(in_process[1][1])["series_depth"] == 9
+
+
+@pytest.mark.parametrize("value", [10**6, 2**40])
+def test_compare_with_a_deep_termination_level_finishes(tmp_path, value):
+    doc = {
+        "space": {"type": "interval", "breakpoints": ["0", "1"], "densities": ["1"]},
+        "function": {
+            "type": "simple",
+            "terms": [
+                {"value": str(value), "set": {"intervals": [["0", "1/2"]]}},
+                {"value": "-3/8", "set": {"intervals": [["1/2", "1"]]}},
+            ],
+        },
+        "task": "compare",
+    }
+    # A timeout turns a level-by-level fill up to the termination level into
+    # a failure instead of a hang.
+    run = subprocess.run(
+        [sys.executable, "-m", "exactintegral", "compare", "--spec", write_task(tmp_path, doc)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["series_term_count"] == value
+    assert report["integral_value"] == str(Fraction(value, 2) - Fraction(3, 16))
+    assert report["series_integral"] == report["integral_value"]
+    assert report["series_integral_error_bound"] == "0"
+
+
+# One point of mass 3^-5000 holding the value 7^-3000: both parse, but their
+# exact product has more digits than the interpreter turns into a string.
+HUGE_PRODUCT = {
+    "space": {"type": "discrete", "weights": [f"1/{3**5000}"]},
+    "function": {"type": "simple", "terms": [{"value": f"1/{7**3000}", "set": {"indices": [0]}}]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, task, entry",
+    [
+        ("integrate", "integrate_mi", "report entry 'value'"),
+        ("compare", "compare", "report entry 'integral_value'"),
+        ("table", "approx_table", "table column 'gap' at level 1"),
+    ],
+)
+def test_unrenderable_exact_result_exit_2_names_the_entry(tmp_path, capsys, command, task, entry):
+    doc = dict(HUGE_PRODUCT, task=task)
+    code = main([command, "--spec", write_task(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"computation error: {entry} cannot be rendered")
+    assert f"{sys.get_int_max_str_digits()}-digit limit" in lines[0]
+    assert "set_int_max_str_digits" not in lines[0]
