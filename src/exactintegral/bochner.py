@@ -320,7 +320,14 @@ class TelescopeSeries(FunctionSeries):
         )
         return pos - neg
 
-    # The partial sums telescope: summing h_1..h_k leaves level k minus level 0.
+    # The partial sums telescope: summing h_1..h_k leaves level k minus level 0
+    # (and the level-0 staircase is zero).
+
+    def partial_value_at(self, point, upto: int) -> Fraction:
+        if not space_of(self.measure).contains(point):
+            raise OutsideDomainError(f"point {point!r} outside the space")
+        level = self._effective(upto)
+        return self.positive.value_at(level, point) - self.negative.value_at(level, point)
 
     def partial_integral_sum(self, upto: int) -> Fraction:
         pos, neg = self._rises(0, self._effective(upto))
@@ -344,16 +351,29 @@ class ConstructionTrace:
     """The telescoping construction and its certificate.
 
     `summability_partial` is the sum of the |h_n| integrals up to the
-    construction depth; per-level values are read off `series`.
+    construction depth; per-level values, the part limits and the part
+    approximations are read off `series`.
     """
 
     summability_partial: Fraction
-    positive_integral: Fraction
-    negative_integral: Fraction
     eta: Fraction
-    series: FunctionSeries
-    positive_approx: DyadicApproximation
-    negative_approx: DyadicApproximation
+    series: TelescopeSeries
+
+    @property
+    def positive_integral(self) -> Fraction:
+        return self.series.positive_limit
+
+    @property
+    def negative_integral(self) -> Fraction:
+        return self.series.negative_limit
+
+    @property
+    def positive_approx(self) -> DyadicApproximation:
+        return self.series.positive
+
+    @property
+    def negative_approx(self) -> DyadicApproximation:
+        return self.series.negative
 
     @property
     def absolute_integral(self) -> Fraction:
@@ -465,15 +485,7 @@ def series_from_integrand(
         tail_at_depth=series.tail_bound(depth),
         exact=series.term_count is not None and series.term_count <= depth,
     )
-    trace = ConstructionTrace(
-        summability_partial=summability_partial,
-        positive_integral=series.positive_limit,
-        negative_integral=series.negative_limit,
-        eta=eta,
-        series=series,
-        positive_approx=series.positive,
-        negative_approx=series.negative,
-    )
+    trace = ConstructionTrace(summability_partial=summability_partial, eta=eta, series=series)
     return representation, trace
 
 

@@ -1,11 +1,14 @@
 """The three-stage integral, exact at every stage.
 
-Stage one integrates simple functions term by term.  Stage two extends to
+Stage one integrates simple functions term by term, reading the masses
+of all their terms in one batch from the measure.  Stage two extends to
 nonnegative integrands as the limit of a fixed nondecreasing staircase
 sequence: level n rounds the integrand down to the grid {k/2^n} and caps
 it at n.  Stage three splits a signed integrand into its positive and
 negative parts.  Supported integrands are simple functions (either space
-kind) and piecewise-linear functions on [0, 1).
+kind) and piecewise-linear functions on [0, 1).  A signed simple function
+needs no part functions: its terms split by the sign of their values, and
+one batch read of their masses gives both part integrals.
 
 A nonnegative integrand f enters stage two only through the distribution
 m∘f⁻¹ of its values: the limit is the mean of that distribution, and each
@@ -50,7 +53,13 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .piecewise import PiecewiseLinear
-from .rationals import ZERO, floor_to_grid, is_on_grid, power_of_two_level
+from .rationals import (
+    ZERO,
+    floor_to_grid,
+    is_on_grid,
+    power_of_two_level,
+    weighted_sum,
+)
 from .simple import SimpleFunction
 from .spaces import (
     IntervalSet,
@@ -153,17 +162,22 @@ def _value_distribution(cells: list, measure: Measure) -> list:
     """The distribution of the cells' values under the measure: (lo, hi, mass)
     entries, an atom when lo == hi and uniform mass on [lo, hi] otherwise.
 
-    Sloped cells are split at the density breakpoints, so each piece has
-    one density.  Zero values and null masses contribute to no integral
-    and are left out.
+    The masses of all slope-0 cells come from one batch read.  Sloped
+    cells are split at the density breakpoints, so each piece has one
+    density.  Zero values and null masses contribute to no integral and
+    are left out.
     """
+    numerators, denominator = measure._masses(
+        [part for part, a, b in cells if a == 0 and b != 0]
+    )
+    flat_masses = iter(numerators)
     distribution = []
     for part, a, b in cells:
         if a == 0:
             if b != 0:
-                mass = measure.measure_of(part)
-                if mass != 0:
-                    distribution.append((b, b, mass))
+                numerator = next(flat_masses)
+                if numerator != 0:
+                    distribution.append((b, b, Fraction(numerator, denominator)))
             continue
         for u, w in part.intervals:
             for p, q, d in measure.density_cells():
@@ -255,6 +269,9 @@ class DyadicApproximation:
         value = self.target.evaluate(point)
         if level == 0:
             return ZERO
+        if self._termination is not None and level >= self._termination:
+            # From the termination level on the staircase is the target.
+            return value
         if 0 < value <= level and is_on_grid(value, level) and self._slope_at(point) < 0:
             # Decreasing through a grid value exactly: the half-open level
             # sets put this point in the cell just below.
@@ -433,10 +450,25 @@ class IntegralResult:
 
 
 def lebesgue_integral(fn: Integrand, measure: Measure) -> IntegralResult:
-    """Signed integral via the positive/negative decomposition."""
-    positive, negative = pos_neg_parts(fn)
-    pos_value = integrate_nonneg(positive, measure)
-    neg_value = integrate_nonneg(negative, measure)
+    """Signed integral via the positive/negative decomposition.
+
+    On a simple function the part integrals are the sums of v * m(A) over
+    the terms with v > 0 and of -v * m(A) over those with v < 0, from one
+    batch read of the masses; a piecewise-linear integrand integrates its
+    two part functions.
+    """
+    if isinstance(fn, SimpleFunction):
+        _require_scalar_integrand(fn)
+        check_integrand_measure(fn, measure)
+        terms = [(v, part) for v, part in fn.terms if v]
+        numerators, denominator = measure._masses([part for _, part in terms])
+        signed = [(v, n) for (v, _), n in zip(terms, numerators)]
+        pos_value = weighted_sum(((v, n) for v, n in signed if v.numerator > 0), denominator)
+        neg_value = -weighted_sum(((v, n) for v, n in signed if v.numerator < 0), denominator)
+    else:
+        positive, negative = pos_neg_parts(fn)
+        pos_value = integrate_nonneg(positive, measure)
+        neg_value = integrate_nonneg(negative, measure)
     return IntegralResult(pos_value - neg_value, pos_value, neg_value)
 
 

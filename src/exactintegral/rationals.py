@@ -5,14 +5,19 @@ standard-library type already provides the invariants exact arithmetic
 needs: values are stored reduced, denominators are positive, equality is
 value equality.  This module adds the string conventions used at the
 package boundary ("p/q" in files and reports, decimal renderings for
-human readers) and the grid arithmetic shared by the approximation code.
+human readers), the grid arithmetic shared by the approximation code, and
+the exact sum of value-times-mass products the integrals of simple
+functions are made of.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import lcm
+from typing import Iterable
 
 __all__ = [
     "ZERO",
@@ -23,6 +28,7 @@ __all__ = [
     "floor_to_grid",
     "is_on_grid",
     "power_of_two_level",
+    "weighted_sum",
 ]
 
 ZERO = Fraction(0)
@@ -36,14 +42,23 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 def parse_rational(text: str) -> Fraction:
     """Parse a "p/q" or "p" string into a Fraction.
 
-    Raises ValueError for anything else, including float notation.
+    Raises ValueError for anything else, including float notation and a
+    numerator or denominator with more digits than the interpreter turns
+    into an integer (`sys.get_int_max_str_digits()`).
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {text!r}")
     stripped = text.strip()
     if not _RATIONAL_RE.match(stripped):
         raise ValueError(f"not a rational string: {text!r}")
-    return Fraction(stripped)
+    try:
+        return Fraction(stripped)
+    except ValueError:
+        # The syntax is valid, so only the digit limit can refuse it.
+        raise ValueError(
+            "rational has a numerator or denominator longer than the "
+            f"{sys.get_int_max_str_digits()}-digit limit for integer strings"
+        ) from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -75,3 +90,18 @@ def power_of_two_level(value: Fraction) -> int | None:
     if den & (den - 1):
         return None
     return den.bit_length() - 1
+
+
+def weighted_sum(pairs: Iterable[tuple[Fraction, int]], denominator: int) -> Fraction:
+    """sum(value * numerator) / denominator, making one `Fraction`.
+
+    The integer products are summed per value denominator and the groups
+    brought to their lcm, so no intermediate sum is normalised.
+    """
+    groups: dict[int, int] = {}
+    for value, numerator in pairs:
+        q = value.denominator
+        groups[q] = groups.get(q, 0) + value.numerator * numerator
+    common = lcm(*groups)
+    total = sum(s * (common // q) for q, s in groups.items())
+    return Fraction(total, common * denominator)

@@ -18,7 +18,11 @@ operations (`+`, `-`, `pointwise_max/min`) refine the two canonical
 partitions in one sweep, O(K log K) for intervals and O(N) on a discrete
 space of N points, instead of intersecting every pair of terms.  The
 kind-specific algorithms live on the space classes, so nothing here
-branches on the set kind.
+branches on the set kind.  `integrate_simple` reads the masses of all
+nonzero terms in one batch from the measure (integer numerators over one
+denominator) and sums value * mass in integers grouped by the value's
+denominator, so an integral costs one `Fraction` per component, not one
+`measure_of` and one normalised product per term.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
-from .rationals import ZERO
+from .rationals import ZERO, weighted_sum
 from .spaces import (
     Measure,
     MeasurableSet,
@@ -323,11 +327,21 @@ def integrate_simple(fn: SimpleFunction, measure: Measure) -> Value:
 
     Representation independent (the coherence property); componentwise for
     vector values; a zero value contributes nothing whatever its set's mass.
+    The masses of all nonzero terms are read in one batch, as integer
+    numerators over one denominator, so each component of the integral
+    makes one `Fraction`.
     """
     if space_of(measure) != fn.space:
         raise SpaceMismatchError("function and measure live on different spaces")
-    total = _zero_value(fn.dim)
-    for value, part in fn.terms:
-        if not _value_is_zero(value):
-            total = total + _scale_value(value, measure.measure_of(part))
-    return total
+    terms = [(value, part) for value, part in fn.terms if not _value_is_zero(value)]
+    numerators, denominator = measure._masses([part for _, part in terms])
+    if fn.dim is None:
+        return weighted_sum(zip((value for value, _ in terms), numerators), denominator)
+    return Vec(
+        tuple(
+            weighted_sum(
+                zip((value.components[k] for value, _ in terms), numerators), denominator
+            )
+            for k in range(fn.dim)
+        )
+    )

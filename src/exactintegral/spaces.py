@@ -26,9 +26,16 @@ and a measure of c cells:
   merge of intervals, membership tests for indices; O(N) for a discrete
   complement);
 * `contains`: O(log k) by bisection;
-* `IntervalMeasure.measure_of`: O(k log c), from the cumulative masses at
-  the breakpoints computed once per measure; `DiscreteSpace.measure_of`
-  sums the k weights.
+* mass reads: each measure reads the masses of any number of sets in one
+  pass of integer arithmetic (the private `_masses`), returning integer
+  numerators over one common denominator.  A discrete space keeps its
+  weights as integers over their lcm and sums k of them per set; an
+  interval measure keeps its merged grid, densities and cumulative masses
+  as integers once, scales the grid and every endpoint of the sets read
+  to the lcm of their denominators, and bisects plain integers: O(k log c)
+  for k endpoints.  `measure_of` is the one-set read and makes one
+  `Fraction`; `integrate_simple` and the signed simple integral read all
+  their terms' masses in one call.
 
 Results of the set operations on canonical operands are canonical by
 construction, so they come from the private `_canonical` constructors,
@@ -44,6 +51,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -169,6 +177,9 @@ class DiscreteSpace:
     """{0, ..., N-1} with nonnegative rational weights; the weights are the measure."""
 
     weights: tuple[Fraction, ...]
+    # The weights as integer numerators over their common denominator.
+    _scaled: tuple = field(init=False, repr=False, compare=False)
+    _denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         coerced = tuple(Fraction(w) for w in self.weights)
@@ -177,6 +188,10 @@ class DiscreteSpace:
         if any(w < 0 for w in coerced):
             raise ValueError("weights must be nonnegative")
         object.__setattr__(self, "weights", coerced)
+        denominator = lcm(*(w.denominator for w in coerced))
+        scaled = tuple(w.numerator * (denominator // w.denominator) for w in coerced)
+        object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "_denominator", denominator)
 
     @property
     def size(self) -> int:
@@ -184,7 +199,7 @@ class DiscreteSpace:
 
     @property
     def total_mass(self) -> Fraction:
-        return sum(self.weights, ZERO)
+        return Fraction(sum(self._scaled), self._denominator)
 
     @property
     def space(self) -> "DiscreteSpace":
@@ -240,9 +255,17 @@ class DiscreteSpace:
         return out
 
     def measure_of(self, subset: "MeasurableSet") -> Fraction:
-        if not isinstance(subset, DiscreteSet) or subset.space != self:
-            raise SpaceMismatchError("set does not belong to this discrete space")
-        return sum((self.weights[i] for i in subset.indices), ZERO)
+        numerators, denominator = self._masses((subset,))
+        return Fraction(numerators[0], denominator)
+
+    def _masses(self, parts: Sequence["MeasurableSet"]) -> tuple[list[int], int]:
+        """(numerators, denominator): the mass of each part is its numerator
+        over the one common denominator of the weights."""
+        for part in parts:
+            if not isinstance(part, DiscreteSet) or part.space != self:
+                raise SpaceMismatchError("set does not belong to this discrete space")
+        weight = self._scaled.__getitem__
+        return [sum(map(weight, part.indices)) for part in parts], self._denominator
 
 
 class DiscreteSet:
@@ -433,10 +456,15 @@ class IntervalMeasure:
 
     breakpoints: tuple[Fraction, ...]
     densities: tuple[Fraction, ...]
-    # The merged (breakpoints, densities), and the mass of [0, t) at each
-    # merged breakpoint t.
+    # The merged (breakpoints, densities), and the integer table `_masses`
+    # reads: (D, G, A, B, E).  With the merged grid over its common
+    # denominator D (G[k] = D * grid[k]) and the densities over theirs, E
+    # (A[k] = E * density[k]), the mass of [0, x) for grid[k] <= x <
+    # grid[k + 1] is (C[k] + A[k] * (D * x - G[k])) / (D * E), where C[k] is
+    # the integer D * E * mass of [0, grid[k]); B[k] = C[k] - A[k] * G[k].
+    # A closing entry A = 0, B = C[cells] answers x = 1.
     _merged: tuple = field(init=False, repr=False, compare=False)
-    _cumulative: tuple = field(init=False, repr=False, compare=False)
+    _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bp = tuple(Fraction(t) for t in self.breakpoints)
@@ -458,11 +486,22 @@ class IntervalMeasure:
             else:
                 steps.append(density)
                 grid.append(hi)
-        cumulative = [ZERO]
-        for k, density in enumerate(steps):
-            cumulative.append(cumulative[-1] + density * (grid[k + 1] - grid[k]))
+        grid_den = lcm(*(t.denominator for t in grid))
+        density_den = lcm(*(d.denominator for d in steps))
+        points = [t.numerator * (grid_den // t.denominator) for t in grid]
+        slopes = [d.numerator * (density_den // d.denominator) for d in steps]
+        offsets, below = [], 0
+        for k, slope in enumerate(slopes):
+            offsets.append(below - slope * points[k])
+            below += slope * (points[k + 1] - points[k])
+        slopes.append(0)
+        offsets.append(below)
         object.__setattr__(self, "_merged", (tuple(grid), tuple(steps)))
-        object.__setattr__(self, "_cumulative", tuple(cumulative))
+        object.__setattr__(
+            self,
+            "_table",
+            (grid_den, tuple(points), tuple(slopes), tuple(offsets), density_den),
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalMeasure):
@@ -482,32 +521,48 @@ class IntervalMeasure:
 
     @property
     def total_mass(self) -> Fraction:
-        return self._cumulative[-1]
+        grid_den, _, _, offsets, density_den = self._table
+        return Fraction(offsets[-1], grid_den * density_den)
 
     def density_cells(self) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
         for k, density in enumerate(self.densities):
             yield self.breakpoints[k], self.breakpoints[k + 1], density
 
     def measure_of(self, subset: "MeasurableSet") -> Fraction:
-        if not isinstance(subset, IntervalSet):
-            raise SpaceMismatchError("set does not belong to the interval space")
-        grid, steps = self._merged
-        cumulative = self._cumulative
-        cells = len(steps)
-        total = ZERO
-        for lo, hi in subset.intervals:
-            # grid[k] <= lo < grid[k + 1] and grid[m] < hi <= grid[m + 1]
-            k = bisect_right(grid, lo, 0, cells) - 1
-            m = bisect_left(grid, hi, k + 1, cells) - 1
-            if k == m:
-                total += steps[k] * (hi - lo)
-            else:
-                total += (
-                    cumulative[m] - cumulative[k + 1]
-                    + steps[k] * (grid[k + 1] - lo)
-                    + steps[m] * (hi - grid[m])
-                )
-        return total
+        numerators, denominator = self._masses((subset,))
+        return Fraction(numerators[0], denominator)
+
+    def _masses(self, parts: Sequence["MeasurableSet"]) -> tuple[list[int], int]:
+        """(numerators, denominator): the mass of each part is its numerator
+        over one common denominator.
+
+        Every endpoint x is scaled to the integer X = L * x, with L the lcm
+        of the grid's and the endpoints' denominators.  Bisecting the grid
+        scaled by s = L / D finds the cell k of x, and the mass of [0, x)
+        is (s * B[k] + A[k] * X) / (L * E).
+        """
+        for part in parts:
+            if not isinstance(part, IntervalSet):
+                raise SpaceMismatchError("set does not belong to the interval space")
+        grid_den, points, slopes, offsets, density_den = self._table
+        common = lcm(
+            grid_den,
+            *{end.denominator for part in parts for iv in part.intervals for end in iv},
+        )
+        stretch = common // grid_den
+        scaled_grid = [t * stretch for t in points]
+        numerators = []
+        for part in parts:
+            offset_sum = linear_sum = 0
+            for lo, hi in part.intervals:
+                x_lo = lo.numerator * (common // lo.denominator)
+                x_hi = hi.numerator * (common // hi.denominator)
+                k = bisect_right(scaled_grid, x_lo) - 1
+                m = bisect_right(scaled_grid, x_hi) - 1
+                offset_sum += offsets[m] - offsets[k]
+                linear_sum += slopes[m] * x_hi - slopes[k] * x_lo
+            numerators.append(offset_sum * stretch + linear_sum)
+        return numerators, common * density_den
 
 
 MeasurableSet = Union[DiscreteSet, IntervalSet]

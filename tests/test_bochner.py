@@ -1,6 +1,8 @@
 """Series integration: certificates, telescoping, and both theorem directions."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -471,3 +473,73 @@ def test_terminating_series_refuses_terms_past_the_end():
             assert messages[0] == messages[1] == (
                 f"series has {lazy.term_count} terms, asked for {index}"
             )
+
+
+def two_step(value):
+    """`value` on [0, 1/2), -3/8 on [1/2, 1): terminates at the value's level."""
+    return sf((F(value), iv((0, "1/2"))), (F(-3, 8), iv(("1/2", 1))))
+
+
+WEIGHTED_THREE = DiscreteSpace((F(1), F(0), F(2, 3)))
+PARTIAL_VALUE_CASES = [
+    *((two_step(value), LEBESGUE) for value in (F(3), F(5, 2), F(7, 4), F(13))),
+    (two_step(F(9, 4)), IntervalMeasure((F(0), F(1, 3), F(1)), (F(2), F(0)))),
+    (
+        SimpleFunction(
+            WEIGHTED_THREE,
+            [
+                (F(9, 4), DiscreteSet(WEIGHTED_THREE, [0])),
+                (F(-5), DiscreteSet(WEIGHTED_THREE, [2])),
+            ],
+        ),
+        WEIGHTED_THREE,
+    ),
+]
+
+
+@pytest.mark.parametrize("fn, measure", PARTIAL_VALUE_CASES)
+def test_partial_value_at_equals_the_summed_term_values(fn, measure):
+    series = series_from_integrand(fn, measure, depth=4)[0].series
+    for point in term_points(fn.space, (fn,)):
+        running = F(0)
+        for k in range(0, series.term_count + 3):
+            if 1 <= k <= series.term_count:
+                running += series.term_value_at(k, point)
+            assert series.partial_value_at(point, k) == running, (point, k)
+        assert series.partial_value_at(point, series.term_count) == fn.evaluate(point)
+
+
+DEEP_PARTIAL_VALUE = """
+import time
+from fractions import Fraction as F
+from exactintegral import IntervalMeasure, IntervalSet, SimpleFunction, UNIT_INTERVAL
+from exactintegral import series_from_integrand
+
+value = F(1 << 40)
+fn = SimpleFunction(UNIT_INTERVAL, [
+    (value, IntervalSet([(F(0), F(1, 2))])),
+    (F(-3, 8), IntervalSet([(F(1, 2), F(1))])),
+])
+series = series_from_integrand(fn, IntervalMeasure.lebesgue(), depth=8)[0].series
+start = time.perf_counter()
+left = series.partial_value_at(F(1, 4), series.term_count)
+right = series.partial_value_at(F(3, 4), series.term_count)
+print(series.term_count, left, right, time.perf_counter() - start)
+"""
+
+
+def test_partial_value_at_a_deep_termination_level_finishes():
+    # A timeout turns a term-by-term walk up to level 2^40 into a failure
+    # instead of a hang.
+    run = subprocess.run(
+        [sys.executable, "-c", DEEP_PARTIAL_VALUE],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert run.returncode == 0, run.stderr
+    term_count, left, right, seconds = run.stdout.split()
+    assert int(term_count) == 1 << 40
+    assert F(left) == 1 << 40
+    assert F(right) == F(-3, 8)
+    assert float(seconds) < 1

@@ -289,3 +289,28 @@ def test_unrenderable_exact_result_exit_2_names_the_entry(tmp_path, capsys, comm
     assert lines[0].startswith(f"computation error: {entry} cannot be rendered")
     assert f"{sys.get_int_max_str_digits()}-digit limit" in lines[0]
     assert "set_int_max_str_digits" not in lines[0]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1" + "0" * sys.get_int_max_str_digits(),
+        "1/" + "7" * (sys.get_int_max_str_digits() + 1),
+    ],
+    ids=["numerator", "denominator"],
+)
+def test_over_long_input_rational_exit_1_states_the_limit(tmp_path, capsys, text):
+    doc = {
+        "space": {"type": "discrete", "weights": ["1", text]},
+        "function": {"type": "simple", "terms": [{"value": "1", "set": {"indices": [0]}}]},
+        "task": "integrate_mi",
+    }
+    code = main(["integrate", "--spec", write_task(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "space.weights[1]" in lines[0]
+    assert f"{sys.get_int_max_str_digits()}-digit limit" in lines[0]
+    assert "set_int_max_str_digits" not in lines[0]

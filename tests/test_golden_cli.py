@@ -1,9 +1,11 @@
-"""Golden CLI bytes: `compare` and `table` on task files written from `gen`.
+"""Golden CLI bytes on task files written from `gen`.
 
-The digest covers the exit code, stdout and stderr of every run, in order.
-It was recorded before the staircase and the limit integral were read off
-the value distribution, so any change to a rational, a decimal expansion,
-a key or an error message of these reports shows up here.
+Each digest covers the exit code, stdout and stderr of every run, in
+order.  The `compare`/`table` digest was recorded before the staircase and
+the limit integral were read off the value distribution; the `integrate`
+digest was recorded before simple-function integrals read all their
+masses in one batch.  Any change to a rational, a decimal expansion, a
+key or an error message of these reports shows up here.
 """
 
 import hashlib
@@ -14,15 +16,20 @@ from contextlib import redirect_stderr, redirect_stdout
 from exactintegral.cli import main
 
 GOLDEN_DIGEST = "2a2b360f4acc05627296f0c970b4b3a63b78bcdc69db40ee9d6a23c75d2bfa9a"
+INTEGRATE_DIGEST = "452e9f7435b384c93b4ff4a3558fc3572d160b36ada02b3707a81423f8b81162"
 
 FAMILIES = ("simple", "piecewise_linear")
 SEEDS = (1, 2)
 CASES = 4
+INTEGRATE_CASES = 10
 COMMANDS = (
     ("compare",),
     ("compare", "--depth", "30"),
     ("table", "--max-level", "30"),
 )
+# No task key runs integrate_mi (the signed integral); integrate_bochner
+# integrates the function as a one-term series.
+INTEGRATE_TASKS = (None, "integrate_bochner")
 
 
 def run(argv):
@@ -32,22 +39,40 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_compare_and_table_bytes_match_the_recorded_digest(tmp_path):
-    digest = hashlib.sha256()
+def generated_fragments(count):
     for family in FAMILIES:
         for seed in SEEDS:
             code, lines, _ = run(
-                ["gen", "--family", family, "--seed", str(seed), "--count", str(CASES)]
+                ["gen", "--family", family, "--seed", str(seed), "--count", str(count)]
             )
             assert code == 0
             for index, line in enumerate(lines.splitlines()):
-                fragment = json.loads(line)
-                path = tmp_path / f"{family}-{seed}-{index}.json"
-                path.write_text(
-                    json.dumps({"space": fragment["space"], "function": fragment["function"]}),
-                    encoding="utf-8",
-                )
-                for command, *flags in COMMANDS:
-                    code, out, err = run([command, "--spec", str(path), *flags])
-                    digest.update(f"{code}\n{out}\n{err}\n".encode())
+                yield f"{family}-{seed}-{index}", json.loads(line)
+
+
+def test_compare_and_table_bytes_match_the_recorded_digest(tmp_path):
+    digest = hashlib.sha256()
+    for name, fragment in generated_fragments(CASES):
+        path = tmp_path / f"{name}.json"
+        path.write_text(
+            json.dumps({"space": fragment["space"], "function": fragment["function"]}),
+            encoding="utf-8",
+        )
+        for command, *flags in COMMANDS:
+            code, out, err = run([command, "--spec", str(path), *flags])
+            digest.update(f"{code}\n{out}\n{err}\n".encode())
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def test_integrate_bytes_match_the_recorded_digest(tmp_path):
+    digest = hashlib.sha256()
+    for name, fragment in generated_fragments(INTEGRATE_CASES):
+        for task in INTEGRATE_TASKS:
+            doc = {"space": fragment["space"], "function": fragment["function"]}
+            if task is not None:
+                doc["task"] = task
+            path = tmp_path / f"{name}-{task}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            code, out, err = run(["integrate", "--spec", str(path)])
+            digest.update(f"{code}\n{out}\n{err}\n".encode())
+    assert digest.hexdigest() == INTEGRATE_DIGEST
