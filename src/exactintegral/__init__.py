@@ -44,12 +44,10 @@ from .lebesgue import (
     Integrand,
     IntegralResult,
     NegativeIntegrandError,
-    absolute_integrand,
     integrate_nonneg,
     integrate_nonneg_at_level,
     integrate_over,
     lebesgue_integral,
-    pos_neg_parts,
 )
 from .bochner import (
     BochnerRepresentation,

@@ -30,10 +30,7 @@ from .lebesgue import (
     DyadicApproximation,
     Integrand,
     check_integrand_measure,
-    integrate_nonneg,
     lebesgue_integral,
-    pos_neg_parts,
-    absolute_integrand,
 )
 from .piecewise import PiecewiseLinear
 from .rationals import ZERO
@@ -62,20 +59,6 @@ SeriesTerm = Union[SimpleFunction, PiecewiseLinear]
 
 class CertificateError(ValueError):
     """A summability certificate is missing or unusable."""
-
-
-def _term_integral(term: SeriesTerm, measure: Measure):
-    if isinstance(term, SimpleFunction):
-        return integrate_simple(term, measure)
-    return lebesgue_integral(term, measure).value
-
-
-def _term_abs_integral(
-    term: SeriesTerm, measure: Measure, kind: Optional[NormKind]
-) -> Fraction:
-    if isinstance(term, SimpleFunction):
-        return integrate_simple(term.norm_function(kind), measure)
-    return integrate_nonneg(term.absolute(), measure)
 
 
 class FunctionSeries:
@@ -110,10 +93,13 @@ class FunctionSeries:
         return upto
 
     def term_integral(self, index: int):
-        return _term_integral(self.term(index), self.measure)
+        term = self.term(index)
+        if isinstance(term, SimpleFunction):
+            return integrate_simple(term, self.measure)
+        return lebesgue_integral(term, self.measure).value
 
     def term_abs_integral(self, index: int) -> Fraction:
-        return _term_abs_integral(self.term(index), self.measure, self.norm_kind)
+        return l1_norm(self.term(index), self.measure, self.norm_kind)
 
     def term_value_at(self, index: int, point):
         return self.term(index).evaluate(point)
@@ -261,8 +247,9 @@ class TelescopeSeries(FunctionSeries):
     is exactly zero.  Term integrals, partial sums and tails come from the
     closed-form staircase integrals, a partial sum telescoping to level k
     minus level 0, so no term is materialized; `term(n)` builds h_n on
-    demand for desk-scale levels and refuses indices past `term_count`, as
-    `FiniteSeries.term` does.
+    demand for desk-scale levels.  `term` and the per-term integrals and
+    values refuse an index outside 1..`term_count` with an `IndexError`, as
+    `FiniteSeries` does.
     """
 
     def __init__(
@@ -281,11 +268,15 @@ class TelescopeSeries(FunctionSeries):
         levels = (positive.termination_level(), negative.termination_level())
         self.term_count = None if None in levels else max(levels)
 
-    def term(self, index: int) -> SimpleFunction:
+    def _check_index(self, index: int) -> None:
+        """Refuse an index the series has no term for, as `FiniteSeries` does."""
+        if self.term_count is not None and not 1 <= index <= self.term_count:
+            raise IndexError(f"series has {self.term_count} terms, asked for {index}")
         if index < 1:
             raise IndexError("series terms are 1-indexed")
-        if self.term_count is not None and index > self.term_count:
-            raise IndexError(f"series has {self.term_count} terms, asked for {index}")
+
+    def term(self, index: int) -> SimpleFunction:
+        self._check_index(index)
         pos_inc = self.positive.increment(index)
         neg_inc = self.negative.increment(index)
         # Nonzero increments live inside {f > 0} and {f < 0} respectively,
@@ -303,15 +294,18 @@ class TelescopeSeries(FunctionSeries):
         )
 
     def term_integral(self, index: int) -> Fraction:
+        self._check_index(index)
         pos, neg = self._rises(index - 1, index)
         return pos - neg
 
     def term_abs_integral(self, index: int) -> Fraction:
         # |h_n| = h_n(+part) + h_n(-part): the two parts have disjoint supports.
+        self._check_index(index)
         pos, neg = self._rises(index - 1, index)
         return pos + neg
 
     def term_value_at(self, index: int, point) -> Fraction:
+        self._check_index(index)
         pos = self.positive.value_at(index, point) - self.positive.value_at(
             index - 1, point
         )
@@ -470,10 +464,7 @@ def series_from_integrand(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     check_integrand_measure(fn, measure)
-    positive, negative = pos_neg_parts(fn)
-    series = TelescopeSeries(
-        measure, DyadicApproximation(positive), DyadicApproximation(negative)
-    )
+    series = TelescopeSeries(measure, *DyadicApproximation.parts(fn))
     summability_partial = series.partial_abs_sum(depth)
     representation = BochnerRepresentation(
         target=fn,
@@ -537,12 +528,14 @@ def integral_from_series(
 def l1_norm(fn, measure: Measure, kind: Optional[NormKind] = None) -> Fraction:
     """Integral of the pointwise norm: the L1 size of an integrand.
 
-    Scalars use the absolute value; vector simple functions need a
-    NormKind.  Zero exactly when the function vanishes off a null set.
+    Scalars use the absolute value, ∫|f| = ∫f+ + ∫f− from the one signed
+    integral; vector simple functions need a NormKind.  Zero exactly when
+    the function vanishes off a null set.
     """
     if isinstance(fn, SimpleFunction) and fn.is_vector:
         return integrate_simple(fn.norm_function(kind), measure)
-    return integrate_nonneg(absolute_integrand(fn), measure)
+    result = lebesgue_integral(fn, measure)
+    return result.positive_part + result.negative_part
 
 
 def equivalence_report(

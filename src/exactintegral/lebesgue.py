@@ -4,37 +4,49 @@ Stage one integrates simple functions term by term, reading the masses
 of all their terms in one batch from the measure.  Stage two extends to
 nonnegative integrands as the limit of a fixed nondecreasing staircase
 sequence: level n rounds the integrand down to the grid {k/2^n} and caps
-it at n.  Stage three splits a signed integrand into its positive and
-negative parts.  Supported integrands are simple functions (either space
-kind) and piecewise-linear functions on [0, 1).  A signed simple function
-needs no part functions: its terms split by the sign of their values, and
-one batch read of their masses gives both part integrals.
+it at n.  Stage three is the signed integral ∫f+ dm − ∫f− dm.  Supported
+integrands are simple functions (either space kind) and piecewise-linear
+functions on [0, 1).
+
+No stage builds a part function.  Every integrand is lowered once to
+sign-constant spatial cells (part, slope, intercept): a simple term with
+a nonzero value on a nonempty set is a slope-0 cell on that set (the
+function is zero off its cells), and a piecewise-linear piece is a cell
+on its half-open interval, split at a root inside it, zero pieces
+dropped.  The positive cells of f are the cells of f+, and the negative
+ones, negated, are the cells of f−.
 
 A nonnegative integrand f enters stage two only through the distribution
 m∘f⁻¹ of its values: the limit is the mean of that distribution, and each
 staircase level is `∫ s_n(f) dm = ∫ s_n(y) d(m∘f⁻¹)(y)`.  For both
-integrand classes the distribution is a finite list of (lo, hi, mass)
-entries: an atom (lo == hi) for a value held on a set, a simple term or
-a slope-0 piece, and mass spread uniformly over [lo, hi] for a sloped
-affine piece, split at the breakpoints of the measure's density.  The
-limit is sum(mass * (lo + hi) / 2), and the staircase integral of either
-kind of entry has a closed form at every level (an atom contributes
-mass * s_n(y), a uniform piece an arithmetic series), so stage-two
-convergence is checkable exactly at any level without materializing the
-staircase, and neither the integral nor the staircase branches on the
-integrand class.
+integrand classes the distribution is finite: atoms (y, numerator) for a
+value y held on a set (a slope-0 cell), the masses integer numerators
+over one denominator from one batch read, and pieces (lo, hi, mass) of
+mass spread uniformly over [lo, hi] for a sloped cell, split at the
+breakpoints of the measure's density.  The limit is the weighted sum of
+the atoms plus sum(mass * (lo + hi) / 2) over the pieces, and the
+staircase integral of either kind of entry has a closed form at every
+level (an atom contributes mass * s_n(y), a uniform piece an arithmetic
+series), so stage-two convergence is checkable exactly at any level
+without materializing the staircase, and neither the integral nor the
+staircase branches on the integrand class.
 
-`DyadicApproximation` lowers its target once to spatial cells (part,
-slope, intercept), a simple term being a slope-0 cell on its set.  On
-first use against a measure it reads the value distribution off the
-cells and keeps one table: the limit, and every level-independent
-staircase coefficient over one common integer denominator L; level n is
-then an integer numerator over L * 4^n, and each level costs one
-`Fraction`, made once and kept.  Levels are kept sparsely, by level:
-asking for level n computes level n alone, so a caller that reads levels
-0 and d pays for two levels, not for d + 1.  From the termination level
-of a terminating staircase on, every level integral is the limit itself,
-so no level past it is ever computed.
+The signed integral, `integrate_over` (the cells intersected with the
+region) and the L1 norm read one distribution of the signed cells and
+split it at zero: no cell changes sign, so no atom or piece does either,
+and the positive entries give ∫f+, the negative ones ∫f−.
+
+`DyadicApproximation` keeps the cells of one nonnegative integrand, and
+`DyadicApproximation.parts(f)` builds the approximations of f+ and f−
+from the signed cells of f.  On first use against a measure an
+approximation reads the value distribution off its cells and keeps one
+table: the limit, and every level-independent staircase coefficient over
+one common integer denominator L; level n is then an integer numerator
+over L * 4^n, and each level costs one `Fraction`, made once and kept.
+Levels are kept sparsely, by level: asking for level n computes level n
+alone, so a caller that reads levels 0 and d pays for two levels, not for
+d + 1.  From the termination level of a terminating staircase on, every
+level integral is the limit itself, so no level past it is ever computed.
 
 Where an integrand decreases through a grid value exactly, the staircase
 level sets are half-open like every other set in the package, which puts
@@ -65,6 +77,7 @@ from .spaces import (
     IntervalSet,
     Measure,
     MeasurableSet,
+    OutsideDomainError,
     SpaceMismatchError,
     space_of,
 )
@@ -74,8 +87,6 @@ __all__ = [
     "Integrand",
     "IntegralResult",
     "DyadicApproximation",
-    "pos_neg_parts",
-    "absolute_integrand",
     "integrate_nonneg",
     "integrate_nonneg_at_level",
     "lebesgue_integral",
@@ -97,25 +108,9 @@ class NegativeIntegrandError(ValueError):
     """A nonnegative integrand was required."""
 
 
-def _require_scalar_integrand(fn: Integrand) -> None:
-    if isinstance(fn, SimpleFunction) and fn.is_vector:
-        raise ValueError("a scalar integrand is required")
-
-
 def check_integrand_measure(fn: Integrand, measure: Measure) -> None:
     if fn.space != space_of(measure):
         raise SpaceMismatchError("integrand and measure live on different spaces")
-
-
-def pos_neg_parts(fn: Integrand) -> tuple[Integrand, Integrand]:
-    """(max(0, f), max(0, -f)); both in the same integrand class as f."""
-    _require_scalar_integrand(fn)
-    return fn.pos_part(), fn.neg_part()
-
-
-def absolute_integrand(fn: Integrand) -> Integrand:
-    _require_scalar_integrand(fn)
-    return abs(fn) if isinstance(fn, SimpleFunction) else fn.absolute()
 
 
 def _staircase_value(value: Fraction, level: int) -> Fraction:
@@ -123,24 +118,61 @@ def _staircase_value(value: Fraction, level: int) -> Fraction:
     return min(Fraction(level), floor_to_grid(value, level))
 
 
-def _cells(fn: Integrand) -> tuple[list, Fraction]:
-    """(cells, bound) of a nonnegative integrand: spatial cells (part, slope,
-    intercept) and a bound >= its sup.
+def _signed_cells(fn: Integrand) -> list:
+    """Sign-constant spatial cells (part, slope, intercept) of a scalar integrand.
 
     A simple term with a nonzero value on a nonempty set is a slope-0 cell
-    on that set (the function is zero off its cells); a piecewise-linear
-    piece is a cell on its half-open interval.
+    on that set; a piecewise-linear piece is a cell on its half-open
+    interval, split at a root inside it, and a zero piece is dropped.
     """
-    _require_scalar_integrand(fn)
     if isinstance(fn, SimpleFunction):
-        cells = [(part, ZERO, v) for v, part in fn.terms if v != 0 and not part.is_empty]
-        if any(v < 0 for _, _, v in cells):
-            raise NegativeIntegrandError("simple integrand takes negative values")
-        return cells, max((v for _, _, v in cells), default=ZERO)
-    if not fn.is_nonnegative():
-        raise NegativeIntegrandError("integrand takes negative values")
-    cells = [(IntervalSet._canonical(((u, w),)), a, b) for u, w, a, b in fn.cells()]
-    return cells, fn.upper_bound()
+        if fn.is_vector:
+            raise ValueError("a scalar integrand is required")
+        return [(part, ZERO, v) for v, part in fn.terms if v and not part.is_empty]
+    cells = []
+    for u, w, a, b in fn.cells():
+        if a:
+            root = -b / a
+            if u < root < w:
+                cells.append((IntervalSet._canonical(((u, root),)), a, b))
+                u = root
+        elif not b:
+            continue
+        cells.append((IntervalSet._canonical(((u, w),)), a, b))
+    return cells
+
+
+def _split_at_zero(cells: list) -> tuple[list, list]:
+    """(cells of f+, cells of f−) from the signed cells of f, a negative cell
+    (part, a, b) becoming (part, -a, -b)."""
+    positive, negative = [], []
+    for part, a, b in cells:
+        # A sloped cell is one interval with no root inside, so its value at
+        # the left end has the cell's sign, or is zero when the root is there.
+        y = a * part.intervals[0][0] + b if a else b
+        if y.numerator > 0 or (not y and a.numerator > 0):
+            positive.append((part, a, b))
+        else:
+            negative.append((part, -a, -b))
+    return positive, negative
+
+
+def _nonneg_cells(fn: Integrand) -> list:
+    positive, negative = _split_at_zero(_signed_cells(fn))
+    if negative:
+        kind = "simple integrand" if isinstance(fn, SimpleFunction) else "integrand"
+        raise NegativeIntegrandError(f"{kind} takes negative values")
+    return positive
+
+
+def _upper_bound(cells: list) -> Fraction:
+    """The largest closure value of nonnegative cells: >= their sup, which may
+    be unattained.  A sloped cell is one interval."""
+    return max(
+        [b for _, a, b in cells if not a]
+        + [a * x + b for part, a, b in cells if a for x in part.intervals[0]],
+        default=ZERO,
+    )
 
 
 def _termination_level(cells: list) -> Optional[int]:
@@ -149,8 +181,6 @@ def _termination_level(cells: list) -> Optional[int]:
         return None
     level = 0
     for _, _, v in cells:
-        if v == 0:
-            continue
         grid = power_of_two_level(v)
         if grid is None:
             return None
@@ -158,41 +188,38 @@ def _termination_level(cells: list) -> Optional[int]:
     return level
 
 
-def _value_distribution(cells: list, measure: Measure) -> list:
-    """The distribution of the cells' values under the measure: (lo, hi, mass)
-    entries, an atom when lo == hi and uniform mass on [lo, hi] otherwise.
+def _value_distribution(cells: list, measure: Measure) -> tuple[list, int, list]:
+    """The distribution of the cells' values under the measure, as (atoms,
+    denominator, pieces).
 
-    The masses of all slope-0 cells come from one batch read.  Sloped
-    cells are split at the density breakpoints, so each piece has one
-    density.  Zero values and null masses contribute to no integral and
-    are left out.
+    An atom (y, numerator) is the value y of a slope-0 cell, with mass
+    numerator / denominator; all atom masses come from one batch read.  A
+    piece (lo, hi, mass) spreads mass uniformly over [lo, hi]: sloped cells
+    are split at the density breakpoints, so each piece has one density.
+    Null masses contribute to no integral and are left out.
     """
-    numerators, denominator = measure._masses(
-        [part for part, a, b in cells if a == 0 and b != 0]
-    )
-    flat_masses = iter(numerators)
-    distribution = []
+    flat, pieces = [], []
     for part, a, b in cells:
-        if a == 0:
-            if b != 0:
-                numerator = next(flat_masses)
-                if numerator != 0:
-                    distribution.append((b, b, Fraction(numerator, denominator)))
+        if not a:
+            flat.append((b, part))
             continue
         for u, w in part.intervals:
             for p, q, d in measure.density_cells():
                 lo, hi = max(p, u), min(q, w)
                 if d != 0 and lo < hi:
                     y_lo, y_hi = sorted((a * lo + b, a * hi + b))
-                    distribution.append((y_lo, y_hi, d * (hi - lo)))
-    return distribution
+                    pieces.append((y_lo, y_hi, d * (hi - lo)))
+    numerators, denominator = measure._masses([part for _, part in flat])
+    atoms = [(y, n) for (y, _), n in zip(flat, numerators) if n]
+    return atoms, denominator, pieces
 
 
-def _mean(distribution: list) -> Fraction:
-    return sum((mass * (lo + hi) for lo, hi, mass in distribution), ZERO) / 2
+def _mean(atoms: list, denominator: int, pieces: list) -> Fraction:
+    pieces_total = sum((mass * (lo + hi) for lo, hi, mass in pieces), ZERO)
+    return weighted_sum(atoms, denominator) + pieces_total / 2
 
 
-def _staircase_entries(distribution: list) -> dict:
+def _staircase_entries(atoms: list, denominator: int, pieces: list) -> dict:
     """{y: [e, c]} such that the level-n staircase integral is
     4^-n * sum(e * k * 2^n - c * k(k+1)/2), with k = min(n*2^n, floor(2^n y)).
 
@@ -209,10 +236,9 @@ def _staircase_entries(distribution: list) -> dict:
         entry[0] += e
         entry[1] += c
 
-    for lo, hi, mass in distribution:
-        if lo == hi:
-            add(lo, mass)
-            continue
+    for y, numerator in atoms:
+        add(y, Fraction(numerator, denominator))
+    for lo, hi, mass in pieces:
         r = mass / (hi - lo)
         add(hi, r * hi, r)
         add(lo, -r * lo, -r)
@@ -222,8 +248,7 @@ def _staircase_entries(distribution: list) -> dict:
 def integrate_nonneg(fn: Integrand, measure: Measure) -> Fraction:
     """Exact limit integral of a nonnegative integrand: the mean of its values."""
     check_integrand_measure(fn, measure)
-    cells, _ = _cells(fn)
-    return _mean(_value_distribution(cells, measure))
+    return _mean(*_value_distribution(_nonneg_cells(fn), measure))
 
 
 class DyadicApproximation:
@@ -232,17 +257,28 @@ class DyadicApproximation:
     `value_at(n, x)` and `integral(n, m)` work at any level without
     materializing anything; `level(n)` and `increment(n)` build the level-n
     simple function and the difference to level n-1 for desk-scale levels.
+    `DyadicApproximation.parts(f)` gives the sequences of f+ and f− of a
+    signed f.
     """
 
     def __init__(self, target: Integrand):
-        self.target = target
-        self._cells, self._bound = _cells(target)
-        self._termination = _termination_level(self._cells)
-        self._tables: list = []  # (measure, _StaircaseTable) pairs
+        self._start(target.space, _nonneg_cells(target))
 
-    @property
-    def space(self):
-        return self.target.space
+    @classmethod
+    def parts(cls, fn: Integrand) -> tuple["DyadicApproximation", "DyadicApproximation"]:
+        """The approximations of f+ = max(0, f) and f− = max(0, −f), built
+        from the signed cells of f without building either part function."""
+        pair = cls.__new__(cls), cls.__new__(cls)
+        for approximation, cells in zip(pair, _split_at_zero(_signed_cells(fn))):
+            approximation._start(fn.space, cells)
+        return pair
+
+    def _start(self, space, cells: list) -> None:
+        self.space = space
+        self._cells = cells
+        self._bound = _upper_bound(cells)
+        self._termination = _termination_level(cells)
+        self._tables: list = []  # (measure, _StaircaseTable) pairs
 
     @property
     def upper_bound(self) -> Fraction:
@@ -266,23 +302,23 @@ class DyadicApproximation:
         """Evaluate the level-n staircase at a point, matching `level(n)` exactly."""
         if level < 0:
             raise ValueError("level must be >= 0")
-        value = self.target.evaluate(point)
+        if not self.space.contains(point):
+            raise OutsideDomainError(f"point {point!r} outside the space")
+        value = slope = ZERO
+        for part, a, b in self._cells:
+            if part.contains(point):
+                value, slope = a * point + b, a
+                break
         if level == 0:
             return ZERO
         if self._termination is not None and level >= self._termination:
             # From the termination level on the staircase is the target.
             return value
-        if 0 < value <= level and is_on_grid(value, level) and self._slope_at(point) < 0:
+        if 0 < value <= level and is_on_grid(value, level) and slope < 0:
             # Decreasing through a grid value exactly: the half-open level
             # sets put this point in the cell just below.
             return value - Fraction(1, 1 << level)
         return _staircase_value(value, level)
-
-    def _slope_at(self, point) -> Fraction:
-        for part, a, _ in self._cells:
-            if part.contains(point):
-                return a
-        return ZERO
 
     def _sweep(self, level: int, lower_level: Optional[int]) -> list:
         """Cells (part, value) of the level-n staircase, or of the increment
@@ -368,9 +404,9 @@ class DyadicApproximation:
         for known, table in self._tables:
             if known == measure:
                 return table
-        check_integrand_measure(self.target, measure)
+        check_integrand_measure(self, measure)
         distribution = _value_distribution(self._cells, measure)
-        table = _StaircaseTable(_staircase_entries(distribution), _mean(distribution))
+        table = _StaircaseTable(_staircase_entries(*distribution), _mean(*distribution))
         self._tables.append((measure, table))
         return table
 
@@ -449,42 +485,38 @@ class IntegralResult:
     negative_part: Fraction
 
 
-def lebesgue_integral(fn: Integrand, measure: Measure) -> IntegralResult:
-    """Signed integral via the positive/negative decomposition.
-
-    On a simple function the part integrals are the sums of v * m(A) over
-    the terms with v > 0 and of -v * m(A) over those with v < 0, from one
-    batch read of the masses; a piecewise-linear integrand integrates its
-    two part functions.
-    """
-    if isinstance(fn, SimpleFunction):
-        _require_scalar_integrand(fn)
-        check_integrand_measure(fn, measure)
-        terms = [(v, part) for v, part in fn.terms if v]
-        numerators, denominator = measure._masses([part for _, part in terms])
-        signed = [(v, n) for (v, _), n in zip(terms, numerators)]
-        pos_value = weighted_sum(((v, n) for v, n in signed if v.numerator > 0), denominator)
-        neg_value = -weighted_sum(((v, n) for v, n in signed if v.numerator < 0), denominator)
-    else:
-        positive, negative = pos_neg_parts(fn)
-        pos_value = integrate_nonneg(positive, measure)
-        neg_value = integrate_nonneg(negative, measure)
+def _signed_integral(cells: list, measure: Measure) -> IntegralResult:
+    """∫f+ and ∫f− from one value distribution of the signed cells of f,
+    split at zero: no cell changes sign, so no atom or piece does either."""
+    atoms, denominator, pieces = _value_distribution(cells, measure)
+    pos_value = _mean(
+        [atom for atom in atoms if atom[0].numerator > 0],
+        denominator,
+        [piece for piece in pieces if piece[1].numerator > 0],
+    )
+    neg_value = -_mean(
+        [atom for atom in atoms if atom[0].numerator < 0],
+        denominator,
+        [piece for piece in pieces if piece[1].numerator <= 0],
+    )
     return IntegralResult(pos_value - neg_value, pos_value, neg_value)
+
+
+def lebesgue_integral(fn: Integrand, measure: Measure) -> IntegralResult:
+    """Signed integral ∫f+ dm − ∫f− dm, with both part integrals, from one
+    batch read of the masses whatever the integrand class."""
+    cells = _signed_cells(fn)
+    check_integrand_measure(fn, measure)
+    return _signed_integral(cells, measure)
 
 
 def integrate_over(
     region: MeasurableSet, fn: Integrand, measure: Measure
 ) -> Fraction:
     """Integral of 1_region * f; additive over disjoint regions."""
-    _require_scalar_integrand(fn)
-    if isinstance(fn, SimpleFunction):
-        if region.space != fn.space:
-            raise SpaceMismatchError("region belongs to another space")
-        restricted = SimpleFunction(
-            fn.space, [(v, s.intersection(region)) for v, s in fn.terms], fn.dim
-        )
-    else:
-        if not isinstance(region, IntervalSet):
-            raise SpaceMismatchError("region belongs to another space")
-        restricted = fn.restrict(region)
-    return lebesgue_integral(restricted, measure).value
+    cells = _signed_cells(fn)
+    if region.space != fn.space:
+        raise SpaceMismatchError("region belongs to another space")
+    check_integrand_measure(fn, measure)
+    restricted = [(part.intersection(region), a, b) for part, a, b in cells]
+    return _signed_integral(restricted, measure).value

@@ -124,34 +124,27 @@ class PiecewiseLinear:
                     cuts.append(root)
         return self.refined(cuts)
 
-    def _signed_parts(self, keep_positive: bool) -> "PiecewiseLinear":
+    def _by_sign(self, positive: int, negative: int) -> "PiecewiseLinear":
+        """f split at its roots, each piece scaled by `positive` where f > 0
+        and by `negative` elsewhere."""
         split = self.split_at_roots()
         pieces = []
         for u, w, a, b in split.cells():
-            value = a * (u + w) / 2 + b
-            wanted = value > 0 if keep_positive else value < 0
-            if wanted:
-                pieces.append((a, b) if keep_positive else (-a, -b))
-            else:
-                pieces.append((ZERO, ZERO))
+            factor = positive if a * (u + w) / 2 + b > 0 else negative
+            pieces.append((factor * a, factor * b))
         return PiecewiseLinear(split.breakpoints, pieces)
 
     def pos_part(self) -> "PiecewiseLinear":
         """max(0, f), again piecewise linear."""
-        return self._signed_parts(keep_positive=True)
+        return self._by_sign(1, 0)
 
     def neg_part(self) -> "PiecewiseLinear":
         """max(0, -f)."""
-        return self._signed_parts(keep_positive=False)
+        return self._by_sign(0, -1)
 
     def absolute(self) -> "PiecewiseLinear":
         """|f|: negative-sign cells flipped after splitting at roots."""
-        split = self.split_at_roots()
-        pieces = []
-        for u, w, a, b in split.cells():
-            value = a * (u + w) / 2 + b
-            pieces.append((-a, -b) if value < 0 else (a, b))
-        return PiecewiseLinear(split.breakpoints, pieces)
+        return self._by_sign(1, -1)
 
     def _closure_values(self) -> Iterator[Fraction]:
         for u, w, a, b in self.cells():

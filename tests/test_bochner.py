@@ -475,6 +475,28 @@ def test_terminating_series_refuses_terms_past_the_end():
             )
 
 
+def test_terminating_series_accessors_refuse_what_a_finite_series_refuses():
+    step = sf((F(3, 4), iv((0, "1/4"))), (F(-1, 2), iv(("1/2", 1))))
+    for fn in (step, SimpleFunction.zero(UNIT_INTERVAL)):
+        lazy = series_from_integrand(fn, LEBESGUE, depth=6)[0].series
+        finite = FiniteSeries(LEBESGUE, [lazy.term(n) for n in range(1, lazy.term_count + 1)])
+        for index in (0, lazy.term_count + 1):
+            for accessor in (
+                lambda series: series.term(index),
+                lambda series: series.term_integral(index),
+                lambda series: series.term_abs_integral(index),
+                lambda series: series.term_value_at(index, F(1, 8)),
+            ):
+                messages = []
+                for series in (lazy, finite):
+                    with pytest.raises(IndexError) as info:
+                        accessor(series)
+                    messages.append(str(info.value))
+                assert messages[0] == messages[1] == (
+                    f"series has {lazy.term_count} terms, asked for {index}"
+                )
+
+
 def two_step(value):
     """`value` on [0, 1/2), -3/8 on [1/2, 1): terminates at the value's level."""
     return sf((F(value), iv((0, "1/2"))), (F(-3, 8), iv(("1/2", 1))))

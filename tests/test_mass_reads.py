@@ -1,6 +1,7 @@
 """Batch mass reads: `measure_of`, `integrate_simple` and the signed simple
 integral against the enumeration/quadrature oracle, their space checks, and
-one batch read per integral."""
+one batch read per integral, `integrate_over` and piecewise-linear
+integrands included."""
 
 from fractions import Fraction as F
 
@@ -12,11 +13,13 @@ from exactintegral import (
     DiscreteSpace,
     IntervalMeasure,
     IntervalSet,
+    PiecewiseLinear,
     SimpleFunction,
     SpaceMismatchError,
     UNIT_INTERVAL,
     Vec,
     integrate_nonneg,
+    integrate_over,
     integrate_simple,
     lebesgue_integral,
 )
@@ -181,6 +184,19 @@ def _wide_function(space, n):
     return SimpleFunction(space, [(F(k - n // 2, k + 1), part) for k, part in enumerate(parts)])
 
 
+def _wide_piecewise(n):
+    """n pieces on [0, 1): flat ones (one of them zero) between sloped ones,
+    each sloped piece crossing zero inside."""
+    pieces = []
+    for k in range(n):
+        if k % 2:
+            slope = F(k - n // 2 or 1)
+            pieces.append((slope, -slope * F(2 * k + 1, 2 * n)))
+        else:
+            pieces.append((F(0), F(k - n // 2, k + 1)))
+    return PiecewiseLinear([F(k, n) for k in range(n + 1)], pieces)
+
+
 @pytest.mark.parametrize(
     "measure",
     [
@@ -191,8 +207,22 @@ def _wide_function(space, n):
 def test_an_integral_of_n_terms_makes_one_batch_read(monkeypatch, measure):
     space = measure if isinstance(measure, DiscreteSpace) else UNIT_INTERVAL
     fn = _wide_function(space, 16)
+    region = space.union_of(part for _, part in fn.terms[::3])
+    integrands = [fn]
+    if space is UNIT_INTERVAL:
+        integrands.append(_wide_piecewise(16))
+    calls = [
+        ("integrate_simple", lambda: integrate_simple(fn, measure)),
+        ("integrate_nonneg", lambda: integrate_nonneg(abs(fn), measure)),
+    ]
+    for g in integrands:
+        kind = type(g).__name__
+        calls += [
+            (f"lebesgue_integral of a {kind}", lambda g=g: lebesgue_integral(g, measure)),
+            (f"integrate_over of a {kind}", lambda g=g: integrate_over(region, g, measure)),
+        ]
     counts = _count_reads(monkeypatch, type(measure))
-    for integrate in (integrate_simple, lebesgue_integral, integrate_nonneg):
+    for name, integrate in calls:
         counts.update(batch=0, measure_of=0)
-        integrate(abs(fn) if integrate is integrate_nonneg else fn, measure)
-        assert counts == {"batch": 1, "measure_of": 0}, integrate.__name__
+        integrate()
+        assert counts == {"batch": 1, "measure_of": 0}, name

@@ -1,0 +1,246 @@
+"""The signed lowering: f+ and f− read off the sign-constant cells of f.
+
+`DyadicApproximation.parts(f)` must give the same staircases as the
+approximations of the part functions `f.pos_part()` and `f.neg_part()`,
+and the signed integral, `integrate_over` and `l1_norm` must equal the
+oracle integrals of those part functions.  The integrands have roots
+inside pieces, roots at breakpoints, dyadic roots, values on the dyadic
+grid and zero pieces.  None of the signed paths builds a part function.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from exactintegral import (
+    DiscreteSet,
+    DiscreteSpace,
+    DyadicApproximation,
+    IntervalMeasure,
+    IntervalSet,
+    OutsideDomainError,
+    PiecewiseLinear,
+    SimpleFunction,
+    UNIT_INTERVAL,
+    equivalence_report,
+    integrate_over,
+    l1_norm,
+    lebesgue_integral,
+)
+
+from oracles import integral_oracle, term_points
+
+# Quarter-grid values put piece ends and flat values on the staircase grid;
+# the other values mostly fall between grid points.
+values = st.one_of(
+    st.integers(-24, 24).map(lambda k: F(k, 4)),
+    st.fractions(min_value=-12, max_value=12, max_denominator=16),
+)
+weights = st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=4, max_denominator=8))
+
+
+@st.composite
+def unit_grids(draw, max_cuts=4):
+    cuts = draw(
+        st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=32).filter(
+                lambda t: 0 < t < 1
+            ),
+            unique=True,
+            max_size=max_cuts,
+        )
+    )
+    return [F(0), *sorted(cuts), F(1)]
+
+
+@st.composite
+def step_measures(draw):
+    grid = draw(unit_grids())
+    densities = draw(st.lists(weights, min_size=len(grid) - 1, max_size=len(grid) - 1))
+    return IntervalMeasure(tuple(grid), tuple(densities))
+
+
+@st.composite
+def signed_piecewise(draw):
+    """Zero pieces, flat pieces, pieces joining two drawn end values (a root
+    inside when their signs differ, at a breakpoint when one of them is
+    zero) and pieces through a dyadic root inside the piece."""
+    grid = draw(unit_grids())
+    pieces = []
+    for u, w in zip(grid, grid[1:]):
+        kind = draw(st.sampled_from(("zero", "flat", "ends", "dyadic_root")))
+        if kind == "zero":
+            pieces.append((F(0), F(0)))
+        elif kind == "flat":
+            pieces.append((F(0), draw(values)))
+        elif kind == "ends":
+            left, right = draw(values), draw(values)
+            slope = (right - left) / (w - u)
+            pieces.append((slope, left - slope * u))
+        else:
+            inside = [F(k, 64) for k in range(1, 64) if u < F(k, 64) < w]
+            root = draw(st.sampled_from(inside)) if inside else (u + w) / 2
+            slope = draw(values.filter(bool))
+            pieces.append((slope, -slope * root))
+    return PiecewiseLinear(grid, pieces)
+
+
+@st.composite
+def interval_regions(draw):
+    ends = sorted(draw(st.lists(st.fractions(0, 1, max_denominator=24), max_size=6)))
+    return IntervalSet(list(zip(ends[::2], ends[1::2])))
+
+
+@st.composite
+def piecewise_cases(draw):
+    return draw(signed_piecewise()), draw(step_measures()), draw(interval_regions())
+
+
+@st.composite
+def interval_simple_cases(draw):
+    grid = draw(unit_grids())
+    terms = [(draw(values), IntervalSet([(u, w)])) for u, w in zip(grid, grid[1:]) if draw(st.booleans())]
+    terms.append((draw(values), IntervalSet([])))  # a value held on no point
+    return SimpleFunction(UNIT_INTERVAL, terms), draw(step_measures()), draw(interval_regions())
+
+
+@st.composite
+def discrete_simple_cases(draw):
+    space = DiscreteSpace(tuple(draw(st.lists(weights, min_size=1, max_size=6))))
+    labels = draw(st.lists(st.integers(-1, 3), min_size=space.size, max_size=space.size))
+    terms = [
+        (draw(values), DiscreteSet(space, [i for i, g in enumerate(labels) if g == label]))
+        for label in range(4)
+    ]
+    region = DiscreteSet(space, [i for i in range(space.size) if draw(st.booleans())])
+    return SimpleFunction(space, terms), space, region
+
+
+cases = st.one_of(piecewise_cases(), interval_simple_cases(), discrete_simple_cases())
+
+
+def probe_points(fn) -> list:
+    """Piece ends and midpoints of a piecewise-linear function, and where a
+    piece crosses a value k/2 with |k| <= 4, its root included; every term
+    end and midpoint, or every point, of a simple function."""
+    if isinstance(fn, SimpleFunction):
+        return term_points(fn.space, (fn,))
+    points = set()
+    for u, w, a, b in fn.cells():
+        points.update((u, (u + w) / 2))
+        if a:
+            crossings = ((F(k, 2) - b) / a for k in range(-4, 5))
+            points.update(x for x in crossings if u <= x < w)
+    return sorted(points)
+
+
+def restricted(fn, region):
+    if isinstance(fn, PiecewiseLinear):
+        return fn.restrict(region)
+    return SimpleFunction(fn.space, [(v, part.intersection(region)) for v, part in fn.terms])
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases)
+def test_parts_equal_the_approximations_of_the_part_functions(case):
+    fn, measure, _ = case
+    references = DyadicApproximation(fn.pos_part()), DyadicApproximation(fn.neg_part())
+    points = probe_points(fn)
+    for lowered, reference in zip(DyadicApproximation.parts(fn), references):
+        assert lowered.limit(measure) == reference.limit(measure)
+        termination = reference.termination_level()
+        assert lowered.termination_level() == termination
+        assert lowered.upper_bound == reference.upper_bound
+        assert lowered.cap_level == reference.cap_level
+        for n in range(31):
+            assert lowered.integral(n, measure) == reference.integral(n, measure), n
+        levels = [*range(7), *([termination] if termination is not None else [])]
+        for x in points:
+            for n in levels:
+                assert lowered.value_at(n, x) == reference.value_at(n, x), (x, n)
+        for n in range(5):
+            level = reference.level(n)
+            assert lowered.level(n) == level, n
+            for x in points:
+                assert lowered.value_at(n, x) == level.evaluate(x), (x, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases)
+def test_signed_integrals_equal_the_oracle_integrals_of_the_parts(case):
+    fn, measure, region = case
+    positive, negative = fn.pos_part(), fn.neg_part()
+    result = lebesgue_integral(fn, measure)
+    assert result.positive_part == integral_oracle(positive, measure)
+    assert result.negative_part == integral_oracle(negative, measure)
+    assert result.value == result.positive_part - result.negative_part
+    assert l1_norm(fn, measure) == result.positive_part + result.negative_part
+    assert integrate_over(region, fn, measure) == integral_oracle(
+        restricted(positive, region), measure
+    ) - integral_oracle(restricted(negative, region), measure)
+
+
+PAIR = DiscreteSpace((F(1), F(2)))
+
+
+@pytest.mark.parametrize(
+    "fn, outside",
+    [
+        (PiecewiseLinear.linear(F(1), F(-1, 2)), F(3, 2)),
+        (SimpleFunction(PAIR, [(F(1), DiscreteSet(PAIR, [0])), (F(-2), DiscreteSet(PAIR, [1]))]), 2),
+    ],
+)
+def test_value_at_checks_the_level_before_the_point(fn, outside):
+    for approximation in DyadicApproximation.parts(fn):
+        with pytest.raises(ValueError) as info:
+            approximation.value_at(-1, outside)
+        assert type(info.value) is ValueError
+        with pytest.raises(OutsideDomainError) as info:
+            approximation.value_at(1, outside)
+        assert str(info.value) == f"point {outside!r} outside the space"
+
+
+PART_FUNCTIONS = ("pos_part", "neg_part", "absolute", "__abs__", "restrict", "split_at_roots")
+LEBESGUE = IntervalMeasure.lebesgue()
+STEP = IntervalMeasure((F(0), F(1, 3), F(1)), (F(2), F(1, 5)))
+SIGNED_SIMPLE = SimpleFunction(
+    UNIT_INTERVAL,
+    [
+        (F(3, 4), IntervalSet([(F(0), F(1, 4))])),
+        (F(-5, 3), IntervalSet([(F(1, 4), F(1, 2))])),
+        (F(1, 7), IntervalSet([(F(3, 4), F(1))])),
+    ],
+)
+SIGNED_PIECEWISE = PiecewiseLinear(
+    (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)),
+    ((F(2), F(-1, 3)), (F(0), F(0)), (F(0), F(-3, 2)), (F(-4), F(7, 2))),
+)
+REGION = IntervalSet([(F(1, 8), F(5, 8)), (F(7, 8), F(1))])
+
+
+def _signed_paths():
+    return [
+        (
+            equivalence_report(fn, measure, depth=12),
+            lebesgue_integral(fn, measure),
+            integrate_over(REGION, fn, measure),
+            l1_norm(fn, measure),
+        )
+        for fn in (SIGNED_SIMPLE, SIGNED_PIECEWISE)
+        for measure in (LEBESGUE, STEP)
+    ]
+
+
+def test_signed_paths_build_no_part_function(monkeypatch):
+    expected = _signed_paths()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a signed path built a part function")
+
+    for owner in (SimpleFunction, PiecewiseLinear):
+        for name in PART_FUNCTIONS:
+            monkeypatch.setattr(owner, name, refuse, raising=False)
+    with pytest.raises(AssertionError):
+        SIGNED_PIECEWISE.pos_part()
+    assert _signed_paths() == expected
