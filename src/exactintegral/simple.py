@@ -17,6 +17,9 @@ with one n-ary union and the zero-padding complement once; the binary
 operations (`+`, `-`, `pointwise_max/min`) refine the two canonical
 partitions in one sweep, O(K log K) for intervals and O(N) on a discrete
 space of N points, instead of intersecting every pair of terms.  The
+interval sorts and sweeps compare endpoints by their floats and fall back
+to an exact `Fraction` compare only where two floats are equal (see
+`spaces`), so most of the K log K comparisons run in C.  The
 kind-specific algorithms live on the space classes, so nothing here
 branches on the set kind.  `integrate_simple` reads the masses of all
 nonzero terms in one batch from the measure (integer numerators over one

@@ -19,9 +19,18 @@ SpaceMismatchError rather than coercing.
 Costs, for sets of k intervals or indices, a discrete space of N points
 and a measure of c cells:
 
-* public constructors validate and normalise: O(k log k);
+* public constructors validate and normalise: O(k log k) for intervals; a
+  discrete set checks each index's type and the range at the two ends of
+  its sorted indices, and a discrete space reads each weight once as an
+  integer ratio, for the sign check, the lcm and the scaled weights;
 * `union`, and `union_of` on a space for any number of sets: one sort of
   all the intervals and one merge pass, or one `set` update for indices;
+  a union with one nonempty operand returns it;
+* interval sorts and sweeps (the constructor, `union_of`,
+  `_pairwise_disjoint`, `_refinement`) order endpoints by the exact key
+  (float(x), x): the floats compare in C and only equal floats fall back
+  to a `Fraction` compare, and a key stays two words however many
+  distinct denominators the endpoints have;
 * `intersection`, `difference`, `complement`: one linear pass (two-pointer
   merge of intervals, membership tests for indices; O(N) for a discrete
   complement);
@@ -100,23 +109,25 @@ class UnitIntervalSpace:
         return IntervalSet._canonical(())
 
     def union_of(self, parts: Iterable["MeasurableSet"]) -> "IntervalSet":
-        """Union of any number of interval sets: one sort, one merge pass."""
+        """Union of any number of interval sets: one keyed sort, one merge pass."""
         pieces = []
         for part in parts:
             if not isinstance(part, IntervalSet):
                 raise SpaceMismatchError("sets belong to different spaces")
-            pieces.extend(part.intervals)
-        pieces.sort(key=_lower_end)
-        return IntervalSet._canonical(_merge_sorted(pieces))
+            if part.intervals:
+                pieces.append(part)
+        if len(pieces) == 1:  # already canonical; no key is needed
+            return pieces[0]
+        return IntervalSet._canonical(_merged(_keyed(pieces)))
 
     def _pairwise_disjoint(self, parts: Iterable["IntervalSet"]) -> bool:
         # Sorted by lower end, half-open intervals are pairwise disjoint iff
         # each starts at or after the end of the one before it.
-        reach = ZERO
-        for lo, hi in sorted((iv for part in parts for iv in part.intervals), key=_lower_end):
-            if lo < reach:
+        reach_f, reach = _NO_REACH, None
+        for lo_f, lo, hi_f, hi, _ in _keyed(parts):
+            if lo_f < reach_f or lo_f == reach_f and lo < reach:
                 return False
-            reach = hi
+            reach_f, reach = hi_f, hi
         return True
 
     def _refinement(
@@ -124,23 +135,33 @@ class UnitIntervalSpace:
     ) -> list[tuple[int, int, "IntervalSet"]]:
         """(i, j, left[i] & right[j]) for every nonempty cell, in (i, j) order.
 
-        Both arguments must partition [0, 1).  Their intervals, tagged with
-        the index of their set, then tile [0, 1) when sorted, and one
-        two-pointer sweep over the two tilings yields every cell.  Pieces of
-        one cell never touch (their sets are canonical), so each cell's
-        pieces, collected left to right, are already canonical.
+        Both arguments must partition [0, 1).  Their keyed intervals, tagged
+        with the index of their set, then tile [0, 1), and one two-pointer
+        sweep over the two tilings yields every cell: each cell starts where
+        the one before it ended and ends at the nearer of the two current
+        upper ends.  Pieces of one cell never touch (their sets are
+        canonical), so each cell's pieces, collected left to right, are
+        already canonical.
         """
-        a, b = _tiling(left), _tiling(right)
+        a, b = _keyed(left), _keyed(right)
         cells: dict[tuple[int, int], list] = {}
+        cursor = ZERO
         i = j = 0
         while i < len(a) and j < len(b):
-            a_lo, a_hi, p = a[i]
-            b_lo, b_hi, q = b[j]
-            cells.setdefault((p, q), []).append((max(a_lo, b_lo), min(a_hi, b_hi)))
-            if a_hi <= b_hi:
+            _, _, a_hi_f, a_hi, p = a[i]
+            _, _, b_hi_f, b_hi, q = b[j]
+            if a_hi_f == b_hi_f and a_hi == b_hi:  # both end here
+                hi = a_hi
                 i += 1
-            if b_hi <= a_hi:
                 j += 1
+            elif a_hi_f < b_hi_f or a_hi_f == b_hi_f and a_hi < b_hi:
+                hi = a_hi
+                i += 1
+            else:
+                hi = b_hi
+                j += 1
+            cells.setdefault((p, q), []).append((cursor, hi))
+            cursor = hi
         return [
             (p, q, IntervalSet._canonical(tuple(pieces)))
             for (p, q), pieces in sorted(cells.items())
@@ -153,23 +174,45 @@ class UnitIntervalSpace:
 UNIT_INTERVAL = UnitIntervalSpace()
 
 
-def _merge_sorted(pieces: Iterable[tuple[Fraction, Fraction]]) -> tuple:
-    """Nonempty intervals sorted by lower end -> canonical tuple (overlapping
-    and adjacent runs merged)."""
+# The exact order key of an endpoint x is (float(x), x), with float(x) taken
+# as x.numerator / x.denominator (integer true division, correctly rounded,
+# without the generic `__float__` call).  The floats compare in C, and since
+# the conversion is correctly rounded it is monotone: x < y implies
+# float(x) <= float(y), so only equal floats fall back to the exact
+# `Fraction` compare.  Every key stays two words, whatever the denominators;
+# integers scaled to one lcm of all the denominators would also be exact,
+# but they grow with the number of distinct denominators, which makes a sort
+# of k intervals with distinct prime denominators quadratic in k.
+_ZERO_KEY, _ONE_KEY = (0.0, ZERO), (1.0, ONE)
+_NO_REACH = float("-inf")  # below every key: no interval has been seen
+
+
+def _keyed(parts: Iterable["IntervalSet"]) -> list[tuple]:
+    """Every interval of `parts` as (float(lo), lo, float(hi), hi, k), with k
+    the index of its set, sorted by the key of its lower end."""
+    keyed = [
+        (lo.numerator / lo.denominator, lo, hi.numerator / hi.denominator, hi, k)
+        for k, part in enumerate(parts)
+        for lo, hi in part.intervals
+    ]
+    keyed.sort()
+    return keyed
+
+
+def _merged(keyed: Iterable[tuple]) -> tuple:
+    """Keyed nonempty intervals sorted by lower end -> canonical tuple
+    (overlapping and adjacent runs merged)."""
     merged: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in pieces:
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
+    reach_f, reach = _NO_REACH, None
+    for lo_f, lo, hi_f, hi, _ in keyed:
+        if lo_f < reach_f or lo_f == reach_f and lo <= reach:
+            if hi_f > reach_f or hi_f == reach_f and hi > reach:
                 merged[-1] = (merged[-1][0], hi)
+                reach_f, reach = hi_f, hi
         else:
             merged.append((lo, hi))
+            reach_f, reach = hi_f, hi
     return tuple(merged)
-
-
-def _tiling(parts: Sequence["IntervalSet"]) -> list[tuple[Fraction, Fraction, int]]:
-    tagged = [(lo, hi, k) for k, part in enumerate(parts) for lo, hi in part.intervals]
-    tagged.sort(key=_lower_end)
-    return tagged
 
 
 @dataclass(frozen=True)
@@ -182,14 +225,15 @@ class DiscreteSpace:
     _denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        coerced = tuple(Fraction(w) for w in self.weights)
+        coerced = tuple(w if type(w) is Fraction else Fraction(w) for w in self.weights)
         if not coerced:
             raise ValueError("a discrete space needs at least one point")
-        if any(w < 0 for w in coerced):
+        ratios = [w.as_integer_ratio() for w in coerced]
+        if min(ratios)[0] < 0:  # the smallest numerator
             raise ValueError("weights must be nonnegative")
         object.__setattr__(self, "weights", coerced)
-        denominator = lcm(*(w.denominator for w in coerced))
-        scaled = tuple(w.numerator * (denominator // w.denominator) for w in coerced)
+        denominator = lcm(*(den for _, den in ratios))
+        scaled = tuple(num * (denominator // den) for num, den in ratios)
         object.__setattr__(self, "_scaled", scaled)
         object.__setattr__(self, "_denominator", denominator)
 
@@ -273,9 +317,12 @@ class DiscreteSet:
 
     def __init__(self, space: DiscreteSpace, indices: Iterable[int]):
         idx = sorted(set(indices))
-        for i in idx:
-            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < space.size:
-                raise ValueError(f"index {i!r} outside the space of size {space.size}")
+        # Sorted plain ints lie in range iff the two ends do; anything else
+        # is checked index by index, naming the first offender.
+        if idx and not (set(map(type, idx)) == {int} and 0 <= idx[0] and idx[-1] < space.size):
+            for i in idx:
+                if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < space.size:
+                    raise ValueError(f"index {i!r} outside the space of size {space.size}")
         self.space = space
         self.indices: tuple[int, ...] = tuple(idx)
 
@@ -345,15 +392,21 @@ class IntervalSet:
     """
 
     def __init__(self, intervals: Iterable[tuple[Fraction, Fraction]]):
-        cleaned = []
+        keyed = []
         for lo, hi in intervals:
-            lo, hi = Fraction(lo), Fraction(hi)
-            if not (0 <= lo <= hi <= 1):
+            lo = lo if type(lo) is Fraction else Fraction(lo)
+            hi = hi if type(hi) is Fraction else Fraction(hi)
+            try:
+                lo_key = (lo.numerator / lo.denominator, lo)
+                hi_key = (hi.numerator / hi.denominator, hi)
+            except OverflowError:  # |x| beyond the floats: far outside [0, 1]
+                lo_key = hi_key = None
+            if lo_key is None or not _ZERO_KEY <= lo_key <= hi_key <= _ONE_KEY:
                 raise ValueError(f"interval [{lo}, {hi}) not inside [0, 1)")
-            if lo < hi:  # degenerate [a, a) is empty and dropped
-                cleaned.append((lo, hi))
-        cleaned.sort(key=_lower_end)
-        self.intervals: tuple[tuple[Fraction, Fraction], ...] = _merge_sorted(cleaned)
+            if lo_key < hi_key:  # degenerate [a, a) is empty and dropped
+                keyed.append((*lo_key, *hi_key, 0))
+        keyed.sort()
+        self.intervals: tuple[tuple[Fraction, Fraction], ...] = _merged(keyed)
 
     @classmethod
     def _canonical(cls, intervals: tuple[tuple[Fraction, Fraction], ...]) -> "IntervalSet":

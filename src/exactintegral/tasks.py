@@ -170,7 +170,7 @@ def parse_set(obj, field_path: str, measure: Measure) -> MeasurableSet:
         try:
             return IntervalSet(intervals)
         except ValueError as exc:
-            raise TaskSpecError(f"{field_path}.intervals", str(exc)) from None
+            raise TaskSpecError(_refused_interval(field_path, intervals), str(exc)) from None
     if "indices" in obj:
         _require(
             isinstance(space, DiscreteSpace),
@@ -187,6 +187,19 @@ def parse_set(obj, field_path: str, measure: Measure) -> MeasurableSet:
         except ValueError as exc:
             raise TaskSpecError(f"{field_path}.indices", str(exc)) from None
     raise TaskSpecError(field_path, "a set needs \"intervals\" or \"indices\"")
+
+
+def _refused_interval(field_path: str, intervals) -> str:
+    """The field of the first pair `IntervalSet` refuses: the end outside
+    [0, 1], else the pair itself (its ends are swapped)."""
+    for i, (lo, hi) in enumerate(intervals):
+        if not 0 <= lo <= 1:
+            return f"{field_path}.intervals[{i}][0]"
+        if not 0 <= hi <= 1:
+            return f"{field_path}.intervals[{i}][1]"
+        if lo > hi:
+            return f"{field_path}.intervals[{i}]"
+    return f"{field_path}.intervals"
 
 
 def _parse_value(value, field_path: str):

@@ -11,10 +11,12 @@ with every term h_n materialized from the differences of the part
 staircase levels and integrated term by term; `term_points` lists the
 points where such step functions can change value.
 
-The set-algebra references are the plain quadratic algorithms the library
-replaced by sweeps: pairwise disjointness checks, sequential unions,
-every-pair intersections and per-cell overlaps.  They use only the binary
-set operations.
+The set-algebra references are the plain algorithms the library replaced
+by sweeps: pairwise disjointness checks and every-pair intersections
+(through the binary `intersection`), per-cell overlaps, and unions that
+sort intervals by their `Fraction` lower ends and merge them left to
+right.  They order endpoints only by `Fraction` comparisons, never through
+the library's float-keyed sorts and sweeps.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from exactintegral import (
+    DiscreteSet,
     DiscreteSpace,
     FiniteSeries,
     IntervalMeasure,
+    IntervalSet,
     PiecewiseLinear,
     SimpleFunction,
     Vec,
@@ -171,11 +175,28 @@ def pairwise_disjoint_reference(parts) -> bool:
     return True
 
 
-def _sequential_union(space, parts):
-    out = space.empty_set()
-    for part in parts:
-        out = out.union(part)
-    return out
+def merged_intervals_reference(pairs) -> tuple:
+    """The nonempty [lo, hi) of `pairs` sorted by lower end, overlapping and
+    adjacent runs merged: the canonical form, by `Fraction` comparisons."""
+    nonempty = [(Fraction(lo), Fraction(hi)) for lo, hi in pairs if Fraction(lo) < Fraction(hi)]
+    merged: list = []
+    for lo, hi in sorted(nonempty, key=lambda pair: pair[0]):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def union_reference(space, parts):
+    """Union of sets: all the intervals merged by `merged_intervals_reference`,
+    or all the indices collected in one Python set."""
+    parts = list(parts)
+    if isinstance(space, DiscreteSpace):
+        return DiscreteSet(space, {i for part in parts for i in part.indices})
+    return IntervalSet._canonical(
+        merged_intervals_reference(iv for part in parts for iv in part.intervals)
+    )
 
 
 def _value_key(value):
@@ -187,18 +208,14 @@ def _is_zero(value) -> bool:
 
 
 def canonical_terms_reference(fn: SimpleFunction) -> tuple:
-    """Canonical terms by unioning each value's sets one at a time."""
+    """Canonical terms by `union_reference` of each value's sets."""
     groups: dict = {}
     for value, part in fn.terms:
         if _is_zero(value) or part.is_empty:
             continue
-        key = _value_key(value)
-        if key in groups:
-            groups[key] = (value, groups[key][1].union(part))
-        else:
-            groups[key] = (value, part)
-    rest = _sequential_union(fn.space, [part for _, part in groups.values()]).complement()
-    terms = list(groups.values())
+        groups.setdefault(_value_key(value), (value, []))[1].append(part)
+    terms = [(value, union_reference(fn.space, parts)) for value, parts in groups.values()]
+    rest = union_reference(fn.space, [part for _, part in terms]).complement()
     if not rest.is_empty:
         zero = ZERO if fn.dim is None else Vec.zero(fn.dim)
         terms.append((zero, rest))
@@ -218,7 +235,7 @@ def combine_terms_reference(f: SimpleFunction, g: SimpleFunction, op) -> tuple:
 
 
 def support_reference(fn: SimpleFunction):
-    return _sequential_union(fn.space, [part for value, part in fn.terms if not _is_zero(value)])
+    return union_reference(fn.space, [part for value, part in fn.terms if not _is_zero(value)])
 
 
 def measure_of_reference(measure: IntervalMeasure, part) -> Fraction:

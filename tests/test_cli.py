@@ -109,6 +109,33 @@ def test_validation_error_exit_1_names_field(tmp_path, capsys):
     assert "function.terms[0].set" in err
 
 
+@pytest.mark.parametrize(
+    "pair, field, shown",
+    [
+        (["0", "1" + "0" * 400], "intervals[0][1]", f"[0, {10**400})"),
+        (["-1" + "0" * 400, "1/2"], "intervals[0][0]", f"[-{10**400}, 1/2)"),
+        (["3/4", "1/4"], "intervals[0]", "[3/4, 1/4)"),
+    ],
+    ids=["huge_end", "huge_negative_start", "swapped"],
+)
+def test_interval_outside_the_unit_interval_exit_1_names_the_end(
+    tmp_path, capsys, pair, field, shown
+):
+    doc = {
+        "space": {"type": "interval", "breakpoints": ["0", "1"], "densities": ["1"]},
+        "function": {"type": "simple", "terms": [{"value": "2", "set": {"intervals": [pair]}}]},
+        "task": "integrate_mi",
+    }
+    code = main(["integrate", "--spec", write_task(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"validation error: function.terms[0].set.{field}: "
+        f"interval {shown} not inside [0, 1)\n"
+    )
+
+
 def test_task_command_mismatch_exit_1(tmp_path, capsys):
     code = main(["table", "--spec", write_task(tmp_path, IDENTITY_COMPARE)])
     assert code == 1

@@ -27,8 +27,10 @@ from oracles import (
     canonical_terms_reference,
     combine_terms_reference,
     measure_of_reference,
+    merged_intervals_reference,
     pairwise_disjoint_reference,
     support_reference,
+    union_reference,
 )
 
 GRID = 12  # endpoints on the 1/12 grid, so touching and shared ends are common
@@ -204,7 +206,101 @@ def test_interval_contains_matches_a_scan(part, tick):
     assert part.contains(point) == any(lo <= point < hi for lo, hi in part.intervals)
 
 
+# --- exact order where the floats collide ------------------------------------------
+
+# Bases on the 1/12 grid or over large coprime denominators, each shifted by
+# at most 2/10**30: a shifted point has the float of its base, so the set
+# algebra must fall back to the exact compare to order them.
+BIG_PRIMES = (1_000_003, 1_048_573, 2**31 - 1, 2**61 - 1)
+SHIFTS = tuple(F(k, 10**30) for k in (-2, -1, 0, 0, 1, 2))
+
+
+@st.composite
+def colliding_pools(draw):
+    """Two to six points of [0, 1]; many share one float."""
+    base = st.one_of(
+        st.integers(0, GRID).map(lambda k: F(k, GRID)),
+        st.sampled_from(BIG_PRIMES).flatmap(
+            lambda p: st.integers(0, p).map(lambda k: F(k, p))
+        ),
+    )
+    points = draw(st.lists(st.tuples(base, st.sampled_from(SHIFTS)), min_size=2, max_size=6))
+    return [min(F(1), max(F(0), b + shift)) for b, shift in points]
+
+
+@st.composite
+def colliding_pairs(draw, pool):
+    """Up to four [lo, hi) pairs with ends from `pool`: shared, adjacent,
+    degenerate and one-float ends are common."""
+    ends = st.sampled_from(pool)
+    return draw(st.lists(st.tuples(ends, ends).map(sorted), max_size=4))
+
+
+@st.composite
+def colliding_functions(draw, pool):
+    """A function on the cells cut at points of `pool`, up to four terms."""
+    cuts = sorted(set(draw(st.lists(st.sampled_from(pool), max_size=6))) - {F(0), F(1)})
+    edges = [F(0), *cuts, F(1)]
+    owner = draw(st.lists(st.integers(-1, 3), min_size=len(edges) - 1, max_size=len(edges) - 1))
+    parts = [
+        IntervalSet([(edges[c], edges[c + 1]) for c, o in enumerate(owner) if o == k])
+        for k in range(4)
+    ]
+    values = [draw(st.sampled_from(VALUES)) for _ in parts]
+    return SimpleFunction(UNIT_INTERVAL, list(zip(values, parts)))
+
+
+@given(colliding_pools(), st.data())
+def test_set_algebra_orders_one_float_ends_exactly(pool, data):
+    pair_lists = [data.draw(colliding_pairs(pool)) for _ in range(3)]
+    sets = [IntervalSet(pairs) for pairs in pair_lists]
+    for pairs, part in zip(pair_lists, sets):
+        assert part.intervals == merged_intervals_reference(pairs)
+    assert UNIT_INTERVAL.union_of(sets) == union_reference(UNIT_INTERVAL, sets)
+    assert UNIT_INTERVAL._pairwise_disjoint(sets) == pairwise_disjoint_reference(sets)
+
+
+@given(colliding_pools(), st.data())
+def test_canonical_and_sum_order_one_float_ends_exactly(pool, data):
+    f = data.draw(colliding_functions(pool))
+    g = data.draw(colliding_functions(pool))
+    assert f.canonical().terms == canonical_terms_reference(f)
+    assert (f + g).terms == combine_terms_reference(f, g, operator.add)
+    assert (f - f).terms == combine_terms_reference(f, f, operator.sub)
+
+
 # --- scale ----------------------------------------------------------------------------
+
+
+def _primes_from(start: int, count: int) -> list[int]:
+    sieve = bytearray([1]) * (2 * start)
+    for p in range(2, int(len(sieve) ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, len(sieve), p)))
+    primes = [p for p in range(start, len(sieve)) if sieve[p]]
+    assert len(primes) >= count
+    return primes[:count]
+
+
+def test_four_thousand_prime_denominators_stay_fast():
+    """4000 intervals whose ends have distinct ~20-bit prime denominators:
+    endpoint keys scaled to one common denominator would each carry about
+    80000 bits, making every sort and sweep quadratic in the count."""
+    n = 4000
+    primes = _primes_from(1 << 19, n - 1)
+    cuts = [F(k * p // n + 1, p) for k, p in enumerate(primes, start=1)]
+    edges = [F(0), *cuts, F(1)]
+    cells = [IntervalSet([(edges[k], edges[k + 1])]) for k in range(n)]
+    started = time.perf_counter()
+    f = SimpleFunction(UNIT_INTERVAL, [(F(k % 5), cell) for k, cell in enumerate(cells)])
+    every_other = UNIT_INTERVAL.union_of(reversed(cells[::2]))
+    total = f + f
+    elapsed = time.perf_counter() - started
+    assert every_other.intervals == tuple(cell.intervals[0] for cell in cells[::2])
+    assert total.terms == tuple((v + v, part) for v, part in f.canonical().terms)
+    assert len(total.terms) == 5
+    assert elapsed < 2
+
 
 
 def test_two_thousand_term_functions_stay_fast_and_exact():

@@ -41,6 +41,30 @@ def test_interval_set_rejects_bad_bounds():
         iv(("1/2", "1/4"))
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (0, 10**400),  # beyond the largest float
+        (-(10**400), F(1, 2)),
+        (-F(1, 10**400), F(1, 2)),  # its float is -0.0
+        (F(1, 2), 1 + F(1, 10**400)),  # its float is 1.0
+        (F(1, 2) + F(1, 10**30), F(1, 2)),  # swapped ends with one float
+    ],
+)
+def test_interval_set_rejects_bad_bounds_exactly(lo, hi):
+    with pytest.raises(ValueError) as caught:
+        IntervalSet([(F(1, 4), F(1, 3)), (lo, hi)])
+    assert str(caught.value) == f"interval [{F(lo)}, {F(hi)}) not inside [0, 1)"
+
+
+def test_interval_ends_with_one_float_stay_apart():
+    a, b = F(1, 2) + F(1, 10**30), F(1, 2) + F(2, 10**30)
+    assert float(a) == float(b) == 0.5
+    assert IntervalSet([(a, b)]).intervals == ((a, b),)
+    assert IntervalSet([(b, F(1)), (F(1, 2), a)]).intervals == ((F(1, 2), a), (b, F(1)))
+    assert IntervalSet([(F(1, 2), b), (a, F(1))]).intervals == ((F(1, 2), F(1)),)
+
+
 def test_degenerate_intervals_drop():
     assert iv(("1/3", "1/3")).is_empty
 
@@ -50,6 +74,39 @@ def test_discrete_set_sorted_unique():
     assert DiscreteSet(space, [2, 0, 2]).indices == (0, 2)
     with pytest.raises(ValueError):
         DiscreteSet(space, [3])
+
+
+@pytest.mark.parametrize(
+    "indices, named",
+    [
+        ([5, -2, 1, -1], "-2"),  # the smallest negative index
+        ([0, 4, 3, 1], "3"),  # else the smallest index past the end
+        ([-1, F(1, 2)], "-1"),
+        ([0, 5, 1.5], "1.5"),
+        ([2, True], "True"),
+        ([0, 2.0], "2.0"),
+        ([F(1)], "Fraction(1, 1)"),
+        (["a"], "'a'"),
+    ],
+)
+def test_discrete_set_names_the_first_offending_index(indices, named):
+    space = DiscreteSpace((F(1),) * 3)
+    with pytest.raises(ValueError) as caught:
+        DiscreteSet(space, indices)
+    assert str(caught.value) == f"index {named} outside the space of size 3"
+
+
+def test_discrete_space_coerces_weights_exactly():
+    space = DiscreteSpace((1, "1/3", F(2, 5), 0))
+    assert space.weights == (F(1), F(1, 3), F(2, 5), F(0))
+    assert all(type(w) is F for w in space.weights)
+    assert space.total_mass == F(26, 15)
+    assert space.measure_of(DiscreteSet(space, [1, 2])) == F(11, 15)
+    for bad in ((1, "-1/3"), (F(-1, 10**30),), (-1,)):
+        with pytest.raises(ValueError, match="^weights must be nonnegative$"):
+            DiscreteSpace(bad)
+    with pytest.raises(ValueError, match="needs at least one point"):
+        DiscreteSpace(())
 
 
 # --- spec examples ------------------------------------------------------------
