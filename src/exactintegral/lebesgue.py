@@ -9,39 +9,43 @@ integrands are simple functions (either space kind) and piecewise-linear
 functions on [0, 1).
 
 No stage builds a part function.  Every integrand is lowered once to
-sign-constant spatial cells (part, slope, intercept): a simple term with
-a nonzero value on a nonempty set is a slope-0 cell on that set (the
-function is zero off its cells), and a piecewise-linear piece is a cell
-on its half-open interval, split at a root inside it, zero pieces
-dropped.  The positive cells of f are the cells of f+, and the negative
-ones, negated, are the cells of f−.
+sign-constant spatial cells (part, slope, intercept, ends): a simple term
+with a nonzero value on a nonempty set is a slope-0 cell on that set
+(the function is zero off its cells), and a piecewise-linear piece is a
+cell on its half-open interval, split at a root inside it, zero pieces
+dropped.  A sloped cell is one interval, and `ends` holds its values at
+the two ends, computed once; a slope-0 cell of value v has ends (v, v).
+The positive cells of f are the cells of f+, and the negative ones,
+negated, are the cells of f−.
 
 A nonnegative integrand f enters stage two only through the distribution
 m∘f⁻¹ of its values: the limit is the mean of that distribution, and each
 staircase level is `∫ s_n(f) dm = ∫ s_n(y) d(m∘f⁻¹)(y)`.  For both
-integrand classes the distribution is finite: atoms (y, numerator) for a
-value y held on a set (a slope-0 cell), the masses integer numerators
-over one denominator from one batch read, and pieces (lo, hi, mass) of
-mass spread uniformly over [lo, hi] for a sloped cell, split at the
-breakpoints of the measure's density.  The limit is the weighted sum of
-the atoms plus sum(mass * (lo + hi) / 2) over the pieces, and the
-staircase integral of either kind of entry has a closed form at every
-level (an atom contributes mass * s_n(y), a uniform piece an arithmetic
-series), so stage-two convergence is checkable exactly at any level
-without materializing the staircase, and neither the integral nor the
-staircase branches on the integrand class.
+integrand classes the distribution is finite and is read as integer rows
+(p, q, e, c) over one denominator L.  A value y = p/q held on a set (a
+slope-0 cell) is an atom: its row is (mass, 0), the masses being integer
+numerators from one batch read.  A sloped cell spreads its mass over its
+values with the value density r = d/|a| of each density cell d it
+crosses; each end of such a uniform piece adds +-(r*y, r), and one sweep
+of the sloped cells along the density grid merges the two ends that meet
+at a density breakpoint into one row.  The level-n staircase integral is
+4^-n * sum(e*k*2^n - c*k(k+1)/2) / L with k = min(n*2^n, floor(2^n*y))
+(an atom contributes mass * s_n(y), a uniform piece an arithmetic
+series), and the limit is sum(2*e*p*q - c*p^2) / (2*q^2*L), one `Fraction`
+from the same rows.  So stage-two convergence is checkable exactly at any
+level without materializing the staircase, and neither the integral nor
+the staircase branches on the integrand class.
 
 The signed integral, `integrate_over` (the cells intersected with the
 region) and the L1 norm read one distribution of the signed cells and
-split it at zero: no cell changes sign, so no atom or piece does either,
-and the positive entries give ∫f+, the negative ones ∫f−.
+split it at zero: no cell changes sign, so no row does either, and the
+rows at positive values give ∫f+, those at negative values −∫f−.
 
 `DyadicApproximation` keeps the cells of one nonnegative integrand, and
 `DyadicApproximation.parts(f)` builds the approximations of f+ and f−
 from the signed cells of f.  On first use against a measure an
-approximation reads the value distribution off its cells and keeps one
-table: the limit, and every level-independent staircase coefficient over
-one common integer denominator L; level n is then an integer numerator
+approximation reads the rows of its value distribution and keeps them
+with their limit in one table; level n is then an integer numerator
 over L * 4^n, and each level costs one `Fraction`, made once and kept.
 Levels are kept sparsely, by level: asking for level n computes level n
 alone, so a caller that reads levels 0 and d pays for two levels, not for
@@ -70,7 +74,6 @@ from .rationals import (
     floor_to_grid,
     is_on_grid,
     power_of_two_level,
-    weighted_sum,
 )
 from .simple import SimpleFunction
 from .spaces import (
@@ -119,41 +122,43 @@ def _staircase_value(value: Fraction, level: int) -> Fraction:
 
 
 def _signed_cells(fn: Integrand) -> list:
-    """Sign-constant spatial cells (part, slope, intercept) of a scalar integrand.
+    """Sign-constant spatial cells (part, slope, intercept, ends) of a scalar
+    integrand, in increasing order for a piecewise-linear one.
 
-    A simple term with a nonzero value on a nonempty set is a slope-0 cell
-    on that set; a piecewise-linear piece is a cell on its half-open
-    interval, split at a root inside it, and a zero piece is dropped.
+    A simple term with a nonzero value v on a nonempty set is a slope-0 cell
+    on that set with ends (v, v); a piecewise-linear piece is a cell on its
+    half-open interval with its end values, split at a root inside it (the
+    ends have strictly opposite signs), and a zero piece is dropped.
     """
     if isinstance(fn, SimpleFunction):
         if fn.is_vector:
             raise ValueError("a scalar integrand is required")
-        return [(part, ZERO, v) for v, part in fn.terms if v and not part.is_empty]
+        return [(part, ZERO, v, (v, v)) for v, part in fn.terms if v and not part.is_empty]
     cells = []
     for u, w, a, b in fn.cells():
-        if a:
-            root = -b / a
-            if u < root < w:
-                cells.append((IntervalSet._canonical(((u, root),)), a, b))
-                u = root
-        elif not b:
+        if not a:
+            if b:
+                cells.append((IntervalSet._canonical(((u, w),)), a, b, (b, b)))
             continue
-        cells.append((IntervalSet._canonical(((u, w),)), a, b))
+        y_u, y_w = a * u + b, a * w + b
+        if y_u.numerator * y_w.numerator < 0:
+            root = -b / a
+            cells.append((IntervalSet._canonical(((u, root),)), a, b, (y_u, ZERO)))
+            u, y_u = root, ZERO
+        cells.append((IntervalSet._canonical(((u, w),)), a, b, (y_u, y_w)))
     return cells
 
 
 def _split_at_zero(cells: list) -> tuple[list, list]:
     """(cells of f+, cells of f−) from the signed cells of f, a negative cell
-    (part, a, b) becoming (part, -a, -b)."""
+    (part, a, b, (y, z)) becoming (part, -a, -b, (-y, -z)).  No cell has a
+    root inside, so one of its ends is nonzero and has the cell's sign."""
     positive, negative = [], []
-    for part, a, b in cells:
-        # A sloped cell is one interval with no root inside, so its value at
-        # the left end has the cell's sign, or is zero when the root is there.
-        y = a * part.intervals[0][0] + b if a else b
-        if y.numerator > 0 or (not y and a.numerator > 0):
-            positive.append((part, a, b))
+    for part, a, b, (y_u, y_w) in cells:
+        if y_u.numerator > 0 or y_w.numerator > 0:
+            positive.append((part, a, b, (y_u, y_w)))
         else:
-            negative.append((part, -a, -b))
+            negative.append((part, -a, -b, (-y_u, -y_w)))
     return positive, negative
 
 
@@ -166,21 +171,17 @@ def _nonneg_cells(fn: Integrand) -> list:
 
 
 def _upper_bound(cells: list) -> Fraction:
-    """The largest closure value of nonnegative cells: >= their sup, which may
-    be unattained.  A sloped cell is one interval."""
-    return max(
-        [b for _, a, b in cells if not a]
-        + [a * x + b for part, a, b in cells if a for x in part.intervals[0]],
-        default=ZERO,
-    )
+    """The largest closure value of nonnegative cells, the largest of their
+    ends: >= their sup, which may be unattained."""
+    return max((y for *_, ends in cells for y in ends), default=ZERO)
 
 
 def _termination_level(cells: list) -> Optional[int]:
     """First level whose staircase equals the cells' function, or None."""
-    if any(a != 0 for _, a, _ in cells):
+    if any(a != 0 for _, a, _, _ in cells):
         return None
     level = 0
-    for _, _, v in cells:
+    for _, _, v, _ in cells:
         grid = power_of_two_level(v)
         if grid is None:
             return None
@@ -188,61 +189,77 @@ def _termination_level(cells: list) -> Optional[int]:
     return level
 
 
-def _value_distribution(cells: list, measure: Measure) -> tuple[list, int, list]:
-    """The distribution of the cells' values under the measure, as (atoms,
-    denominator, pieces).
+def _value_distribution(cells: list, measure: Measure) -> tuple[list, int]:
+    """The distribution of the cells' values under the measure, as integer
+    rows (p, q, e, c) over one denominator L: the coefficients e/L and c/L
+    of `_StaircaseTable` at the value y = p/q.
 
-    An atom (y, numerator) is the value y of a slope-0 cell, with mass
-    numerator / denominator; all atom masses come from one batch read.  A
-    piece (lo, hi, mass) spreads mass uniformly over [lo, hi]: sloped cells
-    are split at the density breakpoints, so each piece has one density.
-    Null masses contribute to no integral and are left out.
+    A slope-0 cell of value y on a set of mass m is an atom, the row
+    (m, 0); all atom masses come from one batch read.  A sloped cell
+    y = a*x + b under density d spreads mass over its values with density
+    r = d/|a|, whose ends add +-(r*y, r); where the density steps from d to
+    d' at x, the two ends meeting there make one row ((d - d')/a * y,
+    (d - d')/a) at y = a*x + b.  The sloped cells are swept against the
+    density grid in one pass.  Null masses contribute to no integral and
+    are left out.
     """
-    flat, pieces = [], []
-    for part, a, b in cells:
-        if not a:
-            flat.append((b, part))
-            continue
-        for u, w in part.intervals:
-            for p, q, d in measure.density_cells():
-                lo, hi = max(p, u), min(q, w)
-                if d != 0 and lo < hi:
-                    y_lo, y_hi = sorted((a * lo + b, a * hi + b))
-                    pieces.append((y_lo, y_hi, d * (hi - lo)))
+    flat = [(b, part) for part, a, b, _ in cells if not a]
+    sloped = [cell for cell in cells if cell[1]]
     numerators, denominator = measure._masses([part for _, part in flat])
-    atoms = [(y, n) for (y, _), n in zip(flat, numerators) if n]
-    return atoms, denominator, pieces
+    ramps = _ramps(sloped, measure) if sloped else []
+    common = math.lcm(denominator, *(t.denominator for _, e, c in ramps for t in (e, c)))
+
+    def scaled(t: Fraction) -> int:
+        return t.numerator * (common // t.denominator)
+
+    scale = common // denominator
+    rows = [
+        (y.numerator, y.denominator, n * scale, 0)
+        for (y, _), n in zip(flat, numerators)
+        if n
+    ]
+    rows += [(y.numerator, y.denominator, scaled(e), scaled(c)) for y, e, c in ramps]
+    return rows, common
 
 
-def _mean(atoms: list, denominator: int, pieces: list) -> Fraction:
-    pieces_total = sum((mass * (lo + hi) for lo, hi, mass in pieces), ZERO)
-    return weighted_sum(atoms, denominator) + pieces_total / 2
+def _ramps(sloped: list, measure: Measure) -> list:
+    """`Fraction` rows (y, e, c) of sloped cells, which come in increasing
+    order, from one sweep along the measure's merged density grid."""
+    grid = measure._merged[0]
+    _, _, densities, _, density_den = measure._table
+    ramps = []
+    k = 0
+    for part, a, b, (y_u, y_w) in sloped:
+        ((u, w),) = part.intervals
+        while grid[k + 1] <= u:
+            k += 1
+        steps = [(y_u, -densities[k])]
+        while grid[k + 1] < w:
+            k += 1
+            steps.append((a * grid[k] + b, densities[k - 1] - densities[k]))
+        steps.append((y_w, densities[k]))
+        for y, step in steps:
+            if step:
+                c = Fraction(step * a.denominator, density_den * a.numerator)
+                ramps.append((y, c * y, c))
+    return ramps
 
 
-def _staircase_entries(atoms: list, denominator: int, pieces: list) -> dict:
-    """{y: [e, c]} such that the level-n staircase integral is
-    4^-n * sum(e * k * 2^n - c * k(k+1)/2), with k = min(n*2^n, floor(2^n y)).
-
-    An atom of mass m at y contributes m * k / 2^n: e = m, c = 0.  Mass m
-    spread uniformly over [lo, hi] has density r = m / (hi - lo) and
-    contributes r times the difference of F(y) = k*2^n*y - k(k+1)/2, the
-    antiderivative of the scaled staircase t -> min(n*2^n, floor(t)) at
-    t = 2^n*y, between its ends, so each end adds +-(r * y, r).
-    """
-    entries: dict = {}
-
-    def add(y: Fraction, e: Fraction, c: Fraction = ZERO) -> None:
-        entry = entries.setdefault(y, [ZERO, ZERO])
-        entry[0] += e
-        entry[1] += c
-
-    for y, numerator in atoms:
-        add(y, Fraction(numerator, denominator))
-    for lo, hi, mass in pieces:
-        r = mass / (hi - lo)
-        add(hi, r * hi, r)
-        add(lo, -r * lo, -r)
-    return entries
+def _mean(rows: list, denominator: int) -> Fraction:
+    """The mean of a value distribution: sum(e*y - c*y^2/2) / L over its
+    rows, the limit of the level-n staircase integrals, as one `Fraction`.
+    Twice a row's term is 2*e*p/q for an atom and (2*e*p*q - c*p^2)/q^2
+    otherwise; the terms are summed per denominator."""
+    groups: dict[int, int] = {}
+    for p, q, e, c in rows:
+        if c:
+            q, s = q * q, 2 * e * p * q - c * p * p
+        else:
+            s = 2 * e * p
+        groups[q] = groups.get(q, 0) + s
+    common = math.lcm(*groups)
+    total = sum(s * (common // q) for q, s in groups.items())
+    return Fraction(total, 2 * common * denominator)
 
 
 def integrate_nonneg(fn: Integrand, measure: Measure) -> Fraction:
@@ -305,7 +322,7 @@ class DyadicApproximation:
         if not self.space.contains(point):
             raise OutsideDomainError(f"point {point!r} outside the space")
         value = slope = ZERO
-        for part, a, b in self._cells:
+        for part, a, b, _ in self._cells:
             if part.contains(point):
                 value, slope = a * point + b, a
                 break
@@ -328,38 +345,37 @@ class DyadicApproximation:
         scale = 1 << level
         cap_index = level * scale
         cells = []
-        for part, a, b in self._cells:
+        for part, a, b, ends in self._cells:
             if a == 0:
                 value = _staircase_value(b, level)
                 if lower_level is not None:
                     value -= _staircase_value(b, lower_level)
                 cells.append((part, value))
                 continue
-            for u, w in part.intervals:
-                y_u, y_w = a * u + b, a * w + b
-                lo, hi = (y_u, y_w) if y_u <= y_w else (y_w, y_u)
-                k_min = max(1, (lo.numerator * scale) // lo.denominator + 1)
-                k_max = min(cap_index, -((-hi.numerator * scale) // hi.denominator) - 1)
-                if k_max - k_min > _MATERIALIZE_CELL_LIMIT:
-                    raise ValueError(
-                        f"level {level} would materialize about {k_max - k_min} cells; "
-                        "use value_at/integral instead"
-                    )
-                cuts = [u]
-                for k in range(k_min, k_max + 1):
-                    x = (Fraction(k, scale) - b) / a
-                    if u < x < w:
-                        cuts.append(x)
-                cuts.append(w)
-                cuts.sort()
-                for p, q in zip(cuts, cuts[1:]):
-                    if p == q:
-                        continue
-                    mid_value = a * (p + q) / 2 + b
-                    value = _staircase_value(mid_value, level)
-                    if lower_level is not None:
-                        value -= _staircase_value(mid_value, lower_level)
-                    cells.append((IntervalSet._canonical(((p, q),)), value))
+            ((u, w),) = part.intervals
+            lo, hi = sorted(ends)
+            k_min = max(1, (lo.numerator * scale) // lo.denominator + 1)
+            k_max = min(cap_index, -((-hi.numerator * scale) // hi.denominator) - 1)
+            if k_max - k_min > _MATERIALIZE_CELL_LIMIT:
+                raise ValueError(
+                    f"level {level} would materialize about {k_max - k_min} cells; "
+                    "use value_at/integral instead"
+                )
+            cuts = [u]
+            for k in range(k_min, k_max + 1):
+                x = (Fraction(k, scale) - b) / a
+                if u < x < w:
+                    cuts.append(x)
+            cuts.append(w)
+            cuts.sort()
+            for p, q in zip(cuts, cuts[1:]):
+                if p == q:
+                    continue
+                mid_value = a * (p + q) / 2 + b
+                value = _staircase_value(mid_value, level)
+                if lower_level is not None:
+                    value -= _staircase_value(mid_value, lower_level)
+                cells.append((IntervalSet._canonical(((p, q),)), value))
         return cells
 
     def _from_cells(self, cells) -> SimpleFunction:
@@ -405,8 +421,7 @@ class DyadicApproximation:
             if known == measure:
                 return table
         check_integrand_measure(self, measure)
-        distribution = _value_distribution(self._cells, measure)
-        table = _StaircaseTable(_staircase_entries(*distribution), _mean(*distribution))
+        table = _StaircaseTable(*_value_distribution(self._cells, measure))
         self._tables.append((measure, table))
         return table
 
@@ -415,32 +430,18 @@ class _StaircaseTable:
     """Staircase integrals of one approximation against one measure, by level,
     and their limit.
 
-    The level-independent coefficients are brought to one common integer
-    denominator L once; level n is then an integer numerator over L * 4^n,
-    turned into a single `Fraction` and kept by level, so each level asked
-    for is computed alone.
+    It keeps the integer rows (p, q, e, c) of `_value_distribution`, all
+    over one denominator L: level n is the integer numerator
+    sum(e*k*2^n - c*k(k+1)/2), k = min(n*2^n, floor(2^n*p/q)), over
+    L * 4^n, turned into a single `Fraction` and kept by level, so each
+    level asked for is computed alone.  The limit is the mean of the same
+    rows.
     """
 
-    def __init__(self, entries: dict, limit: Fraction):
-        self.limit = limit
-        rows = [
-            (y, e, c)
-            for y, (e, c) in entries.items()
-            if y != 0 and (e != 0 or c != 0)
-        ]
-        self._denominator = math.lcm(
-            *(e.denominator for _, e, _ in rows), *(c.denominator for _, _, c in rows)
-        )
-        scale = self._denominator
-        self._rows = tuple(
-            (
-                y.numerator,
-                y.denominator,
-                e.numerator * (scale // e.denominator),
-                c.numerator * (scale // c.denominator),
-            )
-            for y, e, c in rows
-        )
+    def __init__(self, rows: list, denominator: int):
+        self._rows = rows
+        self._denominator = denominator
+        self.limit = _mean(rows, denominator)
         self._values: dict[int, Fraction] = {}
 
     def at(self, level: int) -> Fraction:
@@ -487,18 +488,10 @@ class IntegralResult:
 
 def _signed_integral(cells: list, measure: Measure) -> IntegralResult:
     """∫f+ and ∫f− from one value distribution of the signed cells of f,
-    split at zero: no cell changes sign, so no atom or piece does either."""
-    atoms, denominator, pieces = _value_distribution(cells, measure)
-    pos_value = _mean(
-        [atom for atom in atoms if atom[0].numerator > 0],
-        denominator,
-        [piece for piece in pieces if piece[1].numerator > 0],
-    )
-    neg_value = -_mean(
-        [atom for atom in atoms if atom[0].numerator < 0],
-        denominator,
-        [piece for piece in pieces if piece[1].numerator <= 0],
-    )
+    split at zero: no cell changes sign, so no row does either."""
+    rows, denominator = _value_distribution(cells, measure)
+    pos_value = _mean([row for row in rows if row[0] > 0], denominator)
+    neg_value = -_mean([row for row in rows if row[0] < 0], denominator)
     return IntegralResult(pos_value - neg_value, pos_value, neg_value)
 
 
@@ -518,5 +511,15 @@ def integrate_over(
     if region.space != fn.space:
         raise SpaceMismatchError("region belongs to another space")
     check_integrand_measure(fn, measure)
-    restricted = [(part.intersection(region), a, b) for part, a, b in cells]
+    restricted = []
+    for part, a, b, ends in cells:
+        part = part.intersection(region)
+        if not a:
+            restricted.append((part, a, b, ends))
+            continue
+        # A sloped cell is one interval, so each piece left is a cell.
+        restricted += [
+            (IntervalSet._canonical(((u, w),)), a, b, (a * u + b, a * w + b))
+            for u, w in part.intervals
+        ]
     return _signed_integral(restricted, measure).value

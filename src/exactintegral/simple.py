@@ -150,7 +150,9 @@ class SimpleFunction:
     ):
         term_list: list[tuple[Value, MeasurableSet]] = []
         for value, part in terms:
-            if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            if type(value) is Fraction:
+                pass
+            elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
                 value = Fraction(value)
             if part.space != space:
                 raise SpaceMismatchError("term set belongs to another space")

@@ -29,7 +29,7 @@ from exactintegral import (
     lebesgue_integral,
 )
 
-from oracles import integral_oracle, term_points
+from oracles import integral_oracle, staircase_integral_oracle, term_points
 
 # Quarter-grid values put piece ends and flat values on the staircase grid;
 # the other values mostly fall between grid points.
@@ -38,6 +38,7 @@ values = st.one_of(
     st.fractions(min_value=-12, max_value=12, max_denominator=16),
 )
 weights = st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=4, max_denominator=8))
+positive_weights = st.fractions(min_value=F(1, 8), max_value=4, max_denominator=8)
 
 
 @st.composite
@@ -179,6 +180,50 @@ def test_signed_integrals_equal_the_oracle_integrals_of_the_parts(case):
     assert integrate_over(region, fn, measure) == integral_oracle(
         restricted(positive, region), measure
     ) - integral_oracle(restricted(negative, region), measure)
+
+
+def roots_and_ends(fn) -> list:
+    """Interior points where a piecewise-linear function is zero or a piece
+    ends, or where a term of a simple function starts or ends."""
+    if isinstance(fn, SimpleFunction):
+        points = {x for _, part in fn.terms for x in part.endpoints()}
+    else:
+        points = set(fn.breakpoints)
+        points.update(-b / a for _, _, a, b in fn.cells() if a)
+    return sorted(x for x in points if 0 < x < 1)
+
+
+@st.composite
+def measures_on_roots(draw, fn):
+    """Step measures whose grid holds some of the integrand's roots and ends
+    beside drawn cuts, with one or two zero-density cells; the other cells
+    have positive density, so that every cell's contribution shows."""
+    candidates = roots_and_ends(fn)
+    chosen = draw(st.lists(st.sampled_from(candidates), max_size=4)) if candidates else []
+    grid = sorted({*draw(unit_grids(max_cuts=3)), *chosen})
+    cells = len(grid) - 1
+    densities = draw(st.lists(positive_weights, min_size=cells, max_size=cells))
+    for k in draw(st.lists(st.integers(0, cells - 1), min_size=1, max_size=2)):
+        densities[k] = F(0)
+    return IntervalMeasure(tuple(grid), tuple(densities))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_part_tables_equal_the_per_cell_oracles(data):
+    """Every level of the f+ and f− tables, and their limits, against the
+    per-cell formulas for the part functions: the tables read their rows
+    off one sweep of the signed cells, the oracles read each part function
+    cell by cell over the merged function/measure grid."""
+    fn = data.draw(st.one_of(signed_piecewise(), interval_simple_cases().map(lambda c: c[0])))
+    measure = data.draw(measures_on_roots(fn))
+    parts = fn.pos_part(), fn.neg_part()
+    for approximation, part in zip(DyadicApproximation.parts(fn), parts):
+        assert approximation.limit(measure) == integral_oracle(part, measure)
+        for n in range(31):
+            assert approximation.integral(n, measure) == staircase_integral_oracle(
+                part, measure, n
+            ), n
 
 
 PAIR = DiscreteSpace((F(1), F(2)))

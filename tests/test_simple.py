@@ -61,6 +61,21 @@ def test_mixed_value_kinds_rejected():
         )
 
 
+def test_constructor_keeps_fractions_and_coerces_ints_and_subclasses():
+    class Third(F):
+        pass
+
+    kept, sub = F(1, 3), Third(2, 3)
+    fn = SimpleFunction(
+        UNIT_INTERVAL,
+        [(kept, iv((0, "1/4"))), (3, iv(("1/4", "1/2"))), (sub, iv(("1/2", 1)))],
+    )
+    (first, _), (second, _), (third, _) = fn.terms
+    assert first is kept
+    assert type(second) is F and second == 3
+    assert type(third) is F and third == sub
+
+
 # --- canonical form -----------------------------------------------------------
 
 
