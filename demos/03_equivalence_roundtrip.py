@@ -11,6 +11,7 @@ series and within an exact tail bound otherwise.
 from fractions import Fraction as F
 
 from exactintegral import (
+    FunctionSeries,
     IntervalMeasure,
     IntervalSet,
     PiecewiseLinear,
@@ -34,19 +35,22 @@ step = SimpleFunction(
         (F(-1), IntervalSet([(F(1, 4), F(1))])),
     ],
 )
-rep, trace = series_from_integrand(step, lebesgue, depth=8)
+rep = series_from_integrand(step, lebesgue, depth=8)
 print("series terminates:", rep.exact, "after", rep.series.term_count, "terms")
 print("sum of |h_n| integrals:", rep.summability_partial,
-      "<= integral(|f|) =", trace.absolute_integral)
+      "<= integral(|f|) =", rep.absolute_integral)
 print("series integral:", bochner_integrate(rep))
 print("direct integral:", lebesgue_integral(step, lebesgue).value)
 print("recovered      :", integral_from_series(rep).value)
 print()
 
-# Partial sums of the series reproduce the staircase difference pointwise.
+# Partial sums of the series, summed term by term, reproduce the staircase
+# difference pointwise.
+positive, negative = rep.series.positive, rep.series.negative
 for level in (1, 2, 4):
     for point in (F(1, 8), F(1, 3), F(7, 8)):
-        assert trace.partial_sum_value(level, point) == trace.staircase_difference(level, point)
+        summed = FunctionSeries.partial_value_at(rep.series, point, level)
+        assert summed == positive.value_at(level, point) - negative.value_at(level, point)
 print("partial sums g_k match the level-k staircases at sampled points")
 print()
 
@@ -68,7 +72,7 @@ for key in (
 print()
 
 # The tail certificate keeps shrinking: the series really is summable.
-depth_rep, _ = series_from_integrand(identity, lebesgue, depth=20)
+depth_rep = series_from_integrand(identity, lebesgue, depth=20)
 for level in (5, 10, 20):
     partial, tail = depth_rep.series.certificate(level)
     print(f"certificate at {level:2d}: partial = {partial}, tail = {tail}")

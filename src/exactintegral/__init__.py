@@ -45,14 +45,12 @@ from .lebesgue import (
     IntegralResult,
     NegativeIntegrandError,
     integrate_nonneg,
-    integrate_nonneg_at_level,
     integrate_over,
     lebesgue_integral,
 )
 from .bochner import (
     BochnerRepresentation,
     CertificateError,
-    ConstructionTrace,
     FiniteSeries,
     FunctionSeries,
     RuleSeries,

@@ -13,10 +13,12 @@ h_n = (f_n+ - f_(n-1)+) - (f_n- - f_(n-1)-), whose partial sums reproduce
 the staircases exactly and whose absolute-integral sum never exceeds the
 integral of |f|.  That sum telescopes as well: up to depth d it is the
 two part staircase integrals at level d minus those at level 0, so the
-certificate reads two levels per part, whatever the depth.  The reverse
-direction recovers the integral of a target from any certified
-representation, including series whose terms are merely integrable
-(piecewise linear) rather than simple.
+certificate reads two levels per part, whatever the depth.
+`series_from_integrand` returns the series and its certificate as one
+`BochnerRepresentation`, whose `series` also carries the part limits and
+the part approximations.  The reverse direction recovers the integral of
+a target from any certified representation, including series whose
+terms are merely integrable (piecewise linear) rather than simple.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "TelescopeSeries",
     "geometric_indicator_series",
     "BochnerRepresentation",
-    "ConstructionTrace",
     "bochner_integrate",
     "series_from_integrand",
     "SeriesIntegralResult",
@@ -341,74 +342,33 @@ class TelescopeSeries(FunctionSeries):
 
 
 @dataclass
-class ConstructionTrace:
-    """The telescoping construction and its certificate.
-
-    `summability_partial` is the sum of the |h_n| integrals up to the
-    construction depth; per-level values, the part limits and the part
-    approximations are read off `series`.
-    """
-
-    summability_partial: Fraction
-    eta: Fraction
-    series: TelescopeSeries
-
-    @property
-    def positive_integral(self) -> Fraction:
-        return self.series.positive_limit
-
-    @property
-    def negative_integral(self) -> Fraction:
-        return self.series.negative_limit
-
-    @property
-    def positive_approx(self) -> DyadicApproximation:
-        return self.series.positive
-
-    @property
-    def negative_approx(self) -> DyadicApproximation:
-        return self.series.negative
-
-    @property
-    def absolute_integral(self) -> Fraction:
-        return self.positive_integral + self.negative_integral
-
-    @property
-    def certificate_ok(self) -> bool:
-        """Sum of |h_n| integrals up to depth stays within integral(|f|) + eta."""
-        return self.summability_partial <= self.absolute_integral + self.eta
-
-    def partial_sum_value(self, upto: int, point):
-        """g_k(point) = sum of the first k term values."""
-        return self.series.partial_value_at(point, upto)
-
-    def staircase_difference(self, level: int, point) -> Fraction:
-        """The level-k staircase difference the partial sums must reproduce."""
-        return self.positive_approx.value_at(level, point) - self.negative_approx.value_at(
-            level, point
-        )
-
-
-@dataclass
 class BochnerRepresentation:
-    """A certified series whose almost-everywhere sum is the target.
+    """The telescoped series of an integrand, certified at one depth.
 
-    `summability_partial` and `tail_at_depth` form the certificate at the
-    inspected depth; `exact` marks a series that terminates by that depth,
-    making the truncated sum the integral itself.
+    `summability_partial` (the sum of the |h_n| integrals up to `depth`) and
+    `tail_at_depth` form the certificate at that depth; `exact` marks a
+    series that terminates by it, making the truncated sum the integral
+    itself.  The part limits, the part approximations and the per-level
+    values are read off `series`.
     """
 
     target: Optional[Integrand]
     measure: Measure
-    series: FunctionSeries
+    series: TelescopeSeries
     eta: Fraction
     depth: int
     summability_partial: Fraction
     tail_at_depth: Fraction
     exact: bool
 
-    def certificate(self) -> tuple[Fraction, Fraction]:
-        return self.summability_partial, self.tail_at_depth
+    @property
+    def absolute_integral(self) -> Fraction:
+        return self.series.positive_limit + self.series.negative_limit
+
+    @property
+    def certificate_ok(self) -> bool:
+        """Sum of |h_n| integrals up to depth stays within integral(|f|) + eta."""
+        return self.summability_partial <= self.absolute_integral + self.eta
 
 
 def _as_series(series_or_rep) -> FunctionSeries:
@@ -442,7 +402,7 @@ def series_from_integrand(
     measure: Measure,
     eta: Fraction = ZERO,
     depth: int = 16,
-) -> tuple[BochnerRepresentation, ConstructionTrace]:
+) -> BochnerRepresentation:
     """Telescoped staircase representation of an integrable integrand.
 
     The construction keeps the absolute-sum partial below integral(|f|), so
@@ -450,12 +410,12 @@ def series_from_integrand(
     recorded as the allowed slack, not consumed).  When the integrand is
     piecewise constant with values on a dyadic grid the series terminates
     and the representation is exact; otherwise the tail bound at `depth` is
-    the exact remainder of the two part staircases.  Either way the series
-    is a `TelescopeSeries` and no term is materialized: the certificate
-    telescopes to the part staircase integrals at levels 0 and `depth`, so
-    only those levels are computed, and `series.term(n)` builds h_n only on
-    request.  A caller that needs the task-file form of a terminating
-    series can rebuild it as
+    the exact remainder of the two part staircases.  Either way the
+    representation's series is a `TelescopeSeries` and no term is
+    materialized: the certificate telescopes to the part staircase
+    integrals at levels 0 and `depth`, so only those levels are computed,
+    and `series.term(n)` builds h_n only on request.  A caller that needs
+    the task-file form of a terminating series can rebuild it as
     `FiniteSeries(measure, [series.term(n) for n in range(1, series.term_count + 1)])`.
     """
     eta = Fraction(eta)
@@ -465,19 +425,16 @@ def series_from_integrand(
         raise ValueError("depth must be >= 1")
     check_integrand_measure(fn, measure)
     series = TelescopeSeries(measure, *DyadicApproximation.parts(fn))
-    summability_partial = series.partial_abs_sum(depth)
-    representation = BochnerRepresentation(
+    return BochnerRepresentation(
         target=fn,
         measure=measure,
         series=series,
         eta=eta,
         depth=depth,
-        summability_partial=summability_partial,
+        summability_partial=series.partial_abs_sum(depth),
         tail_at_depth=series.tail_bound(depth),
         exact=series.term_count is not None and series.term_count <= depth,
     )
-    trace = ConstructionTrace(summability_partial=summability_partial, eta=eta, series=series)
-    return representation, trace
 
 
 @dataclass(frozen=True)
@@ -556,30 +513,29 @@ def equivalence_report(
     itself: `integral_from_series` at the same truncation sums the same
     terms and compares them with the same direct integral.
     """
-    representation, trace = series_from_integrand(fn, measure, eta, depth)
-    direct_value = trace.positive_integral - trace.negative_integral
-    truncation = None if representation.series.term_count is not None else depth
+    representation = series_from_integrand(fn, measure, eta, depth)
+    series = representation.series
+    direct_value = series.positive_limit - series.negative_limit
+    truncation = None if series.term_count is not None else depth
     series_value, series_bound = bochner_integrate(representation, truncation)
 
     difference = abs(series_value - direct_value)
     mass = measure.total_mass
     difference_bound = 2 * Fraction(1, 1 << depth) * mass
-    certified = depth >= max(
-        trace.positive_approx.cap_level, trace.negative_approx.cap_level
-    )
+    certified = depth >= max(series.positive.cap_level, series.negative.cap_level)
     return {
         "integral_class": INTEGRAL_CLASS,
         "integral_value": direct_value,
-        "positive_part_integral": trace.positive_integral,
-        "negative_part_integral": trace.negative_integral,
+        "positive_part_integral": series.positive_limit,
+        "negative_part_integral": series.negative_limit,
         "series_depth": depth,
         "series_terminates": representation.exact,
-        "series_term_count": representation.series.term_count,
+        "series_term_count": series.term_count,
         "summability_partial": representation.summability_partial,
         "summability_tail_bound": representation.tail_at_depth,
-        "absolute_integral": trace.absolute_integral,
-        "eta": Fraction(eta),
-        "summability_certified": trace.certificate_ok,
+        "absolute_integral": representation.absolute_integral,
+        "eta": representation.eta,
+        "summability_certified": representation.certificate_ok,
         "series_integral": series_value,
         "series_integral_error_bound": series_bound,
         "recovered_integral": series_value,

@@ -91,7 +91,6 @@ __all__ = [
     "IntegralResult",
     "DyadicApproximation",
     "integrate_nonneg",
-    "integrate_nonneg_at_level",
     "lebesgue_integral",
     "integrate_over",
 ]
@@ -458,23 +457,6 @@ class _StaircaseTable:
             linear += e * k
             quadratic += c * (k * (k + 1) >> 1)
         return Fraction((linear << n) - quadratic, self._denominator << (2 * n))
-
-
-def integrate_nonneg_at_level(
-    fn: Integrand, measure: Measure, level: int
-) -> tuple[Fraction, Optional[Fraction]]:
-    """(integral of the level-n staircase, certified error bound).
-
-    The bound 2^-n * m(space) covers `exact - value` whenever the cap is
-    inactive (n >= sup f); below that level it is None.
-    """
-    approx = DyadicApproximation(fn)
-    value = approx.integral(level, measure)
-    if level >= approx.cap_level:
-        bound = Fraction(1, 1 << level) * measure.total_mass
-    else:
-        bound = None
-    return value, bound
 
 
 @dataclass(frozen=True)

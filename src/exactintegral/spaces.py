@@ -105,9 +105,6 @@ class UnitIntervalSpace:
     def full_set(self) -> "IntervalSet":
         return IntervalSet._canonical(((ZERO, ONE),))
 
-    def empty_set(self) -> "IntervalSet":
-        return IntervalSet._canonical(())
-
     def union_of(self, parts: Iterable["MeasurableSet"]) -> "IntervalSet":
         """Union of any number of interval sets: one keyed sort, one merge pass."""
         pieces = []
@@ -254,9 +251,6 @@ class DiscreteSpace:
 
     def full_set(self) -> "DiscreteSet":
         return DiscreteSet._canonical(self, tuple(range(self.size)))
-
-    def empty_set(self) -> "DiscreteSet":
-        return DiscreteSet._canonical(self, ())
 
     def union_of(self, parts: Iterable["MeasurableSet"]) -> "DiscreteSet":
         """Union of any number of sets of this space: one `set` update."""
@@ -423,10 +417,6 @@ class IntervalSet:
     @property
     def is_empty(self) -> bool:
         return not self.intervals
-
-    @property
-    def total_length(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.intervals), ZERO)
 
     def contains(self, point) -> bool:
         if not UNIT_INTERVAL.contains(point):

@@ -378,13 +378,16 @@ def load_task(path: str) -> TaskSpec:
 # --- runners -----------------------------------------------------------------
 
 
-def _require_integrand(task: TaskSpec, task_name: str) -> Integrand:
+def _require_integrand(task: TaskSpec, task_name: str, vector_message: str) -> Integrand:
+    """The task's scalar function; a series or a vector function is refused."""
+    fn = task.function
     _require(
-        not isinstance(task.function, FunctionSeries),
+        not isinstance(fn, FunctionSeries),
         "function",
         f"task {task_name} needs a function, not a series",
     )
-    return task.function
+    _require(not (isinstance(fn, SimpleFunction) and fn.is_vector), "function", vector_message)
+    return fn
 
 
 def run_integrate(task: TaskSpec) -> dict:
@@ -397,10 +400,9 @@ def run_integrate(task: TaskSpec) -> dict:
         "integrate_bochner" if isinstance(task.function, FunctionSeries) else "integrate_mi"
     )
     if name == "integrate_mi":
-        fn = _require_integrand(task, name)
-        _require(
-            not (isinstance(fn, SimpleFunction) and fn.is_vector),
-            "function",
+        fn = _require_integrand(
+            task,
+            name,
             "integrate_mi needs a scalar integrand; integrate vector functions "
             "with integrate_bochner and parameters.norm",
         )
@@ -441,12 +443,7 @@ def run_integrate(task: TaskSpec) -> dict:
 
 
 def run_compare(task: TaskSpec) -> dict:
-    fn = _require_integrand(task, "compare")
-    _require(
-        not (isinstance(fn, SimpleFunction) and fn.is_vector),
-        "function",
-        "compare needs a scalar function",
-    )
+    fn = _require_integrand(task, "compare", "compare needs a scalar function")
     depth = task.parameters.get("depth", 16)
     eta = task.parameters.get("eta", ZERO)
     report = equivalence_report(fn, task.measure, eta=eta, depth=depth)
@@ -480,12 +477,7 @@ def approx_table_rows(fn: Integrand, measure: Measure, max_level: int) -> list[d
 
 
 def run_table(task: TaskSpec) -> list[dict]:
-    fn = _require_integrand(task, "approx_table")
-    _require(
-        not (isinstance(fn, SimpleFunction) and fn.is_vector),
-        "function",
-        "approx_table needs a scalar function",
-    )
+    fn = _require_integrand(task, "approx_table", "approx_table needs a scalar function")
     max_level = task.parameters.get("max_level", 10)
     return approx_table_rows(fn, task.measure, max_level)
 

@@ -48,11 +48,17 @@ def _interval_grid(fn, measure: IntervalMeasure) -> list[Fraction]:
     return sorted(points)
 
 
-def _density_at(measure: IntervalMeasure, x: Fraction) -> Fraction:
-    for lo, hi, d in measure.density_cells():
-        if lo <= x < hi:
-            return d
-    raise AssertionError(f"no density cell contains {x}")
+def _grid_cells(fn, measure: IntervalMeasure):
+    """(lo, hi, density) for each cell of the merged grid, walking the
+    density cells alongside the sorted grid (which holds their breakpoints)."""
+    grid = _interval_grid(fn, measure)
+    cells = measure.density_cells()
+    cell_lo, cell_hi, density = next(cells)
+    for lo, hi in zip(grid, grid[1:]):
+        while cell_hi <= lo:
+            cell_lo, cell_hi, density = next(cells)
+        assert cell_lo <= lo < hi <= cell_hi, f"no density cell holds [{lo}, {hi})"
+        yield lo, hi, density
 
 
 def integral_oracle(fn, measure):
@@ -63,11 +69,9 @@ def integral_oracle(fn, measure):
             contribution = _scale(fn.evaluate(point), measure.weights[point])
             total = contribution if total is None else total + contribution
         return total
-    grid = _interval_grid(fn, measure)
     total = None
-    for lo, hi in zip(grid, grid[1:]):
-        mid = (lo + hi) / 2
-        contribution = _scale(fn.evaluate(mid), _density_at(measure, mid) * (hi - lo))
+    for lo, hi, d in _grid_cells(fn, measure):
+        contribution = _scale(fn.evaluate((lo + hi) / 2), d * (hi - lo))
         total = contribution if total is None else total + contribution
     return total
 
@@ -117,13 +121,11 @@ def staircase_integral_oracle(fn, measure, level: int) -> Fraction:
     scale = 1 << level
     cap_index = level * scale
     total = ZERO
-    grid = _interval_grid(fn, measure)
-    for lo, hi in zip(grid, grid[1:]):
-        a = fn.slope_at(lo)
-        b = fn.evaluate(lo) - a * lo
-        d = _density_at(measure, lo)
+    for lo, hi, d in _grid_cells(fn, measure):
         if d == 0:
             continue
+        a = fn.slope_at(lo)
+        b = fn.evaluate(lo) - a * lo
         if a == 0:
             total += d * (hi - lo) * _staircase_value(b, level)
         else:

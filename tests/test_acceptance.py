@@ -65,7 +65,7 @@ def suite_exact():
             fn = random_simple_function(
                 rng, measure, max_terms=8, max_denominator=256, values="dyadic"
             )
-            rep, _ = series_from_integrand(fn, measure, eta=F(0), depth=DEPTH_EXACT)
+            rep = series_from_integrand(fn, measure, eta=F(0), depth=DEPTH_EXACT)
             value, bound = bochner_integrate(rep)
             cases.append(
                 {
@@ -92,14 +92,13 @@ def suite_bounded():
             else:
                 measure = random_measure(rng, kind="interval")
             fn = random_piecewise_linear(rng)
-            rep, trace = series_from_integrand(fn, measure, eta=ETA, depth=DEPTH_BOUNDED)
+            rep = series_from_integrand(fn, measure, eta=ETA, depth=DEPTH_BOUNDED)
             value, _ = bochner_integrate(rep, truncation=DEPTH_BOUNDED)
             cases.append(
                 {
                     "measure": measure,
                     "fn": fn,
                     "rep": rep,
-                    "trace": trace,
                     "series_value": value,
                     "direct_value": lebesgue_integral(fn, measure).value,
                 }

@@ -139,7 +139,7 @@ def test_pointwise_partial_sums():
 
 def test_indicator_terminates_at_level_one():
     fn = SimpleFunction.indicator(F(1), iv((0, "1/2")))
-    rep, trace = series_from_integrand(fn, LEBESGUE, depth=6)
+    rep = series_from_integrand(fn, LEBESGUE, depth=6)
     assert rep.exact
     assert rep.series.term_count == 1
     assert rep.series.term(1) == fn
@@ -148,14 +148,14 @@ def test_indicator_terminates_at_level_one():
 
 
 def test_zero_function_gives_empty_series():
-    rep, _ = series_from_integrand(SimpleFunction.zero(UNIT_INTERVAL), LEBESGUE, depth=4)
+    rep = series_from_integrand(SimpleFunction.zero(UNIT_INTERVAL), LEBESGUE, depth=4)
     assert rep.exact
     assert rep.series.term_count == 0
     assert bochner_integrate(rep) == (F(0), F(0))
 
 
 def test_identity_partial_sums_follow_closed_form():
-    rep, _ = series_from_integrand(IDENTITY, LEBESGUE, depth=12)
+    rep = series_from_integrand(IDENTITY, LEBESGUE, depth=12)
     assert not rep.exact
     running = F(0)
     for level in range(1, 13):
@@ -172,12 +172,15 @@ def test_telescoping_partial_sums_reproduce_staircase():
             fn = random_piecewise_linear(rng)
         else:
             fn = random_simple_function(rng, measure, max_terms=5, max_denominator=64)
-        rep, trace = series_from_integrand(fn, measure, depth=6)
+        series = series_from_integrand(fn, measure, depth=6).series
         for point in sample_points(rng, measure, 15):
             for level in (1, 3, 6):
-                assert trace.partial_sum_value(level, point) == trace.staircase_difference(
+                # The partial sum term by term, not the telescoped shortcut.
+                summed = FunctionSeries.partial_value_at(series, point, level)
+                staircase = series.positive.value_at(level, point) - series.negative.value_at(
                     level, point
                 )
+                assert summed == staircase
 
 
 def test_construction_certificate_never_exceeds_absolute_integral():
@@ -185,15 +188,15 @@ def test_construction_certificate_never_exceeds_absolute_integral():
     for _ in range(40):
         measure = random_measure(rng)
         fn = random_simple_function(rng, measure, max_terms=6, max_denominator=64)
-        rep, trace = series_from_integrand(fn, measure, eta=F(1, 1024), depth=10)
-        assert trace.certificate_ok
-        assert rep.summability_partial <= trace.absolute_integral
+        rep = series_from_integrand(fn, measure, eta=F(1, 1024), depth=10)
+        assert rep.certificate_ok
+        assert rep.summability_partial <= rep.absolute_integral
         assert rep.summability_partial <= l1_norm(fn, measure) + F(1, 1024)
 
 
 def test_construction_terms_match_direct_increments():
     fn = sf((F(3, 4), iv((0, "1/4"))), (F(-1, 2), iv(("1/2", 1))))
-    rep, trace = series_from_integrand(fn, LEBESGUE, depth=6)
+    rep = series_from_integrand(fn, LEBESGUE, depth=6)
     assert rep.exact
     series = rep.series
     total = SimpleFunction.zero(UNIT_INTERVAL)
@@ -212,7 +215,7 @@ def test_negative_eta_rejected():
 
 def test_roundtrip_signed_step():
     fn = sf((1, iv((0, "1/4"))), (-1, iv(("1/4", 1))))
-    rep, _ = series_from_integrand(fn, LEBESGUE, depth=8)
+    rep = series_from_integrand(fn, LEBESGUE, depth=8)
     result = integral_from_series(rep)
     assert result.value == F(-1, 2) == lebesgue_integral(fn, LEBESGUE).value
     assert result.error_bound == 0
@@ -255,7 +258,7 @@ def test_roundtrip_random_simple_functions():
         fn = random_simple_function(
             rng, measure, max_terms=6, max_denominator=64, values="dyadic"
         )
-        rep, _ = series_from_integrand(fn, measure, depth=12)
+        rep = series_from_integrand(fn, measure, depth=12)
         assert rep.exact
         result = integral_from_series(rep)
         assert result.value == lebesgue_integral(fn, measure).value
@@ -267,7 +270,7 @@ def test_roundtrip_piecewise_within_certificate():
     for _ in range(20):
         measure = random_measure(rng, kind="interval")
         fn = random_piecewise_linear(rng)
-        rep, _ = series_from_integrand(fn, measure, depth=14)
+        rep = series_from_integrand(fn, measure, depth=14)
         result = integral_from_series(rep)
         assert result.matches_target
         assert abs(result.value - lebesgue_integral(fn, measure).value) <= result.error_bound
@@ -351,10 +354,11 @@ def test_telescoped_partial_sums_equal_summed_terms():
     rng = random.Random(61)
     for _ in range(20):
         fn, measure = _random_signed_case(rng)
-        _, trace = series_from_integrand(fn, measure, depth=8)
-        series = TelescopeSeries(measure, trace.positive_approx, trace.negative_approx)
-        assert series.positive_limit == trace.positive_integral
-        assert series.negative_limit == trace.negative_integral
+        built = series_from_integrand(fn, measure, depth=8).series
+        series = TelescopeSeries(measure, built.positive, built.negative)
+        direct = lebesgue_integral(fn, measure)
+        assert series.positive_limit == direct.positive_part
+        assert series.negative_limit == direct.negative_part
         for upto in range(0, 10):
             assert series.partial_integral_sum(upto) == FunctionSeries.partial_integral_sum(
                 series, upto
@@ -391,7 +395,7 @@ def test_report_recovery_equals_integral_from_series():
         fn, measure = _random_signed_case(rng)
         depth = rng.choice((4, 9))
         report = equivalence_report(fn, measure, depth=depth)
-        rep, _ = series_from_integrand(fn, measure, depth=depth)
+        rep = series_from_integrand(fn, measure, depth=depth)
         truncation = None if rep.series.term_count is not None else depth
         recovered = integral_from_series(rep, truncation)
         direct = lebesgue_integral(fn, measure)
@@ -438,9 +442,9 @@ def grid_aligned_cases(draw):
 @given(grid_aligned_cases())
 def test_terminating_series_is_lazy_and_equals_the_materialized_one(case):
     fn, measure = case
-    rep, trace = series_from_integrand(fn, measure, depth=8)
+    rep = series_from_integrand(fn, measure, depth=8)
     lazy = rep.series
-    assert rep.exact and isinstance(lazy, TelescopeSeries) and trace.series is lazy
+    assert rep.exact and isinstance(lazy, TelescopeSeries)
     reference = materialized_telescope_reference(lazy)
     count = lazy.term_count
     assert count == reference.term_count
@@ -462,7 +466,7 @@ def test_terminating_series_is_lazy_and_equals_the_materialized_one(case):
 def test_terminating_series_refuses_terms_past_the_end():
     step = sf((F(3, 4), iv((0, "1/4"))), (F(-1, 2), iv(("1/2", 1))))
     for fn in (step, SimpleFunction.zero(UNIT_INTERVAL)):
-        lazy = series_from_integrand(fn, LEBESGUE, depth=6)[0].series
+        lazy = series_from_integrand(fn, LEBESGUE, depth=6).series
         finite = FiniteSeries(LEBESGUE, [lazy.term(n) for n in range(1, lazy.term_count + 1)])
         for index in (lazy.term_count + 1, lazy.term_count + 5):
             messages = []
@@ -478,7 +482,7 @@ def test_terminating_series_refuses_terms_past_the_end():
 def test_terminating_series_accessors_refuse_what_a_finite_series_refuses():
     step = sf((F(3, 4), iv((0, "1/4"))), (F(-1, 2), iv(("1/2", 1))))
     for fn in (step, SimpleFunction.zero(UNIT_INTERVAL)):
-        lazy = series_from_integrand(fn, LEBESGUE, depth=6)[0].series
+        lazy = series_from_integrand(fn, LEBESGUE, depth=6).series
         finite = FiniteSeries(LEBESGUE, [lazy.term(n) for n in range(1, lazy.term_count + 1)])
         for index in (0, lazy.term_count + 1):
             for accessor in (
@@ -521,7 +525,7 @@ PARTIAL_VALUE_CASES = [
 
 @pytest.mark.parametrize("fn, measure", PARTIAL_VALUE_CASES)
 def test_partial_value_at_equals_the_summed_term_values(fn, measure):
-    series = series_from_integrand(fn, measure, depth=4)[0].series
+    series = series_from_integrand(fn, measure, depth=4).series
     for point in term_points(fn.space, (fn,)):
         running = F(0)
         for k in range(0, series.term_count + 3):
@@ -542,7 +546,7 @@ fn = SimpleFunction(UNIT_INTERVAL, [
     (value, IntervalSet([(F(0), F(1, 2))])),
     (F(-3, 8), IntervalSet([(F(1, 2), F(1))])),
 ])
-series = series_from_integrand(fn, IntervalMeasure.lebesgue(), depth=8)[0].series
+series = series_from_integrand(fn, IntervalMeasure.lebesgue(), depth=8).series
 start = time.perf_counter()
 left = series.partial_value_at(F(1, 4), series.term_count)
 right = series.partial_value_at(F(3, 4), series.term_count)

@@ -23,7 +23,6 @@ from exactintegral import (
     SpaceMismatchError,
     UNIT_INTERVAL,
     integrate_nonneg,
-    integrate_nonneg_at_level,
     integrate_simple,
 )
 from exactintegral.generators import (
@@ -198,16 +197,18 @@ def test_certified_level_bound():
         for n in range(approx.cap_level, approx.cap_level + 4):
             if n < 1 or n > 24:
                 continue
-            value, bound = integrate_nonneg_at_level(fn, measure, n)
-            assert bound is not None
+            assert n >= approx.cap_level
+            value = approx.integral(n, measure)
+            bound = F(1, 1 << n) * measure.total_mass
             assert exact - value <= bound
             assert value <= exact
 
 
 def test_bound_not_certified_below_cap():
     tall = SimpleFunction.indicator(F(5), iv((0, 1)))
-    value, bound = integrate_nonneg_at_level(tall, LEBESGUE, 2)
-    assert bound is None
+    approx = DyadicApproximation(tall)
+    value = approx.integral(2, LEBESGUE)
+    assert approx.cap_level > 2  # no certified bound at level 2
     assert value == 2  # capped at the level
 
 
@@ -361,4 +362,4 @@ def test_errors_on_first_use_leave_the_approximation_usable():
     assert step.integral(1, LEBESGUE) == F(1, 2)
 
     with pytest.raises(NegativeIntegrandError):
-        integrate_nonneg_at_level(IDENTITY - PiecewiseLinear.constant(F(1, 2)), LEBESGUE, 4)
+        DyadicApproximation(IDENTITY - PiecewiseLinear.constant(F(1, 2))).integral(4, LEBESGUE)
