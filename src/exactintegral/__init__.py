@@ -53,12 +53,11 @@ from .bochner import (
     CertificateError,
     FiniteSeries,
     FunctionSeries,
-    RuleSeries,
+    GeometricIndicatorSeries,
     SeriesIntegralResult,
     TelescopeSeries,
     bochner_integrate,
     equivalence_report,
-    geometric_indicator_series,
     integral_from_series,
     l1_norm,
     series_from_integrand,

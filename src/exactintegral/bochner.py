@@ -6,6 +6,11 @@ finite sum; its integral is then the sum of the term integrals.  Every
 series here carries a summability certificate: the exactly computed
 partial sum of term-norm integrals together with an exact tail bound, so
 the finite-sum hypothesis is checkable data instead of a limit statement.
+Three series classes share one contract, stated on `FunctionSeries`: an
+explicit `FiniteSeries`, the endless `GeometricIndicatorSeries` with closed
+forms for its integrals and tail, and the `TelescopeSeries` below.  Summing
+a series that never terminates needs a truncation index; without one,
+`bochner_integrate` raises `CertificateError`.
 
 The bridge to the monotone scheme goes through telescoping: the staircase
 sequences of the two parts of an integrand turn into the series
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .lebesgue import (
     INTEGRAL_CLASS,
@@ -43,9 +48,8 @@ __all__ = [
     "CertificateError",
     "FunctionSeries",
     "FiniteSeries",
-    "RuleSeries",
+    "GeometricIndicatorSeries",
     "TelescopeSeries",
-    "geometric_indicator_series",
     "BochnerRepresentation",
     "bochner_integrate",
     "series_from_integrand",
@@ -59,22 +63,27 @@ SeriesTerm = Union[SimpleFunction, PiecewiseLinear]
 
 
 class CertificateError(ValueError):
-    """A summability certificate is missing or unusable."""
+    """A non-terminating series was summed without a truncation index."""
 
 
 class FunctionSeries:
     """A sequence of integrable terms over one measure, 1-indexed.
 
-    Subclasses provide `term`, `term_count` and `tail_bound`; the partial
-    sums and the certificate view are shared.  `dim` is None for scalar
-    terms, the vector dimension otherwise (vector series need a NormKind
-    for their certificates).
+    Subclasses provide `term` and `tail_bound`; the partial sums and the
+    certificate view are shared, and so is the index contract.  Every
+    per-term accessor refuses an index below 1, or past `term_count` when
+    the series terminates, with an `IndexError` (`_check_index`); every
+    partial sum and tail bound refuses a negative index with a
+    `ValueError` and reads an index past `term_count` as `term_count`
+    (`_effective`).  `dim` is None for scalar terms, the vector dimension
+    otherwise (vector series need a NormKind for their certificates);
+    `term_count` is None for a series that never terminates.
     """
 
     measure: Measure
-    norm_kind: Optional[NormKind]
-    dim: Optional[int]
-    term_count: Optional[int]
+    norm_kind: Optional[NormKind] = None
+    dim: Optional[int] = None
+    term_count: Optional[int] = None
 
     def term(self, index: int) -> SeriesTerm:
         raise NotImplementedError
@@ -82,6 +91,13 @@ class FunctionSeries:
     def tail_bound(self, after: int) -> Fraction:
         """Exact bound for the sum of term-norm integrals past `after`."""
         raise NotImplementedError
+
+    def _check_index(self, index: int) -> None:
+        """Refuse an index the series has no term for."""
+        if self.term_count is not None and not 1 <= index <= self.term_count:
+            raise IndexError(f"series has {self.term_count} terms, asked for {index}")
+        if index < 1:
+            raise IndexError("series terms are 1-indexed")
 
     def _zero_value(self):
         return ZERO if self.dim is None else Vec.zero(self.dim)
@@ -95,7 +111,7 @@ class FunctionSeries:
 
     def term_integral(self, index: int):
         term = self.term(index)
-        if isinstance(term, SimpleFunction):
+        if self.dim is not None:
             return integrate_simple(term, self.measure)
         return lebesgue_integral(term, self.measure).value
 
@@ -156,87 +172,45 @@ class FiniteSeries(FunctionSeries):
         self.term_count = len(self.terms)
 
     def term(self, index: int) -> SeriesTerm:
-        if not 1 <= index <= len(self.terms):
-            raise IndexError(f"series has {len(self.terms)} terms, asked for {index}")
+        self._check_index(index)
         return self.terms[index - 1]
 
     def tail_bound(self, after: int) -> Fraction:
         total = ZERO
-        for n in range(max(after, 0) + 1, len(self.terms) + 1):
+        for n in range(self._effective(after) + 1, self.term_count + 1):
             total += self.term_abs_integral(n)
         return total
 
 
-class RuleSeries(FunctionSeries):
-    """Terms produced by a rule n -> term, with a caller-supplied tail bound.
+class GeometricIndicatorSeries(FunctionSeries):
+    """f_n = ratio^n * 1 on the whole space, with the exact geometric tail.
 
-    Without a tail bound the summability condition is not decidable from
-    finitely many terms, so certificate-consuming operations refuse to run.
-    Optional closed-form hooks avoid materializing terms for integrals.
+    The series never terminates; term integrals and the tail bound are
+    closed forms, so no term is materialized for a certificate.
     """
 
-    def __init__(
-        self,
-        measure: Measure,
-        rule: Callable[[int], SeriesTerm],
-        tail_bound: Optional[Callable[[int], Fraction]] = None,
-        norm_kind: Optional[NormKind] = None,
-        dim: Optional[int] = None,
-        integral_rule: Optional[Callable[[int], Fraction]] = None,
-        abs_integral_rule: Optional[Callable[[int], Fraction]] = None,
-        name: str = "",
-        params: Optional[dict] = None,
-    ):
+    def __init__(self, measure: Measure, ratio: Fraction):
+        ratio = Fraction(ratio)
+        if not 0 < ratio < 1:
+            raise ValueError("ratio must lie strictly between 0 and 1")
         self.measure = measure
-        self.norm_kind = norm_kind
-        self.dim = dim
-        self.term_count = None
-        self.name = name
-        self.params = dict(params or {})
-        self._rule = rule
-        self._tail_bound = tail_bound
-        self._integral_rule = integral_rule
-        self._abs_integral_rule = abs_integral_rule
+        self.ratio = ratio
+        self._full = space_of(measure).full_set()
 
-    def term(self, index: int) -> SeriesTerm:
-        if index < 1:
-            raise IndexError("series terms are 1-indexed")
-        return self._rule(index)
+    def term(self, index: int) -> SimpleFunction:
+        self._check_index(index)
+        return SimpleFunction.indicator(self.ratio**index, self._full)
 
-    def term_integral(self, index: int):
-        if self._integral_rule is not None:
-            return self._integral_rule(index)
-        return super().term_integral(index)
+    def term_integral(self, index: int) -> Fraction:
+        self._check_index(index)
+        return self.ratio**index * self.measure.total_mass
 
-    def term_abs_integral(self, index: int) -> Fraction:
-        if self._abs_integral_rule is not None:
-            return self._abs_integral_rule(index)
-        return super().term_abs_integral(index)
+    # Every term is nonnegative, so its norm integral is its integral.
+    term_abs_integral = term_integral
 
     def tail_bound(self, after: int) -> Fraction:
-        if self._tail_bound is None:
-            raise CertificateError("series has no tail-bound certificate")
-        return self._tail_bound(after)
-
-
-def geometric_indicator_series(measure: Measure, ratio: Fraction) -> RuleSeries:
-    """f_n = ratio^n * 1 on the whole space, with the exact geometric tail."""
-    ratio = Fraction(ratio)
-    if not 0 < ratio < 1:
-        raise ValueError("ratio must lie strictly between 0 and 1")
-    space = space_of(measure)
-    full = space.full_set()
-    mass = measure.total_mass
-
-    return RuleSeries(
-        measure,
-        rule=lambda n: SimpleFunction.indicator(ratio**n, full),
-        tail_bound=lambda after: mass * ratio ** (after + 1) / (1 - ratio),
-        integral_rule=lambda n: ratio**n * mass,
-        abs_integral_rule=lambda n: ratio**n * mass,
-        name="geometric_indicator",
-        params={"ratio": ratio},
-    )
+        after = self._effective(after)
+        return self.measure.total_mass * self.ratio ** (after + 1) / (1 - self.ratio)
 
 
 class TelescopeSeries(FunctionSeries):
@@ -248,9 +222,8 @@ class TelescopeSeries(FunctionSeries):
     is exactly zero.  Term integrals, partial sums and tails come from the
     closed-form staircase integrals, a partial sum telescoping to level k
     minus level 0, so no term is materialized; `term(n)` builds h_n on
-    demand for desk-scale levels.  `term` and the per-term integrals and
-    values refuse an index outside 1..`term_count` with an `IndexError`, as
-    `FiniteSeries` does.
+    demand for desk-scale levels.  Indices follow the `FunctionSeries`
+    contract.
     """
 
     def __init__(
@@ -260,21 +233,12 @@ class TelescopeSeries(FunctionSeries):
         negative: DyadicApproximation,
     ):
         self.measure = measure
-        self.norm_kind = None
-        self.dim = None
         self.positive = positive
         self.negative = negative
         self.positive_limit = positive.limit(measure)
         self.negative_limit = negative.limit(measure)
         levels = (positive.termination_level(), negative.termination_level())
         self.term_count = None if None in levels else max(levels)
-
-    def _check_index(self, index: int) -> None:
-        """Refuse an index the series has no term for, as `FiniteSeries` does."""
-        if self.term_count is not None and not 1 <= index <= self.term_count:
-            raise IndexError(f"series has {self.term_count} terms, asked for {index}")
-        if index < 1:
-            raise IndexError("series terms are 1-indexed")
 
     def term(self, index: int) -> SimpleFunction:
         self._check_index(index)
@@ -334,8 +298,7 @@ class TelescopeSeries(FunctionSeries):
 
     def tail_bound(self, after: int) -> Fraction:
         """Exact remainder: what the part staircases still miss at `after`."""
-        if after < 0:
-            raise ValueError("index must be >= 0")
+        after = self._effective(after)
         missing_pos = self.positive_limit - self.positive.integral(after, self.measure)
         missing_neg = self.negative_limit - self.negative.integral(after, self.measure)
         return missing_pos + missing_neg
@@ -383,7 +346,9 @@ def bochner_integrate(series_or_rep, truncation: Optional[int] = None):
     """(sum of the first N term integrals, error bound from the tail).
 
     For a finite series with N covering every term the bound is zero and
-    the value is the series integral itself, exactly.
+    the value is the series integral itself, exactly.  N defaults to the
+    term count; a series that never terminates needs it given, or raises
+    `CertificateError`.
     """
     series = _as_series(series_or_rep)
     if truncation is None:
@@ -454,25 +419,20 @@ def integral_from_series(
 
     Sums term integrals through the partial sums g_k; exact for finite
     series, certified by the tail bound otherwise.  Terms may be simple or
-    merely integrable (piecewise linear).  When the representation knows
-    its target, the result is compared against the target's direct
-    integral within the certified bound.
+    merely integrable (piecewise linear).  A representation of an endless
+    series is truncated at its depth by default; a bare endless series
+    needs `truncation`.  When the representation knows its target, the
+    result is compared against the target's direct integral within the
+    certified bound.
     """
     series = _as_series(series_or_rep)
     if series.dim is not None:
         raise ValueError("the measure integral is recovered for scalar series only")
-    target = (
-        series_or_rep.target
-        if isinstance(series_or_rep, BochnerRepresentation)
-        else None
-    )
-    if truncation is None and series.term_count is None:
-        if isinstance(series_or_rep, BochnerRepresentation):
+    target = None
+    if isinstance(series_or_rep, BochnerRepresentation):
+        target = series_or_rep.target
+        if truncation is None and series.term_count is None:
             truncation = series_or_rep.depth
-        else:
-            raise CertificateError(
-                "a truncation index is required for non-terminating series"
-            )
     value, bound = bochner_integrate(series, truncation)
     target_value = None
     matches = None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from .bochner import FiniteSeries, FunctionSeries, geometric_indicator_series
+from .bochner import FiniteSeries, FunctionSeries, GeometricIndicatorSeries
 from .piecewise import PiecewiseLinear
 from .rationals import ONE, ZERO
 from .simple import SimpleFunction, Vec
@@ -139,26 +139,27 @@ def random_measure(
     return IntervalMeasure(tuple(breakpoints), tuple(densities))
 
 
+def _deal(rng: random.Random, items, count: int) -> list[list]:
+    """Shuffle `items`, then deal them round-robin into min(count, len) buckets."""
+    items = list(items)
+    rng.shuffle(items)
+    buckets: list[list] = [[] for _ in range(min(count, len(items)))]
+    for position, item in enumerate(items):
+        buckets[position % len(buckets)].append(item)
+    return buckets
+
+
 def _random_partition(
     rng: random.Random, measure: Measure, parts: int, max_denominator: int
 ) -> list[MeasurableSet]:
     """Partition of the space into at most `parts` nonoverlapping sets."""
     space = space_of(measure)
     if isinstance(space, DiscreteSpace):
-        indices = list(range(space.size))
-        rng.shuffle(indices)
-        buckets: list[list[int]] = [[] for _ in range(min(parts, len(indices)))]
-        for position, index in enumerate(indices):
-            buckets[position % len(buckets)].append(index)
-        return [DiscreteSet(space, bucket) for bucket in buckets]
+        return [DiscreteSet(space, b) for b in _deal(rng, range(space.size), parts)]
     cuts = _interior_cuts(rng, parts - 1, max_denominator)
     edges = [ZERO, *cuts, ONE]
     cells = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-    rng.shuffle(cells)
-    buckets_iv: list[list] = [[] for _ in range(min(parts, len(cells)))]
-    for position, cell in enumerate(cells):
-        buckets_iv[position % len(buckets_iv)].append(cell)
-    return [IntervalSet(bucket) for bucket in buckets_iv]
+    return [IntervalSet(bucket) for bucket in _deal(rng, cells, parts)]
 
 
 def _random_value(
@@ -244,7 +245,7 @@ def random_series(
     """A finite series of simple terms, or a geometric indicator rule."""
     if rng.random() < 0.3:
         den = rng.randint(2, 8)
-        return geometric_indicator_series(measure, Fraction(rng.randint(1, den - 1), den))
+        return GeometricIndicatorSeries(measure, Fraction(rng.randint(1, den - 1), den))
     terms = [
         random_simple_function(rng, measure, max_terms=4, max_denominator=max_denominator)
         for _ in range(rng.randint(1, max_terms))
@@ -276,12 +277,7 @@ def _split_set(rng: random.Random, part: MeasurableSet) -> list[MeasurableSet]:
     if isinstance(part, DiscreteSet):
         if not part.indices:
             return [part]
-        indices = list(part.indices)
-        rng.shuffle(indices)
-        buckets: list[list[int]] = [[] for _ in range(min(pieces, len(indices)))]
-        for position, index in enumerate(indices):
-            buckets[position % len(buckets)].append(index)
-        return [DiscreteSet(part.space, bucket) for bucket in buckets]
+        return [DiscreteSet(part.space, b) for b in _deal(rng, part.indices, pieces)]
     if part.is_empty:
         return [part]
     cuts = []
@@ -292,11 +288,7 @@ def _split_set(rng: random.Random, part: MeasurableSet) -> list[MeasurableSet]:
     edges = sorted({*part.endpoints(), *cuts})
     cells = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
     cells = [c for c in cells if not part.intersection(IntervalSet([c])).is_empty]
-    rng.shuffle(cells)
-    buckets_iv: list[list] = [[] for _ in range(min(pieces, len(cells)))]
-    for position, cell in enumerate(cells):
-        buckets_iv[position % len(buckets_iv)].append(cell)
-    return [part.intersection(IntervalSet(bucket)) for bucket in buckets_iv]
+    return [part.intersection(IntervalSet(bucket)) for bucket in _deal(rng, cells, pieces)]
 
 
 def sample_points(rng: random.Random, measure: Measure, count: int) -> list:

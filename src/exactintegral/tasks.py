@@ -28,10 +28,9 @@ from typing import Any, Optional, Union
 from .bochner import (
     FiniteSeries,
     FunctionSeries,
-    RuleSeries,
+    GeometricIndicatorSeries,
     bochner_integrate,
     equivalence_report,
-    geometric_indicator_series,
 )
 from .generators import GeneratedCase
 from .lebesgue import INTEGRAL_CLASS, DyadicApproximation, Integrand, lebesgue_integral
@@ -282,7 +281,7 @@ def parse_function(
         )
         ratio = _rational(_get(obj, "ratio", field_path), f"{field_path}.ratio")
         try:
-            return geometric_indicator_series(measure, ratio)
+            return GeometricIndicatorSeries(measure, ratio)
         except ValueError as exc:
             raise TaskSpecError(f"{field_path}.ratio", str(exc)) from None
     raise TaskSpecError(f"{field_path}.type", f"unknown function type {kind!r}")
@@ -582,11 +581,11 @@ def function_fragment(fn) -> dict:
         }
     if isinstance(fn, FiniteSeries):
         return {"type": "series", "terms": [function_fragment(t) for t in fn.terms]}
-    if isinstance(fn, RuleSeries) and fn.name == "geometric_indicator":
+    if isinstance(fn, GeometricIndicatorSeries):
         return {
             "type": "series_rule",
             "rule": "geometric_indicator",
-            "ratio": format_rational(fn.params["ratio"]),
+            "ratio": format_rational(fn.ratio),
         }
     raise TypeError(f"no task-file form for {type(fn).__name__}")
 

@@ -14,18 +14,17 @@ from exactintegral import (
     DiscreteSpace,
     FiniteSeries,
     FunctionSeries,
+    GeometricIndicatorSeries,
     IntervalMeasure,
     IntervalSet,
     NormKind,
     PiecewiseLinear,
-    RuleSeries,
     SimpleFunction,
     TelescopeSeries,
     UNIT_INTERVAL,
     Vec,
     bochner_integrate,
     equivalence_report,
-    geometric_indicator_series,
     integral_from_series,
     l1_norm,
     lebesgue_integral,
@@ -71,7 +70,7 @@ def test_finite_series_certificate():
 
 
 def test_geometric_certificate():
-    series = geometric_indicator_series(LEBESGUE, F(1, 2))
+    series = GeometricIndicatorSeries(LEBESGUE, F(1, 2))
     for upto in (1, 3, 8):
         partial, tail = series.certificate(upto)
         assert partial == 1 - F(1, 1 << upto)
@@ -84,14 +83,13 @@ def test_empty_series_certificate_and_integral():
     assert bochner_integrate(empty) == (F(0), F(0))
 
 
-def test_rule_series_without_tail_bound_refuses():
-    series = RuleSeries(
-        LEBESGUE, rule=lambda n: SimpleFunction.indicator(F(1, n), iv((0, 1)))
-    )
-    with pytest.raises(CertificateError):
-        series.certificate(3)
-    with pytest.raises(CertificateError):
+def test_endless_series_without_truncation_refuses():
+    series = GeometricIndicatorSeries(LEBESGUE, F(1, 2))
+    required = "a truncation index is required for non-terminating series"
+    with pytest.raises(CertificateError, match=required):
         bochner_integrate(series)
+    with pytest.raises(CertificateError, match=required):
+        integral_from_series(series)
 
 
 # --- truncated sums --------------------------------------------------------------
@@ -119,7 +117,7 @@ def test_vector_series_needs_norm():
 
 
 def test_geometric_truncation_and_bound():
-    series = geometric_indicator_series(LEBESGUE, F(1, 2))
+    series = GeometricIndicatorSeries(LEBESGUE, F(1, 2))
     value, bound = bochner_integrate(series, truncation=10)
     assert value == 1 - F(1, 1 << 10)
     assert bound == F(1, 1 << 10)
@@ -127,7 +125,7 @@ def test_geometric_truncation_and_bound():
 
 
 def test_pointwise_partial_sums():
-    series = geometric_indicator_series(LEBESGUE, F(1, 2))
+    series = GeometricIndicatorSeries(LEBESGUE, F(1, 2))
     assert series.partial_value_at(F(1, 3), 0) == 0
     assert series.partial_value_at(F(2, 3), 5) == 1 - F(1, 32)
     assert TWO_TERM.partial_value_at(F(1, 4), 2) == 0
@@ -245,7 +243,7 @@ def test_recover_requires_scalar():
 
 
 def test_recover_rule_series_within_tail():
-    series = geometric_indicator_series(LEBESGUE, F(1, 3))
+    series = GeometricIndicatorSeries(LEBESGUE, F(1, 3))
     result = integral_from_series(series, truncation=12)
     exact = F(1, 3) / (1 - F(1, 3))
     assert abs(result.value - exact) <= result.error_bound
@@ -479,26 +477,46 @@ def test_terminating_series_refuses_terms_past_the_end():
             )
 
 
-def test_terminating_series_accessors_refuse_what_a_finite_series_refuses():
-    step = sf((F(3, 4), iv((0, "1/4"))), (F(-1, 2), iv(("1/2", 1))))
-    for fn in (step, SimpleFunction.zero(UNIT_INTERVAL)):
-        lazy = series_from_integrand(fn, LEBESGUE, depth=6).series
-        finite = FiniteSeries(LEBESGUE, [lazy.term(n) for n in range(1, lazy.term_count + 1)])
-        for index in (0, lazy.term_count + 1):
-            for accessor in (
-                lambda series: series.term(index),
-                lambda series: series.term_integral(index),
-                lambda series: series.term_abs_integral(index),
-                lambda series: series.term_value_at(index, F(1, 8)),
-            ):
-                messages = []
-                for series in (lazy, finite):
-                    with pytest.raises(IndexError) as info:
-                        accessor(series)
-                    messages.append(str(info.value))
-                assert messages[0] == messages[1] == (
-                    f"series has {lazy.term_count} terms, asked for {index}"
-                )
+def terminating_pair(fn):
+    """The telescoped series of `fn` and the finite series of its terms."""
+    lazy = series_from_integrand(fn, LEBESGUE, depth=6).series
+    finite = FiniteSeries(LEBESGUE, [lazy.term(n) for n in range(1, lazy.term_count + 1)])
+    return lazy, finite
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: terminating_pair(sf((F(3, 4), iv((0, "1/4"))), (F(-1, 2), iv(("1/2", 1))))),
+        lambda: terminating_pair(SimpleFunction.zero(UNIT_INTERVAL)),
+        lambda: (GeometricIndicatorSeries(LEBESGUE, F(1, 2)),),
+    ],
+    ids=["step", "zero", "geometric"],
+)
+def test_terminating_series_accessors_refuse_what_a_finite_series_refuses(make):
+    """One index contract: per-term accessors and partial sums refuse alike."""
+    group = make()
+    count = group[0].term_count
+    if count is None:
+        refused = {0: "series terms are 1-indexed", -1: "series terms are 1-indexed"}
+    else:
+        refused = {i: f"series has {count} terms, asked for {i}" for i in (0, count + 1)}
+    for index, message in refused.items():
+        for accessor in (
+            lambda series: series.term(index),
+            lambda series: series.term_integral(index),
+            lambda series: series.term_abs_integral(index),
+            lambda series: series.term_value_at(index, F(1, 8)),
+        ):
+            for series in group:
+                with pytest.raises(IndexError) as info:
+                    accessor(series)
+                assert str(info.value) == message
+    for series in group:
+        for partial in (series.tail_bound, series.partial_integral_sum, series.partial_abs_sum):
+            with pytest.raises(ValueError) as info:
+                partial(-1)
+            assert str(info.value) == "index must be >= 0"
 
 
 def two_step(value):

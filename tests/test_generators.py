@@ -8,8 +8,8 @@ import pytest
 from exactintegral import (
     FiniteSeries,
     GeneratorConfig,
+    GeometricIndicatorSeries,
     PiecewiseLinear,
-    RuleSeries,
     SimpleFunction,
     generate,
     generate_stream,
@@ -54,7 +54,7 @@ def test_family_shapes():
     vector = generate(GeneratorConfig(seed=4, family="vector_simple")).function
     assert isinstance(vector, SimpleFunction) and vector.is_vector
     series = generate(GeneratorConfig(seed=4, family="series")).function
-    assert isinstance(series, (FiniteSeries, RuleSeries))
+    assert isinstance(series, (FiniteSeries, GeometricIndicatorSeries))
 
 
 def test_series_always_carry_certificates():
