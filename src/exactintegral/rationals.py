@@ -8,14 +8,23 @@ package boundary ("p/q" in files and reports, decimal renderings for
 human readers), the grid arithmetic shared by the approximation code, and
 the exact sum of value-times-mass products the integrals of simple
 functions are made of.
+
+Every rational of a task file passes through `parse_rational` and every
+reported one through `decimal_string`, so both do their work once: the
+parser matches the text against one pattern whose two groups go through
+`int` straight into `Fraction(numerator, denominator)` (no second parse
+of the text by `Fraction`), and the decimal rendering divides in one
+`decimal.Context` per precision, built on first use, instead of opening a
+local context per value.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Iterable
 
@@ -34,9 +43,9 @@ __all__ = [
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# "p" or "p/q" with optional sign; float and exponent syntax is excluded so
-# inexact values can never enter a computation through a file.
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+# "p" or "p/q" with optional sign, matched whole; float and exponent syntax
+# is excluded so inexact values can never enter a computation through a file.
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -48,11 +57,14 @@ def parse_rational(text: str) -> Fraction:
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {text!r}")
-    stripped = text.strip()
-    if not _RATIONAL_RE.match(stripped):
+    match = _RATIONAL_RE.fullmatch(text.strip())
+    if match is None:
         raise ValueError(f"not a rational string: {text!r}")
+    numerator, denominator = match.groups()
     try:
-        return Fraction(stripped)
+        if denominator is None:
+            return Fraction(int(numerator))
+        return Fraction(int(numerator), int(denominator))
     except ValueError:
         # The syntax is valid, so only the digit limit can refuse it.
         raise ValueError(
@@ -68,9 +80,13 @@ def format_rational(value: Fraction) -> str:
 
 def decimal_string(value: Fraction, digits: int = 12) -> str:
     """Decimal rendering to `digits` significant digits (exactly rounded)."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+    return str(_context(digits).divide(Decimal(value.numerator), Decimal(value.denominator)))
+
+
+@cache
+def _context(digits: int) -> Context:
+    """The default decimal context at precision `digits`; one per precision."""
+    return Context(prec=digits)
 
 
 def floor_to_grid(value: Fraction, level: int) -> Fraction:

@@ -510,8 +510,8 @@ class IntervalMeasure:
     _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        bp = tuple(Fraction(t) for t in self.breakpoints)
-        dens = tuple(Fraction(d) for d in self.densities)
+        bp = tuple(t if type(t) is Fraction else Fraction(t) for t in self.breakpoints)
+        dens = tuple(d if type(d) is Fraction else Fraction(d) for d in self.densities)
         if len(bp) < 2 or bp[0] != 0 or bp[-1] != 1:
             raise ValueError("breakpoints must run from 0 to 1")
         if any(bp[i] >= bp[i + 1] for i in range(len(bp) - 1)):

@@ -13,6 +13,15 @@ exact value whose numerator or denominator has more decimal digits than
 the interpreter renders (`sys.get_int_max_str_digits()`) is not rendered:
 rendering raises a `ValueError` naming the report entry (or table column
 and level) and the limit, and the limit itself is left as it is.
+
+A report is encoded as `json.dumps(report, sort_keys=True, indent=2)`
+would encode it, but a report of scalar entries goes through the standard
+library's C encoder: CPython uses it only when `indent` is None, so the
+indented layout is made by the item separator ",\n  " and the braces are
+put on their own lines around it.  A report holding a list (a `Vec`
+entry) takes `json.dumps` itself.  Numbers in a task file are parsed once,
+by `rationals.parse_rational`, and the constructors the parser calls take
+its `Fraction`s as they are.
 """
 
 from __future__ import annotations
@@ -125,10 +134,11 @@ def parse_measure(obj, field_path: str = "space") -> Measure:
     if kind == "discrete":
         weights = _rational_list(_get(obj, "weights", field_path), f"{field_path}.weights")
         _require(bool(weights), f"{field_path}.weights", "needs at least one weight")
-        _require(
-            all(w >= 0 for w in weights), f"{field_path}.weights", "weights must be >= 0"
-        )
-        return DiscreteSpace(tuple(weights))
+        try:
+            return DiscreteSpace(tuple(weights))
+        except ValueError:
+            # With at least one weight, a negative weight is all it refuses.
+            raise TaskSpecError(f"{field_path}.weights", "weights must be >= 0") from None
     if kind == "interval":
         breakpoints = _rational_list(
             _get(obj, "breakpoints", field_path), f"{field_path}.breakpoints"
@@ -427,15 +437,16 @@ def run_integrate(task: TaskSpec) -> dict:
         truncation = task.parameters.get("truncation")
         if truncation is None:
             truncation = series.term_count if series.term_count is not None else 16
+        # `bound` is already the certificate's tail bound; asking the series
+        # again would integrate every tail term a second time.
         value, bound = bochner_integrate(series, truncation)
-        partial, tail = series.certificate(truncation)
         return {
             "task": name,
             "truncation": truncation,
             "value": value,
             "error_bound": bound,
-            "abs_sum_partial": partial,
-            "abs_sum_tail_bound": tail,
+            "abs_sum_partial": series.partial_abs_sum(truncation),
+            "abs_sum_tail_bound": bound,
             "term_count": series.term_count,
         }
     raise TaskSpecError("task", f"task {name!r} is not an integrate task")
@@ -502,6 +513,11 @@ def _render_value(key: str, value, out: dict) -> None:
         out[key] = value
 
 
+# With `indent` None, `encode` runs the C encoder; this item separator puts
+# each entry of a flat object on its own line, indented as by `indent=2`.
+_FLAT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n  ", ": "))
+
+
 def render_report(report: dict) -> str:
     """Flat JSON with exact rationals and decimal companions; stable bytes."""
     rendered: dict = {}
@@ -510,7 +526,9 @@ def render_report(report: dict) -> str:
             _render_value(key, value, rendered)
         except ValueError:
             raise _unrenderable(f"report entry {key!r}") from None
-    return json.dumps(rendered, sort_keys=True, indent=2) + "\n"
+    if not rendered or any(isinstance(v, (list, tuple, dict)) for v in rendered.values()):
+        return json.dumps(rendered, sort_keys=True, indent=2) + "\n"
+    return "{\n  " + _FLAT_ENCODER.encode(rendered)[1:-1] + "\n}\n"
 
 
 _TABLE_COLUMNS = ("level", "integral", "gap", "bound")

@@ -17,10 +17,19 @@ by sweeps: pairwise disjointness checks and every-pair intersections
 sort intervals by their `Fraction` lower ends and merge them left to
 right.  They order endpoints only by `Fraction` comparisons, never through
 the library's float-keyed sorts and sweeps.
+
+`parse_rational_reference` and `decimal_string_reference` are the
+front-end conversions the library replaced: the parser that checks its
+own pattern and then hands the text to `Fraction(str)`, which parses it a
+second time, and the decimal rendering that opens a `localcontext` per
+value.
 """
 
 from __future__ import annotations
 
+import re
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from exactintegral import (
@@ -249,3 +258,29 @@ def measure_of_reference(measure: IntervalMeasure, part) -> Fraction:
             if overlap > 0:
                 total += density * overlap
     return total
+
+
+_RATIONAL_REFERENCE_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+
+
+def parse_rational_reference(text: str) -> Fraction:
+    """Check "p" or "p/q" with one pattern, then parse it with `Fraction(str)`."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational string, got {text!r}")
+    stripped = text.strip()
+    if not _RATIONAL_REFERENCE_RE.match(stripped):
+        raise ValueError(f"not a rational string: {text!r}")
+    try:
+        return Fraction(stripped)
+    except ValueError:
+        raise ValueError(
+            "rational has a numerator or denominator longer than the "
+            f"{sys.get_int_max_str_digits()}-digit limit for integer strings"
+        ) from None
+
+
+def decimal_string_reference(value: Fraction, digits: int = 12) -> str:
+    """`digits` significant digits, divided in a local context per value."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return str(Decimal(value.numerator) / Decimal(value.denominator))

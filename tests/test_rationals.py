@@ -1,0 +1,183 @@
+"""The front-end conversions, pinned to the code they replaced.
+
+`parse_rational` must accept and refuse exactly what the two-pass parser
+in `oracles.parse_rational_reference` does, with the same messages;
+`decimal_string` must give the bytes of a division in a `localcontext`;
+`render_report` must give the bytes of `json.dumps(..., indent=2)`,
+whichever encoder it takes.
+"""
+
+import json
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from exactintegral import Vec, decimal_string, parse_rational
+from exactintegral.tasks import render_report
+from oracles import decimal_string_reference, parse_rational_reference
+
+LOW_DIGIT_LIMIT = 640  # the smallest limit the interpreter accepts
+
+
+def _outcome(parse, text):
+    """(type, numerator, denominator) of the result, or the refusal's type and message."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return type(value), value.numerator, value.denominator
+
+
+def _assert_same_outcome(text):
+    outcome = _outcome(parse_rational, text)
+    assert outcome == _outcome(parse_rational_reference, text)
+    return outcome
+
+
+_space = st.sampled_from(["", " ", "\t", "\n", "  ", " "])
+_digits = st.text(alphabet="0123456789", min_size=1, max_size=25)
+_grammar = st.builds(
+    lambda lead, sign, num, den, trail: f"{lead}{sign}{num}{den}{trail}",
+    _space,
+    st.sampled_from(["", "+", "-"]),
+    _digits,
+    st.one_of(st.just(""), _digits.map(lambda d: "/" + d), st.just("/-2"), st.just("/+3")),
+    _space,
+)
+# Characters of the grammar, of float, exponent and underscore syntax, and
+# non-ASCII digits (Arabic-Indic, Devanagari, fullwidth), in any order.
+_near = st.text(alphabet="0123456789+-/ .eE_\t٣٤०１", max_size=12)
+_edges = st.sampled_from(
+    ["1/0", "1/00", "0/1", "-0", "+0/7", "1/-2", "-1/2", "007/010", "1.5", "1e3", "1E3",
+     ".5", "1/2/3", "1_000", "1/1_0", "", " ", "/2", "1/", "+-1", "٣/٤",
+     "٣/4", "1/٤", "１２", " 3/4\n", "inf", "nan"]
+)
+_non_strings = st.one_of(
+    st.integers(), st.floats(allow_nan=False), st.none(), st.booleans(),
+    st.fractions(), st.lists(st.integers(), max_size=2), st.just(b"1/2"),
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(_grammar, _near, _edges, _non_strings))
+def test_parse_rational_agrees_with_the_two_pass_reference(text):
+    _assert_same_outcome(text)
+
+
+@pytest.fixture
+def low_digit_limit():
+    """Lower the interpreter's digit limit for integer strings, then restore it."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(LOW_DIGIT_LIMIT)
+    try:
+        yield LOW_DIGIT_LIMIT
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.parametrize(
+    "text, refused",
+    [
+        ("7" * LOW_DIGIT_LIMIT, False),
+        ("-" + "7" * LOW_DIGIT_LIMIT, False),
+        ("1/" + "7" * LOW_DIGIT_LIMIT, False),
+        ("7" * (LOW_DIGIT_LIMIT + 1), True),
+        ("+" + "7" * (LOW_DIGIT_LIMIT + 1), True),
+        ("0" * LOW_DIGIT_LIMIT + "1", True),
+        (" 1/" + "7" * (LOW_DIGIT_LIMIT + 1) + " ", True),
+        ("7" * (LOW_DIGIT_LIMIT + 1) + "/3", True),
+    ],
+    ids=["num-at", "signed-at", "den-at", "num-over", "signed-over", "zeros-over",
+         "den-over", "num-over-with-den"],
+)
+def test_digit_limit_refusal_matches_the_reference(low_digit_limit, text, refused):
+    outcome = _assert_same_outcome(text)
+    if refused:
+        assert outcome == (
+            ValueError,
+            "rational has a numerator or denominator longer than the "
+            f"{low_digit_limit}-digit limit for integer strings",
+        )
+    else:
+        assert outcome[0] is Fraction
+
+
+def test_unrenderable_report_entry_names_the_entry_and_the_limit(low_digit_limit):
+    report = {"task": "integrate_mi", "value": Fraction(10**low_digit_limit, 3)}
+    with pytest.raises(ValueError) as info:
+        render_report(report)
+    assert str(info.value) == (
+        "report entry 'value' cannot be rendered: its exact value has a numerator or "
+        f"denominator longer than the {low_digit_limit}-digit limit for integer strings"
+    )
+
+
+_values = st.one_of(
+    st.fractions(),
+    st.integers(-10**15, 10**15).map(Fraction),
+    st.just(Fraction(0)),
+    # Round up at the 12th digit, across a power of ten and to exponent
+    # form; ties at the 13th digit, which round to even.
+    st.sampled_from(
+        [Fraction(999999999999, 1) + Fraction(1, 2), Fraction(-99999999999995, 100),
+         Fraction(2, 3), Fraction(-1, 7), Fraction(10**12), Fraction(10**30, 7),
+         Fraction(1, 10**20), Fraction(123456789012345, 1000),
+         Fraction(1234567890125, 10**13), Fraction(-2000000000005, 10)]
+    ),
+    st.fractions(min_value=10**12, max_value=10**40),
+)
+
+
+@settings(deadline=None)
+@given(_values, st.one_of(st.just(12), st.integers(1, 40)))
+def test_decimal_string_matches_a_local_context_division(value, digits):
+    assert decimal_string(value, digits) == decimal_string_reference(value, digits)
+    assert decimal_string(value) == decimal_string_reference(value)
+
+
+_keys = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=10).filter(
+    lambda key: not key.endswith("_decimal")
+)
+_entries = st.one_of(
+    _values,
+    st.lists(_values, min_size=1, max_size=3).map(lambda cs: Vec(tuple(cs))),
+    st.booleans(),
+    st.integers(),
+    st.none(),
+    st.text(),
+)
+
+
+def _expected_rendering(report: dict) -> str:
+    rendered = {}
+    for key, value in report.items():
+        if isinstance(value, Fraction):
+            rendered[key] = str(value)
+            rendered[f"{key}_decimal"] = decimal_string_reference(value)
+        elif isinstance(value, Vec):
+            rendered[key] = [str(c) for c in value.components]
+            rendered[f"{key}_decimal"] = [decimal_string_reference(c) for c in value.components]
+        else:
+            rendered[key] = value
+    return json.dumps(rendered, sort_keys=True, indent=2) + "\n"
+
+
+@settings(deadline=None)
+@given(st.dictionaries(_keys, _entries, max_size=8))
+def test_render_report_matches_indented_json_dumps(report):
+    assert render_report(report) == _expected_rendering(report)
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        {},
+        {"task": "compare", "ok": True, "depth": 12, "count": None, "value": Fraction(-5, 3)},
+        {"task": "integrate_bochner", "value": Vec((Fraction(1, 2), Fraction(3))), "n": 1},
+    ],
+    ids=["empty", "scalars", "vector"],
+)
+def test_render_report_of_each_shape_matches_indented_json_dumps(report):
+    assert render_report(report) == _expected_rendering(report)

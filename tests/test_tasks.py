@@ -14,6 +14,7 @@ from exactintegral import (
     generate,
     parse_rational,
 )
+from exactintegral import bochner
 from exactintegral.generators import generate_stream
 from exactintegral.tasks import (
     TaskSpecError,
@@ -69,6 +70,13 @@ def test_floats_rejected_with_field_name():
     with pytest.raises(TaskSpecError) as err:
         parse_measure({"type": "discrete", "weights": [0.25]})
     assert err.value.field == "space.weights[0]"
+
+
+def test_negative_weight_refused_with_field_name():
+    with pytest.raises(TaskSpecError) as err:
+        parse_measure({"type": "discrete", "weights": ["1/2", "-1/3", "1"]})
+    assert err.value.field == "space.weights"
+    assert str(err.value) == "space.weights: weights must be >= 0"
 
 
 def test_unknown_space_type_named():
@@ -175,6 +183,34 @@ def test_run_integrate_bochner_series():
     report = run_integrate(parse_task_document(doc))
     assert report["value"] == F(5, 2)
     assert report["error_bound"] == 0
+
+
+def test_integrate_bochner_integrates_the_tail_once(monkeypatch):
+    # Six step terms truncated after two: the certificate needs the norm
+    # integrals of the two kept terms and of the four in the tail, once each.
+    terms = [
+        {"type": "simple", "terms": [{"value": str(k), "set": {"intervals": [["0", f"1/{k}"]]}}]}
+        for k in range(1, 7)
+    ]
+    doc = make_doc(
+        function={"type": "series", "terms": terms},
+        task="integrate_bochner",
+        parameters={"truncation": 2},
+    )
+    task = parse_task_document(doc)
+    calls = []
+    l1_norm = bochner.l1_norm
+
+    def counted(*args):
+        calls.append(args)
+        return l1_norm(*args)
+
+    monkeypatch.setattr(bochner, "l1_norm", counted)
+    report = run_integrate(task)
+    assert len(calls) == 6
+    assert report["value"] == 2
+    assert report["abs_sum_partial"] == 2
+    assert report["error_bound"] == report["abs_sum_tail_bound"] == 4
 
 
 def test_run_integrate_bochner_rule():
