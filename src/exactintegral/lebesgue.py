@@ -22,19 +22,23 @@ A nonnegative integrand f enters stage two only through the distribution
 m∘f⁻¹ of its values: the limit is the mean of that distribution, and each
 staircase level is `∫ s_n(f) dm = ∫ s_n(y) d(m∘f⁻¹)(y)`.  For both
 integrand classes the distribution is finite and is read as integer rows
-(p, q, e, c) over one denominator L.  A value y = p/q held on a set (a
-slope-0 cell) is an atom: its row is (mass, 0), the masses being integer
-numerators from one batch read.  A sloped cell spreads its mass over its
-values with the value density r = d/|a| of each density cell d it
-crosses; each end of such a uniform piece adds +-(r*y, r), and one sweep
-of the sloped cells along the density grid merges the two ends that meet
-at a density breakpoint into one row.  The level-n staircase integral is
-4^-n * sum(e*k*2^n - c*k(k+1)/2) / L with k = min(n*2^n, floor(2^n*y))
-(an atom contributes mass * s_n(y), a uniform piece an arithmetic
-series), and the limit is sum(2*e*p*q - c*p^2) / (2*q^2*L), one `Fraction`
-from the same rows.  So stage-two convergence is checkable exactly at any
-level without materializing the staircase, and neither the integral nor
-the staircase branches on the integrand class.
+(p, q, e, c, L), each over its own denominator L.  A value y = p/q held
+on a set (a slope-0 cell) is an atom: its row is (mass, 0) over the
+denominator of the one batch read that gives every atom mass.  A sloped
+cell spreads its mass over its values with the value density r = d/|a|
+of each density cell d it crosses; each end of such a uniform piece adds
++-(r*y, r), and one sweep of the sloped cells along the density grid
+merges the two ends that meet at a density breakpoint into one row, over
+the denominator of its r-step times q.  The level-n staircase integral
+is 4^-n * sum((e*k*2^n - c*k(k+1)/2) / L) with k = min(n*2^n,
+floor(2^n*y)) (an atom contributes mass * s_n(y), a uniform piece an
+arithmetic series), and the limit is sum((2*e*p*q - c*p^2) / (2*q^2*L)).
+Both sums go through `rationals.exact_sum`, which adds the terms per
+denominator and then pairwise, so no row is scaled to a denominator
+common to all rows, and each makes one `Fraction`.  So stage-two
+convergence is checkable exactly at any level without materializing the
+staircase, and neither the integral nor the staircase branches on the
+integrand class.
 
 The signed integral, `integrate_over` (the cells intersected with the
 region) and the L1 norm read one distribution of the signed cells and
@@ -45,8 +49,9 @@ rows at positive values give ∫f+, those at negative values −∫f−.
 `DyadicApproximation.parts(f)` builds the approximations of f+ and f−
 from the signed cells of f.  On first use against a measure an
 approximation reads the rows of its value distribution and keeps them
-with their limit in one table; level n is then an integer numerator
-over L * 4^n, and each level costs one `Fraction`, made once and kept.
+with their limit in one table; level n is then one exact sum of
+integer terms over the rows' denominators, and each level costs one
+`Fraction`, made once and kept.
 Levels are kept sparsely, by level: asking for level n computes level n
 alone, so a caller that reads levels 0 and d pays for two levels, not for
 d + 1.  From the termination level of a terminating staircase on, every
@@ -71,6 +76,7 @@ from typing import Optional, Union
 from .piecewise import PiecewiseLinear
 from .rationals import (
     ZERO,
+    exact_sum,
     floor_to_grid,
     is_on_grid,
     power_of_two_level,
@@ -188,45 +194,39 @@ def _termination_level(cells: list) -> Optional[int]:
     return level
 
 
-def _value_distribution(cells: list, measure: Measure) -> tuple[list, int]:
+def _value_distribution(cells: list, measure: Measure) -> list:
     """The distribution of the cells' values under the measure, as integer
-    rows (p, q, e, c) over one denominator L: the coefficients e/L and c/L
-    of `_StaircaseTable` at the value y = p/q.
+    rows (p, q, e, c, L), each over its own denominator L: the coefficients
+    e/L and c/L of `_StaircaseTable` at the value y = p/q.
 
     A slope-0 cell of value y on a set of mass m is an atom, the row
-    (m, 0); all atom masses come from one batch read.  A sloped cell
-    y = a*x + b under density d spreads mass over its values with density
-    r = d/|a|, whose ends add +-(r*y, r); where the density steps from d to
-    d' at x, the two ends meeting there make one row ((d - d')/a * y,
-    (d - d')/a) at y = a*x + b.  The sloped cells are swept against the
-    density grid in one pass.  Null masses contribute to no integral and
-    are left out.
+    (m, 0) over the denominator of the batch read that gives all atom
+    masses.  A sloped cell y = a*x + b under density d spreads mass over
+    its values with density r = d/|a|, whose ends add +-(r*y, r); where the
+    density steps from d to d' at x, the two ends meeting there make one
+    row ((d - d')/a * y, (d - d')/a) at y = a*x + b, over the denominator
+    of (d - d')/a times q.  The sloped cells are swept against the density
+    grid in one pass.  Null masses contribute to no integral and are left
+    out.
     """
     flat = [(b, part) for part, a, b, _ in cells if not a]
     sloped = [cell for cell in cells if cell[1]]
     numerators, denominator = measure._masses([part for _, part in flat])
-    ramps = _ramps(sloped, measure) if sloped else []
-    common = math.lcm(denominator, *(t.denominator for _, e, c in ramps for t in (e, c)))
-
-    def scaled(t: Fraction) -> int:
-        return t.numerator * (common // t.denominator)
-
-    scale = common // denominator
     rows = [
-        (y.numerator, y.denominator, n * scale, 0)
+        (y.numerator, y.denominator, n, 0, denominator)
         for (y, _), n in zip(flat, numerators)
         if n
     ]
-    rows += [(y.numerator, y.denominator, scaled(e), scaled(c)) for y, e, c in ramps]
-    return rows, common
+    return rows + _ramps(sloped, measure) if sloped else rows
 
 
 def _ramps(sloped: list, measure: Measure) -> list:
-    """`Fraction` rows (y, e, c) of sloped cells, which come in increasing
-    order, from one sweep along the measure's merged density grid."""
+    """Integer rows (p, q, e, c, L) of sloped cells, which come in
+    increasing order, from one sweep along the measure's merged density
+    grid."""
     grid = measure._merged[0]
     _, _, densities, _, density_den = measure._table
-    ramps = []
+    rows = []
     k = 0
     for part, a, b, (y_u, y_w) in sloped:
         ((u, w),) = part.intervals
@@ -240,31 +240,27 @@ def _ramps(sloped: list, measure: Measure) -> list:
         for y, step in steps:
             if step:
                 c = Fraction(step * a.denominator, density_den * a.numerator)
-                ramps.append((y, c * y, c))
-    return ramps
+                p, q = y.numerator, y.denominator
+                rows.append((p, q, c.numerator * p, c.numerator * q, c.denominator * q))
+    return rows
 
 
-def _mean(rows: list, denominator: int) -> Fraction:
-    """The mean of a value distribution: sum(e*y - c*y^2/2) / L over its
-    rows, the limit of the level-n staircase integrals, as one `Fraction`.
-    Twice a row's term is 2*e*p/q for an atom and (2*e*p*q - c*p^2)/q^2
-    otherwise; the terms are summed per denominator."""
-    groups: dict[int, int] = {}
-    for p, q, e, c in rows:
-        if c:
-            q, s = q * q, 2 * e * p * q - c * p * p
-        else:
-            s = 2 * e * p
-        groups[q] = groups.get(q, 0) + s
-    common = math.lcm(*groups)
-    total = sum(s * (common // q) for q, s in groups.items())
-    return Fraction(total, 2 * common * denominator)
+def _mean(rows: list) -> Fraction:
+    """The mean of a value distribution: the sum of (e*y - c*y^2/2) / L over
+    its rows, the limit of the level-n staircase integrals, as one
+    `Fraction`.  Twice a row's term is 2*e*p/(q*L) for an atom and
+    (2*e*p*q - c*p^2)/(q^2*L) otherwise; `exact_sum` adds them."""
+    total, denominator = exact_sum(
+        (2 * e * p * q - c * p * p, q * q * L) if c else (2 * e * p, q * L)
+        for p, q, e, c, L in rows
+    )
+    return Fraction(total, 2 * denominator)
 
 
 def integrate_nonneg(fn: Integrand, measure: Measure) -> Fraction:
     """Exact limit integral of a nonnegative integrand: the mean of its values."""
     check_integrand_measure(fn, measure)
-    return _mean(*_value_distribution(_nonneg_cells(fn), measure))
+    return _mean(_value_distribution(_nonneg_cells(fn), measure))
 
 
 class DyadicApproximation:
@@ -420,7 +416,7 @@ class DyadicApproximation:
             if known == measure:
                 return table
         check_integrand_measure(self, measure)
-        table = _StaircaseTable(*_value_distribution(self._cells, measure))
+        table = _StaircaseTable(_value_distribution(self._cells, measure))
         self._tables.append((measure, table))
         return table
 
@@ -429,18 +425,17 @@ class _StaircaseTable:
     """Staircase integrals of one approximation against one measure, by level,
     and their limit.
 
-    It keeps the integer rows (p, q, e, c) of `_value_distribution`, all
-    over one denominator L: level n is the integer numerator
-    sum(e*k*2^n - c*k(k+1)/2), k = min(n*2^n, floor(2^n*p/q)), over
-    L * 4^n, turned into a single `Fraction` and kept by level, so each
-    level asked for is computed alone.  The limit is the mean of the same
-    rows.
+    It keeps the integer rows (p, q, e, c, L) of `_value_distribution`,
+    each over its own denominator L: level n is 4^-n times the sum of
+    (e*k*2^n - c*k(k+1)/2) / L, k = min(n*2^n, floor(2^n*p/q)), over the
+    rows, one `exact_sum` turned into a single `Fraction` and kept by
+    level, so each level asked for is computed alone.  The limit is the
+    mean of the same rows.
     """
 
-    def __init__(self, rows: list, denominator: int):
+    def __init__(self, rows: list):
         self._rows = rows
-        self._denominator = denominator
-        self.limit = _mean(rows, denominator)
+        self.limit = _mean(rows)
         self._values: dict[int, Fraction] = {}
 
     def at(self, level: int) -> Fraction:
@@ -451,12 +446,12 @@ class _StaircaseTable:
 
     def _level(self, n: int) -> Fraction:
         cap = n << n
-        linear = quadratic = 0
-        for p, q, e, c in self._rows:
+        terms = []
+        for p, q, e, c, L in self._rows:
             k = min(cap, (p << n) // q)
-            linear += e * k
-            quadratic += c * (k * (k + 1) >> 1)
-        return Fraction((linear << n) - quadratic, self._denominator << (2 * n))
+            terms.append(((e * k << n) - c * (k * (k + 1) >> 1), L))
+        total, denominator = exact_sum(terms)
+        return Fraction(total, denominator << (2 * n))
 
 
 @dataclass(frozen=True)
@@ -471,9 +466,9 @@ class IntegralResult:
 def _signed_integral(cells: list, measure: Measure) -> IntegralResult:
     """∫f+ and ∫f− from one value distribution of the signed cells of f,
     split at zero: no cell changes sign, so no row does either."""
-    rows, denominator = _value_distribution(cells, measure)
-    pos_value = _mean([row for row in rows if row[0] > 0], denominator)
-    neg_value = -_mean([row for row in rows if row[0] < 0], denominator)
+    rows = _value_distribution(cells, measure)
+    pos_value = _mean([row for row in rows if row[0] > 0])
+    neg_value = -_mean([row for row in rows if row[0] < 0])
     return IntegralResult(pos_value - neg_value, pos_value, neg_value)
 
 

@@ -6,8 +6,12 @@ needs: values are stored reduced, denominators are positive, equality is
 value equality.  This module adds the string conventions used at the
 package boundary ("p/q" in files and reports, decimal renderings for
 human readers), the grid arithmetic shared by the approximation code, and
-the exact sum of value-times-mass products the integrals of simple
-functions are made of.
+`exact_sum`, the one multi-term sum of the integrals: integer pairs
+(numerator, denominator) are added per denominator, and the groups are
+then added pairwise in a balanced tree, each pair over the lcm of its two
+denominators.  No term is scaled to the lcm of all denominators, which
+for n distinct large denominators would make every term about n times
+as long, so the cost stays near-linear in the total size of the input.
 
 Every rational of a task file passes through `parse_rational` and every
 reported one through `decimal_string`, so both do their work once: the
@@ -25,7 +29,7 @@ import sys
 from decimal import Context, Decimal
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd
 from typing import Iterable
 
 __all__ = [
@@ -37,7 +41,7 @@ __all__ = [
     "floor_to_grid",
     "is_on_grid",
     "power_of_two_level",
-    "weighted_sum",
+    "exact_sum",
 ]
 
 ZERO = Fraction(0)
@@ -108,16 +112,24 @@ def power_of_two_level(value: Fraction) -> int | None:
     return den.bit_length() - 1
 
 
-def weighted_sum(pairs: Iterable[tuple[Fraction, int]], denominator: int) -> Fraction:
-    """sum(value * numerator) / denominator, making one `Fraction`.
+def exact_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """sum(n / d) over integer pairs (n, d) with d > 0, as one unreduced
+    pair; (0, 1) for no pairs.
 
-    The integer products are summed per value denominator and the groups
-    brought to their lcm, so no intermediate sum is normalised.
+    Numerators that share a denominator are added first; the groups are
+    then added two at a time, level by level, each pair over the lcm of
+    its two denominators.
     """
     groups: dict[int, int] = {}
-    for value, numerator in pairs:
-        q = value.denominator
-        groups[q] = groups.get(q, 0) + value.numerator * numerator
-    common = lcm(*groups)
-    total = sum(s * (common // q) for q, s in groups.items())
-    return Fraction(total, common * denominator)
+    for n, d in pairs:
+        groups[d] = groups.get(d, 0) + n
+    terms = list(groups.items())
+    while len(terms) > 1:
+        merged = [terms[-1]] if len(terms) & 1 else []
+        pairwise = iter(terms)
+        for (d1, n1), (d2, n2) in zip(pairwise, pairwise):
+            g = gcd(d1, d2)
+            merged.append((d1 // g * d2, n1 * (d2 // g) + n2 * (d1 // g)))
+        terms = merged
+    d, n = terms[0] if terms else (1, 0)
+    return n, d

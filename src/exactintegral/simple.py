@@ -23,9 +23,11 @@ to an exact `Fraction` compare only where two floats are equal (see
 kind-specific algorithms live on the space classes, so nothing here
 branches on the set kind.  `integrate_simple` reads the masses of all
 nonzero terms in one batch from the measure (integer numerators over one
-denominator) and sums value * mass in integers grouped by the value's
-denominator, so an integral costs one `Fraction` per component, not one
-`measure_of` and one normalised product per term.
+denominator) and hands the integer products value * mass, each over its
+value's own denominator, to `rationals.exact_sum`, so an integral costs
+one `Fraction` per component, not one `measure_of` and one normalised
+product per term, and no product is scaled to a denominator common to
+all values.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
-from .rationals import ZERO, weighted_sum
+from .rationals import ZERO, exact_sum
 from .spaces import (
     Measure,
     MeasurableSet,
@@ -333,20 +335,21 @@ def integrate_simple(fn: SimpleFunction, measure: Measure) -> Value:
     Representation independent (the coherence property); componentwise for
     vector values; a zero value contributes nothing whatever its set's mass.
     The masses of all nonzero terms are read in one batch, as integer
-    numerators over one denominator, so each component of the integral
-    makes one `Fraction`.
+    numerators over one denominator, and each component of the integral is
+    one `exact_sum` of the integer products over the values' denominators,
+    made into one `Fraction`.
     """
     if space_of(measure) != fn.space:
         raise SpaceMismatchError("function and measure live on different spaces")
     terms = [(value, part) for value, part in fn.terms if not _value_is_zero(value)]
     numerators, denominator = measure._masses([part for _, part in terms])
+
+    def total(values) -> Fraction:
+        n, d = exact_sum((v.numerator * m, v.denominator) for v, m in zip(values, numerators))
+        return Fraction(n, d * denominator)
+
     if fn.dim is None:
-        return weighted_sum(zip((value for value, _ in terms), numerators), denominator)
+        return total(value for value, _ in terms)
     return Vec(
-        tuple(
-            weighted_sum(
-                zip((value.components[k] for value, _ in terms), numerators), denominator
-            )
-            for k in range(fn.dim)
-        )
+        tuple(total(value.components[k] for value, _ in terms) for k in range(fn.dim))
     )

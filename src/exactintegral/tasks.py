@@ -273,11 +273,16 @@ def parse_function(
         terms = []
         for i, raw in enumerate(raw_terms):
             term_path = f"{field_path}.terms[{i}]"
-            term_kind = _get(raw, "type", term_path, required=False) or "simple"
+            term_kind = _get(raw, "type", term_path, required=False)
             if term_kind == "piecewise_linear":
                 terms.append(parse_piecewise(raw, term_path, measure))
-            else:
+            elif term_kind in (None, "simple"):
                 terms.append(parse_simple_function(raw, term_path, measure))
+            else:
+                raise TaskSpecError(
+                    f"{term_path}.type",
+                    f"unknown term type {term_kind!r} (simple or piecewise_linear)",
+                )
         try:
             return FiniteSeries(measure, terms, norm_kind=norm_kind)
         except ValueError as exc:

@@ -23,6 +23,9 @@ front-end conversions the library replaced: the parser that checks its
 own pattern and then hands the text to `Fraction(str)`, which parses it a
 second time, and the decimal rendering that opens a `localcontext` per
 value.
+
+`primes_from` lists consecutive primes, the distinct denominators of the
+growth guards.
 """
 
 from __future__ import annotations
@@ -284,3 +287,14 @@ def decimal_string_reference(value: Fraction, digits: int = 12) -> str:
     with localcontext() as ctx:
         ctx.prec = digits
         return str(Decimal(value.numerator) / Decimal(value.denominator))
+
+
+def primes_from(start: int, count: int) -> list[int]:
+    """The first `count` primes >= start, by a sieve up to 2 * start."""
+    sieve = bytearray([1]) * (2 * start)
+    for p in range(2, int(len(sieve) ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, len(sieve), p)))
+    primes = [p for p in range(start, len(sieve)) if sieve[p]]
+    assert len(primes) >= count
+    return primes[:count]

@@ -223,18 +223,34 @@ def test_staircase_integrals_nondecreasing():
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
+# Large pairwise-coprime denominators beside the small ones drawn below, so
+# that the rows of one staircase table fall into many denominator groups.
+WIDE_DENOMINATORS = (3, 7, 1000003, 998244353, 2**61 - 1, 2**89 - 1)
+
+
+def wide_fractions(lo: int, hi: int):
+    """Rationals in [lo, hi] over one of WIDE_DENOMINATORS."""
+    return st.sampled_from(WIDE_DENOMINATORS).flatmap(
+        lambda d: st.integers(lo * d, hi * d).map(lambda k: F(k, d))
+    )
+
+
 # Values up to 12 keep the level-n cap min(n, .) active on the low levels.
-stair_values = st.fractions(min_value=0, max_value=12, max_denominator=16)
-weights = st.fractions(min_value=0, max_value=4, max_denominator=8)
+stair_values = st.one_of(
+    st.fractions(min_value=0, max_value=12, max_denominator=16), wide_fractions(0, 12)
+)
+weights = st.one_of(
+    st.fractions(min_value=0, max_value=4, max_denominator=8), wide_fractions(0, 4)
+)
 
 
 @st.composite
 def unit_grids(draw, max_cuts=4):
     cuts = draw(
         st.lists(
-            st.fractions(min_value=0, max_value=1, max_denominator=32).filter(
-                lambda t: 0 < t < 1
-            ),
+            st.one_of(
+                st.fractions(min_value=0, max_value=1, max_denominator=32), wide_fractions(0, 1)
+            ).filter(lambda t: 0 < t < 1),
             unique=True,
             max_size=max_cuts,
         )

@@ -28,7 +28,7 @@ from exactintegral.generators import (
 
 from exactintegral.tasks import TaskSpec, run_integrate
 
-from oracles import integral_oracle
+from oracles import integral_oracle, primes_from
 
 
 def iv(*pairs):
@@ -170,3 +170,29 @@ def test_thousand_signed_pieces_on_a_thousand_cell_measure_stay_fast():
     assert report["integral_value"] == result.value
     assert report["difference_within_bound"]
     assert elapsed < 1
+
+
+def test_four_thousand_prime_denominator_pieces_stay_fast():
+    """A 4000-piece signed piecewise-linear integrand whose breakpoints have
+    distinct ~20-bit prime denominators, under Lebesgue measure: the signed
+    integral plus a depth-10 report must finish within 5 s together (1.2 to
+    1.7 s on a shared 2-vCPU x86-64 host, so the bound leaves 3x headroom).
+    Scaling every value-distribution row and every term of the mean to the
+    lcm of all their denominators made each integer about 80000 bits long,
+    and the pair took about 55 s on the same host; `exact_sum` adds the rows
+    per denominator and then pairwise."""
+    n = 4000
+    primes = primes_from(1 << 19, n - 1)
+    cuts = [F(k * p // n + 1, p) for k, p in enumerate(primes, start=1)]
+    fn = PiecewiseLinear(
+        [F(0), *cuts, F(1)],
+        [(F((-1) ** k * (k % 7 + 1), 3), F(k % 11 - 5, 7)) for k in range(n)],
+    )
+    started = time.perf_counter()
+    result = lebesgue_integral(fn, LEBESGUE)
+    report = equivalence_report(fn, LEBESGUE, depth=10)
+    elapsed = time.perf_counter() - started
+    assert report["integral_value"] == result.value
+    assert report["difference_within_bound"]
+    assert elapsed < 5
+    assert result.value == integral_oracle(fn, LEBESGUE)

@@ -4,7 +4,8 @@
 in `oracles.parse_rational_reference` does, with the same messages;
 `decimal_string` must give the bytes of a division in a `localcontext`;
 `render_report` must give the bytes of `json.dumps(..., indent=2)`,
-whichever encoder it takes.
+whichever encoder it takes.  `exact_sum`, the one multi-term sum of the
+integrals, must equal the plain sum of `Fraction`s.
 """
 
 import json
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactintegral import Vec, decimal_string, parse_rational
+from exactintegral.rationals import exact_sum
 from exactintegral.tasks import render_report
 from oracles import decimal_string_reference, parse_rational_reference
 
@@ -181,3 +183,41 @@ def test_render_report_matches_indented_json_dumps(report):
 )
 def test_render_report_of_each_shape_matches_indented_json_dumps(report):
     assert render_report(report) == _expected_rendering(report)
+
+
+# Small and repeated denominators, powers of two that share factors, and
+# large pairwise-coprime ones (primes and Mersenne primes).
+_SUM_DENOMINATORS = (1, 2, 3, 4, 6, 8, 12, 64, 1000003, 998244353, 2**61 - 1, 2**89 - 1)
+_sum_pairs = st.lists(
+    st.tuples(
+        st.one_of(st.just(0), st.integers(-(2**70), 2**70)),
+        st.one_of(st.sampled_from(_SUM_DENOMINATORS), st.integers(1, 2**40)),
+    ),
+    max_size=40,
+)
+
+
+@settings(deadline=None)
+@given(_sum_pairs)
+def test_exact_sum_equals_the_sum_of_fractions(pairs):
+    numerator, denominator = exact_sum(pairs)
+    assert isinstance(numerator, int) and isinstance(denominator, int)
+    assert denominator > 0
+    assert Fraction(numerator, denominator) == sum(Fraction(n, d) for n, d in pairs)
+
+
+@pytest.mark.parametrize(
+    "pairs, total",
+    [
+        ([], Fraction(0)),
+        ([(0, 7), (0, 2**89 - 1)], Fraction(0)),
+        ([(3, 4), (-3, 4)], Fraction(0)),
+        ([(1, 6), (1, 6), (1, 6), (-5, 12)], Fraction(1, 12)),
+        ([(-1, 1000003), (2, 998244353), (1, 2**61 - 1)],
+         Fraction(-1, 1000003) + Fraction(2, 998244353) + Fraction(1, 2**61 - 1)),
+    ],
+    ids=["empty", "zeros", "cancelling", "repeated", "coprime"],
+)
+def test_exact_sum_of_fixed_pairs(pairs, total):
+    assert Fraction(*exact_sum(pairs)) == total
+    assert Fraction(*exact_sum(iter(pairs))) == total

@@ -29,6 +29,7 @@ from oracles import (
     measure_of_reference,
     merged_intervals_reference,
     pairwise_disjoint_reference,
+    primes_from,
     support_reference,
     union_reference,
 )
@@ -272,22 +273,12 @@ def test_canonical_and_sum_order_one_float_ends_exactly(pool, data):
 # --- scale ----------------------------------------------------------------------------
 
 
-def _primes_from(start: int, count: int) -> list[int]:
-    sieve = bytearray([1]) * (2 * start)
-    for p in range(2, int(len(sieve) ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, len(sieve), p)))
-    primes = [p for p in range(start, len(sieve)) if sieve[p]]
-    assert len(primes) >= count
-    return primes[:count]
-
-
 def test_four_thousand_prime_denominators_stay_fast():
     """4000 intervals whose ends have distinct ~20-bit prime denominators:
     endpoint keys scaled to one common denominator would each carry about
     80000 bits, making every sort and sweep quadratic in the count."""
     n = 4000
-    primes = _primes_from(1 << 19, n - 1)
+    primes = primes_from(1 << 19, n - 1)
     cuts = [F(k * p // n + 1, p) for k, p in enumerate(primes, start=1)]
     edges = [F(0), *cuts, F(1)]
     cells = [IntervalSet([(edges[k], edges[k + 1])]) for k in range(n)]

@@ -31,23 +31,43 @@ from exactintegral import (
 
 from oracles import integral_oracle, staircase_integral_oracle, term_points
 
+# Large pairwise-coprime denominators beside the small ones drawn below, so
+# that the rows of one staircase table fall into many denominator groups.
+WIDE_DENOMINATORS = (3, 7, 1000003, 998244353, 2**61 - 1, 2**89 - 1)
+
+
+def wide_fractions(lo: int, hi: int):
+    """Rationals in [lo, hi] over one of WIDE_DENOMINATORS."""
+    return st.sampled_from(WIDE_DENOMINATORS).flatmap(
+        lambda d: st.integers(lo * d, hi * d).map(lambda k: F(k, d))
+    )
+
+
 # Quarter-grid values put piece ends and flat values on the staircase grid;
 # the other values mostly fall between grid points.
 values = st.one_of(
     st.integers(-24, 24).map(lambda k: F(k, 4)),
     st.fractions(min_value=-12, max_value=12, max_denominator=16),
+    wide_fractions(-12, 12),
 )
-weights = st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=4, max_denominator=8))
-positive_weights = st.fractions(min_value=F(1, 8), max_value=4, max_denominator=8)
+weights = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=0, max_value=4, max_denominator=8),
+    wide_fractions(0, 4),
+)
+positive_weights = st.one_of(
+    st.fractions(min_value=F(1, 8), max_value=4, max_denominator=8),
+    wide_fractions(0, 4).filter(bool),
+)
 
 
 @st.composite
 def unit_grids(draw, max_cuts=4):
     cuts = draw(
         st.lists(
-            st.fractions(min_value=0, max_value=1, max_denominator=32).filter(
-                lambda t: 0 < t < 1
-            ),
+            st.one_of(
+                st.fractions(min_value=0, max_value=1, max_denominator=32), wide_fractions(0, 1)
+            ).filter(lambda t: 0 < t < 1),
             unique=True,
             max_size=max_cuts,
         )

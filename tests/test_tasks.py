@@ -15,6 +15,7 @@ from exactintegral import (
     parse_rational,
 )
 from exactintegral import bochner
+from exactintegral.cli import main
 from exactintegral.generators import generate_stream
 from exactintegral.tasks import (
     TaskSpecError,
@@ -183,6 +184,29 @@ def test_run_integrate_bochner_series():
     report = run_integrate(parse_task_document(doc))
     assert report["value"] == F(5, 2)
     assert report["error_bound"] == 0
+
+
+@pytest.mark.parametrize("kind", ["piecewise", 7], ids=["unknown_name", "number"])
+def test_unknown_series_term_type_exit_1_names_the_type(tmp_path, capsys, kind):
+    term = {"type": kind, "terms": STEP_FUNCTION_DOC["terms"]}
+    doc = make_doc(function={"type": "series", "terms": [term]}, task="integrate_bochner")
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["integrate", "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "validation error: function.terms[0].type: "
+        f"unknown term type {kind!r} (simple or piecewise_linear)\n"
+    )
+
+
+def test_series_term_without_type_is_simple():
+    term = {"terms": STEP_FUNCTION_DOC["terms"]}
+    doc = make_doc(function={"type": "series", "terms": [term]}, task="integrate_bochner")
+    report = run_integrate(parse_task_document(doc))
+    assert report["value"] == F(5, 2)
 
 
 def test_integrate_bochner_integrates_the_tail_once(monkeypatch):
