@@ -81,7 +81,7 @@ from .rationals import (
     is_on_grid,
     power_of_two_level,
 )
-from .simple import SimpleFunction
+from .simple import SimpleFunction, _by_value
 from .spaces import (
     IntervalSet,
     Measure,
@@ -374,11 +374,9 @@ class DyadicApproximation:
         return cells
 
     def _from_cells(self, cells) -> SimpleFunction:
-        groups: dict = {}
-        for part, value in cells:
-            groups.setdefault(value, []).append(part)
         union_of = self.space.union_of
-        terms = [(value, union_of(groups[value])) for value in sorted(groups)]
+        groups = _by_value((value, part) for part, value in cells)
+        terms = [(value, union_of(parts)) for value, parts in groups]
         return SimpleFunction._trusted(self.space, terms, None)
 
     def level(self, level: int) -> SimpleFunction:

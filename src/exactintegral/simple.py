@@ -19,19 +19,27 @@ partitions in one sweep, O(K log K) for intervals and O(N) on a discrete
 space of N points, instead of intersecting every pair of terms.  The
 interval sorts and sweeps compare endpoints by their floats and fall back
 to an exact `Fraction` compare only where two floats are equal (see
-`spaces`), so most of the K log K comparisons run in C.  The
-kind-specific algorithms live on the space classes, so nothing here
-branches on the set kind.  `integrate_simple` reads the masses of all
-nonzero terms in one batch from the measure (integer numerators over one
-denominator) and hands the integer products value * mass, each over its
-value's own denominator, to `rationals.exact_sum`, so an integral costs
-one `Fraction` per component, not one `measure_of` and one normalised
-product per term, and no product is scaled to a denominator common to
-all values.
+`spaces`), so most of the K log K comparisons run in C.  Values are
+`Fraction`s at the API, but the per-value and per-cell loops work on their
+integer pairs (numerator, denominator): `canonical()` groups the values
+by their pairs and orders them by the float-first key (float(x), x) of
+the endpoints; on scalars `+` and `-` make each cell's value as one
+`Fraction` from the cross-multiplied pairs, and max and min pick one of
+the two values by comparing integer cross-products.  So no `Fraction`
+operator runs per value or per cell; vector values keep their
+componentwise operations.  The kind-specific algorithms live on the
+space classes, so nothing here branches on the set kind.
+`integrate_simple` reads the masses of all nonzero terms in one batch
+from the measure (integer numerators over one denominator) and hands the
+integer products value * mass, each over its value's own denominator, to
+`rationals.exact_sum`, so an integral costs one `Fraction` per component,
+not one `measure_of` and one normalised product per term, and no product
+is scaled to a denominator common to all values.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -122,7 +130,7 @@ def _zero_value(dim: Optional[int]) -> Value:
 
 
 def _value_is_zero(value: Value) -> bool:
-    return value.is_zero if isinstance(value, Vec) else value == 0
+    return value.is_zero if isinstance(value, Vec) else not value.numerator
 
 
 def _scale_value(value: Value, factor: Fraction) -> Value:
@@ -137,8 +145,54 @@ def _value_norm(value: Value, kind: Optional[NormKind]) -> Fraction:
     return abs(value)
 
 
-def _value_key(value: Value):
-    return value.components if isinstance(value, Vec) else value
+def _order_key(value: Value):
+    """The exact order key of a value: for a scalar x, (float(x), x), the
+    float-first key `spaces` orders endpoints by (a value beyond the floats
+    keys as the infinity of its sign); for a vector, its components."""
+    if isinstance(value, Vec):
+        return value.components
+    n, d = value.numerator, value.denominator
+    try:
+        return (n / d, value)
+    except OverflowError:
+        return (math.inf if n > 0 else -math.inf, value)
+
+
+def _by_value(terms: Iterable[tuple[Value, MeasurableSet]]) -> list[tuple[Value, list]]:
+    """(value, parts) for each distinct value of `terms`, in increasing
+    value order.  A scalar is grouped by its integer pair (numerator,
+    denominator), which hashes far faster than the `Fraction`, and the
+    groups are sorted by `_order_key`."""
+    groups: dict = {}
+    for value, part in terms:
+        key = value.components if isinstance(value, Vec) else (value.numerator, value.denominator)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = (value, [part])
+        else:
+            group[1].append(part)
+    return sorted(groups.values(), key=lambda group: _order_key(group[0]))
+
+
+def _combine_scalars(op: str, left: tuple, right: tuple, cells: list) -> list:
+    """op(x, y) for each cell (i, j, _), x and y the values of the terms
+    left[i] and right[j], on the values' integer pairs.
+
+    A sum or difference is one `Fraction` made from the cross-multiplied
+    pair, not a `Fraction` operator call; max and min compare the integer
+    cross-products and pick one of the two existing values (x on a tie, as
+    the builtins do), so they make no new `Fraction`.
+    """
+    a = [(x.numerator, x.denominator, x) for x, _ in left]
+    b = [(y.numerator, y.denominator, y) for y, _ in right]
+    pairs = [(a[i], b[j]) for i, j, _ in cells]
+    if op == "+":
+        return [Fraction(n * q + m * p, p * q) for (n, p, _), (m, q, _) in pairs]
+    if op == "-":
+        return [Fraction(n * q - m * p, p * q) for (n, p, _), (m, q, _) in pairs]
+    if op == "max":
+        return [y if m * p > n * q else x for (n, p, x), (m, q, y) in pairs]
+    return [y if m * p < n * q else x for (n, p, x), (m, q, y) in pairs]
 
 
 class SimpleFunction:
@@ -152,9 +206,9 @@ class SimpleFunction:
     ):
         term_list: list[tuple[Value, MeasurableSet]] = []
         for value, part in terms:
-            if type(value) is Fraction:
-                pass
-            elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            if type(value) is not Fraction and not isinstance(value, Vec):
+                if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                    raise ValueError(f"term value {value!r} is not an int, a Fraction or a Vec")
                 value = Fraction(value)
             if part.space != space:
                 raise SpaceMismatchError("term set belongs to another space")
@@ -231,20 +285,16 @@ class SimpleFunction:
         """The unique representation: distinct values, sets partitioning the space."""
         if self._canonical is not None:
             return self._canonical
-        groups: dict = {}
-        for value, part in self.terms:
-            if _value_is_zero(value) or part.is_empty:
-                continue
-            key = _value_key(value)
-            parts = groups[key][1] if key in groups else []
-            parts.append(part)
-            groups[key] = (value, parts)
+        live = [
+            (value, part)
+            for value, part in self.terms
+            if not (_value_is_zero(value) or part.is_empty)
+        ]
         union_of = self.space.union_of
-        terms = [(value, union_of(parts)) for value, parts in groups.values()]
-        rest = union_of(part for _, part in terms).complement()
+        rest = union_of(part for _, part in live).complement()
         if not rest.is_empty:
-            terms.append((self._zero(), rest))
-        terms.sort(key=lambda term: _value_key(term[0]))
+            live.append((self._zero(), rest))
+        terms = [(value, union_of(parts)) for value, parts in _by_value(live)]
         result = SimpleFunction._trusted(self.space, terms, self.dim)
         result._canonical = result
         self._canonical = result
@@ -265,19 +315,25 @@ class SimpleFunction:
             self.space, [(fn(v), s) for v, s in self.terms], dim
         )
 
-    def _combine(self, other: "SimpleFunction", op) -> "SimpleFunction":
-        """Pointwise binary op on the common refinement of both canonical partitions."""
+    def _combine(self, other: "SimpleFunction", op: str) -> "SimpleFunction":
+        """Pointwise `op` ("+", "-", "max" or "min") on the common refinement
+        of both canonical partitions."""
         self._require_compatible(other)
         left, right = self.canonical().terms, other.canonical().terms
         cells = self.space._refinement([a for _, a in left], [b for _, b in right])
-        terms = [(op(left[i][0], right[j][0]), cell) for i, j, cell in cells]
+        if self.dim is None:
+            values = _combine_scalars(op, left, right, cells)
+        else:  # vectors: componentwise `+` and `-`
+            vec_op = operator.add if op == "+" else operator.sub
+            values = [vec_op(left[i][0], right[j][0]) for i, j, _ in cells]
+        terms = [(value, cell) for value, (_, _, cell) in zip(values, cells)]
         return SimpleFunction._trusted(self.space, terms, self.dim)
 
     def __add__(self, other: "SimpleFunction") -> "SimpleFunction":
-        return self._combine(other, operator.add)
+        return self._combine(other, "+")
 
     def __sub__(self, other: "SimpleFunction") -> "SimpleFunction":
-        return self._combine(other, operator.sub)
+        return self._combine(other, "-")
 
     def __neg__(self) -> "SimpleFunction":
         return self._map_values(operator.neg, self.dim)
@@ -288,11 +344,11 @@ class SimpleFunction:
 
     def pointwise_max(self, other: "SimpleFunction") -> "SimpleFunction":
         self._require_scalar("pointwise max")
-        return self._combine(other, max)
+        return self._combine(other, "max")
 
     def pointwise_min(self, other: "SimpleFunction") -> "SimpleFunction":
         self._require_scalar("pointwise min")
-        return self._combine(other, min)
+        return self._combine(other, "min")
 
     def __abs__(self) -> "SimpleFunction":
         self._require_scalar("absolute value")

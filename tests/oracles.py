@@ -1,10 +1,14 @@
 """Independent integration oracles and reference algorithms for the tests.
 
 The integration oracles deliberately avoid the library's closed-form
-integration paths: they only call `evaluate` pointwise.  Midpoint
-quadrature on a grid refined by every breakpoint is exact for integrands
-that are affine (or constant) per cell, which covers both integrand
-classes here; discrete spaces are integrated by full enumeration.
+integration paths: they only evaluate the integrand pointwise, a
+piecewise-linear one through `evaluate` and a simple function by looking
+each point up in its own terms (a bisection of its term intervals sorted
+once, or a dict of its indices), so that a function of many terms costs
+no scan of every term per point.  Midpoint quadrature on a grid refined
+by every breakpoint is exact for integrands that are affine (or
+constant) per cell, which covers both integrand classes here; discrete
+spaces are integrated by full enumeration.
 
 `materialized_telescope_reference` is a terminating telescoped series
 with every term h_n materialized from the differences of the part
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -73,17 +78,41 @@ def _grid_cells(fn, measure: IntervalMeasure):
         yield lo, hi, density
 
 
+def _pointwise(fn):
+    """point -> value of `fn`.  A simple function's value is looked up in its
+    terms, in a dict of their indices or by bisecting their intervals sorted
+    by lower end, and is zero off every term set."""
+    if not isinstance(fn, SimpleFunction):
+        return fn.evaluate
+    zero = ZERO if fn.dim is None else Vec.zero(fn.dim)
+    if isinstance(fn.space, DiscreteSpace):
+        values = {i: value for value, part in fn.terms for i in part.indices}
+        return lambda point: values.get(point, zero)
+    cells = sorted(
+        ((lo, hi, value) for value, part in fn.terms for lo, hi in part.intervals),
+        key=lambda cell: cell[0],
+    )
+    los = [lo for lo, _, _ in cells]
+
+    def value_at(point):
+        k = bisect_right(los, point) - 1
+        return cells[k][2] if k >= 0 and point < cells[k][1] else zero
+
+    return value_at
+
+
 def integral_oracle(fn, measure):
     """Integral by enumeration (discrete) or exact midpoint quadrature (interval)."""
+    value_at = _pointwise(fn)
     if isinstance(measure, DiscreteSpace):
         total = None
         for point in range(measure.size):
-            contribution = _scale(fn.evaluate(point), measure.weights[point])
+            contribution = _scale(value_at(point), measure.weights[point])
             total = contribution if total is None else total + contribution
         return total
     total = None
     for lo, hi, d in _grid_cells(fn, measure):
-        contribution = _scale(fn.evaluate((lo + hi) / 2), d * (hi - lo))
+        contribution = _scale(value_at((lo + hi) / 2), d * (hi - lo))
         total = contribution if total is None else total + contribution
     return total
 

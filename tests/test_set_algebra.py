@@ -35,7 +35,14 @@ from oracles import (
 )
 
 GRID = 12  # endpoints on the 1/12 grid, so touching and shared ends are common
-VALUES = [F(0), F(1), F(1), F(-1), F(2), F(1, 2), F(-3, 2)]
+# Besides small values: two that share one float (so only the exact
+# tie-break orders them), large coprime denominators, and values beyond the
+# range of the floats.
+VALUES = [
+    F(0), F(1), F(1), F(-1), F(2), F(1, 2), F(-3, 2),
+    F(1, 3), F(1, 3) + F(1, 10**30), F(-5, 2**61 - 1), F(2**31, 2**31 - 1),
+    F(10**400), F(-(10**400), 7),
+]
 
 
 @st.composite
@@ -161,6 +168,7 @@ def test_vector_canonical_and_sum_match_the_references(pair):
     f, g = pair
     assert f.canonical().terms == canonical_terms_reference(f)
     assert (f + g).terms == combine_terms_reference(f, g, operator.add)
+    assert (f - g).terms == combine_terms_reference(f, g, operator.sub)
 
 
 # --- measure_of -----------------------------------------------------------------------

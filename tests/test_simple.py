@@ -1,6 +1,7 @@
 """Simple-function algebra, canonical form and the term-by-term integral."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -74,6 +75,12 @@ def test_constructor_keeps_fractions_and_coerces_ints_and_subclasses():
     assert first is kept
     assert type(second) is F and second == 3
     assert type(third) is F and third == sub
+
+
+@pytest.mark.parametrize("value", [1.5, True, False, "1/2"], ids=repr)
+def test_constructor_rejects_values_that_are_not_rational(value):
+    with pytest.raises(ValueError, match=re.escape(f"term value {value!r} is not an int")):
+        SimpleFunction(UNIT_INTERVAL, [(value, iv((0, "1/2")))])
 
 
 # --- canonical form -----------------------------------------------------------
