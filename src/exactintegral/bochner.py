@@ -40,7 +40,7 @@ from .lebesgue import (
     lebesgue_integral,
 )
 from .piecewise import PiecewiseLinear
-from .rationals import ZERO
+from .rationals import ZERO, as_rational
 from .simple import NormKind, SimpleFunction, Vec, integrate_simple
 from .spaces import Measure, OutsideDomainError, SpaceMismatchError, space_of
 
@@ -190,7 +190,7 @@ class GeometricIndicatorSeries(FunctionSeries):
     """
 
     def __init__(self, measure: Measure, ratio: Fraction):
-        ratio = Fraction(ratio)
+        ratio = as_rational(ratio, "ratio")
         if not 0 < ratio < 1:
             raise ValueError("ratio must lie strictly between 0 and 1")
         self.measure = measure
@@ -383,7 +383,7 @@ def series_from_integrand(
     the task-file form of a terminating series can rebuild it as
     `FiniteSeries(measure, [series.term(n) for n in range(1, series.term_count + 1)])`.
     """
-    eta = Fraction(eta)
+    eta = as_rational(eta, "eta")
     if eta < 0:
         raise ValueError("eta must be >= 0")
     if depth < 1:

@@ -1,7 +1,8 @@
 """Piecewise-affine functions on [0, 1) with exactly solvable level sets.
 
-Breakpoints and coefficients are rationals, so preimages of rational
-intervals under each affine piece are rational intervals again: staircase
+Breakpoints and coefficients are rationals (an int or a `Fraction`, taken
+through `rationals.as_rational`), so preimages of rational intervals
+under each affine piece are rational intervals again: staircase
 approximations, sign decompositions and closed-form integrals all stay in
 exact arithmetic.  This is the non-simple integrand class of the package.
 """
@@ -12,8 +13,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .rationals import ONE, ZERO
-from .spaces import UNIT_INTERVAL, IntervalSet, OutsideDomainError
+from .rationals import ONE, ZERO, as_rational
+from .spaces import UNIT_INTERVAL, IntervalSet, OutsideDomainError, _breakpoint_grid
 
 __all__ = ["PiecewiseLinear"]
 
@@ -26,12 +27,8 @@ class PiecewiseLinear:
         breakpoints: Iterable[Fraction],
         pieces: Iterable[tuple[Fraction, Fraction]],
     ):
-        bp = tuple(Fraction(t) for t in breakpoints)
-        coeffs = tuple((Fraction(a), Fraction(b)) for a, b in pieces)
-        if len(bp) < 2 or bp[0] != 0 or bp[-1] != 1:
-            raise ValueError("breakpoints must run from 0 to 1")
-        if any(bp[i] >= bp[i + 1] for i in range(len(bp) - 1)):
-            raise ValueError("breakpoints must be strictly increasing")
+        bp = _breakpoint_grid(breakpoints)
+        coeffs = tuple((as_rational(a, "slope"), as_rational(b, "intercept")) for a, b in pieces)
         if len(coeffs) != len(bp) - 1:
             raise ValueError("need one (slope, intercept) pair per cell")
         self.breakpoints = bp
@@ -39,11 +36,11 @@ class PiecewiseLinear:
 
     @classmethod
     def constant(cls, value: Fraction) -> "PiecewiseLinear":
-        return cls((ZERO, ONE), ((ZERO, Fraction(value)),))
+        return cls((ZERO, ONE), ((ZERO, value),))
 
     @classmethod
     def linear(cls, slope: Fraction, intercept: Fraction = ZERO) -> "PiecewiseLinear":
-        return cls((ZERO, ONE), ((Fraction(slope), Fraction(intercept)),))
+        return cls((ZERO, ONE), ((slope, intercept),))
 
     @property
     def space(self):
@@ -54,21 +51,16 @@ class PiecewiseLinear:
         for j, (a, b) in enumerate(self.pieces):
             yield self.breakpoints[j], self.breakpoints[j + 1], a, b
 
-    def _piece_index(self, x) -> int:
+    def evaluate(self, x: Fraction) -> Fraction:
         if not UNIT_INTERVAL.contains(x):
             raise OutsideDomainError(f"point {x!r} outside [0, 1)")
-        return bisect_right(self.breakpoints, x) - 1
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        a, b = self.pieces[self._piece_index(x)]
+        a, b = self.pieces[bisect_right(self.breakpoints, x) - 1]
         return a * x + b
-
-    def slope_at(self, x: Fraction) -> Fraction:
-        return self.pieces[self._piece_index(x)][0]
 
     def refined(self, cuts: Iterable[Fraction]) -> "PiecewiseLinear":
         """The same function on a grid refined by the given interior points."""
-        extra = {Fraction(c) for c in cuts if 0 < c < 1}
+        points = (as_rational(c, "cut") for c in cuts)
+        extra = {c for c in points if 0 < c < 1}
         bp = tuple(sorted(set(self.breakpoints) | extra))
         pieces = []
         for i in range(len(bp) - 1):
@@ -98,7 +90,7 @@ class PiecewiseLinear:
         return PiecewiseLinear(self.breakpoints, [(-a, -b) for a, b in self.pieces])
 
     def scale(self, factor: Fraction) -> "PiecewiseLinear":
-        factor = Fraction(factor)
+        factor = as_rational(factor, "scale factor")
         return PiecewiseLinear(
             self.breakpoints, [(a * factor, b * factor) for a, b in self.pieces]
         )
@@ -145,42 +137,6 @@ class PiecewiseLinear:
     def absolute(self) -> "PiecewiseLinear":
         """|f|: negative-sign cells flipped after splitting at roots."""
         return self._by_sign(1, -1)
-
-    def _closure_values(self) -> Iterator[Fraction]:
-        for u, w, a, b in self.cells():
-            yield a * u + b
-            yield a * w + b  # right-limit value; the endpoint itself is excluded
-
-    def upper_bound(self) -> Fraction:
-        """Least cell-closure maximum; >= sup f (sup may be unattained)."""
-        return max(self._closure_values())
-
-    def lower_bound(self) -> Fraction:
-        return min(self._closure_values())
-
-    def is_nonnegative(self) -> bool:
-        # Affine per cell, so closure values bound the half-open cell exactly.
-        return self.lower_bound() >= 0
-
-    def level_set(self, lower: Fraction, upper: Fraction) -> IntervalSet:
-        """{x : lower <= f(x) < upper} as a half-open interval union.
-
-        On cells with negative slope the true preimage is open-closed; the
-        returned set uses the package's half-open convention instead and so
-        may differ from the preimage at finitely many points, a null set.
-        """
-        lower, upper = Fraction(lower), Fraction(upper)
-        out = []
-        for u, w, a, b in self.cells():
-            if a == 0:
-                if lower <= b < upper:
-                    out.append((u, w))
-                continue
-            bounds = sorted(((lower - b) / a, (upper - b) / a))
-            lo, hi = max(u, bounds[0]), min(w, bounds[1])
-            if lo < hi:
-                out.append((lo, hi))
-        return IntervalSet(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiecewiseLinear):

@@ -13,6 +13,14 @@ denominators.  No term is scaled to the lcm of all denominators, which
 for n distinct large denominators would make every term about n times
 as long, so the cost stays near-linear in the total size of the input.
 
+`as_rational` is the one rational gate of the library: every constructor
+and `scale` takes its caller's numbers through it.  It keeps a `Fraction`
+as it is, turns an `int` into one and refuses anything else (a float, a
+`bool`, a `Decimal`, a string, None) with a `ValueError` naming the
+value, so no float's binary value is ever computed with as if it were
+the number meant, and no string is parsed behind the caller's back:
+strings enter only through `parse_rational`.
+
 Every rational of a task file passes through `parse_rational` and every
 reported one through `decimal_string`, so both do their work once: the
 parser matches the text against one pattern whose two groups go through
@@ -35,6 +43,7 @@ from typing import Iterable
 __all__ = [
     "ZERO",
     "ONE",
+    "as_rational",
     "parse_rational",
     "format_rational",
     "decimal_string",
@@ -50,6 +59,16 @@ ONE = Fraction(1)
 # "p" or "p/q" with optional sign, matched whole; float and exponent syntax
 # is excluded so inexact values can never enter a computation through a file.
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
+
+
+def as_rational(value, what: str) -> Fraction:
+    """`value` as a Fraction: a Fraction unchanged, an int (not a bool)
+    converted; anything else raises ValueError naming `what` and the value."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(f"{what} {value!r} is not an int or a Fraction")
 
 
 def parse_rational(text: str) -> Fraction:

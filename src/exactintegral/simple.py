@@ -46,7 +46,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
-from .rationals import ZERO, exact_sum
+from .rationals import ZERO, as_rational, exact_sum
 from .spaces import (
     Measure,
     MeasurableSet,
@@ -78,7 +78,7 @@ class Vec:
     components: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coerced = tuple(Fraction(c) for c in self.components)
+        coerced = tuple(as_rational(c, "vector component") for c in self.components)
         if not coerced:
             raise ValueError("a vector needs at least one component")
         object.__setattr__(self, "components", coerced)
@@ -107,6 +107,7 @@ class Vec:
         return Vec(tuple(-a for a in self.components))
 
     def scale(self, factor: Fraction) -> "Vec":
+        factor = as_rational(factor, "scale factor")
         return Vec(tuple(a * factor for a in self.components))
 
     @property
@@ -207,9 +208,7 @@ class SimpleFunction:
         term_list: list[tuple[Value, MeasurableSet]] = []
         for value, part in terms:
             if type(value) is not Fraction and not isinstance(value, Vec):
-                if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-                    raise ValueError(f"term value {value!r} is not an int, a Fraction or a Vec")
-                value = Fraction(value)
+                value = as_rational(value, "term value")
             if part.space != space:
                 raise SpaceMismatchError("term set belongs to another space")
             term_list.append((value, part))
@@ -339,7 +338,7 @@ class SimpleFunction:
         return self._map_values(operator.neg, self.dim)
 
     def scale(self, factor: Fraction) -> "SimpleFunction":
-        factor = Fraction(factor)
+        factor = as_rational(factor, "scale factor")
         return self._map_values(lambda v: _scale_value(v, factor), self.dim)
 
     def pointwise_max(self, other: "SimpleFunction") -> "SimpleFunction":

@@ -19,7 +19,11 @@ SpaceMismatchError rather than coercing.
 Costs, for sets of k intervals or indices, a discrete space of N points
 and a measure of c cells:
 
-* public constructors validate and normalise: O(k log k) for intervals; a
+* public constructors validate and normalise: every endpoint, weight,
+  breakpoint and density passes the one rational gate
+  `rationals.as_rational` (a `Fraction` as it is, an `int` converted,
+  anything else refused), the endpoint, weight and breakpoint loops with
+  an inline `type(x) is Fraction` fast path; O(k log k) for intervals; a
   discrete set checks each index's type and the range at the two ends of
   its sorted indices, and a discrete space reads each weight once as an
   integer ratio, for the sign check, the lcm and the scaled weights;
@@ -64,7 +68,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, as_rational
 
 __all__ = [
     "SpaceMismatchError",
@@ -222,7 +226,9 @@ class DiscreteSpace:
     _denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        coerced = tuple(w if type(w) is Fraction else Fraction(w) for w in self.weights)
+        coerced = tuple(
+            w if type(w) is Fraction else as_rational(w, "weight") for w in self.weights
+        )
         if not coerced:
             raise ValueError("a discrete space needs at least one point")
         ratios = [w.as_integer_ratio() for w in coerced]
@@ -388,8 +394,8 @@ class IntervalSet:
     def __init__(self, intervals: Iterable[tuple[Fraction, Fraction]]):
         keyed = []
         for lo, hi in intervals:
-            lo = lo if type(lo) is Fraction else Fraction(lo)
-            hi = hi if type(hi) is Fraction else Fraction(hi)
+            lo = lo if type(lo) is Fraction else as_rational(lo, "interval endpoint")
+            hi = hi if type(hi) is Fraction else as_rational(hi, "interval endpoint")
             try:
                 lo_key = (lo.numerator / lo.denominator, lo)
                 hi_key = (hi.numerator / hi.denominator, hi)
@@ -484,6 +490,17 @@ class IntervalSet:
         return f"IntervalSet({parts})" if parts else "IntervalSet(empty)"
 
 
+def _breakpoint_grid(breakpoints: Iterable) -> tuple[Fraction, ...]:
+    """The breakpoints through the rational gate, checked to run strictly
+    increasing from 0 to 1."""
+    bp = tuple(t if type(t) is Fraction else as_rational(t, "breakpoint") for t in breakpoints)
+    if len(bp) < 2 or bp[0] != 0 or bp[-1] != 1:
+        raise ValueError("breakpoints must run from 0 to 1")
+    if any(a >= b for a, b in zip(bp, bp[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    return bp
+
+
 @dataclass(frozen=True)
 class IntervalMeasure:
     """Step-function density against length on [0, 1).
@@ -510,12 +527,8 @@ class IntervalMeasure:
     _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        bp = tuple(t if type(t) is Fraction else Fraction(t) for t in self.breakpoints)
-        dens = tuple(d if type(d) is Fraction else Fraction(d) for d in self.densities)
-        if len(bp) < 2 or bp[0] != 0 or bp[-1] != 1:
-            raise ValueError("breakpoints must run from 0 to 1")
-        if any(bp[i] >= bp[i + 1] for i in range(len(bp) - 1)):
-            raise ValueError("breakpoints must be strictly increasing")
+        bp = _breakpoint_grid(self.breakpoints)
+        dens = tuple(as_rational(d, "density") for d in self.densities)
         if len(dens) != len(bp) - 1:
             raise ValueError("need one density per breakpoint cell")
         if any(d < 0 for d in dens):

@@ -28,6 +28,12 @@ own pattern and then hands the text to `Fraction(str)`, which parses it a
 second time, and the decimal rendering that opens a `localcontext` per
 value.
 
+`slope_at`, `upper_bound`, `lower_bound`, `is_nonnegative` and
+`level_set` are plain piecewise-linear helpers of the tests: the slope
+of the piece at a point, bounds and a sign test from the cell-closure
+values, and the preimage of [lower, upper) as a half-open interval
+union.  The library's own integrals never need them.
+
 `primes_from` lists consecutive primes, the distinct denominators of the
 growth guards.
 """
@@ -130,6 +136,51 @@ def measure_oracle(measure, part) -> Fraction:
     return integral_oracle(indicator, measure)
 
 
+def slope_at(fn: PiecewiseLinear, x: Fraction) -> Fraction:
+    """Slope of the piece whose half-open cell holds x."""
+    return fn.pieces[bisect_right(fn.breakpoints, x) - 1][0]
+
+
+def _closure_values(fn: PiecewiseLinear):
+    for u, w, a, b in fn.cells():
+        yield a * u + b
+        yield a * w + b  # right-limit value; the endpoint itself is excluded
+
+
+def upper_bound(fn: PiecewiseLinear) -> Fraction:
+    """Least cell-closure maximum; >= sup f (sup may be unattained)."""
+    return max(_closure_values(fn))
+
+
+def lower_bound(fn: PiecewiseLinear) -> Fraction:
+    return min(_closure_values(fn))
+
+
+def is_nonnegative(fn: PiecewiseLinear) -> bool:
+    # Affine per cell, so closure values bound the half-open cell exactly.
+    return lower_bound(fn) >= 0
+
+
+def level_set(fn: PiecewiseLinear, lower: Fraction, upper: Fraction) -> IntervalSet:
+    """{x : lower <= f(x) < upper} as a half-open interval union.
+
+    On cells with negative slope the true preimage is open-closed; the
+    returned set uses the package's half-open convention instead and so
+    may differ from the preimage at finitely many points, a null set.
+    """
+    out = []
+    for u, w, a, b in fn.cells():
+        if a == 0:
+            if lower <= b < upper:
+                out.append((u, w))
+            continue
+        bounds = sorted(((lower - b) / a, (upper - b) / a))
+        lo, hi = max(u, bounds[0]), min(w, bounds[1])
+        if lo < hi:
+            out.append((lo, hi))
+    return IntervalSet(out)
+
+
 def _staircase_value(value: Fraction, level: int) -> Fraction:
     scale = 1 << level
     return min(Fraction(level), Fraction((value.numerator * scale) // value.denominator, scale))
@@ -165,7 +216,7 @@ def staircase_integral_oracle(fn, measure, level: int) -> Fraction:
     for lo, hi, d in _grid_cells(fn, measure):
         if d == 0:
             continue
-        a = fn.slope_at(lo)
+        a = slope_at(fn, lo)
         b = fn.evaluate(lo) - a * lo
         if a == 0:
             total += d * (hi - lo) * _staircase_value(b, level)

@@ -1,6 +1,8 @@
-"""Every demo runs and prints the bytes it printed when its digest was recorded."""
+"""Every demo runs and prints the bytes it printed when its digest was
+recorded, and every `python` block of the README runs to exit 0."""
 
 import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+README = DEMOS.parent / "README.md"
 
 STDOUT_SHA256 = {
     "01_spaces_and_simple_functions.py": "0c088499ade63a9e7744b0f86cf9943a61e4cd9b08f93836d7990cc11697d24f",
@@ -29,3 +32,11 @@ def test_demo_prints_recorded_bytes(name):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[name]
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        proc = subprocess.run([sys.executable, "-c", block], capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()

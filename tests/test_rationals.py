@@ -5,17 +5,34 @@ in `oracles.parse_rational_reference` does, with the same messages;
 `decimal_string` must give the bytes of a division in a `localcontext`;
 `render_report` must give the bytes of `json.dumps(..., indent=2)`,
 whichever encoder it takes.  `exact_sum`, the one multi-term sum of the
-integrals, must equal the plain sum of `Fraction`s.
+integrals, must equal the plain sum of `Fraction`s.  Every entry point
+behind the rational gate `as_rational` must refuse each number that is
+not an `int` or a `Fraction`, naming it, and store what it accepts as a
+`Fraction`.
 """
 
 import json
+import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exactintegral import Vec, decimal_string, parse_rational
+from exactintegral import (
+    UNIT_INTERVAL,
+    DiscreteSpace,
+    GeometricIndicatorSeries,
+    IntervalMeasure,
+    IntervalSet,
+    PiecewiseLinear,
+    SimpleFunction,
+    Vec,
+    decimal_string,
+    parse_rational,
+    series_from_integrand,
+)
 from exactintegral.rationals import exact_sum
 from exactintegral.tasks import render_report
 from oracles import decimal_string_reference, parse_rational_reference
@@ -221,3 +238,67 @@ def test_exact_sum_equals_the_sum_of_fractions(pairs):
 def test_exact_sum_of_fixed_pairs(pairs, total):
     assert Fraction(*exact_sum(pairs)) == total
     assert Fraction(*exact_sum(iter(pairs))) == total
+
+
+_LEBESGUE = IntervalMeasure.lebesgue()
+_HALF = IntervalSet([(Fraction(0), Fraction(1, 2))])
+_IDENTITY = PiecewiseLinear.linear(Fraction(1))
+
+# (entry point, build from x, read x back, accepted samples of x): each
+# sample is an int or a Fraction the entry point takes; no int is a ratio
+# strictly between 0 and 1, and no int cut lies inside (0, 1).
+_GATED = {
+    "DiscreteSpace weight": (
+        lambda x: DiscreteSpace((1, x)), lambda s: s.weights[1], (2, Fraction(1, 3))),
+    "IntervalSet lower end": (
+        lambda x: IntervalSet([(x, 1)]), lambda s: s.intervals[0][0], (0, Fraction(1, 2))),
+    "IntervalSet upper end": (
+        lambda x: IntervalSet([(0, x)]), lambda s: s.intervals[0][1], (1, Fraction(1, 2))),
+    "IntervalMeasure breakpoint": (
+        lambda x: IntervalMeasure((0, x), (1,)), lambda m: m.breakpoints[1], (1, Fraction(1))),
+    "IntervalMeasure density": (
+        lambda x: IntervalMeasure((0, 1), (x,)), lambda m: m.densities[0], (2, Fraction(1, 3))),
+    "PiecewiseLinear breakpoint": (
+        lambda x: PiecewiseLinear((0, x), ((0, 0),)), lambda f: f.breakpoints[1],
+        (1, Fraction(1))),
+    "PiecewiseLinear slope": (
+        lambda x: PiecewiseLinear((0, 1), ((x, 0),)), lambda f: f.pieces[0][0],
+        (2, Fraction(1, 3))),
+    "PiecewiseLinear intercept": (
+        lambda x: PiecewiseLinear((0, 1), ((0, x),)), lambda f: f.pieces[0][1],
+        (2, Fraction(1, 3))),
+    "PiecewiseLinear.constant": (
+        PiecewiseLinear.constant, lambda f: f.pieces[0][1], (2, Fraction(1, 3))),
+    "PiecewiseLinear.linear slope": (
+        PiecewiseLinear.linear, lambda f: f.pieces[0][0], (2, Fraction(1, 3))),
+    "PiecewiseLinear.linear intercept": (
+        lambda x: PiecewiseLinear.linear(1, x), lambda f: f.pieces[0][1], (2, Fraction(1, 3))),
+    "PiecewiseLinear.scale": (
+        _IDENTITY.scale, lambda f: f.pieces[0][0], (2, Fraction(1, 3))),
+    "PiecewiseLinear.refined": (
+        lambda x: _IDENTITY.refined([x]), lambda f: f.breakpoints[1], (Fraction(1, 3),)),
+    "Vec component": (lambda x: Vec((1, x)), lambda v: v.components[1], (2, Fraction(1, 3))),
+    "Vec.scale": (Vec((1,)).scale, lambda v: v.components[0], (2, Fraction(1, 3))),
+    "SimpleFunction term value": (
+        lambda x: SimpleFunction(UNIT_INTERVAL, [(x, _HALF)]), lambda f: f.terms[0][0],
+        (2, Fraction(1, 3))),
+    "SimpleFunction.scale": (
+        SimpleFunction.indicator(1, _HALF).scale, lambda f: f.terms[0][0],
+        (2, Fraction(1, 3))),
+    "GeometricIndicatorSeries ratio": (
+        lambda x: GeometricIndicatorSeries(_LEBESGUE, x), lambda s: s.ratio, (Fraction(1, 3),)),
+    "series_from_integrand eta": (
+        lambda x: series_from_integrand(_IDENTITY, _LEBESGUE, eta=x, depth=1),
+        lambda rep: rep.eta, (2, Fraction(1, 3))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_GATED))
+def test_gated_entry_points_take_only_ints_and_fractions(entry):
+    build, read, accepted = _GATED[entry]
+    for value in (0.1, True, Decimal("0.1"), "1/2", None):
+        with pytest.raises(ValueError, match=re.escape(f"{value!r} is not an int or a Fraction")):
+            build(value)
+    for value in accepted:
+        stored = read(build(value))
+        assert type(stored) is Fraction and stored == value

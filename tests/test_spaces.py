@@ -97,12 +97,12 @@ def test_discrete_set_names_the_first_offending_index(indices, named):
 
 
 def test_discrete_space_coerces_weights_exactly():
-    space = DiscreteSpace((1, "1/3", F(2, 5), 0))
+    space = DiscreteSpace((1, F(1, 3), F(2, 5), 0))
     assert space.weights == (F(1), F(1, 3), F(2, 5), F(0))
     assert all(type(w) is F for w in space.weights)
     assert space.total_mass == F(26, 15)
     assert space.measure_of(DiscreteSet(space, [1, 2])) == F(11, 15)
-    for bad in ((1, "-1/3"), (F(-1, 10**30),), (-1,)):
+    for bad in ((1, F(-1, 3)), (F(-1, 10**30),), (-1,)):
         with pytest.raises(ValueError, match="^weights must be nonnegative$"):
             DiscreteSpace(bad)
     with pytest.raises(ValueError, match="needs at least one point"):
