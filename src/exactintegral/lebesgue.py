@@ -1,12 +1,12 @@
 """The three-stage integral, exact at every stage.
 
-Stage one integrates simple functions term by term, reading the masses
-of all their terms in one batch from the measure.  Stage two extends to
-nonnegative integrands as the limit of a fixed nondecreasing staircase
-sequence: level n rounds the integrand down to the grid {k/2^n} and caps
-it at n.  Stage three is the signed integral ∫f+ dm − ∫f− dm.  Supported
-integrands are simple functions (either space kind) and piecewise-linear
-functions on [0, 1).
+Stage one integrates simple functions cell by cell, reading the masses
+of all the cells of their cell table in one batch from the measure.
+Stage two extends to nonnegative integrands as the limit of a fixed
+nondecreasing staircase sequence: level n rounds the integrand down to
+the grid {k/2^n} and caps it at n.  Stage three is the signed integral
+∫f+ dm − ∫f− dm.  Supported integrands are simple functions (either
+space kind) and piecewise-linear functions on [0, 1).
 
 No stage builds a part function.  Every integrand is lowered once to
 sign-constant spatial cells (part, slope, intercept, ends): a simple term
@@ -24,15 +24,18 @@ staircase level is `∫ s_n(f) dm = ∫ s_n(y) d(m∘f⁻¹)(y)`.  For both
 integrand classes the distribution is finite and is read as integer rows
 (p, q, e, c, L), each over its own denominator L.  A value y = p/q held
 on a set (a slope-0 cell) is an atom: its row is (mass, 0) over the
-denominator of the one batch read that gives every atom mass.  A sloped
-cell spreads its mass over its values with the value density r = d/|a|
-of each density cell d it crosses; each end of such a uniform piece adds
-+-(r*y, r), and one sweep of the sloped cells along the density grid
-merges the two ends that meet at a density breakpoint into one row, over
-the denominator of its r-step times q.  The level-n staircase integral
-is 4^-n * sum((e*k*2^n - c*k(k+1)/2) / L) with k = min(n*2^n,
-floor(2^n*y)) (an atom contributes mass * s_n(y), a uniform piece an
-arithmetic series), and the limit is sum((2*e*p*q - c*p^2) / (2*q^2*L)).
+denominator of the one batch read that gives every atom mass.  A simple
+integrand's atoms are the cells of its cell table, with the integer
+pairs the cells keep as their values (p, q), which may be unreduced.
+A sloped cell spreads its mass over its values with the value density
+r = d/|a| of each density cell d it crosses; each end of such a uniform
+piece adds +-(r*y, r), and one sweep of the sloped cells along the
+density grid merges the two ends that meet at a density breakpoint into
+one row, over the denominator of its r-step times q.  The level-n
+staircase integral is 4^-n * sum((e*k*2^n - c*k(k+1)/2) / L) with
+k = min(n*2^n, floor(2^n*y)) (an atom contributes mass * s_n(y), a
+uniform piece an arithmetic series), and the limit is
+sum((2*e*p*q - c*p^2) / (2*q^2*L)).
 Both sums go through `rationals.exact_sum`, which adds the terms per
 denominator and then pairwise, so no row is scaled to a denominator
 common to all rows, and each makes one `Fraction`.  So stage-two
@@ -47,9 +50,11 @@ rows at positive values give ∫f+, those at negative values −∫f−.
 
 `DyadicApproximation` keeps the cells of one nonnegative integrand, and
 `DyadicApproximation.parts(f)` builds the approximations of f+ and f−
-from the signed cells of f.  On first use against a measure an
-approximation reads the rows of its value distribution and keeps them
-with their limit in one table; level n is then one exact sum of
+from the signed cells of f.  On first use against a measure the two
+read one value distribution of the signed cells, split it at zero (a row
+(p, q, e, c, L) of f at a value below zero is the row (-p, q, e, -c, L)
+of f− at the mirrored value), and each keeps its rows with their limit
+in one table; level n is then one exact sum of
 integer terms over the rows' denominators, and each level costs one
 `Fraction`, made once and kept.
 Levels are kept sparsely, by level: asking for level n computes level n
@@ -81,7 +86,7 @@ from .rationals import (
     is_on_grid,
     power_of_two_level,
 )
-from .simple import SimpleFunction, _by_value
+from .simple import SimpleFunction
 from .spaces import (
     IntervalSet,
     Measure,
@@ -211,7 +216,8 @@ def _value_distribution(cells: list, measure: Measure) -> list:
     """
     flat = [(b, part) for part, a, b, _ in cells if not a]
     sloped = [cell for cell in cells if cell[1]]
-    numerators, denominator = measure._masses([part for _, part in flat])
+    table = space_of(measure)._tabulate([part for _, part in flat], [*range(len(flat)), -1])
+    numerators, denominator = measure._masses(table)
     rows = [
         (y.numerator, y.denominator, n, 0, denominator)
         for (y, _), n in zip(flat, numerators)
@@ -257,9 +263,26 @@ def _mean(rows: list) -> Fraction:
     return Fraction(total, 2 * denominator)
 
 
+def _atoms(fn: SimpleFunction, measure: Measure, nonneg: bool) -> list:
+    """The value distribution of a scalar simple function: one atom row
+    (p, q, mass, 0, L) per cell of nonzero value and mass, p/q the cell's
+    value as the integer pair it keeps, from one mass read of its cell
+    table.  With `nonneg`, a negative value on any cell is refused."""
+    if fn.is_vector:
+        raise ValueError("a scalar integrand is required")
+    check_integrand_measure(fn, measure)
+    table, values = fn._cells()
+    if nonneg and any(p < 0 for p, _ in values):
+        raise NegativeIntegrandError("simple integrand takes negative values")
+    numerators, denominator = measure._masses(table)
+    return [(p, q, n, 0, denominator) for (p, q), n in zip(values, numerators) if p and n]
+
+
 def integrate_nonneg(fn: Integrand, measure: Measure) -> Fraction:
     """Exact limit integral of a nonnegative integrand: the mean of its values."""
     check_integrand_measure(fn, measure)
+    if isinstance(fn, SimpleFunction):
+        return _mean(_atoms(fn, measure, True))
     return _mean(_value_distribution(_nonneg_cells(fn), measure))
 
 
@@ -274,23 +297,30 @@ class DyadicApproximation:
     """
 
     def __init__(self, target: Integrand):
-        self._start(target.space, _nonneg_cells(target))
+        cells = _nonneg_cells(target)
+        self._start(target, cells, 1, (cells, []))
 
     @classmethod
     def parts(cls, fn: Integrand) -> tuple["DyadicApproximation", "DyadicApproximation"]:
         """The approximations of f+ = max(0, f) and f− = max(0, −f), built
-        from the signed cells of f without building either part function."""
+        from the signed cells of f without building either part function.
+        Both read one value distribution of the signed cells per measure."""
+        signed = _signed_cells(fn)
+        shared = (signed, [])
         pair = cls.__new__(cls), cls.__new__(cls)
-        for approximation, cells in zip(pair, _split_at_zero(_signed_cells(fn))):
-            approximation._start(fn.space, cells)
+        for approximation, cells, sign in zip(pair, _split_at_zero(signed), (1, -1)):
+            approximation._start(fn, cells, sign, shared)
         return pair
 
-    def _start(self, space, cells: list) -> None:
-        self.space = space
+    def _start(self, target: Integrand, cells: list, sign: int, shared: tuple) -> None:
+        self.space = target.space
         self._cells = cells
         self._bound = _upper_bound(cells)
         self._termination = _termination_level(cells)
-        self._tables: list = []  # (measure, _StaircaseTable) pairs
+        # The part this approximation follows (1: f+, -1: f−), and what the
+        # parts of one target share: its signed cells and the
+        # (measure, {sign: _StaircaseTable}) pairs read so far.
+        self._target, self._sign, (self._signed, self._tables) = target, sign, shared
 
     @property
     def upper_bound(self) -> Fraction:
@@ -374,10 +404,10 @@ class DyadicApproximation:
         return cells
 
     def _from_cells(self, cells) -> SimpleFunction:
-        union_of = self.space.union_of
-        groups = _by_value((value, part) for part, value in cells)
-        terms = [(value, union_of(parts)) for value, parts in groups]
-        return SimpleFunction._trusted(self.space, terms, None)
+        # One cell per distinct value; the points of no cell stay uncovered.
+        table = self.space._tabulate([part for part, _ in cells], [*range(len(cells)), -1])
+        values = [(value.numerator, value.denominator) for _, value in cells]
+        return SimpleFunction._grouped(self.space, table, values, None, False)
 
     def level(self, level: int) -> SimpleFunction:
         """The level-n staircase as a simple function."""
@@ -407,16 +437,26 @@ class DyadicApproximation:
         return self._table(measure).limit
 
     def _table(self, measure: Measure) -> "_StaircaseTable":
-        for known, table in self._tables:
+        for known, tables in self._tables:
             if known is measure:
-                return table
-        for known, table in self._tables:
+                return tables[self._sign]
+        for known, tables in self._tables:
             if known == measure:
-                return table
+                return tables[self._sign]
         check_integrand_measure(self, measure)
-        table = _StaircaseTable(_value_distribution(self._cells, measure))
-        self._tables.append((measure, table))
-        return table
+        # One read of the signed distribution, split at zero: a row of f at
+        # a value y < 0 is the row (-p, q, e, -c, L) of f− at -y.  A simple
+        # target reads its atoms off its own cell table.
+        if isinstance(self._target, SimpleFunction):
+            rows = _atoms(self._target, measure, False)
+        else:
+            rows = _value_distribution(self._signed, measure)
+        tables = {
+            1: _StaircaseTable([row for row in rows if row[0] > 0]),
+            -1: _StaircaseTable([(-p, q, e, -c, L) for p, q, e, c, L in rows if p < 0]),
+        }
+        self._tables.append((measure, tables))
+        return tables[self._sign]
 
 
 class _StaircaseTable:
@@ -461,10 +501,9 @@ class IntegralResult:
     negative_part: Fraction
 
 
-def _signed_integral(cells: list, measure: Measure) -> IntegralResult:
+def _signed_integral(rows: list) -> IntegralResult:
     """∫f+ and ∫f− from one value distribution of the signed cells of f,
     split at zero: no cell changes sign, so no row does either."""
-    rows = _value_distribution(cells, measure)
     pos_value = _mean([row for row in rows if row[0] > 0])
     neg_value = -_mean([row for row in rows if row[0] < 0])
     return IntegralResult(pos_value - neg_value, pos_value, neg_value)
@@ -473,9 +512,11 @@ def _signed_integral(cells: list, measure: Measure) -> IntegralResult:
 def lebesgue_integral(fn: Integrand, measure: Measure) -> IntegralResult:
     """Signed integral ∫f+ dm − ∫f− dm, with both part integrals, from one
     batch read of the masses whatever the integrand class."""
+    if isinstance(fn, SimpleFunction):
+        return _signed_integral(_atoms(fn, measure, False))
     cells = _signed_cells(fn)
     check_integrand_measure(fn, measure)
-    return _signed_integral(cells, measure)
+    return _signed_integral(_value_distribution(cells, measure))
 
 
 def integrate_over(
@@ -497,4 +538,4 @@ def integrate_over(
             (IntervalSet._canonical(((u, w),)), a, b, (a * u + b, a * w + b))
             for u, w in part.intervals
         ]
-    return _signed_integral(restricted, measure).value
+    return _signed_integral(_value_distribution(restricted, measure)).value

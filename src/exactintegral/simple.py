@@ -10,31 +10,35 @@ needed.  Equality compares canonical forms, so different representations
 of the same function compare equal while their integrals must also agree
 (tested as the coherence property).
 
-Costs, for n terms holding K intervals or indices in all: the constructor
-checks disjointness by one sort-and-scan of the intervals (O(K log K)) or
-one count of the indices; `canonical()` and `support()` build each set
-with one n-ary union and the zero-padding complement once; the binary
-operations (`+`, `-`, `pointwise_max/min`) refine the two canonical
-partitions in one sweep, O(K log K) for intervals and O(N) on a discrete
-space of N points, instead of intersecting every pair of terms.  The
-interval sorts and sweeps compare endpoints by their floats and fall back
-to an exact `Fraction` compare only where two floats are equal (see
-`spaces`), so most of the K log K comparisons run in C.  Values are
-`Fraction`s at the API, but the per-value and per-cell loops work on their
-integer pairs (numerator, denominator): `canonical()` groups the values
-by their pairs and orders them by the float-first key (float(x), x) of
-the endpoints; on scalars `+` and `-` make each cell's value as one
-`Fraction` from the cross-multiplied pairs, and max and min pick one of
-the two values by comparing integer cross-products.  So no `Fraction`
-operator runs per value or per cell; vector values keep their
-componentwise operations.  The kind-specific algorithms live on the
+Costs, for n terms holding K intervals or indices in all, on a discrete
+space of N points: the work runs on a flat cell table (`spaces.CellTable`)
+instead of one set per cell.  The constructor checks disjointness while it
+builds the table of its terms, one cell per term of nonzero value on a
+nonempty set: one keyed sort and one pass over the intervals (O(K log K)),
+or one owner array of N entries.  A scalar cell value is kept as its
+integer pair (numerator, denominator), a vector as a `Vec`.
+`canonical()` groups the cell values by their reduced pairs, orders the
+groups by the float-first key (float(x), x) of the endpoints, and
+relabels the owners in one pass (merging adjacent interval pieces of one
+value), the points of no cell joining the zero cell.  The binary
+operations (`+`, `-`, `pointwise_max/min`) pair the two canonical tables
+in one linear pass: a zip of the owner arrays on a discrete space, a
+two-pointer merge of the cuts on [0, 1) that compares floats and falls
+back to the exact cut only where two floats are equal.  The distinct cell
+pairs (i, j) are numbered in (i, j) order, and each gets one value: a
+cross-multiplied pair for `+` and `-` (left unreduced), one of the two
+pairs for max and min, picked by integer cross-products, so no
+`Fraction` is made per cell; vectors keep their componentwise operations.
+`terms`, the sets of a derived function, are built from its table only
+when something reads them (`repr`, `evaluate`, `support()`, the unary
+maps): one pass that collects the points or pieces per cell.  Equality
+compares canonical tables.  The kind-specific algorithms live on the
 space classes, so nothing here branches on the set kind.
-`integrate_simple` reads the masses of all nonzero terms in one batch
-from the measure (integer numerators over one denominator) and hands the
-integer products value * mass, each over its value's own denominator, to
-`rationals.exact_sum`, so an integral costs one `Fraction` per component,
-not one `measure_of` and one normalised product per term, and no product
-is scaled to a denominator common to all values.
+`integrate_simple` reads the masses of all cells in one batch from the
+measure (integer numerators over one denominator) and hands the integer
+products value * mass, each over its value's own denominator, to
+`rationals.exact_sum`, so an integral costs one `Fraction` per component
+and no product is scaled to a denominator common to all values.
 """
 
 from __future__ import annotations
@@ -48,11 +52,13 @@ from typing import Callable, Iterable, Optional, Union
 
 from .rationals import ZERO, as_rational, exact_sum
 from .spaces import (
+    CellTable,
     Measure,
     MeasurableSet,
     OutsideDomainError,
     Space,
     SpaceMismatchError,
+    _regrouped,
     space_of,
 )
 
@@ -126,16 +132,8 @@ class Vec:
 Value = Union[Fraction, Vec]
 
 
-def _zero_value(dim: Optional[int]) -> Value:
-    return ZERO if dim is None else Vec.zero(dim)
-
-
 def _value_is_zero(value: Value) -> bool:
     return value.is_zero if isinstance(value, Vec) else not value.numerator
-
-
-def _scale_value(value: Value, factor: Fraction) -> Value:
-    return value.scale(factor) if isinstance(value, Vec) else value * factor
 
 
 def _value_norm(value: Value, kind: Optional[NormKind]) -> Fraction:
@@ -146,58 +144,63 @@ def _value_norm(value: Value, kind: Optional[NormKind]) -> Fraction:
     return abs(value)
 
 
-def _order_key(value: Value):
-    """The exact order key of a value: for a scalar x, (float(x), x), the
-    float-first key `spaces` orders endpoints by (a value beyond the floats
-    keys as the infinity of its sign); for a vector, its components."""
-    if isinstance(value, Vec):
-        return value.components
-    n, d = value.numerator, value.denominator
+def _order_key(pair: tuple[int, int]):
+    """The exact order key of a scalar n/d given as its reduced pair (n, d):
+    (n / d, n/d), the float-first key `spaces` orders endpoints by (a value
+    beyond the floats keys as the infinity of its sign)."""
+    n, d = pair
     try:
-        return (n / d, value)
+        return (n / d, Fraction(n, d))
     except OverflowError:
-        return (math.inf if n > 0 else -math.inf, value)
+        return (math.inf if n > 0 else -math.inf, Fraction(n, d))
 
 
-def _by_value(terms: Iterable[tuple[Value, MeasurableSet]]) -> list[tuple[Value, list]]:
-    """(value, parts) for each distinct value of `terms`, in increasing
-    value order.  A scalar is grouped by its integer pair (numerator,
-    denominator), which hashes far faster than the `Fraction`, and the
-    groups are sorted by `_order_key`."""
-    groups: dict = {}
-    for value, part in terms:
-        key = value.components if isinstance(value, Vec) else (value.numerator, value.denominator)
-        group = groups.get(key)
-        if group is None:
-            groups[key] = (value, [part])
-        else:
-            group[1].append(part)
-    return sorted(groups.values(), key=lambda group: _order_key(group[0]))
+def _combined_values(op: str, left: list, right: list, pairs: list) -> list:
+    """op(x, y) for each cell (i, j) of `pairs`, x = left[i] and y = right[j]
+    the cell values of two tables, which are never empty.
 
-
-def _combine_scalars(op: str, left: tuple, right: tuple, cells: list) -> list:
-    """op(x, y) for each cell (i, j, _), x and y the values of the terms
-    left[i] and right[j], on the values' integer pairs.
-
-    A sum or difference is one `Fraction` made from the cross-multiplied
-    pair, not a `Fraction` operator call; max and min compare the integer
-    cross-products and pick one of the two existing values (x on a tie, as
-    the builtins do), so they make no new `Fraction`.
+    Vectors are added or subtracted componentwise.  A scalar is an integer
+    pair (numerator, denominator): a sum or difference is the
+    cross-multiplied pair, left unreduced; max and min compare the integer
+    cross-products and pick one of the two pairs (x on a tie, as the
+    builtins do).  No `Fraction` is made.
     """
-    a = [(x.numerator, x.denominator, x) for x, _ in left]
-    b = [(y.numerator, y.denominator, y) for y, _ in right]
-    pairs = [(a[i], b[j]) for i, j, _ in cells]
+    cells = [(left[i], right[j]) for i, j in pairs]
+    if isinstance(left[0], Vec):
+        return [x + y if op == "+" else x - y for x, y in cells]
     if op == "+":
-        return [Fraction(n * q + m * p, p * q) for (n, p, _), (m, q, _) in pairs]
+        return [(n * q + m * p, p * q) for (n, p), (m, q) in cells]
     if op == "-":
-        return [Fraction(n * q - m * p, p * q) for (n, p, _), (m, q, _) in pairs]
+        return [(n * q - m * p, p * q) for (n, p), (m, q) in cells]
     if op == "max":
-        return [y if m * p > n * q else x for (n, p, x), (m, q, y) in pairs]
-    return [y if m * p < n * q else x for (n, p, x), (m, q, y) in pairs]
+        return [y if y[0] * x[1] > x[0] * y[1] else x for x, y in cells]
+    return [y if y[0] * x[1] < x[0] * y[1] else x for x, y in cells]
+
+
+def _tabulated(space: Space, terms: tuple) -> Optional[tuple[CellTable, list]]:
+    """(table, values): one cell per term of nonzero value on a nonempty
+    set, and its value (a scalar as its integer pair); None where two term
+    sets overlap."""
+    owner_of, values = [], []
+    for value, part in terms:
+        if _value_is_zero(value) or part.is_empty:
+            owner_of.append(-1)
+        else:
+            owner_of.append(len(values))
+            values.append(value if isinstance(value, Vec) else value.as_integer_ratio())
+    table = space._tabulate([part for _, part in terms], owner_of + [-1])
+    return None if table is None else (table, values)
 
 
 class SimpleFunction:
-    """One pairwise-disjoint representation of a simple function."""
+    """One pairwise-disjoint representation of a simple function.
+
+    A function holds its terms, its cell table, or both: the terms it was
+    built with, or the `spaces.CellTable` of a derived function (canonical
+    form, `f ± g`, max/min, staircase levels) with one value per cell, a
+    scalar as its integer pair (numerator, denominator) and a vector as a
+    `Vec`.  Each is derived from the other on first use and kept.
+    """
 
     def __init__(
         self,
@@ -212,11 +215,18 @@ class SimpleFunction:
             if part.space != space:
                 raise SpaceMismatchError("term set belongs to another space")
             term_list.append((value, part))
-        self.space = space
-        self.dim = self._resolve_dim(term_list, dim)
-        if len(term_list) > 1 and not space._pairwise_disjoint([p for _, p in term_list]):
+        dim = self._resolve_dim(term_list, dim)
+        cells = _tabulated(space, term_list)
+        if cells is None:
             raise ValueError("term sets must be pairwise disjoint")
-        self.terms: tuple[tuple[Value, MeasurableSet], ...] = tuple(term_list)
+        self._start(space, dim, tuple(term_list), *cells)
+
+    def _start(self, space, dim, terms, table, values) -> None:
+        self.space = space
+        self.dim = dim
+        self._terms: Optional[tuple[tuple[Value, MeasurableSet], ...]] = terms
+        self._table: Optional[CellTable] = table
+        self._values: Optional[list] = values
         self._canonical: Optional["SimpleFunction"] = None
 
     @staticmethod
@@ -224,26 +234,44 @@ class SimpleFunction:
         dims = {value.dim if isinstance(value, Vec) else None for value, _ in terms}
         if len(dims) > 1:
             raise ValueError("all term values must be scalars or vectors of one dimension")
-        if not dims:
-            return dim
-        inferred = dims.pop()
-        if inferred is None:
-            if dim is not None:
-                raise ValueError("declared a vector dimension but the values are scalar")
-            return None
+        inferred = dims.pop() if dims else dim
+        if inferred is None and dim is not None:
+            raise ValueError("declared a vector dimension but the values are scalar")
         if dim is not None and inferred != dim:
             raise ValueError("declared dimension disagrees with the values")
         return inferred
 
     @classmethod
-    def _trusted(cls, space, terms, dim) -> "SimpleFunction":
-        # Construction from cells already known to be pairwise disjoint.
+    def _trusted(cls, space, terms, dim, table=None, values=None) -> "SimpleFunction":
+        # Construction from terms already known to be pairwise disjoint, or
+        # (terms None) from a cell table and one value per cell.
         fn = cls.__new__(cls)
-        fn.space = space
-        fn.dim = dim
-        fn.terms = tuple(terms)
-        fn._canonical = None
+        fn._start(space, dim, None if terms is None else tuple(terms), table, values)
         return fn
+
+    @classmethod
+    def _grouped(cls, space, table: CellTable, values: list, dim, pad: bool) -> "SimpleFunction":
+        """The function with one cell per distinct value of the cells of
+        `table`, in increasing value order; with `pad`, the points of no
+        cell join the zero cell.  Scalars are grouped by their reduced
+        integer pairs, which hash far faster than `Fraction`s."""
+        if dim is None:
+            keys = [(n // g, d // g) for n, d in values for g in (math.gcd(n, d),)]
+            zero, order = (0, 1), _order_key
+        else:
+            keys = [value.components for value in values]
+            zero, order = Vec.zero(dim).components, None
+        padded = pad and -1 in table.owners
+        if padded:
+            keys.append(zero)  # the owner of the points of no cell, owner_of[-1]
+        distinct = sorted(set(keys), key=order)
+        rank = dict(zip(distinct, range(len(distinct))))
+        owner_of = [rank[key] for key in keys]
+        if not padded:
+            owner_of.append(-1)
+        table = _regrouped(table, owner_of, len(distinct))
+        values = distinct if dim is None else [Vec(key) for key in distinct]
+        return cls._trusted(space, None, dim, table, values)
 
     @classmethod
     def zero(cls, space: Space, dim: Optional[int] = None) -> "SimpleFunction":
@@ -259,7 +287,7 @@ class SimpleFunction:
         return self.dim is not None
 
     def _zero(self) -> Value:
-        return _zero_value(self.dim)
+        return ZERO if self.dim is None else Vec.zero(self.dim)
 
     def _require_scalar(self, what: str) -> None:
         if self.is_vector:
@@ -270,6 +298,22 @@ class SimpleFunction:
             raise SpaceMismatchError("functions live on different spaces")
         if other.dim != self.dim:
             raise ValueError("functions have different value dimensions")
+
+    @property
+    def terms(self) -> tuple[tuple[Value, MeasurableSet], ...]:
+        """(value, set) pairs, pairwise disjoint; for a derived function one
+        per cell, built from the table on first read."""
+        if self._terms is None:
+            values = self._values if self.dim else [Fraction(n, d) for n, d in self._values]
+            self._terms = tuple(zip(values, self.space._cell_sets(self._table)))
+        return self._terms
+
+    def _cells(self) -> tuple[CellTable, list]:
+        """The cell table and the cell values; for a function built from
+        terms, one cell per term of nonzero value on a nonempty set."""
+        if self._table is None:
+            self._table, self._values = _tabulated(self.space, self._terms)
+        return self._table, self._values
 
     def evaluate(self, point) -> Value:
         """Value at a point of the space; zero off every term set."""
@@ -282,51 +326,34 @@ class SimpleFunction:
 
     def canonical(self) -> "SimpleFunction":
         """The unique representation: distinct values, sets partitioning the space."""
-        if self._canonical is not None:
-            return self._canonical
-        live = [
-            (value, part)
-            for value, part in self.terms
-            if not (_value_is_zero(value) or part.is_empty)
-        ]
-        union_of = self.space.union_of
-        rest = union_of(part for _, part in live).complement()
-        if not rest.is_empty:
-            live.append((self._zero(), rest))
-        terms = [(value, union_of(parts)) for value, parts in _by_value(live)]
-        result = SimpleFunction._trusted(self.space, terms, self.dim)
-        result._canonical = result
-        self._canonical = result
-        return result
+        if self._canonical is None:
+            table, values = self._cells()
+            result = SimpleFunction._grouped(self.space, table, values, self.dim, True)
+            result._canonical = result
+            self._canonical = result
+        return self._canonical
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimpleFunction):
             return NotImplemented
         if self.space != other.space or self.dim != other.dim:
             return False
-        return self.canonical().terms == other.canonical().terms
+        return self.canonical()._cells() == other.canonical()._cells()
 
     __hash__ = None  # representations are mutable-by-construction keys; do not hash
 
     def _map_values(self, fn: Callable[[Value], Value], dim: Optional[int]) -> "SimpleFunction":
         # Valid whenever fn(0) == 0, so the implicit off-support zero is preserved.
-        return SimpleFunction._trusted(
-            self.space, [(fn(v), s) for v, s in self.terms], dim
-        )
+        return SimpleFunction._trusted(self.space, [(fn(v), s) for v, s in self.terms], dim)
 
     def _combine(self, other: "SimpleFunction", op: str) -> "SimpleFunction":
         """Pointwise `op` ("+", "-", "max" or "min") on the common refinement
-        of both canonical partitions."""
+        of both canonical tables, one cell per pair of cells that meet."""
         self._require_compatible(other)
-        left, right = self.canonical().terms, other.canonical().terms
-        cells = self.space._refinement([a for _, a in left], [b for _, b in right])
-        if self.dim is None:
-            values = _combine_scalars(op, left, right, cells)
-        else:  # vectors: componentwise `+` and `-`
-            vec_op = operator.add if op == "+" else operator.sub
-            values = [vec_op(left[i][0], right[j][0]) for i, j, _ in cells]
-        terms = [(value, cell) for value, (_, _, cell) in zip(values, cells)]
-        return SimpleFunction._trusted(self.space, terms, self.dim)
+        left, right = self.canonical(), other.canonical()
+        table, pairs = self.space._paired(left._table, right._table)
+        values = _combined_values(op, left._values, right._values, pairs)
+        return SimpleFunction._trusted(self.space, None, self.dim, table, values)
 
     def __add__(self, other: "SimpleFunction") -> "SimpleFunction":
         return self._combine(other, "+")
@@ -339,7 +366,9 @@ class SimpleFunction:
 
     def scale(self, factor: Fraction) -> "SimpleFunction":
         factor = as_rational(factor, "scale factor")
-        return self._map_values(lambda v: _scale_value(v, factor), self.dim)
+        return self._map_values(
+            lambda v: v.scale(factor) if isinstance(v, Vec) else v * factor, self.dim
+        )
 
     def pointwise_max(self, other: "SimpleFunction") -> "SimpleFunction":
         self._require_scalar("pointwise max")
@@ -369,9 +398,7 @@ class SimpleFunction:
 
     def support(self) -> MeasurableSet:
         """Union of the sets carrying a nonzero value."""
-        return self.space.union_of(
-            part for value, part in self.terms if not _value_is_zero(value)
-        )
+        return self.space.union_of(part for value, part in self.terms if not _value_is_zero(value))
 
     def component(self, index: int) -> "SimpleFunction":
         """Scalar component of a vector-valued function."""
@@ -385,26 +412,26 @@ class SimpleFunction:
 
 
 def integrate_simple(fn: SimpleFunction, measure: Measure) -> Value:
-    """Integral of a simple function: sum of value * measure(set) over terms.
+    """Integral of a simple function: sum of value * measure(cell) over its cells.
 
     Representation independent (the coherence property); componentwise for
-    vector values; a zero value contributes nothing whatever its set's mass.
-    The masses of all nonzero terms are read in one batch, as integer
+    vector values; a zero value contributes nothing whatever its cell's
+    mass.  The masses of all cells are read in one batch, as integer
     numerators over one denominator, and each component of the integral is
     one `exact_sum` of the integer products over the values' denominators,
     made into one `Fraction`.
     """
     if space_of(measure) != fn.space:
         raise SpaceMismatchError("function and measure live on different spaces")
-    terms = [(value, part) for value, part in fn.terms if not _value_is_zero(value)]
-    numerators, denominator = measure._masses([part for _, part in terms])
+    table, values = fn._cells()
+    numerators, denominator = measure._masses(table)
 
-    def total(values) -> Fraction:
-        n, d = exact_sum((v.numerator * m, v.denominator) for v, m in zip(values, numerators))
+    def total(pairs) -> Fraction:
+        n, d = exact_sum((p * m, q) for (p, q), m in zip(pairs, numerators) if p)
         return Fraction(n, d * denominator)
 
     if fn.dim is None:
-        return total(value for value, _ in terms)
+        return total(values)
     return Vec(
-        tuple(total(value.components[k] for value, _ in terms) for k in range(fn.dim))
+        tuple(total([v.components[k].as_integer_ratio() for v in values]) for k in range(fn.dim))
     )

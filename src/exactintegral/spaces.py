@@ -30,33 +30,40 @@ and a measure of c cells:
 * `union`, and `union_of` on a space for any number of sets: one sort of
   all the intervals and one merge pass, or one `set` update for indices;
   a union with one nonempty operand returns it;
-* interval sorts and sweeps (the constructor, `union_of`,
-  `_pairwise_disjoint`, `_refinement`) order endpoints by the exact key
-  (float(x), x): the floats compare in C and only equal floats fall back
-  to a `Fraction` compare, and a key stays two words however many
-  distinct denominators the endpoints have;
-* `intersection`, `difference`, `complement`: one linear pass (two-pointer
-  merge of intervals, membership tests for indices; O(N) for a discrete
-  complement);
-* `contains`: O(log k) by bisection;
-* mass reads: each measure reads the masses of any number of sets in one
-  pass of integer arithmetic (the private `_masses`), returning integer
-  numerators over one common denominator.  A discrete space keeps its
-  weights as integers over their lcm and sums k of them per set; an
-  interval measure keeps its merged grid, densities and cumulative masses
-  as integers once, scales the grid and every endpoint of the sets read
-  to the lcm of their denominators, and bisects plain integers: O(k log c)
-  for k endpoints.  `measure_of` is the one-set read and makes one
-  `Fraction`; `integrate_simple` and the signed simple integral read all
-  their terms' masses in one call.
+* interval sorts and sweeps (the constructor, `union_of`, `_tabulate`,
+  `_paired`) order endpoints by the exact key (float(x), x): the floats
+  compare in C and only equal floats fall back to an exact compare, and a
+  key stays two words however many distinct denominators the endpoints
+  have;
+* `intersection`, `difference`: one linear pass (two-pointer merge of
+  intervals, membership tests for indices); `complement`: the gap cell of
+  the set's own table, O(k log k) or O(N);
+* `contains`: O(log k) by bisection, after the point passes the rational
+  gate (a discrete space takes only an `int`);
+* cell tables: a `CellTable` partitions the space into numbered cells
+  without building a set per cell: on a discrete space one owner per
+  point, on [0, 1) the sorted cut list with one owner per piece.
+  `_tabulate` builds the table of pairwise-disjoint sets, or finds that
+  they overlap, in one sort and one pass (one fill of N owners for
+  indices); `_paired` refines two tables in one linear pass (a zip of the
+  owners, or a two-pointer merge of the cuts) and numbers the distinct
+  cell pairs; `_regrouped` relabels the owners; `_cell_sets` builds the
+  sets of all cells in one pass, only when a caller asks for them;
+* mass reads: each measure reads the masses of all cells of a table in
+  one pass of integer arithmetic (the private `_masses`), returning
+  integer numerators over one common denominator.  A discrete space keeps
+  its weights as integers over their lcm and adds them up by owner, O(N);
+  an interval measure keeps its merged grid, densities and cumulative
+  masses as integers once, scales the grid and every cut to the lcm of
+  their denominators, finds the cumulative mass at each cut by one walk
+  along the grid in step with the sorted cuts (no bisection), and
+  differences them per piece: O(m + c) for m cuts.  `measure_of` is the
+  read of a one-set table and makes one `Fraction`; every integral of a
+  simple function reads all its cells in one call.
 
 Results of the set operations on canonical operands are canonical by
 construction, so they come from the private `_canonical` constructors,
-which trust their input and check nothing.  The spaces also carry the
-two private kind-specific algorithms `SimpleFunction` relies on:
-`_pairwise_disjoint` (sort-and-scan for intervals, a count for indices)
-and `_refinement`, the common refinement of two partitions of the whole
-space in one sweep.
+which trust their input and check nothing.
 """
 
 from __future__ import annotations
@@ -66,7 +73,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .rationals import ONE, ZERO, as_rational
 
@@ -94,6 +101,50 @@ class OutsideDomainError(ValueError):
     """A point lies outside the sample space."""
 
 
+class CellTable(NamedTuple):
+    """A partition of a space into numbered cells, without sets.
+
+    On a discrete space `owners` holds the cell of each point; on [0, 1)
+    piece k is [cuts[k], cuts[k + 1]) and `owners[k]` is its cell.  Owner
+    -1 marks the points of no cell.  Adjacent pieces of a canonical table
+    never share an owner, so its cut list is unique.
+    """
+
+    owners: list
+    count: int
+    cuts: tuple = ()
+
+
+def _numbered(codes: list, width: int, cuts: tuple) -> tuple[CellTable, list]:
+    """(table, pairs): the cells of a common refinement, given the code
+    i * width + j of the cell pair (i, j) of each point or piece.  The
+    distinct codes are numbered in (i, j) order, and pairs[k] is the (i, j)
+    of cell k."""
+    distinct = sorted(set(codes))
+    number = dict(zip(distinct, range(len(distinct))))
+    table = CellTable(list(map(number.__getitem__, codes)), len(distinct), cuts)
+    return table, [divmod(code, width) for code in distinct]
+
+
+def _regrouped(table: CellTable, owner_of: list, count: int) -> CellTable:
+    """The table with each owner o replaced by owner_of[o] (owner_of[-1]
+    for the points of no cell), adjacent pieces of one owner merged."""
+    owners = list(map(owner_of.__getitem__, table.owners))
+    if not table.cuts:
+        return CellTable(owners, count)
+    keep = [k for k, owner in enumerate(owners) if not k or owner != owners[k - 1]]
+    return CellTable([owners[k] for k in keep], count, (*(table.cuts[k] for k in keep), ONE))
+
+
+def _by_owner(items: Iterable, table: CellTable) -> list[list]:
+    """The items, one per point or piece of the table, collected per cell;
+    the items of no cell are dropped."""
+    cells: list[list] = [[] for _ in range(table.count + 1)]  # the last: no cell
+    for item, owner in zip(items, table.owners):
+        cells[owner].append(item)
+    return cells[:-1]
+
+
 _lower_end = itemgetter(0)
 
 
@@ -102,9 +153,7 @@ class UnitIntervalSpace:
     """The sample space [0, 1).  All instances are interchangeable."""
 
     def contains(self, point) -> bool:
-        if isinstance(point, bool) or not isinstance(point, (int, Fraction)):
-            return False
-        return 0 <= point < 1
+        return 0 <= as_rational(point, "point") < 1
 
     def full_set(self) -> "IntervalSet":
         return IntervalSet._canonical(((ZERO, ONE),))
@@ -121,52 +170,53 @@ class UnitIntervalSpace:
             return pieces[0]
         return IntervalSet._canonical(_merged(_keyed(pieces)))
 
-    def _pairwise_disjoint(self, parts: Iterable["IntervalSet"]) -> bool:
-        # Sorted by lower end, half-open intervals are pairwise disjoint iff
-        # each starts at or after the end of the one before it.
-        reach_f, reach = _NO_REACH, None
-        for lo_f, lo, hi_f, hi, _ in _keyed(parts):
-            if lo_f < reach_f or lo_f == reach_f and lo < reach:
-                return False
+    def _tabulate(self, parts: Sequence["MeasurableSet"], owner_of: list) -> Optional[CellTable]:
+        """The cell table of interval sets, or None where two of them
+        overlap: owner owner_of[k] for the pieces of parts[k], owner_of[-1]
+        for the gaps, and max(owner_of) + 1 cells.  One keyed sort and one
+        pass: sorted by lower end, the sets are pairwise disjoint iff each
+        interval starts at or after the end of the one before it."""
+        if not all(isinstance(part, IntervalSet) for part in parts):
+            raise SpaceMismatchError("set does not belong to the interval space")
+        cuts, owners = [ZERO], []
+        reach_f, reach = 0.0, ZERO
+        for lo_f, lo, hi_f, hi, k in _keyed(parts):
+            if lo_f == reach_f:  # equal floats: compare the exact cross-products
+                lo_f, reach_f = lo.numerator * reach.denominator, reach.numerator * lo.denominator
+            if lo_f < reach_f:
+                return None
+            if reach_f < lo_f:
+                cuts.append(lo)
+                owners.append(owner_of[-1])
+            cuts.append(hi)
+            owners.append(owner_of[k])
             reach_f, reach = hi_f, hi
-        return True
+        if reach != 1:
+            cuts.append(ONE)
+            owners.append(owner_of[-1])
+        return CellTable(owners, max(owner_of) + 1, tuple(cuts))
 
-    def _refinement(
-        self, left: Sequence["IntervalSet"], right: Sequence["IntervalSet"]
-    ) -> list[tuple[int, int, "IntervalSet"]]:
-        """(i, j, left[i] & right[j]) for every nonempty cell, in (i, j) order.
+    def _paired(self, left: CellTable, right: CellTable) -> tuple[CellTable, list]:
+        """The common refinement of two gapless tables, from one two-pointer
+        merge of their cuts that compares their floats and the exact cuts
+        only where two floats are equal (see `_numbered`)."""
+        a, b = left.cuts, right.cuts
+        a_f = [x.numerator / x.denominator for x in a]
+        b_f = [y.numerator / y.denominator for y in b]
+        cuts, codes, i, j, width = [ZERO], [], 1, 1, right.count
+        while i < len(a):  # both tables end at 1, so b runs out with a
+            codes.append(left.owners[i - 1] * width + right.owners[j - 1])
+            x, y = (a_f[i], b_f[j]) if a_f[i] != b_f[j] else (a[i], b[j])
+            cuts.append(a[i] if x <= y else b[j])
+            i, j = i + (x <= y), j + (y <= x)
+        return _numbered(codes, width, tuple(cuts))
 
-        Both arguments must partition [0, 1).  Their keyed intervals, tagged
-        with the index of their set, then tile [0, 1), and one two-pointer
-        sweep over the two tilings yields every cell: each cell starts where
-        the one before it ended and ends at the nearer of the two current
-        upper ends.  Pieces of one cell never touch (their sets are
-        canonical), so each cell's pieces, collected left to right, are
-        already canonical.
-        """
-        a, b = _keyed(left), _keyed(right)
-        cells: dict[tuple[int, int], list] = {}
-        cursor = ZERO
-        i = j = 0
-        while i < len(a) and j < len(b):
-            _, _, a_hi_f, a_hi, p = a[i]
-            _, _, b_hi_f, b_hi, q = b[j]
-            if a_hi_f == b_hi_f and a_hi == b_hi:  # both end here
-                hi = a_hi
-                i += 1
-                j += 1
-            elif a_hi_f < b_hi_f or a_hi_f == b_hi_f and a_hi < b_hi:
-                hi = a_hi
-                i += 1
-            else:
-                hi = b_hi
-                j += 1
-            cells.setdefault((p, q), []).append((cursor, hi))
-            cursor = hi
-        return [
-            (p, q, IntervalSet._canonical(tuple(pieces)))
-            for (p, q), pieces in sorted(cells.items())
-        ]
+    def _cell_sets(self, table: CellTable) -> list["IntervalSet"]:
+        """One set per cell of a table whose adjacent pieces never share an
+        owner, in cell order: each cell's pieces, collected left to right,
+        are already canonical."""
+        pieces = _by_owner(zip(table.cuts, table.cuts[1:]), table)
+        return [IntervalSet._canonical(tuple(cell)) for cell in pieces]
 
     def __repr__(self) -> str:
         return "UnitIntervalSpace()"
@@ -191,13 +241,11 @@ _NO_REACH = float("-inf")  # below every key: no interval has been seen
 def _keyed(parts: Iterable["IntervalSet"]) -> list[tuple]:
     """Every interval of `parts` as (float(lo), lo, float(hi), hi, k), with k
     the index of its set, sorted by the key of its lower end."""
-    keyed = [
+    return sorted(
         (lo.numerator / lo.denominator, lo, hi.numerator / hi.denominator, hi, k)
         for k, part in enumerate(parts)
         for lo, hi in part.intervals
-    ]
-    keyed.sort()
-    return keyed
+    )
 
 
 def _merged(keyed: Iterable[tuple]) -> tuple:
@@ -253,7 +301,10 @@ class DiscreteSpace:
         return self
 
     def contains(self, point) -> bool:
-        return isinstance(point, int) and not isinstance(point, bool) and 0 <= point < self.size
+        if isinstance(point, bool) or not isinstance(point, int):
+            as_rational(point, "point")  # names a float, bool, Decimal or string
+            raise ValueError(f"point {point!r} is not an int")
+        return 0 <= point < self.size
 
     def full_set(self) -> "DiscreteSet":
         return DiscreteSet._canonical(self, tuple(range(self.size)))
@@ -267,49 +318,39 @@ class DiscreteSpace:
             members.update(part.indices)
         return DiscreteSet._canonical(self, tuple(sorted(members)))
 
-    def _pairwise_disjoint(self, parts: Sequence["DiscreteSet"]) -> bool:
-        members: set[int] = set()
-        count = 0
-        for part in parts:
-            members.update(part.indices)
-            count += len(part.indices)
-        return count == len(members)
-
-    def _refinement(
-        self, left: Sequence["DiscreteSet"], right: Sequence["DiscreteSet"]
-    ) -> list[tuple[int, int, "DiscreteSet"]]:
-        """(i, j, left[i] & right[j]) for every nonempty cell, in (i, j) order.
-
-        Both arguments must partition the space: every point has one owner
-        on the right, so each left set splits by the owners of its points.
-        """
-        owner = [0] * self.size
-        for q, part in enumerate(right):
+    def _tabulate(self, parts: Sequence["MeasurableSet"], owner_of: list) -> Optional[CellTable]:
+        """The cell table of sets of this space, or None where two of them
+        overlap: owner owner_of[k] for the points of parts[k], owner_of[-1]
+        for the points of none, and max(owner_of) + 1 cells."""
+        if not all(isinstance(part, DiscreteSet) and part.space == self for part in parts):
+            raise SpaceMismatchError("set does not belong to this discrete space")
+        if len(set().union(*(p.indices for p in parts))) != sum(len(p.indices) for p in parts):
+            return None
+        owners = [owner_of[-1]] * self.size
+        for k, part in enumerate(parts):
             for point in part.indices:
-                owner[point] = q
-        out = []
-        for p, part in enumerate(left):
-            cells: dict[int, list[int]] = {}
-            for point in part.indices:
-                cells.setdefault(owner[point], []).append(point)
-            out.extend(
-                (p, q, DiscreteSet._canonical(self, tuple(points)))
-                for q, points in sorted(cells.items())
-            )
-        return out
+                owners[point] = owner_of[k]
+        return CellTable(owners, max(owner_of) + 1)
+
+    def _paired(self, left: CellTable, right: CellTable) -> tuple[CellTable, list]:
+        """The common refinement of two tables: one zip of the owners."""
+        width = right.count
+        return _numbered([i * width + j for i, j in zip(left.owners, right.owners)], width, ())
+
+    def _cell_sets(self, table: CellTable) -> list["DiscreteSet"]:
+        """One set per cell of the table, in cell order."""
+        members = _by_owner(range(self.size), table)
+        return [DiscreteSet._canonical(self, tuple(points)) for points in members]
 
     def measure_of(self, subset: "MeasurableSet") -> Fraction:
-        numerators, denominator = self._masses((subset,))
+        numerators, denominator = self._masses(self._tabulate((subset,), [0, -1]))
         return Fraction(numerators[0], denominator)
 
-    def _masses(self, parts: Sequence["MeasurableSet"]) -> tuple[list[int], int]:
-        """(numerators, denominator): the mass of each part is its numerator
-        over the one common denominator of the weights."""
-        for part in parts:
-            if not isinstance(part, DiscreteSet) or part.space != self:
-                raise SpaceMismatchError("set does not belong to this discrete space")
-        weight = self._scaled.__getitem__
-        return [sum(map(weight, part.indices)) for part in parts], self._denominator
+    def _masses(self, table: "CellTable") -> tuple[list[int], int]:
+        """(numerators, denominator): the mass of each cell of a table of
+        this space is its numerator over the one common denominator of the
+        weights, from one pass of the weights by owner."""
+        return list(map(sum, _by_owner(self._scaled, table))), self._denominator
 
 
 class DiscreteSet:
@@ -363,10 +404,8 @@ class DiscreteSet:
         )
 
     def complement(self) -> "DiscreteSet":
-        members = set(self.indices)
-        return DiscreteSet._canonical(
-            self.space, tuple(i for i in range(self.space.size) if i not in members)
-        )
+        # The one cell of the points of no set in the table of this set.
+        return self.space._cell_sets(self.space._tabulate((self,), [-1, 0]))[0]
 
     __or__ = union
     __and__ = intersection
@@ -460,15 +499,8 @@ class IntervalSet:
         return IntervalSet._canonical(tuple(out))
 
     def complement(self) -> "IntervalSet":
-        out = []
-        cursor = ZERO
-        for lo, hi in self.intervals:
-            if cursor < lo:
-                out.append((cursor, lo))
-            cursor = hi
-        if cursor < 1:
-            out.append((cursor, ONE))
-        return IntervalSet._canonical(tuple(out))
+        # The one cell of the gaps in the table of this set.
+        return UNIT_INTERVAL._cell_sets(UNIT_INTERVAL._tabulate((self,), [-1, 0]))[0]
 
     def difference(self, other: "MeasurableSet") -> "IntervalSet":
         return self.intersection(self._require_same_space(other).complement())
@@ -585,40 +617,33 @@ class IntervalMeasure:
             yield self.breakpoints[k], self.breakpoints[k + 1], density
 
     def measure_of(self, subset: "MeasurableSet") -> Fraction:
-        numerators, denominator = self._masses((subset,))
+        numerators, denominator = self._masses(UNIT_INTERVAL._tabulate((subset,), [0, -1]))
         return Fraction(numerators[0], denominator)
 
-    def _masses(self, parts: Sequence["MeasurableSet"]) -> tuple[list[int], int]:
-        """(numerators, denominator): the mass of each part is its numerator
-        over one common denominator.
+    def _masses(self, table: "CellTable") -> tuple[list[int], int]:
+        """(numerators, denominator): the mass of each cell of an interval
+        table is its numerator over one common denominator.
 
-        Every endpoint x is scaled to the integer X = L * x, with L the lcm
-        of the grid's and the endpoints' denominators.  Bisecting the grid
-        scaled by s = L / D finds the cell k of x, and the mass of [0, x)
-        is (s * B[k] + A[k] * X) / (L * E).
+        Every cut x is scaled to the integer X = L * x, with L the lcm of the
+        grid's and the cuts' denominators.  One walk along the grid scaled
+        by s = L / D, in step with the sorted cuts, finds the cell k of each
+        cut, and the mass of [0, x) is (s * B[k] + A[k] * X) / (L * E); a
+        piece's mass is the difference at its two cuts.
         """
-        for part in parts:
-            if not isinstance(part, IntervalSet):
-                raise SpaceMismatchError("set does not belong to the interval space")
         grid_den, points, slopes, offsets, density_den = self._table
-        common = lcm(
-            grid_den,
-            *{end.denominator for part in parts for iv in part.intervals for end in iv},
-        )
+        cuts = table.cuts
+        common = lcm(grid_den, *{x.denominator for x in cuts})
         stretch = common // grid_den
         scaled_grid = [t * stretch for t in points]
-        numerators = []
-        for part in parts:
-            offset_sum = linear_sum = 0
-            for lo, hi in part.intervals:
-                x_lo = lo.numerator * (common // lo.denominator)
-                x_hi = hi.numerator * (common // hi.denominator)
-                k = bisect_right(scaled_grid, x_lo) - 1
-                m = bisect_right(scaled_grid, x_hi) - 1
-                offset_sum += offsets[m] - offsets[k]
-                linear_sum += slopes[m] * x_hi - slopes[k] * x_lo
-            numerators.append(offset_sum * stretch + linear_sum)
-        return numerators, common * density_den
+        last, k = len(points) - 1, 0
+        below = []
+        for x in cuts:
+            x = x.numerator * (common // x.denominator)
+            while k < last and scaled_grid[k + 1] <= x:
+                k += 1
+            below.append(offsets[k] * stretch + slopes[k] * x)
+        pieces = [hi - lo for lo, hi in zip(below, below[1:])]
+        return list(map(sum, _by_owner(pieces, table))), common * density_den
 
 
 MeasurableSet = Union[DiscreteSet, IntervalSet]

@@ -16,11 +16,12 @@ staircase levels and integrated term by term; `term_points` lists the
 points where such step functions can change value.
 
 The set-algebra references are the plain algorithms the library replaced
-by sweeps: pairwise disjointness checks and every-pair intersections
-(through the binary `intersection`), per-cell overlaps, and unions that
-sort intervals by their `Fraction` lower ends and merge them left to
-right.  They order endpoints only by `Fraction` comparisons, never through
-the library's float-keyed sorts and sweeps.
+by sweeps and cell tables: pairwise disjointness checks, the common
+refinement of two functions by intersecting every pair of their
+canonical terms (through the binary `intersection`), per-cell overlaps,
+and unions that sort intervals by their `Fraction` lower ends and merge
+them left to right.  They order endpoints only by `Fraction`
+comparisons, never through the library's float-keyed sorts and sweeps.
 
 `parse_rational_reference` and `decimal_string_reference` are the
 front-end conversions the library replaced: the parser that checks its
@@ -317,15 +318,22 @@ def canonical_terms_reference(fn: SimpleFunction) -> tuple:
     return tuple(terms)
 
 
-def combine_terms_reference(f: SimpleFunction, g: SimpleFunction, op) -> tuple:
-    """Terms of op(f, g) by intersecting every canonical term of f with every one of g."""
-    terms = []
+def refinement_reference(f: SimpleFunction, g: SimpleFunction) -> list:
+    """(v, w, a & b) for every canonical term (v, a) of f and (w, b) of g
+    whose sets meet, in the order of the two canonical term lists, each
+    cell by the binary `intersection`."""
+    cells = []
     for v, a in canonical_terms_reference(f):
         for w, b in canonical_terms_reference(g):
             cell = a.intersection(b)
             if not cell.is_empty:
-                terms.append((op(v, w), cell))
-    return tuple(terms)
+                cells.append((v, w, cell))
+    return cells
+
+
+def combine_terms_reference(f: SimpleFunction, g: SimpleFunction, op) -> tuple:
+    """Terms of op(f, g), one per cell of `refinement_reference`."""
+    return tuple((op(v, w), cell) for v, w, cell in refinement_reference(f, g))
 
 
 def support_reference(fn: SimpleFunction):

@@ -208,15 +208,19 @@ def test_an_integral_of_n_terms_makes_one_batch_read(monkeypatch, measure):
     space = measure if isinstance(measure, DiscreteSpace) else UNIT_INTERVAL
     fn = _wide_function(space, 16)
     region = space.union_of(part for _, part in fn.terms[::3])
-    integrands = [fn]
+    other = _wide_function(space, 5)
+    total, difference = fn + other, fn - other
+    integrands = [fn, total, difference]
     if space is UNIT_INTERVAL:
         integrands.append(_wide_piecewise(16))
     calls = [
         ("integrate_simple", lambda: integrate_simple(fn, measure)),
+        ("integrate_simple of f + g", lambda: integrate_simple(total, measure)),
+        ("integrate_simple of f - g", lambda: integrate_simple(difference, measure)),
         ("integrate_nonneg", lambda: integrate_nonneg(abs(fn), measure)),
     ]
-    for g in integrands:
-        kind = type(g).__name__
+    for k, g in enumerate(integrands):
+        kind = f"{type(g).__name__} {k}"
         calls += [
             (f"lebesgue_integral of a {kind}", lambda g=g: lebesgue_integral(g, measure)),
             (f"integrate_over of a {kind}", lambda g=g: integrate_over(region, g, measure)),

@@ -8,7 +8,9 @@ whichever encoder it takes.  `exact_sum`, the one multi-term sum of the
 integrals, must equal the plain sum of `Fraction`s.  Every entry point
 behind the rational gate `as_rational` must refuse each number that is
 not an `int` or a `Fraction`, naming it, and store what it accepts as a
-`Fraction`.
+`Fraction`.  Every entry point that takes a point refuses a non-rational
+one (on a discrete space, any non-`int`) the same way, before it checks
+the domain.
 """
 
 import json
@@ -22,10 +24,13 @@ from hypothesis import given, settings, strategies as st
 
 from exactintegral import (
     UNIT_INTERVAL,
+    DiscreteSet,
     DiscreteSpace,
+    DyadicApproximation,
     GeometricIndicatorSeries,
     IntervalMeasure,
     IntervalSet,
+    OutsideDomainError,
     PiecewiseLinear,
     SimpleFunction,
     Vec,
@@ -302,3 +307,36 @@ def test_gated_entry_points_take_only_ints_and_fractions(entry):
     for value in accepted:
         stored = read(build(value))
         assert type(stored) is Fraction and stored == value
+
+
+_POINTS = DiscreteSpace((Fraction(1),) * 3)
+_NOT_RATIONAL = (0.5, True, Decimal("0.5"), "1/2")
+_ON_POINTS = DiscreteSet(_POINTS, [1])
+_STEP = SimpleFunction.indicator(Fraction(3, 4), _HALF)
+# Entry point -> (call with a point, points refused, (a point, its answer)).
+_POINT_GATED = {
+    "SimpleFunction.evaluate": (_STEP.evaluate, _NOT_RATIONAL, (0, Fraction(3, 4))),
+    "SimpleFunction.evaluate, discrete": (
+        SimpleFunction.indicator(Fraction(2), _ON_POINTS).evaluate,
+        (*_NOT_RATIONAL, Fraction(1)),
+        (1, Fraction(2)),
+    ),
+    "IntervalSet.contains": (_HALF.contains, _NOT_RATIONAL, (Fraction(1, 2), False)),
+    "DiscreteSet.contains": (_ON_POINTS.contains, (*_NOT_RATIONAL, Fraction(1, 2)), (1, True)),
+    "PiecewiseLinear.evaluate": (
+        _IDENTITY.evaluate, _NOT_RATIONAL, (Fraction(1, 3), Fraction(1, 3))),
+    "DyadicApproximation.value_at": (
+        lambda x: DyadicApproximation(_STEP).value_at(1, x), _NOT_RATIONAL, (0, Fraction(1, 2))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_POINT_GATED))
+def test_point_entry_points_refuse_a_non_rational_point_by_name(entry):
+    call, refused, (point, answer) = _POINT_GATED[entry]
+    for value in refused:
+        with pytest.raises(ValueError, match=re.escape(f"point {value!r} is not an int")) as info:
+            call(value)
+        assert not isinstance(info.value, OutsideDomainError)
+    assert call(point) == answer
+    with pytest.raises(OutsideDomainError):
+        call(3)

@@ -6,11 +6,12 @@ order of the cells and the values they carry are pinned too.
 """
 
 import operator
+import random
 import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from exactintegral import (
     DiscreteSet,
@@ -21,11 +22,13 @@ from exactintegral import (
     UNIT_INTERVAL,
     Vec,
     integrate_simple,
+    lebesgue_integral,
 )
 
 from oracles import (
     canonical_terms_reference,
     combine_terms_reference,
+    integral_oracle,
     measure_of_reference,
     merged_intervals_reference,
     pairwise_disjoint_reference,
@@ -196,6 +199,43 @@ def test_measure_of_matches_per_cell_reference(part, measure):
     assert measure.total_mass == measure_of_reference(measure, UNIT_INTERVAL.full_set())
 
 
+# Each operation by name: the library call and the reference on the values.
+OPERATIONS = {
+    "+": (SimpleFunction.__add__, operator.add),
+    "-": (SimpleFunction.__sub__, operator.sub),
+    "max": (SimpleFunction.pointwise_max, max),
+    "min": (SimpleFunction.pointwise_min, min),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([None, 2]), st.data())
+def test_combined_functions_match_the_reference_refinement(dim, data):
+    """Every read of f op g against the every-pair refinement: first the
+    integrals and `==`, which need no sets, then the lazily built `repr`
+    and `terms`."""
+    f, g = data.draw(function_pairs(dim))
+    if isinstance(f.space, DiscreteSpace):
+        measure = f.space
+    else:
+        measure = data.draw(step_measures_with_zeros())
+    for name in ("+", "-") if dim else OPERATIONS:
+        operation, on_values = OPERATIONS[name]
+        combined = operation(f, g)
+        reference = SimpleFunction(f.space, combine_terms_reference(f, g, on_values), f.dim)
+        assert integrate_simple(combined, measure) == integral_oracle(reference, measure), name
+        if dim is None:
+            signed = lebesgue_integral(combined, measure)
+            assert signed.value == integral_oracle(reference, measure), name
+            assert signed.positive_part == integral_oracle(reference.pos_part(), measure), name
+            assert signed.negative_part == integral_oracle(reference.neg_part(), measure), name
+        assert combined == reference, name
+        assert combined.canonical().terms == canonical_terms_reference(reference), name
+        assert combined._terms is None, name  # no read so far needed its sets
+        assert repr(combined) == repr(reference), name
+        assert combined.terms == reference.terms, name
+
+
 @given(discrete_spaces(), st.data())
 def test_discrete_set_operations_stay_sorted_and_unique(space, data):
     a = data.draw(discrete_sets(space))
@@ -266,7 +306,8 @@ def test_set_algebra_orders_one_float_ends_exactly(pool, data):
     for pairs, part in zip(pair_lists, sets):
         assert part.intervals == merged_intervals_reference(pairs)
     assert UNIT_INTERVAL.union_of(sets) == union_reference(UNIT_INTERVAL, sets)
-    assert UNIT_INTERVAL._pairwise_disjoint(sets) == pairwise_disjoint_reference(sets)
+    tabulated = UNIT_INTERVAL._tabulate(sets, [*range(len(sets)), -1])
+    assert (tabulated is not None) == pairwise_disjoint_reference(sets)
 
 
 @given(colliding_pools(), st.data())
@@ -302,30 +343,80 @@ def test_four_thousand_prime_denominators_stay_fast():
 
 
 
-def test_two_thousand_term_functions_stay_fast_and_exact():
-    """2000 terms each: construction, canonical() and f + g, with the integral
-    of the sum equal to the sum of the integrals.  Quadratic set algebra took
-    more than 11 s to construct one such function."""
-    n = 2000
-    measure = IntervalMeasure((F(0), F(1, 3), F(1, 2), F(1)), (F(2), F(0), F(3, 2)))
-    started = time.perf_counter()
-    f = SimpleFunction(
+def _dealt(rng, members, values, n):
+    """Sets dealt round-robin from the shuffled members, a tenth left out,
+    each with a value from a pool of 2n/3, as `wide_simple` deals them."""
+    rng.shuffle(members)
+    kept = members[: len(members) - len(members) // 10]
+    pool = [values() for _ in range(2 * n // 3)]
+    return [(pool[k % len(pool)], kept[k::n]) for k in range(n)]
+
+
+def _growth_cases(n):
+    """(measure, space, f terms, g terms): n single-interval terms on grids
+    of 1/n and 1/2n, then n terms each drawn like `wide_simple` on [0, 1)
+    and on a discrete space of 10n points (interval ends over denominators
+    up to 1024, values and weights over denominators up to 64)."""
+    grid = (
+        IntervalMeasure((F(0), F(1, 3), F(1, 2), F(1)), (F(2), F(0), F(3, 2))),
         UNIT_INTERVAL,
         [(F(k % 5), IntervalSet([(F(k, n), F(k + 1, n))])) for k in range(n)],
-    )
-    g = SimpleFunction(
-        UNIT_INTERVAL,
         [
             (F(k % 7, 3), IntervalSet([(F(2 * k + 1, 2 * n), F(2 * k + 2, 2 * n))]))
             for k in range(n)
         ],
     )
-    canonical = f.canonical()
-    total = f + g
-    elapsed = time.perf_counter() - started
-    assert len(canonical.terms) == 5
-    assert integrate_simple(canonical, measure) == integrate_simple(f, measure)
-    assert integrate_simple(total, measure) == integrate_simple(f, measure) + integrate_simple(
-        g, measure
-    )
-    assert elapsed < 5
+    rng = random.Random(1)
+
+    def rational(lo, hi, max_den):
+        den = rng.randint(1, max_den)
+        return F(rng.randint(lo * den, hi * den), den)
+
+    def cuts(count):
+        points = set()
+        while len(points) < count:
+            den = rng.randint(2, 1024)
+            points.add(F(rng.randint(1, den - 1), den))
+        return [F(0), *sorted(points), F(1)]
+
+    edges = cuts(63)
+    measure = IntervalMeasure(tuple(edges), tuple(rational(0, 4, 64) for _ in range(64)))
+    cases = []
+    for _ in range(2):
+        ends = cuts(2 * n - 1)
+        cells = [(ends[k], ends[k + 1]) for k in range(2 * n)]
+        dealt = _dealt(rng, cells, lambda: rational(-8, 8, 64), n)
+        cases.append([(v, IntervalSet(hand)) for v, hand in dealt])
+    weights = [F(0) if rng.random() < 0.15 else rational(0, 4, 64) for _ in range(10 * n)]
+    points = DiscreteSpace(tuple(weights))
+    discrete = []
+    for _ in range(2):
+        dealt = _dealt(rng, list(range(10 * n)), lambda: rational(-8, 8, 64), n)
+        discrete.append([(v, DiscreteSet(points, hand)) for v, hand in dealt])
+    return [grid, (measure, UNIT_INTERVAL, *cases), (points, points, *discrete)]
+
+
+def test_two_thousand_term_functions_stay_fast_and_exact():
+    """Two functions of 2000 terms each, on grids and drawn like
+    `wide_simple` on [0, 1) and on a discrete space of 20000 points:
+    construction, canonical(), f + g, f - g, the integral of f + g and the
+    signed integral of f - g take less than 5 s per input, and both
+    integrals equal the sums of the parts'.  Quadratic set algebra took
+    more than 11 s to construct one such function on [0, 1)."""
+    for measure, space, f_terms, g_terms in _growth_cases(2000):
+        started = time.perf_counter()
+        f = SimpleFunction(space, f_terms)
+        g = SimpleFunction(space, g_terms)
+        canonical = f.canonical()
+        total, difference = f + g, f - g
+        total_integral = integrate_simple(total, measure)
+        signed = lebesgue_integral(difference, measure)
+        elapsed = time.perf_counter() - started
+        f_integral, g_integral = integrate_simple(f, measure), integrate_simple(g, measure)
+        assert len(canonical.terms) == len({v for v, _ in f_terms} | {F(0)})
+        assert integrate_simple(canonical, measure) == f_integral
+        assert total_integral == f_integral + g_integral
+        assert integrate_simple(difference, measure) == f_integral - g_integral
+        assert signed.value == f_integral - g_integral
+        assert signed.positive_part - signed.negative_part == signed.value
+        assert elapsed < 5, type(space).__name__

@@ -296,5 +296,7 @@ def test_contains_bisects_to_the_right_interval():
     assert [DiscreteSet(space, [1, 3]).contains(p) for p in range(5)] == [
         False, True, False, True, False,
     ]
-    with pytest.raises(OutsideDomainError):
+    # A bool is refused as a point, not reported as outside the space.
+    with pytest.raises(ValueError, match="point True is not an int") as info:
         DiscreteSet(space, [1]).contains(True)
+    assert not isinstance(info.value, OutsideDomainError)
