@@ -248,7 +248,7 @@ class TelescopeSeries(FunctionSeries):
         # so the merged term list stays pairwise disjoint.
         terms = [(v, s) for v, s in pos_inc.terms if v != 0]
         terms += [(-v, s) for v, s in neg_inc.terms if v != 0]
-        return SimpleFunction._trusted(space_of(self.measure), terms, None)
+        return SimpleFunction(space_of(self.measure), terms)
 
     def _rises(self, lower: int, upper: int) -> tuple[Fraction, Fraction]:
         """(positive, negative) part staircase integrals at `upper` minus at `lower`."""

@@ -212,17 +212,19 @@ def _value_distribution(cells: list, measure: Measure) -> list:
     row ((d - d')/a * y, (d - d')/a) at y = a*x + b, over the denominator
     of (d - d')/a times q.  The sloped cells are swept against the density
     grid in one pass.  Null masses contribute to no integral and are left
-    out.
+    out, and without a flat cell no mass is read.
     """
     flat = [(b, part) for part, a, b, _ in cells if not a]
     sloped = [cell for cell in cells if cell[1]]
-    table = space_of(measure)._tabulate([part for _, part in flat], [*range(len(flat)), -1])
-    numerators, denominator = measure._masses(table)
-    rows = [
-        (y.numerator, y.denominator, n, 0, denominator)
-        for (y, _), n in zip(flat, numerators)
-        if n
-    ]
+    rows = []
+    if flat:  # a piecewise-linear integrand often has no flat cell to read
+        table = space_of(measure)._tabulate([part for _, part in flat], [*range(len(flat)), -1])
+        numerators, denominator = measure._masses(table)
+        rows = [
+            (y.numerator, y.denominator, n, 0, denominator)
+            for (y, _), n in zip(flat, numerators)
+            if n
+        ]
     return rows + _ramps(sloped, measure) if sloped else rows
 
 
@@ -267,12 +269,13 @@ def _atoms(fn: SimpleFunction, measure: Measure, nonneg: bool) -> list:
     """The value distribution of a scalar simple function: one atom row
     (p, q, mass, 0, L) per cell of nonzero value and mass, p/q the cell's
     value as the integer pair it keeps, from one mass read of its cell
-    table.  With `nonneg`, a negative value on any cell is refused."""
+    table.  With `nonneg`, a negative value on a cell that holds a point is
+    refused."""
     if fn.is_vector:
         raise ValueError("a scalar integrand is required")
     check_integrand_measure(fn, measure)
-    table, values = fn._cells()
-    if nonneg and any(p < 0 for p, _ in values):
+    table, values = fn._table, fn._values
+    if nonneg and not {k for k, (p, _) in enumerate(values) if p < 0}.isdisjoint(table.owners):
         raise NegativeIntegrandError("simple integrand takes negative values")
     numerators, denominator = measure._masses(table)
     return [(p, q, n, 0, denominator) for (p, q), n in zip(values, numerators) if p and n]
@@ -404,10 +407,10 @@ class DyadicApproximation:
         return cells
 
     def _from_cells(self, cells) -> SimpleFunction:
-        # One cell per distinct value; the points of no cell stay uncovered.
+        # One cell per distinct value; the points of no cell join the zero cell.
         table = self.space._tabulate([part for part, _ in cells], [*range(len(cells)), -1])
         values = [(value.numerator, value.denominator) for _, value in cells]
-        return SimpleFunction._grouped(self.space, table, values, None, False)
+        return SimpleFunction._grouped(self.space, table, values, None)
 
     def level(self, level: int) -> SimpleFunction:
         """The level-n staircase as a simple function."""

@@ -2,8 +2,8 @@
 disjoint sets over one space.
 
 Values are scalars (Fraction) or fixed-dimension rational vectors (Vec).
-A function keeps whatever pairwise-disjoint representation it was built
-with; points not covered by any term map to zero.  `canonical()` computes
+A function keeps the pairwise-disjoint representation it was built with;
+points not covered by any term map to zero.  `canonical()` computes
 the unique normal form: distinct values, nonempty sets, and sets that
 partition the whole space, a zero-value term padding the complement when
 needed.  Equality compares canonical forms, so different representations
@@ -11,29 +11,32 @@ of the same function compare equal while their integrals must also agree
 (tested as the coherence property).
 
 Costs, for n terms holding K intervals or indices in all, on a discrete
-space of N points: the work runs on a flat cell table (`spaces.CellTable`)
-instead of one set per cell.  The constructor checks disjointness while it
-builds the table of its terms, one cell per term of nonzero value on a
-nonempty set: one keyed sort and one pass over the intervals (O(K log K)),
-or one owner array of N entries.  A scalar cell value is kept as its
-integer pair (numerator, denominator), a vector as a `Vec`.
-`canonical()` groups the cell values by their reduced pairs, orders the
-groups by the float-first key (float(x), x) of the endpoints, and
-relabels the owners in one pass (merging adjacent interval pieces of one
-value), the points of no cell joining the zero cell.  The binary
-operations (`+`, `-`, `pointwise_max/min`) pair the two canonical tables
-in one linear pass: a zip of the owner arrays on a discrete space, a
-two-pointer merge of the cuts on [0, 1) that compares floats and falls
-back to the exact cut only where two floats are equal.  The distinct cell
-pairs (i, j) are numbered in (i, j) order, and each gets one value: a
-cross-multiplied pair for `+` and `-` (left unreduced), one of the two
-pairs for max and min, picked by integer cross-products, so no
-`Fraction` is made per cell; vectors keep their componentwise operations.
-`terms`, the sets of a derived function, are built from its table only
-when something reads them (`repr`, `evaluate`, `support()`, the unary
-maps): one pass that collects the points or pieces per cell.  Equality
-compares canonical tables.  The kind-specific algorithms live on the
-space classes, so nothing here branches on the set kind.
+space of N points: a function is a flat cell table (`spaces.CellTable`)
+and one value per cell, not one set per cell.  The constructor checks
+disjointness while it builds the table of its terms, one cell per term in
+term order, a zero value or an empty set included: one keyed sort and one
+pass over the intervals (O(K log K)), or one owner array of N entries.  A
+scalar cell value is kept as its integer pair (numerator, denominator), a
+vector as a `Vec`.  `canonical()` groups the values of the cells that
+hold a point by their reduced pairs, orders the groups by the float-first
+key (float(x), x) of the endpoints, and relabels the owners in one pass
+(merging adjacent interval pieces of one value), the points of no cell
+joining the zero cell.  The binary operations (`+`, `-`,
+`pointwise_max/min`) pair the two canonical tables in one linear pass: a
+zip of the owner arrays on a discrete space, a two-pointer merge of the
+cuts on [0, 1) that compares floats and falls back to the exact cut only
+where two floats are equal.  The distinct cell pairs (i, j) are numbered
+in (i, j) order, and each gets one value: a cross-multiplied pair for `+`
+and `-` (left unreduced), one of the two pairs for max and min, picked by
+integer cross-products, so no `Fraction` is made per cell; vectors keep
+their componentwise operations.  The unary maps (`-`, `abs`, `scale`,
+`pos_part`, `neg_part`, `norm_function`, `component`) map the cell values
+and share the table.  `terms` is a cache of the table: the constructor
+keeps its own terms, and a derived function builds its sets only when
+something reads them (`repr`, `evaluate`, `support()`): one pass that
+collects the points or pieces per cell.  Equality compares canonical
+tables.  The kind-specific algorithms live on the space classes, so
+nothing here branches on the set kind.
 `integrate_simple` reads the masses of all cells in one batch from the
 measure (integer numerators over one denominator) and hands the integer
 products value * mass, each over its value's own denominator, to
@@ -136,14 +139,6 @@ def _value_is_zero(value: Value) -> bool:
     return value.is_zero if isinstance(value, Vec) else not value.numerator
 
 
-def _value_norm(value: Value, kind: Optional[NormKind]) -> Fraction:
-    if isinstance(value, Vec):
-        if kind is None:
-            raise ValueError("a NormKind is required for vector values")
-        return value.norm(kind)
-    return abs(value)
-
-
 def _order_key(pair: tuple[int, int]):
     """The exact order key of a scalar n/d given as its reduced pair (n, d):
     (n / d, n/d), the float-first key `spaces` orders endpoints by (a value
@@ -177,29 +172,15 @@ def _combined_values(op: str, left: list, right: list, pairs: list) -> list:
     return [y if y[0] * x[1] < x[0] * y[1] else x for x, y in cells]
 
 
-def _tabulated(space: Space, terms: tuple) -> Optional[tuple[CellTable, list]]:
-    """(table, values): one cell per term of nonzero value on a nonempty
-    set, and its value (a scalar as its integer pair); None where two term
-    sets overlap."""
-    owner_of, values = [], []
-    for value, part in terms:
-        if _value_is_zero(value) or part.is_empty:
-            owner_of.append(-1)
-        else:
-            owner_of.append(len(values))
-            values.append(value if isinstance(value, Vec) else value.as_integer_ratio())
-    table = space._tabulate([part for _, part in terms], owner_of + [-1])
-    return None if table is None else (table, values)
-
-
 class SimpleFunction:
     """One pairwise-disjoint representation of a simple function.
 
-    A function holds its terms, its cell table, or both: the terms it was
-    built with, or the `spaces.CellTable` of a derived function (canonical
-    form, `f ± g`, max/min, staircase levels) with one value per cell, a
-    scalar as its integer pair (numerator, denominator) and a vector as a
-    `Vec`.  Each is derived from the other on first use and kept.
+    A function is its `spaces.CellTable` and one value per cell, a scalar
+    as its integer pair (numerator, denominator) and a vector as a `Vec`.
+    The constructor makes one cell per term, in term order, a zero value or
+    an empty set included, so `terms` gives back the constructor's terms; a
+    derived function (canonical form, `f ± g`, max/min, the unary maps,
+    staircase levels) builds its terms from the table on first read.
     """
 
     def __init__(
@@ -216,17 +197,19 @@ class SimpleFunction:
                 raise SpaceMismatchError("term set belongs to another space")
             term_list.append((value, part))
         dim = self._resolve_dim(term_list, dim)
-        cells = _tabulated(space, term_list)
-        if cells is None:
+        table = space._tabulate([part for _, part in term_list], [*range(len(term_list)), -1])
+        if table is None:
             raise ValueError("term sets must be pairwise disjoint")
-        self._start(space, dim, tuple(term_list), *cells)
+        values = [v if isinstance(v, Vec) else v.as_integer_ratio() for v, _ in term_list]
+        self._start(space, dim, table, values)
+        self._terms = tuple(term_list)
 
-    def _start(self, space, dim, terms, table, values) -> None:
+    def _start(self, space, dim, table, values) -> None:
         self.space = space
         self.dim = dim
-        self._terms: Optional[tuple[tuple[Value, MeasurableSet], ...]] = terms
-        self._table: Optional[CellTable] = table
-        self._values: Optional[list] = values
+        self._table: CellTable = table
+        self._values: list = values
+        self._terms: Optional[tuple[tuple[Value, MeasurableSet], ...]] = None
         self._canonical: Optional["SimpleFunction"] = None
 
     @staticmethod
@@ -242,36 +225,32 @@ class SimpleFunction:
         return inferred
 
     @classmethod
-    def _trusted(cls, space, terms, dim, table=None, values=None) -> "SimpleFunction":
-        # Construction from terms already known to be pairwise disjoint, or
-        # (terms None) from a cell table and one value per cell.
+    def _trusted(cls, space, dim, table: CellTable, values: list) -> "SimpleFunction":
+        # Construction from a cell table and one value per cell.
         fn = cls.__new__(cls)
-        fn._start(space, dim, None if terms is None else tuple(terms), table, values)
+        fn._start(space, dim, table, values)
         return fn
 
     @classmethod
-    def _grouped(cls, space, table: CellTable, values: list, dim, pad: bool) -> "SimpleFunction":
-        """The function with one cell per distinct value of the cells of
-        `table`, in increasing value order; with `pad`, the points of no
-        cell join the zero cell.  Scalars are grouped by their reduced
-        integer pairs, which hash far faster than `Fraction`s."""
+    def _grouped(cls, space, table: CellTable, values: list, dim) -> "SimpleFunction":
+        """The canonical function of the cells of `table`: one cell per
+        distinct value that a point holds, in increasing value order, the
+        points of no cell joining the zero cell.  Scalars are grouped by
+        their reduced integer pairs, which hash far faster than `Fraction`s."""
         if dim is None:
             keys = [(n // g, d // g) for n, d in values for g in (math.gcd(n, d),)]
             zero, order = (0, 1), _order_key
         else:
             keys = [value.components for value in values]
             zero, order = Vec.zero(dim).components, None
-        padded = pad and -1 in table.owners
-        if padded:
-            keys.append(zero)  # the owner of the points of no cell, owner_of[-1]
-        distinct = sorted(set(keys), key=order)
+        keys.append(zero)  # keys[-1]: the key of owner -1, the points of no cell
+        distinct = sorted({keys[owner] for owner in set(table.owners)}, key=order)
         rank = dict(zip(distinct, range(len(distinct))))
-        owner_of = [rank[key] for key in keys]
-        if not padded:
-            owner_of.append(-1)
-        table = _regrouped(table, owner_of, len(distinct))
+        table = _regrouped(table, [rank.get(key, -1) for key in keys], len(distinct))
         values = distinct if dim is None else [Vec(key) for key in distinct]
-        return cls._trusted(space, None, dim, table, values)
+        fn = cls._trusted(space, dim, table, values)
+        fn._canonical = fn
+        return fn
 
     @classmethod
     def zero(cls, space: Space, dim: Optional[int] = None) -> "SimpleFunction":
@@ -301,19 +280,12 @@ class SimpleFunction:
 
     @property
     def terms(self) -> tuple[tuple[Value, MeasurableSet], ...]:
-        """(value, set) pairs, pairwise disjoint; for a derived function one
-        per cell, built from the table on first read."""
+        """(value, set) pairs, pairwise disjoint, one per cell: the
+        constructor's own terms, or built from the table on first read."""
         if self._terms is None:
             values = self._values if self.dim else [Fraction(n, d) for n, d in self._values]
             self._terms = tuple(zip(values, self.space._cell_sets(self._table)))
         return self._terms
-
-    def _cells(self) -> tuple[CellTable, list]:
-        """The cell table and the cell values; for a function built from
-        terms, one cell per term of nonzero value on a nonempty set."""
-        if self._table is None:
-            self._table, self._values = _tabulated(self.space, self._terms)
-        return self._table, self._values
 
     def evaluate(self, point) -> Value:
         """Value at a point of the space; zero off every term set."""
@@ -327,10 +299,7 @@ class SimpleFunction:
     def canonical(self) -> "SimpleFunction":
         """The unique representation: distinct values, sets partitioning the space."""
         if self._canonical is None:
-            table, values = self._cells()
-            result = SimpleFunction._grouped(self.space, table, values, self.dim, True)
-            result._canonical = result
-            self._canonical = result
+            self._canonical = self._grouped(self.space, self._table, self._values, self.dim)
         return self._canonical
 
     def __eq__(self, other) -> bool:
@@ -338,13 +307,16 @@ class SimpleFunction:
             return NotImplemented
         if self.space != other.space or self.dim != other.dim:
             return False
-        return self.canonical()._cells() == other.canonical()._cells()
+        left, right = self.canonical(), other.canonical()
+        return (left._table, left._values) == (right._table, right._values)
 
     __hash__ = None  # representations are mutable-by-construction keys; do not hash
 
-    def _map_values(self, fn: Callable[[Value], Value], dim: Optional[int]) -> "SimpleFunction":
-        # Valid whenever fn(0) == 0, so the implicit off-support zero is preserved.
-        return SimpleFunction._trusted(self.space, [(fn(v), s) for v, s in self.terms], dim)
+    def _map_values(self, fn: Callable, dim: Optional[int]) -> "SimpleFunction":
+        """fn of each cell value as kept (a scalar as its integer pair, the
+        result for dimension `dim`), on the same table.  Valid whenever
+        fn(0) == 0, so the points of no cell keep the value zero."""
+        return SimpleFunction._trusted(self.space, dim, self._table, list(map(fn, self._values)))
 
     def _combine(self, other: "SimpleFunction", op: str) -> "SimpleFunction":
         """Pointwise `op` ("+", "-", "max" or "min") on the common refinement
@@ -353,7 +325,7 @@ class SimpleFunction:
         left, right = self.canonical(), other.canonical()
         table, pairs = self.space._paired(left._table, right._table)
         values = _combined_values(op, left._values, right._values, pairs)
-        return SimpleFunction._trusted(self.space, None, self.dim, table, values)
+        return SimpleFunction._trusted(self.space, self.dim, table, values)
 
     def __add__(self, other: "SimpleFunction") -> "SimpleFunction":
         return self._combine(other, "+")
@@ -362,12 +334,13 @@ class SimpleFunction:
         return self._combine(other, "-")
 
     def __neg__(self) -> "SimpleFunction":
-        return self._map_values(operator.neg, self.dim)
+        return self._map_values(operator.neg if self.dim else lambda v: (-v[0], v[1]), self.dim)
 
     def scale(self, factor: Fraction) -> "SimpleFunction":
         factor = as_rational(factor, "scale factor")
+        p, q = factor.as_integer_ratio()
         return self._map_values(
-            lambda v: v.scale(factor) if isinstance(v, Vec) else v * factor, self.dim
+            (lambda v: v.scale(factor)) if self.dim else lambda v: (v[0] * p, v[1] * q), self.dim
         )
 
     def pointwise_max(self, other: "SimpleFunction") -> "SimpleFunction":
@@ -380,21 +353,25 @@ class SimpleFunction:
 
     def __abs__(self) -> "SimpleFunction":
         self._require_scalar("absolute value")
-        return self._map_values(abs, None)
+        return self._map_values(lambda v: (abs(v[0]), v[1]), None)
 
     def pos_part(self) -> "SimpleFunction":
         """max(0, f); with neg_part it gives f = f+ - f-, |f| = f+ + f-."""
         self._require_scalar("positive part")
-        return self._map_values(lambda v: max(v, ZERO), None)
+        return self._map_values(lambda v: v if v[0] > 0 else (0, 1), None)
 
     def neg_part(self) -> "SimpleFunction":
         """max(0, -f)."""
         self._require_scalar("negative part")
-        return self._map_values(lambda v: max(-v, ZERO), None)
+        return self._map_values(lambda v: (-v[0], v[1]) if v[0] < 0 else (0, 1), None)
 
     def norm_function(self, kind: Optional[NormKind] = None) -> "SimpleFunction":
         """The scalar function point -> ||f(point)|| (abs for scalar values)."""
-        return self._map_values(lambda v: _value_norm(v, kind), None)
+        if not self.is_vector:
+            return abs(self)
+        if not isinstance(kind, NormKind):
+            raise ValueError("a NormKind is required for vector values")
+        return self._map_values(lambda v: v.norm(kind).as_integer_ratio(), None)
 
     def support(self) -> MeasurableSet:
         """Union of the sets carrying a nonzero value."""
@@ -404,7 +381,9 @@ class SimpleFunction:
         """Scalar component of a vector-valued function."""
         if not self.is_vector:
             raise ValueError("component() needs vector values")
-        return self._map_values(lambda v: v.components[index], None)
+        if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < self.dim:
+            raise ValueError(f"component index {index!r} is not an int in 0..{self.dim - 1}")
+        return self._map_values(lambda v: v.components[index].as_integer_ratio(), None)
 
     def __repr__(self) -> str:
         inner = " + ".join(f"{v}*1_{s!r}" for v, s in self.terms) or "0"
@@ -423,7 +402,7 @@ def integrate_simple(fn: SimpleFunction, measure: Measure) -> Value:
     """
     if space_of(measure) != fn.space:
         raise SpaceMismatchError("function and measure live on different spaces")
-    table, values = fn._cells()
+    table, values = fn._table, fn._values
     numerators, denominator = measure._masses(table)
 
     def total(pairs) -> Fraction:

@@ -184,12 +184,12 @@ def _wide_function(space, n):
     return SimpleFunction(space, [(F(k - n // 2, k + 1), part) for k, part in enumerate(parts)])
 
 
-def _wide_piecewise(n):
-    """n pieces on [0, 1): flat ones (one of them zero) between sloped ones,
-    each sloped piece crossing zero inside."""
+def _wide_piecewise(n, flat=True):
+    """n pieces on [0, 1): sloped ones, each crossing zero inside, with
+    `flat` between flat ones (one of them zero)."""
     pieces = []
     for k in range(n):
-        if k % 2:
+        if k % 2 or not flat:
             slope = F(k - n // 2 or 1)
             pieces.append((slope, -slope * F(2 * k + 1, 2 * n)))
         else:
@@ -210,23 +210,28 @@ def test_an_integral_of_n_terms_makes_one_batch_read(monkeypatch, measure):
     region = space.union_of(part for _, part in fn.terms[::3])
     other = _wide_function(space, 5)
     total, difference = fn + other, fn - other
-    integrands = [fn, total, difference]
+    integrands = [(fn, 1), (total, 1), (difference, 1)]
     if space is UNIT_INTERVAL:
-        integrands.append(_wide_piecewise(16))
+        # Without a flat piece there is no mass to read.
+        integrands += [(_wide_piecewise(16), 1), (_wide_piecewise(16, flat=False), 0)]
     calls = [
-        ("integrate_simple", lambda: integrate_simple(fn, measure)),
-        ("integrate_simple of f + g", lambda: integrate_simple(total, measure)),
-        ("integrate_simple of f - g", lambda: integrate_simple(difference, measure)),
-        ("integrate_nonneg", lambda: integrate_nonneg(abs(fn), measure)),
+        ("integrate_simple", lambda: integrate_simple(fn, measure), 1),
+        ("integrate_simple of f + g", lambda: integrate_simple(total, measure), 1),
+        ("integrate_simple of f - g", lambda: integrate_simple(difference, measure), 1),
+        ("integrate_nonneg", lambda: integrate_nonneg(abs(fn), measure), 1),
     ]
-    for k, g in enumerate(integrands):
+    for k, (g, batches) in enumerate(integrands):
         kind = f"{type(g).__name__} {k}"
         calls += [
-            (f"lebesgue_integral of a {kind}", lambda g=g: lebesgue_integral(g, measure)),
-            (f"integrate_over of a {kind}", lambda g=g: integrate_over(region, g, measure)),
+            (f"lebesgue_integral of a {kind}", lambda g=g: lebesgue_integral(g, measure), batches),
+            (
+                f"integrate_over of a {kind}",
+                lambda g=g: integrate_over(region, g, measure),
+                batches,
+            ),
         ]
     counts = _count_reads(monkeypatch, type(measure))
-    for name, integrate in calls:
+    for name, integrate, batches in calls:
         counts.update(batch=0, measure_of=0)
         integrate()
-        assert counts == {"batch": 1, "measure_of": 0}, name
+        assert counts == {"batch": batches, "measure_of": 0}, name

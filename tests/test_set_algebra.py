@@ -18,6 +18,7 @@ from exactintegral import (
     DiscreteSpace,
     IntervalMeasure,
     IntervalSet,
+    NormKind,
     SimpleFunction,
     UNIT_INTERVAL,
     Vec,
@@ -155,6 +156,9 @@ def test_canonical_and_support_match_sequential_unions(pair):
     for fn in pair:
         assert fn.canonical().terms == canonical_terms_reference(fn)
         assert fn.support() == support_reference(fn)
+        # The constructor's terms are a cache of its table: one cell per
+        # term, zero values and empty sets included.
+        assert SimpleFunction._trusted(fn.space, fn.dim, fn._table, fn._values).terms == fn.terms
 
 
 @given(function_pairs())
@@ -208,12 +212,42 @@ OPERATIONS = {
 }
 
 
+# Each unary map by value dimension and name: the library call and the
+# same map on one value.
+UNARY_MAPS = {
+    None: {
+        "neg": (operator.neg, operator.neg),
+        "abs": (abs, abs),
+        "scale": (lambda h: h.scale(F(-2, 3)), lambda v: v * F(-2, 3)),
+        "pos_part": (SimpleFunction.pos_part, lambda v: max(v, F(0))),
+        "neg_part": (SimpleFunction.neg_part, lambda v: max(-v, F(0))),
+        "norm_function": (SimpleFunction.norm_function, abs),
+    },
+    2: {
+        "neg": (operator.neg, operator.neg),
+        "scale": (lambda h: h.scale(F(-2, 3)), lambda v: v.scale(F(-2, 3))),
+        **{
+            f"norm_function {kind.value}": (
+                lambda h, kind=kind: h.norm_function(kind),
+                lambda v, kind=kind: v.norm(kind),
+            )
+            for kind in NormKind
+        },
+        **{
+            f"component {k}": (lambda h, k=k: h.component(k), lambda v, k=k: v.components[k])
+            for k in range(2)
+        },
+    },
+}
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([None, 2]), st.data())
 def test_combined_functions_match_the_reference_refinement(dim, data):
     """Every read of f op g against the every-pair refinement: first the
     integrals and `==`, which need no sets, then the lazily built `repr`
-    and `terms`."""
+    and `terms`.  Each unary map of f op g keeps its table, so mapping
+    builds no set, and the mapped terms are the map of its terms."""
     f, g = data.draw(function_pairs(dim))
     if isinstance(f.space, DiscreteSpace):
         measure = f.space
@@ -231,9 +265,14 @@ def test_combined_functions_match_the_reference_refinement(dim, data):
             assert signed.negative_part == integral_oracle(reference.neg_part(), measure), name
         assert combined == reference, name
         assert combined.canonical().terms == canonical_terms_reference(reference), name
+        mapped = {key: call(combined) for key, (call, _) in UNARY_MAPS[dim].items()}
         assert combined._terms is None, name  # no read so far needed its sets
         assert repr(combined) == repr(reference), name
         assert combined.terms == reference.terms, name
+        for key, (_, on_value) in UNARY_MAPS[dim].items():
+            expected = tuple((on_value(v), part) for v, part in combined.terms)
+            assert mapped[key].terms == expected, (name, key)
+            assert repr(mapped[key]) == repr(SimpleFunction(f.space, expected)), (name, key)
 
 
 @given(discrete_spaces(), st.data())

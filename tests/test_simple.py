@@ -18,6 +18,7 @@ from exactintegral import (
     SpaceMismatchError,
     Vec,
     integrate_simple,
+    l1_norm,
 )
 from exactintegral.generators import (
     random_measure,
@@ -198,6 +199,40 @@ def test_norm_function_l1_and_linf():
 def test_norm_of_zero_function():
     z = SimpleFunction.zero(UNIT_INTERVAL, dim=3)
     assert z.norm_function(NormKind.L1) == SimpleFunction.zero(UNIT_INTERVAL)
+
+
+ZERO_PAIR = SimpleFunction.zero(UNIT_INTERVAL, dim=2)
+PAIR = SimpleFunction.indicator(Vec((F(3), F(-4))), iv((0, "1/2")))
+
+
+@pytest.mark.parametrize(
+    "fn, call, message",
+    [
+        (ZERO_PAIR, lambda f: f.component(5), "component index 5 is not an int in 0..1"),
+        (PAIR, lambda f: f.component(2), "component index 2 is not an int in 0..1"),
+        (PAIR, lambda f: f.component(-1), "component index -1 is not an int in 0..1"),
+        (PAIR, lambda f: f.component(True), "component index True is not an int in 0..1"),
+        (PAIR, lambda f: f.component(F(1)), "component index Fraction(1, 1) is not an int"),
+        (PAIR, lambda f: f.norm_function(), "a NormKind is required for vector values"),
+        (ZERO_PAIR, lambda f: f.norm_function(), "a NormKind is required for vector values"),
+        (PAIR, lambda f: f.norm_function("L1"), "a NormKind is required for vector values"),
+        (ZERO_PAIR, lambda f: l1_norm(f, LEBESGUE), "a NormKind is required for vector values"),
+    ],
+    ids=[
+        "index past dim, no cells",
+        "index past dim",
+        "negative index",
+        "bool index",
+        "Fraction index",
+        "norm without kind",
+        "norm without kind, no cells",
+        "norm with a string kind",
+        "l1_norm without kind, no cells",
+    ],
+)
+def test_component_and_norm_arguments_are_checked_before_mapping(fn, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(fn)
 
 
 # --- integration --------------------------------------------------------------
