@@ -33,10 +33,11 @@ their componentwise operations.  The unary maps (`-`, `abs`, `scale`,
 `pos_part`, `neg_part`, `norm_function`, `component`) map the cell values
 and share the table.  `terms` is a cache of the table: the constructor
 keeps its own terms, and a derived function builds its sets only when
-something reads them (`repr`, `evaluate`, `support()`): one pass that
-collects the points or pieces per cell.  Equality compares canonical
-tables.  The kind-specific algorithms live on the space classes, so
-nothing here branches on the set kind.
+something reads them (`repr`, `support()`): one pass that collects the
+points or pieces per cell.  `evaluate` finds the cell of its point in the
+table, by one bisection of the cuts or one index.  Equality compares
+canonical tables.  The kind-specific algorithms live on the space
+classes, so nothing here branches on the set kind.
 `integrate_simple` reads the masses of all cells in one batch from the
 measure (integer numerators over one denominator) and hands the integer
 products value * mass, each over its value's own denominator, to
@@ -124,6 +125,8 @@ class Vec:
         return all(c == 0 for c in self.components)
 
     def norm(self, kind: NormKind) -> Fraction:
+        if not isinstance(kind, NormKind):
+            raise ValueError(f"norm kind {kind!r} is not a NormKind")
         if kind is NormKind.L1:
             return sum((abs(c) for c in self.components), ZERO)
         return max(abs(c) for c in self.components)
@@ -179,8 +182,9 @@ class SimpleFunction:
     as its integer pair (numerator, denominator) and a vector as a `Vec`.
     The constructor makes one cell per term, in term order, a zero value or
     an empty set included, so `terms` gives back the constructor's terms; a
-    derived function (canonical form, `f ± g`, max/min, the unary maps,
-    staircase levels) builds its terms from the table on first read.
+    derived function (canonical form, `f ± g`, max/min, the unary maps)
+    builds its terms from the table only when they are read.  Evaluation,
+    the integrals and the staircases read the table.
     """
 
     def __init__(
@@ -288,13 +292,14 @@ class SimpleFunction:
         return self._terms
 
     def evaluate(self, point) -> Value:
-        """Value at a point of the space; zero off every term set."""
+        """Value at a point of the space, read off the table; zero off every cell."""
         if not self.space.contains(point):
             raise OutsideDomainError(f"point {point!r} outside the space")
-        for value, part in self.terms:
-            if part.contains(point):
-                return value
-        return self._zero()
+        owner = self.space._owner_at(self._table, point)
+        if owner < 0:
+            return self._zero()
+        value = self._values[owner]
+        return value if self.dim else Fraction(*value)
 
     def canonical(self) -> "SimpleFunction":
         """The unique representation: distinct values, sets partitioning the space."""

@@ -47,7 +47,8 @@ and a measure of c cells:
   they overlap, in one sort and one pass (one fill of N owners for
   indices); `_paired` refines two tables in one linear pass (a zip of the
   owners, or a two-pointer merge of the cuts) and numbers the distinct
-  cell pairs; `_regrouped` relabels the owners; `_cell_sets` builds the
+  cell pairs; `_regrouped` relabels the owners; `_owner_at` finds the
+  cell of one point by bisection (or indexing); `_cell_sets` builds the
   sets of all cells in one pass, only when a caller asks for them;
 * mass reads: each measure reads the masses of all cells of a table in
   one pass of integer arithmetic (the private `_masses`), returning
@@ -199,7 +200,8 @@ class UnitIntervalSpace:
     def _paired(self, left: CellTable, right: CellTable) -> tuple[CellTable, list]:
         """The common refinement of two gapless tables, from one two-pointer
         merge of their cuts that compares their floats and the exact cuts
-        only where two floats are equal (see `_numbered`)."""
+        only where two floats are equal (see `_numbered`).  A left owner may
+        be -1: `divmod` gives back i = -1 for its pieces."""
         a, b = left.cuts, right.cuts
         a_f = [x.numerator / x.denominator for x in a]
         b_f = [y.numerator / y.denominator for y in b]
@@ -210,6 +212,9 @@ class UnitIntervalSpace:
             cuts.append(a[i] if x <= y else b[j])
             i, j = i + (x <= y), j + (y <= x)
         return _numbered(codes, width, tuple(cuts))
+
+    def _owner_at(self, table: CellTable, point) -> int:
+        return table.owners[bisect_right(table.cuts, point) - 1]
 
     def _cell_sets(self, table: CellTable) -> list["IntervalSet"]:
         """One set per cell of a table whose adjacent pieces never share an
@@ -333,9 +338,13 @@ class DiscreteSpace:
         return CellTable(owners, max(owner_of) + 1)
 
     def _paired(self, left: CellTable, right: CellTable) -> tuple[CellTable, list]:
-        """The common refinement of two tables: one zip of the owners."""
+        """The common refinement of two tables: one zip of the owners.  A
+        left owner may be -1: `divmod` gives back i = -1 for its points."""
         width = right.count
         return _numbered([i * width + j for i, j in zip(left.owners, right.owners)], width, ())
+
+    def _owner_at(self, table: CellTable, point: int) -> int:
+        return table.owners[point]
 
     def _cell_sets(self, table: CellTable) -> list["DiscreteSet"]:
         """One set per cell of the table, in cell order."""

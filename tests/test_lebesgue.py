@@ -149,10 +149,13 @@ def test_over_set_space_mismatch():
 
 def test_thousand_signed_pieces_on_a_thousand_cell_measure_stay_fast():
     """A 1000-piece signed piecewise-linear integrand against a 1000-cell
-    step measure with zero-density cells: the signed integral plus a
-    depth-10 report must finish within 1 s together.  Matching every
-    sloped cell against every density cell made the pair take several
-    seconds; one sweep of both grids keeps it linear in the cell counts."""
+    step measure with zero-density cells: the signed integral, a depth-10
+    report and the integrals over a region of 2000 intervals and over its
+    complement must finish within 1 s together.  Matching every sloped
+    cell against every density cell made the pair take several seconds,
+    and intersecting every sloped piece with every region interval made
+    the region integral alone take about 5 s; one sweep of both grids and
+    a bisection into the region keep them linear in the cell counts."""
     n = 1000
     fn = PiecewiseLinear(
         [F(k, n) for k in range(n + 1)],
@@ -162,13 +165,17 @@ def test_thousand_signed_pieces_on_a_thousand_cell_measure_stay_fast():
         (F(0), *(F(2 * k + 1, 2 * n + 1) for k in range(n - 1)), F(1)),
         tuple(F(k % 4, k % 3 + 1) for k in range(n)),
     )
+    region = IntervalSet([(F(2 * k + 1, 4 * n), F(2 * k + 2, 4 * n)) for k in range(2 * n)])
     started = time.perf_counter()
     result = lebesgue_integral(fn, measure)
     report = equivalence_report(fn, measure, depth=10)
+    over = [integrate_over(r, fn, measure) for r in (region, region.complement())]
     elapsed = time.perf_counter() - started
     assert result.value == integral_oracle(fn, measure)
     assert report["integral_value"] == result.value
     assert report["difference_within_bound"]
+    assert over[0] + over[1] == result.value
+    assert over[0] == integral_oracle(fn.restrict(region), measure)
     assert elapsed < 1
 
 

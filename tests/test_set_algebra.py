@@ -16,12 +16,14 @@ from hypothesis import given, settings, strategies as st
 from exactintegral import (
     DiscreteSet,
     DiscreteSpace,
+    DyadicApproximation,
     IntervalMeasure,
     IntervalSet,
     NormKind,
     SimpleFunction,
     UNIT_INTERVAL,
     Vec,
+    integrate_over,
     integrate_simple,
     lebesgue_integral,
 )
@@ -438,11 +440,13 @@ def _growth_cases(n):
 def test_two_thousand_term_functions_stay_fast_and_exact():
     """Two functions of 2000 terms each, on grids and drawn like
     `wide_simple` on [0, 1) and on a discrete space of 20000 points:
-    construction, canonical(), f + g, f - g, the integral of f + g and the
-    signed integral of f - g take less than 5 s per input, and both
-    integrals equal the sums of the parts'.  Quadratic set algebra took
-    more than 11 s to construct one such function on [0, 1)."""
+    construction, canonical(), f + g, f - g, the integral of f + g, the
+    signed integral of f - g, the staircase limits of its two parts and its
+    integrals over a region and its complement take less than 5 s per
+    input, and every integral equals the sums of the parts'.  Quadratic set
+    algebra took more than 11 s to construct one such function on [0, 1)."""
     for measure, space, f_terms, g_terms in _growth_cases(2000):
+        region = f_terms[0][1]
         started = time.perf_counter()
         f = SimpleFunction(space, f_terms)
         g = SimpleFunction(space, g_terms)
@@ -450,6 +454,8 @@ def test_two_thousand_term_functions_stay_fast_and_exact():
         total, difference = f + g, f - g
         total_integral = integrate_simple(total, measure)
         signed = lebesgue_integral(difference, measure)
+        limits = [part.limit(measure) for part in DyadicApproximation.parts(difference)]
+        over = [integrate_over(r, difference, measure) for r in (region, region.complement())]
         elapsed = time.perf_counter() - started
         f_integral, g_integral = integrate_simple(f, measure), integrate_simple(g, measure)
         assert len(canonical.terms) == len({v for v, _ in f_terms} | {F(0)})
@@ -458,4 +464,10 @@ def test_two_thousand_term_functions_stay_fast_and_exact():
         assert integrate_simple(difference, measure) == f_integral - g_integral
         assert signed.value == f_integral - g_integral
         assert signed.positive_part - signed.negative_part == signed.value
+        assert limits == [signed.positive_part, signed.negative_part]
+        assert over[0] + over[1] == signed.value
+        g_inside = SimpleFunction(space, [(v, part & region) for v, part in g_terms])
+        assert over[0] == f_terms[0][0] * measure.measure_of(region) - integrate_simple(
+            g_inside, measure
+        )
         assert elapsed < 5, type(space).__name__

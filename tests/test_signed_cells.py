@@ -5,7 +5,8 @@ approximations of the part functions `f.pos_part()` and `f.neg_part()`,
 and the signed integral, `integrate_over` and `l1_norm` must equal the
 oracle integrals of those part functions.  The integrands have roots
 inside pieces, roots at breakpoints, dyadic roots, values on the dyadic
-grid and zero pieces.  None of the signed paths builds a part function.
+grid and zero pieces.  None of the signed paths builds a part function,
+and none builds a set for a cell of a derived simple function.
 """
 
 from fractions import Fraction as F
@@ -23,7 +24,9 @@ from exactintegral import (
     PiecewiseLinear,
     SimpleFunction,
     UNIT_INTERVAL,
+    UnitIntervalSpace,
     equivalence_report,
+    integrate_simple,
     integrate_over,
     l1_norm,
     lebesgue_integral,
@@ -233,7 +236,7 @@ def measures_on_roots(draw, fn):
 def test_part_tables_equal_the_per_cell_oracles(data):
     """Every level of the f+ and f− tables, and their limits, against the
     per-cell formulas for the part functions: the tables read their rows
-    off one sweep of the signed cells, the oracles read each part function
+    off one value distribution of f, the oracles read each part function
     cell by cell over the merged function/measure grid."""
     fn = data.draw(st.one_of(signed_piecewise(), interval_simple_cases().map(lambda c: c[0])))
     measure = data.draw(measures_on_roots(fn))
@@ -309,3 +312,67 @@ def test_signed_paths_build_no_part_function(monkeypatch):
     with pytest.raises(AssertionError):
         SIGNED_PIECEWISE.pos_part()
     assert _signed_paths() == expected
+
+
+DISCRETE = DiscreteSpace(tuple(F(k % 5, 3) for k in range(12)))
+DERIVED_CASES = [
+    (
+        STEP,
+        SimpleFunction(
+            UNIT_INTERVAL,
+            [(F(k - 3, 4), IntervalSet([(F(k, 8), F(k + 1, 8))])) for k in range(0, 8, 2)],
+        ),
+        SimpleFunction(
+            UNIT_INTERVAL,
+            [(F(2 - k, 3), IntervalSet([(F(k, 6), F(k + 1, 6))])) for k in range(1, 6, 2)],
+        ),
+        REGION,
+        (F(1, 16), F(3, 8), F(13, 16)),
+    ),
+    (
+        DISCRETE,
+        SimpleFunction(DISCRETE, [(F(k - 2, 3), DiscreteSet(DISCRETE, [k, k + 6])) for k in range(5)]),
+        SimpleFunction(DISCRETE, [(F(k, 5), DiscreteSet(DISCRETE, [2 * k + 1])) for k in range(5)]),
+        DiscreteSet(DISCRETE, range(0, 12, 3)),
+        (0, 3, 11),
+    ),
+]
+
+
+def _derived_paths(measure, f, g, region, points):
+    difference = f - g
+    positive, negative = DyadicApproximation.parts(difference)
+    level = positive.level(2)
+    return (
+        positive.limit(measure),
+        negative.limit(measure),
+        positive.integral(3, measure),
+        level,
+        integrate_simple(level, measure),
+        [(positive.value_at(2, x), negative.value_at(5, x)) for x in points],
+        integrate_over(region, difference, measure),
+        [difference.evaluate(x) for x in points],
+    )
+
+
+@pytest.mark.parametrize("measure, f, g, region, points", DERIVED_CASES, ids=["interval", "discrete"])
+def test_staircase_of_a_derived_function_builds_no_set(monkeypatch, measure, f, g, region, points):
+    """`f - g` is only its cell table: its staircases, `integrate_over` and
+    `evaluate` read the table and build no set of any cell."""
+    expected = _derived_paths(measure, f, g, region, points)
+    pos_limit, neg_limit, _, level, level_integral, values, over, evaluated = expected
+    assert pos_limit - neg_limit == integrate_simple(f, measure) - integrate_simple(g, measure)
+    assert level_integral == DyadicApproximation.parts(f - g)[0].integral(2, measure)
+    assert over == integrate_simple(
+        SimpleFunction(f.space, [(v, part & region) for v, part in (f - g).terms]), measure
+    )
+    assert evaluated == [f.evaluate(x) - g.evaluate(x) for x in points]
+
+    def refuse(self, table):
+        raise AssertionError("a set was built for a cell")
+
+    for space in (UnitIntervalSpace, DiscreteSpace):
+        monkeypatch.setattr(space, "_cell_sets", refuse)
+    with pytest.raises(AssertionError):
+        (f - g).terms
+    assert _derived_paths(measure, f, g, region, points) == expected

@@ -235,6 +235,12 @@ def test_component_and_norm_arguments_are_checked_before_mapping(fn, call, messa
         call(fn)
 
 
+@pytest.mark.parametrize("kind", ["L1", None, "LInf"])
+def test_vector_norm_refuses_a_kind_that_is_not_a_norm_kind(kind):
+    with pytest.raises(ValueError, match=re.escape(f"norm kind {kind!r} is not a NormKind")):
+        Vec((F(3), F(-4))).norm(kind)
+
+
 # --- integration --------------------------------------------------------------
 
 
