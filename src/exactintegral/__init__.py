@@ -13,16 +13,7 @@ realize the equivalence of the two schemes as executable, certified
 transformations in both directions.
 """
 
-from .rationals import (
-    ONE,
-    ZERO,
-    decimal_string,
-    floor_to_grid,
-    format_rational,
-    is_on_grid,
-    parse_rational,
-    power_of_two_level,
-)
+from .rationals import ONE, ZERO, decimal_string, parse_rational
 from .spaces import (
     UNIT_INTERVAL,
     DiscreteSet,

@@ -222,8 +222,9 @@ class TelescopeSeries(FunctionSeries):
     is exactly zero.  Term integrals, partial sums and tails come from the
     closed-form staircase integrals, a partial sum telescoping to level k
     minus level 0, so no term is materialized; `term(n)` builds h_n on
-    demand for desk-scale levels.  Indices follow the `FunctionSeries`
-    contract.
+    demand for desk-scale levels, as the difference of the two part
+    increments paired on their cell tables.  Indices follow the
+    `FunctionSeries` contract.
     """
 
     def __init__(
@@ -242,13 +243,8 @@ class TelescopeSeries(FunctionSeries):
 
     def term(self, index: int) -> SimpleFunction:
         self._check_index(index)
-        pos_inc = self.positive.increment(index)
-        neg_inc = self.negative.increment(index)
-        # Nonzero increments live inside {f > 0} and {f < 0} respectively,
-        # so the merged term list stays pairwise disjoint.
-        terms = [(v, s) for v, s in pos_inc.terms if v != 0]
-        terms += [(-v, s) for v, s in neg_inc.terms if v != 0]
-        return SimpleFunction(space_of(self.measure), terms)
+        # One pairing of the two canonical increment tables; no set is built.
+        return self.positive.increment(index) - self.negative.increment(index)
 
     def _rises(self, lower: int, upper: int) -> tuple[Fraction, Fraction]:
         """(positive, negative) part staircase integrals at `upper` minus at `lower`."""

@@ -62,9 +62,11 @@ in one table; level n is then one exact sum of
 integer terms over the rows' denominators, and each level costs one
 `Fraction`, made once and kept.
 `value_at` finds the cell of its point in the table (or bisects the
-sloped pieces), and `level`/`increment` round the cell values, cut each
-sloped piece at its grid crossings in one walk of the table's pieces,
-and group the rounded cells into a canonical simple function.
+sloped pieces) and rounds the integer pair (p, q) of the value there to
+the grid index k = min(n*2^n, floor(2^n*p/q)); `level`/`increment` round
+the cell values the same way, cut each sloped piece at its grid
+crossings in one walk of the table's pieces, and group the rounded cells
+into a canonical simple function.
 Levels are kept sparsely, by level: asking for level n computes level n
 alone, so a caller that reads levels 0 and d pays for two levels, not for
 d + 1.  From the termination level of a terminating staircase on, every
@@ -88,14 +90,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .piecewise import PiecewiseLinear
-from .rationals import (
-    ONE,
-    ZERO,
-    exact_sum,
-    floor_to_grid,
-    is_on_grid,
-    power_of_two_level,
-)
+from .rationals import ONE, ZERO, exact_sum
 from .simple import SimpleFunction
 from .spaces import (
     CellTable,
@@ -135,11 +130,6 @@ class NegativeIntegrandError(ValueError):
 def check_integrand_measure(fn: Integrand, measure: Measure) -> None:
     if fn.space != space_of(measure):
         raise SpaceMismatchError("integrand and measure live on different spaces")
-
-
-def _staircase_value(value: Fraction, level: int) -> Fraction:
-    """Nonnegative value rounded down to the 2^-level grid and capped at level."""
-    return min(Fraction(level), floor_to_grid(value, level))
 
 
 def _lowered(fn: Integrand) -> tuple:
@@ -194,10 +184,10 @@ def _termination_level(values: list) -> Optional[int]:
     with these nonzero values, or None."""
     level = 0
     for v in values:
-        grid = power_of_two_level(v)
-        if grid is None:
+        den = v.denominator
+        if den & (den - 1):  # not a power of two: off every dyadic grid
             return None
-        level = max(level, grid, math.ceil(v))
+        level = max(level, den.bit_length() - 1, math.ceil(v))
     return level
 
 
@@ -354,11 +344,13 @@ class DyadicApproximation:
         if self._termination is not None and level >= self._termination:
             # From the termination level on the staircase is the target.
             return value
-        if 0 < value <= level and is_on_grid(value, level) and slope < 0:
-            # Decreasing through a grid value exactly: the half-open level
-            # sets put this point in the cell just below.
-            return value - Fraction(1, 1 << level)
-        return _staircase_value(value, level)
+        p, q = value.numerator, value.denominator
+        k = min(level << level, (p << level) // q)
+        if slope < 0 and 0 < k and k * q == p << level:
+            # Decreasing through the grid value k/2^n exactly: the half-open
+            # level sets put this point in the cell just below.
+            k -= 1
+        return Fraction(k, 1 << level)
 
     def _staircase(self, n: int, increment: bool) -> SimpleFunction:
         """The level-n staircase, or its increment over level n - 1, as a

@@ -1,11 +1,11 @@
-"""Parsing, formatting and dyadic-grid helpers for exact rational scalars.
+"""Parsing, formatting and summing helpers for exact rational scalars.
 
 Every numeric quantity in this package is a `fractions.Fraction`.  The
 standard-library type already provides the invariants exact arithmetic
 needs: values are stored reduced, denominators are positive, equality is
 value equality.  This module adds the string conventions used at the
-package boundary ("p/q" in files and reports, decimal renderings for
-human readers), the grid arithmetic shared by the approximation code, and
+package boundary (a `Fraction` prints as "p/q", or "p" for an integer, in
+files and reports; decimal renderings for human readers) and
 `exact_sum`, the one multi-term sum of the integrals: integer pairs
 (numerator, denominator) are added per denominator, and the groups are
 then added pairwise in a balanced tree, each pair over the lcm of its two
@@ -45,11 +45,7 @@ __all__ = [
     "ONE",
     "as_rational",
     "parse_rational",
-    "format_rational",
     "decimal_string",
-    "floor_to_grid",
-    "is_on_grid",
-    "power_of_two_level",
     "exact_sum",
 ]
 
@@ -96,11 +92,6 @@ def parse_rational(text: str) -> Fraction:
         ) from None
 
 
-def format_rational(value: Fraction) -> str:
-    """Render as "p/q" ("p" for integers); round-trips through parse_rational."""
-    return str(value)
-
-
 def decimal_string(value: Fraction, digits: int = 12) -> str:
     """Decimal rendering to `digits` significant digits (exactly rounded)."""
     return str(_context(digits).divide(Decimal(value.numerator), Decimal(value.denominator)))
@@ -110,25 +101,6 @@ def decimal_string(value: Fraction, digits: int = 12) -> str:
 def _context(digits: int) -> Context:
     """The default decimal context at precision `digits`; one per precision."""
     return Context(prec=digits)
-
-
-def floor_to_grid(value: Fraction, level: int) -> Fraction:
-    """Largest multiple of 2**-level that is <= value."""
-    scale = 1 << level
-    return Fraction((value.numerator * scale) // value.denominator, scale)
-
-
-def is_on_grid(value: Fraction, level: int) -> bool:
-    """True when value is an integer multiple of 2**-level."""
-    return (value.numerator << level) % value.denominator == 0
-
-
-def power_of_two_level(value: Fraction) -> int | None:
-    """Smallest n with value on the 2**-n grid, or None if no such n exists."""
-    den = value.denominator
-    if den & (den - 1):
-        return None
-    return den.bit_length() - 1
 
 
 def exact_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:

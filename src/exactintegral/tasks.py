@@ -44,7 +44,7 @@ from .bochner import (
 from .generators import GeneratedCase
 from .lebesgue import INTEGRAL_CLASS, DyadicApproximation, Integrand, lebesgue_integral
 from .piecewise import PiecewiseLinear
-from .rationals import ZERO, decimal_string, format_rational, parse_rational
+from .rationals import ZERO, decimal_string, parse_rational
 from .simple import NormKind, SimpleFunction, Vec
 from .spaces import (
     DiscreteSet,
@@ -509,10 +509,10 @@ def _unrenderable(entry: str) -> ValueError:
 
 def _render_value(key: str, value, out: dict) -> None:
     if isinstance(value, Fraction):
-        out[key] = format_rational(value)
+        out[key] = str(value)
         out[f"{key}_decimal"] = decimal_string(value)
     elif isinstance(value, Vec):
-        out[key] = [format_rational(c) for c in value.components]
+        out[key] = [str(c) for c in value.components]
         out[f"{key}_decimal"] = [decimal_string(c) for c in value.components]
     else:
         out[key] = value
@@ -551,7 +551,7 @@ def render_table_csv(rows: list[dict]) -> str:
         record = [str(row["level"])]
         for name in _TABLE_COLUMNS[1:]:
             try:
-                record += [format_rational(row[name]), decimal_string(row[name])]
+                record += [str(row[name]), decimal_string(row[name])]
             except ValueError:
                 raise _unrenderable(f"table column {name!r} at level {row['level']}") from None
         writer.writerow(record)
@@ -563,26 +563,24 @@ def render_table_csv(rows: list[dict]) -> str:
 
 def measure_fragment(measure: Measure) -> dict:
     if isinstance(measure, DiscreteSpace):
-        return {"type": "discrete", "weights": [format_rational(w) for w in measure.weights]}
+        return {"type": "discrete", "weights": [str(w) for w in measure.weights]}
     return {
         "type": "interval",
-        "breakpoints": [format_rational(t) for t in measure.breakpoints],
-        "densities": [format_rational(d) for d in measure.densities],
+        "breakpoints": [str(t) for t in measure.breakpoints],
+        "densities": [str(d) for d in measure.densities],
     }
 
 
 def set_fragment(part: MeasurableSet) -> dict:
     if isinstance(part, DiscreteSet):
         return {"indices": list(part.indices)}
-    return {
-        "intervals": [[format_rational(lo), format_rational(hi)] for lo, hi in part.intervals]
-    }
+    return {"intervals": [[str(lo), str(hi)] for lo, hi in part.intervals]}
 
 
 def _value_fragment(value):
     if isinstance(value, Vec):
-        return [format_rational(c) for c in value.components]
-    return format_rational(value)
+        return [str(c) for c in value.components]
+    return str(value)
 
 
 def function_fragment(fn) -> dict:
@@ -597,10 +595,8 @@ def function_fragment(fn) -> dict:
     if isinstance(fn, PiecewiseLinear):
         return {
             "type": "piecewise_linear",
-            "breakpoints": [format_rational(t) for t in fn.breakpoints],
-            "pieces": [
-                {"a": format_rational(a), "b": format_rational(b)} for a, b in fn.pieces
-            ],
+            "breakpoints": [str(t) for t in fn.breakpoints],
+            "pieces": [{"a": str(a), "b": str(b)} for a, b in fn.pieces],
         }
     if isinstance(fn, FiniteSeries):
         return {"type": "series", "terms": [function_fragment(t) for t in fn.terms]}
@@ -608,7 +604,7 @@ def function_fragment(fn) -> dict:
         return {
             "type": "series_rule",
             "rule": "geometric_indicator",
-            "ratio": format_rational(fn.ratio),
+            "ratio": str(fn.ratio),
         }
     raise TypeError(f"no task-file form for {type(fn).__name__}")
 

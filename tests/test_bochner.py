@@ -12,6 +12,7 @@ from exactintegral import (
     CertificateError,
     DiscreteSet,
     DiscreteSpace,
+    DyadicApproximation,
     FiniteSeries,
     FunctionSeries,
     GeometricIndicatorSeries,
@@ -362,6 +363,21 @@ def test_telescoped_partial_sums_equal_summed_terms():
                 series, upto
             )
             assert series.partial_abs_sum(upto) == FunctionSeries.partial_abs_sum(series, upto)
+
+
+def test_hand_built_series_with_overlapping_parts_has_its_defined_terms():
+    """h_n = (f_n - f_(n-1)) - (g_n - g_(n-1)) also when the two staircases
+    given by hand overlap: at level 4 both rise by 1/16 on [1/4, 1/2)."""
+    f, g = sf((F(1, 3), iv((0, "1/2")))), sf((F(1, 5), iv(("1/4", "3/4"))))
+    P, N = DyadicApproximation(f), DyadicApproximation(g)
+    series = TelescopeSeries(LEBESGUE, P, N)
+    for n in range(1, 7):
+        term = series.term(n)
+        assert term == (P.level(n) - P.level(n - 1)) - (N.level(n) - N.level(n - 1)), n
+        assert lebesgue_integral(term, LEBESGUE).value == series.term_integral(n), n
+    assert [series.term(4).evaluate(F(k, 8)) for k in range(0, 8, 2)] == [
+        F(1, 16), F(0), F(-1, 16), F(0)
+    ]
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from exactintegral import (
     integrate_over,
     l1_norm,
     lebesgue_integral,
+    series_from_integrand,
 )
 
 from oracles import integral_oracle, staircase_integral_oracle, term_points
@@ -357,8 +358,9 @@ def _derived_paths(measure, f, g, region, points):
 
 @pytest.mark.parametrize("measure, f, g, region, points", DERIVED_CASES, ids=["interval", "discrete"])
 def test_staircase_of_a_derived_function_builds_no_set(monkeypatch, measure, f, g, region, points):
-    """`f - g` is only its cell table: its staircases, `integrate_over` and
-    `evaluate` read the table and build no set of any cell."""
+    """`f - g` is only its cell table: its staircases, the terms of its
+    telescoped series, `integrate_over` and `evaluate` read the table and
+    build no set of any cell."""
     expected = _derived_paths(measure, f, g, region, points)
     pos_limit, neg_limit, _, level, level_integral, values, over, evaluated = expected
     assert pos_limit - neg_limit == integrate_simple(f, measure) - integrate_simple(g, measure)
@@ -367,6 +369,8 @@ def test_staircase_of_a_derived_function_builds_no_set(monkeypatch, measure, f, 
         SimpleFunction(f.space, [(v, part & region) for v, part in (f - g).terms]), measure
     )
     assert evaluated == [f.evaluate(x) - g.evaluate(x) for x in points]
+    series = series_from_integrand(f - g, measure, depth=6).series
+    P, N = series.positive, series.negative
 
     def refuse(self, table):
         raise AssertionError("a set was built for a cell")
@@ -376,3 +380,6 @@ def test_staircase_of_a_derived_function_builds_no_set(monkeypatch, measure, f, 
     with pytest.raises(AssertionError):
         (f - g).terms
     assert _derived_paths(measure, f, g, region, points) == expected
+    for n in (1, 2, 3):
+        # h_n pairs the two part increments without a set of any cell.
+        assert series.term(n) == (P.level(n) - P.level(n - 1)) - (N.level(n) - N.level(n - 1))
