@@ -6,6 +6,13 @@ difference, `table` emits the staircase convergence table as CSV, `gen`
 prints seeded random objects as task-file fragments.  Exit codes: 0 on
 success, 1 on validation errors, 2 on computation errors.
 
+The three task commands share one body, `_cmd_task`: load the file, refuse
+a task the command does not run, put the flags over the file's parameters
+and run.  A flag (`--depth`, `--eta`, `--max-level`) goes through the check
+of its parameter in `tasks.PARAMETERS`, so it obeys the same rule and gives
+the same message, with the flag as the field.  A `table --out` path that
+cannot be written is a validation error too.
+
 `main` builds its argument parser on its first call, not at import, and
 reuses it for the life of the process; `build_parser()` returns a fresh one.
 """
@@ -19,9 +26,8 @@ import sys
 from typing import Optional
 
 from .generators import FAMILIES, GeneratorConfig, generate_stream
-from .rationals import parse_rational
 from .tasks import (
-    MAX_LEVEL,
+    PARAMETERS,
     TaskSpecError,
     case_fragment,
     load_task,
@@ -71,59 +77,36 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _check_task_matches(declared: Optional[str], allowed: tuple[str, ...], command: str) -> None:
-    if declared is not None and declared not in allowed:
+def _cmd_task(args) -> int:
+    # command -> (the tasks it runs, its flags by parameter key, runner,
+    # renderer), built on each call so that it holds the functions this
+    # module holds now: the traced benchmark run replaces them here.
+    allowed, flags, run, render = {
+        "integrate": (("integrate_mi", "integrate_bochner"), (), run_integrate, render_report),
+        "compare": (("compare",), ("depth", "eta"), run_compare, render_report),
+        "table": (("approx_table",), ("max_level",), run_table, render_table_csv),
+    }[args.command]
+    task = load_task(args.spec)
+    if task.task is not None and task.task not in allowed:
         raise TaskSpecError(
             "task",
-            f"file declares task {declared!r} but the {command} command runs "
+            f"file declares task {task.task!r} but the {args.command} command runs "
             f"{' or '.join(allowed)}",
         )
-
-
-def _override_level(task, key: str, value: Optional[int], flag: str) -> None:
-    """Put a level given by `flag` over the file's `key` parameter."""
-    if value is None:
-        return
-    if not 1 <= value <= MAX_LEVEL:
-        raise TaskSpecError(flag, f"must be between 1 and {MAX_LEVEL}")
-    task.parameters[key] = value
-
-
-def _cmd_integrate(args) -> int:
-    task = load_task(args.spec)
-    _check_task_matches(task.task, ("integrate_mi", "integrate_bochner"), "integrate")
-    report = run_integrate(task)
-    sys.stdout.write(render_report(report))
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    task = load_task(args.spec)
-    _check_task_matches(task.task, ("compare",), "compare")
-    _override_level(task, "depth", args.depth, "--depth")
-    if args.eta is not None:
-        try:
-            eta = parse_rational(args.eta)
-        except ValueError as exc:
-            raise TaskSpecError("--eta", str(exc)) from None
-        if eta < 0:
-            raise TaskSpecError("--eta", "must be >= 0")
-        task.parameters["eta"] = eta
-    report = run_compare(task)
-    sys.stdout.write(render_report(report))
-    return 0
-
-
-def _cmd_table(args) -> int:
-    task = load_task(args.spec)
-    _check_task_matches(task.task, ("approx_table",), "table")
-    _override_level(task, "max_level", args.max_level, "--max-level")
-    text = render_table_csv(run_table(task))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
+    for key in flags:
+        value = getattr(args, key)
+        if value is not None:
+            task.parameters[key] = PARAMETERS[key](value, "--" + key.replace("_", "-"))
+    text = render(run(task))
+    out = getattr(args, "out", None)
+    if not out:
         sys.stdout.write(text)
+        return 0
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise TaskSpecError("--out", f"cannot write {out}: {exc.strerror or exc}") from None
     return 0
 
 
@@ -145,12 +128,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "integrate": _cmd_integrate,
-    "compare": _cmd_compare,
-    "table": _cmd_table,
-    "gen": _cmd_gen,
-}
+_COMMANDS = {"integrate": _cmd_task, "compare": _cmd_task, "table": _cmd_task, "gen": _cmd_gen}
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -27,12 +27,13 @@ its `Fraction`s as they are.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
 from .bochner import (
     FiniteSeries,
@@ -256,6 +257,11 @@ def parse_piecewise(obj, field_path: str, measure: Measure) -> PiecewiseLinear:
         raise TaskSpecError(field_path, str(exc)) from None
 
 
+# The integrands a function or a series term may be, each with its parser.
+# A kind that is not a string is refused before the lookup: a list is no key.
+_INTEGRAND_PARSERS = {"simple": parse_simple_function, "piecewise_linear": parse_piecewise}
+
+
 def parse_function(
     obj,
     field_path: str,
@@ -263,10 +269,8 @@ def parse_function(
     norm_kind: Optional[NormKind] = None,
 ):
     kind = _get(obj, "type", field_path)
-    if kind == "simple":
-        return parse_simple_function(obj, field_path, measure)
-    if kind == "piecewise_linear":
-        return parse_piecewise(obj, field_path, measure)
+    if isinstance(kind, str) and kind in _INTEGRAND_PARSERS:
+        return _INTEGRAND_PARSERS[kind](obj, field_path, measure)
     if kind == "series":
         raw_terms = _get(obj, "terms", field_path)
         _require(isinstance(raw_terms, list), f"{field_path}.terms", "expected a list")
@@ -274,15 +278,14 @@ def parse_function(
         for i, raw in enumerate(raw_terms):
             term_path = f"{field_path}.terms[{i}]"
             term_kind = _get(raw, "type", term_path, required=False)
-            if term_kind == "piecewise_linear":
-                terms.append(parse_piecewise(raw, term_path, measure))
-            elif term_kind in (None, "simple"):
-                terms.append(parse_simple_function(raw, term_path, measure))
-            else:
-                raise TaskSpecError(
-                    f"{term_path}.type",
-                    f"unknown term type {term_kind!r} (simple or piecewise_linear)",
-                )
+            if term_kind is None:
+                term_kind = "simple"
+            _require(
+                isinstance(term_kind, str) and term_kind in _INTEGRAND_PARSERS,
+                f"{term_path}.type",
+                f"unknown term type {term_kind!r} (simple or piecewise_linear)",
+            )
+            terms.append(_INTEGRAND_PARSERS[term_kind](raw, term_path, measure))
         try:
             return FiniteSeries(measure, terms, norm_kind=norm_kind)
         except ValueError as exc:
@@ -302,46 +305,44 @@ def parse_function(
     raise TaskSpecError(f"{field_path}.type", f"unknown function type {kind!r}")
 
 
-_PARAMETER_KEYS = ("depth", "eta", "truncation", "seed", "max_level", "norm")
+def _eta(value, field_path: str) -> Fraction:
+    eta = _rational(value, field_path)
+    _require(eta >= 0, field_path, "must be >= 0")
+    return eta
+
+
+def _norm(value, field_path: str) -> NormKind:
+    kinds = {k.value: k for k in NormKind}
+    known = isinstance(value, str) and value in kinds
+    _require(known, field_path, f"expected one of {sorted(kinds)}")
+    return kinds[value]
+
+
+_level = functools.partial(_integer, minimum=1, maximum=MAX_LEVEL)
+
+# The one check of each parameter, `check(value, field_path) -> value`, in
+# the order `parse_parameters` runs them; the CLI flags run the same checks.
+PARAMETERS = {
+    "depth": _level,
+    "eta": _eta,
+    "truncation": functools.partial(_integer, minimum=0, maximum=MAX_LEVEL),
+    "max_level": _level,
+    "norm": _norm,
+}
 
 
 def parse_parameters(obj, field_path: str = "parameters") -> dict:
     if obj is None:
         return {}
     _require(isinstance(obj, dict), field_path, "expected an object")
-    params: dict[str, Any] = {}
     for key in obj:
         _require(
-            key in _PARAMETER_KEYS,
+            key in PARAMETERS,
             f"{field_path}.{key}",
-            f"unknown parameter (known: {', '.join(_PARAMETER_KEYS)})",
+            f"unknown parameter (known: {', '.join(PARAMETERS)})",
         )
-    if "depth" in obj:
-        params["depth"] = _integer(obj["depth"], f"{field_path}.depth", 1, MAX_LEVEL)
-    if "eta" in obj:
-        eta = _rational(obj["eta"], f"{field_path}.eta")
-        _require(eta >= 0, f"{field_path}.eta", "must be >= 0")
-        params["eta"] = eta
-    if "truncation" in obj:
-        params["truncation"] = _integer(
-            obj["truncation"], f"{field_path}.truncation", 0, MAX_LEVEL
-        )
-    if "seed" in obj:
-        params["seed"] = _integer(obj["seed"], f"{field_path}.seed", 0)
-    if "max_level" in obj:
-        params["max_level"] = _integer(
-            obj["max_level"], f"{field_path}.max_level", 1, MAX_LEVEL
-        )
-    if "norm" in obj:
-        raw = obj["norm"]
-        kinds = {k.value: k for k in NormKind}
-        _require(
-            isinstance(raw, str) and raw in kinds,
-            f"{field_path}.norm",
-            f"expected one of {sorted(kinds)}",
-        )
-        params["norm"] = kinds[raw]
-    return params
+    checks = PARAMETERS.items()
+    return {key: check(obj[key], f"{field_path}.{key}") for key, check in checks if key in obj}
 
 
 @dataclass

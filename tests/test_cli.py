@@ -142,6 +142,50 @@ def test_task_command_mismatch_exit_1(tmp_path, capsys):
     assert "task" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, task_name, key, value",
+    [
+        ("compare", "compare", "depth", 0),
+        ("compare", "compare", "depth", 31),
+        ("table", "approx_table", "max_level", 0),
+        ("table", "approx_table", "max_level", 31),
+        ("compare", "compare", "eta", "-1"),
+        ("compare", "compare", "eta", "1/x"),
+    ],
+    ids=["depth_0", "depth_31", "max_level_0", "max_level_31", "eta_negative", "eta_unparsable"],
+)
+def test_a_flag_obeys_its_parameters_rule_and_message(
+    tmp_path, capsys, command, task_name, key, value
+):
+    flag = "--" + key.replace("_", "-")
+    doc = dict(IDENTITY_COMPARE, task=task_name, parameters={})
+    flag_code = main([command, "--spec", write_task(tmp_path, doc), f"{flag}={value}"])
+    by_flag = capsys.readouterr()
+    doc["parameters"] = {key: value}
+    file_code = main([command, "--spec", write_task(tmp_path, doc, "file.json")])
+    by_file = capsys.readouterr()
+    assert flag_code == file_code == 1
+    assert by_flag.out == by_file.out == ""
+    flag_prefix = f"validation error: {flag}: "
+    file_prefix = f"validation error: parameters.{key}: "
+    assert by_flag.err.startswith(flag_prefix)
+    assert by_file.err.startswith(file_prefix)
+    assert by_flag.err[len(flag_prefix):] == by_file.err[len(file_prefix):]
+
+
+@pytest.mark.parametrize("target", ["missing/table.csv", "."], ids=["missing_dir", "a_dir"])
+def test_table_out_that_cannot_be_written_exit_1_names_the_flag(tmp_path, target):
+    out = tmp_path / target
+    doc = dict(STEP_TASK, task="approx_table")
+    run = run_cli("table", "--spec", write_task(tmp_path, doc), "--out", str(out))
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"validation error: --out: cannot write {out}: ")
+
+
 def test_missing_file_exit_1(tmp_path, capsys):
     code = main(["integrate", "--spec", str(tmp_path / "absent.json")])
     assert code == 1

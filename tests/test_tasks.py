@@ -153,6 +153,9 @@ def test_parameter_validation():
         parse_task_document(make_doc(parameters={"eta": "-1/2"}))
     with pytest.raises(TaskSpecError):
         parse_task_document(make_doc(parameters={"mystery": 1}))
+    with pytest.raises(TaskSpecError) as err:
+        parse_task_document(make_doc(parameters={"seed": 1}))  # read by no runner
+    assert err.value.field == "parameters.seed"
     task = parse_task_document(
         make_doc(parameters={"depth": 12, "eta": "1/1024", "norm": "LInf"})
     )
@@ -186,7 +189,11 @@ def test_run_integrate_bochner_series():
     assert report["error_bound"] == 0
 
 
-@pytest.mark.parametrize("kind", ["piecewise", 7], ids=["unknown_name", "number"])
+@pytest.mark.parametrize(
+    "kind",
+    ["piecewise", 7, ["simple"], "series"],
+    ids=["unknown_name", "number", "unhashable_list", "series"],
+)
 def test_unknown_series_term_type_exit_1_names_the_type(tmp_path, capsys, kind):
     term = {"type": kind, "terms": STEP_FUNCTION_DOC["terms"]}
     doc = make_doc(function={"type": "series", "terms": [term]}, task="integrate_bochner")
