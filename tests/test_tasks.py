@@ -138,6 +138,64 @@ def test_overlapping_terms_reported_with_field():
     assert err.value.field == "function.terms"
 
 
+SCALAR_TERM = {"value": "1", "set": {"intervals": [["0", "1/2"]]}}
+VECTOR_TERM = {"value": ["1", "2"], "set": {"intervals": [["1/2", "1"]]}}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"space": {"type": "interval", "breakpoints": ["0", "1/2", "1"], "densities": ["1"]}},
+            "space: need one density per breakpoint cell",
+        ),
+        (
+            {
+                "space": {"type": "discrete", "weights": ["1", "1", "1", "1"]},
+                "function": {"type": "simple", "terms": [{"value": "1", "set": {"indices": [9]}}]},
+            },
+            "function.terms[0].set.indices: index 9 outside the space of size 4",
+        ),
+        (
+            {"function": {"type": "simple", "terms": [SCALAR_TERM, SCALAR_TERM]}},
+            "function.terms: term sets must be pairwise disjoint",
+        ),
+        (
+            {
+                "function": {
+                    "type": "piecewise_linear",
+                    "breakpoints": ["0", "1/2", "1"],
+                    "pieces": [{"a": "1", "b": "0"}],
+                }
+            },
+            "function: need one (slope, intercept) pair per cell",
+        ),
+        (
+            {
+                "function": {
+                    "type": "series",
+                    "terms": [{"terms": [SCALAR_TERM]}, {"terms": [VECTOR_TERM]}],
+                }
+            },
+            "function: series terms must share one value dimension",
+        ),
+        (
+            {"function": {"type": "series", "terms": [{"terms": [VECTOR_TERM]}]}},
+            "function: vector series need a NormKind for their certificates",
+        ),
+        (
+            {"function": {"type": "series_rule", "rule": "geometric_indicator", "ratio": "3/2"}},
+            "function.ratio: ratio must lie strictly between 0 and 1",
+        ),
+    ],
+    ids=["densities", "indices", "overlap", "pieces", "dimensions", "norm", "ratio"],
+)
+def test_a_refused_constructor_names_its_field_and_message(overrides, message):
+    with pytest.raises(TaskSpecError) as err:
+        parse_task_document(make_doc(task=None, **overrides))
+    assert str(err.value) == message
+
+
 def test_unknown_task_rejected():
     with pytest.raises(TaskSpecError) as err:
         parse_task_document(make_doc(task="differentiate"))
