@@ -121,25 +121,25 @@ class FunctionSeries:
     def term_value_at(self, index: int, point):
         return self.term(index).evaluate(point)
 
-    def partial_integral_sum(self, upto: int):
-        total = self._zero_value()
-        for n in range(1, self._effective(upto) + 1):
-            total = total + self.term_integral(n)
+    @staticmethod
+    def _summed(indices, each, total):
+        """`total` plus each(n) for every index n, in order."""
+        for n in indices:
+            total = total + each(n)
         return total
 
+    def partial_integral_sum(self, upto: int):
+        terms = range(1, self._effective(upto) + 1)
+        return self._summed(terms, self.term_integral, self._zero_value())
+
     def partial_abs_sum(self, upto: int) -> Fraction:
-        total = ZERO
-        for n in range(1, self._effective(upto) + 1):
-            total += self.term_abs_integral(n)
-        return total
+        return self._summed(range(1, self._effective(upto) + 1), self.term_abs_integral, ZERO)
 
     def partial_value_at(self, point, upto: int):
         if not space_of(self.measure).contains(point):
             raise OutsideDomainError(f"point {point!r} outside the space")
-        total = self._zero_value()
-        for n in range(1, self._effective(upto) + 1):
-            total = total + self.term_value_at(n, point)
-        return total
+        terms = range(1, self._effective(upto) + 1)
+        return self._summed(terms, lambda n: self.term_value_at(n, point), self._zero_value())
 
     def certificate(self, upto: int) -> tuple[Fraction, Fraction]:
         """(partial sum of term-norm integrals, exact tail bound) at `upto`."""
@@ -176,10 +176,8 @@ class FiniteSeries(FunctionSeries):
         return self.terms[index - 1]
 
     def tail_bound(self, after: int) -> Fraction:
-        total = ZERO
-        for n in range(self._effective(after) + 1, self.term_count + 1):
-            total += self.term_abs_integral(n)
-        return total
+        tail = range(self._effective(after) + 1, self.term_count + 1)
+        return self._summed(tail, self.term_abs_integral, ZERO)
 
 
 class GeometricIndicatorSeries(FunctionSeries):

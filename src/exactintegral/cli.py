@@ -4,13 +4,18 @@ Subcommands: `integrate` runs the task a file declares (integrate_mi or
 integrate_bochner), `compare` runs both schemes and reports the certified
 difference, `table` emits the staircase convergence table as CSV, `gen`
 prints seeded random objects as task-file fragments.  Exit codes: 0 on
-success, 1 on validation errors, 2 on computation errors.
+success, 1 on validation errors, 2 on computation errors and on argparse's
+usage errors (an unknown flag, a missing `--spec`), which print argparse's
+usage text.
 
 The three task commands share one body, `_cmd_task`: load the file, refuse
 a task the command does not run, put the flags over the file's parameters
 and run.  A flag (`--depth`, `--eta`, `--max-level`) goes through the check
 of its parameter in `tasks.PARAMETERS`, so it obeys the same rule and gives
-the same message, with the flag as the field.  A `table --out` path that
+the same message, with the flag as the field: a flag that breaks its
+parameter's rule, `--depth x` included, exits 1 like the file's value.  The
+level flags are read with `int()` where that parses, the texts argparse's
+`type=int` took, and handed on as text otherwise.  A `table --out` path that
 cannot be written is a validation error too.
 
 `main` builds its argument parser on its first call, not at import, and
@@ -41,6 +46,15 @@ from .tasks import (
 _COMPUTE_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
+def _integer_or_text(text: str):
+    """The int that `int()` reads from the text, else the text itself, which
+    the parameter's check refuses as `expected an integer`."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exactintegral",
@@ -53,12 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="run both schemes and compare")
     compare.add_argument("--spec", required=True, help="path to the task file")
-    compare.add_argument("--depth", type=int, help="telescoping depth (overrides the file)")
+    compare.add_argument(
+        "--depth", type=_integer_or_text, help="telescoping depth (overrides the file)"
+    )
     compare.add_argument("--eta", help="certificate slack as p/q (overrides the file)")
 
     table = sub.add_parser("table", help="staircase convergence table as CSV")
     table.add_argument("--spec", required=True, help="path to the task file")
-    table.add_argument("--max-level", type=int, help="last staircase level (overrides the file)")
+    table.add_argument(
+        "--max-level", type=_integer_or_text, help="last staircase level (overrides the file)"
+    )
     table.add_argument("--out", help="CSV output path (default: stdout)")
 
     gen = sub.add_parser("gen", help="print seeded random objects")

@@ -108,6 +108,14 @@ def _interior_cuts(rng: random.Random, count: int, max_denominator: int) -> list
     return sorted(cuts)
 
 
+def _masses(rng: random.Random, count: int, max_denominator: int) -> tuple[Fraction, ...]:
+    """`count` masses, each zero with probability 0.15, else a rational in [0, 4]."""
+    return tuple(
+        ZERO if rng.random() < 0.15 else _fraction_between(rng, 0, 4, max_denominator)
+        for _ in range(count)
+    )
+
+
 def random_measure(
     rng: random.Random,
     kind: Optional[str] = None,
@@ -118,25 +126,11 @@ def random_measure(
     if kind is None:
         kind = rng.choice(("discrete", "interval"))
     if kind == "discrete":
-        size = rng.randint(1, max_size)
-        weights = []
-        for _ in range(size):
-            if rng.random() < 0.15:
-                weights.append(ZERO)
-            else:
-                weights.append(_fraction_between(rng, 0, 4, max_denominator))
-        return DiscreteSpace(tuple(weights))
+        return DiscreteSpace(_masses(rng, rng.randint(1, max_size), max_denominator))
     if rng.random() < 0.25:
         return IntervalMeasure.lebesgue()
     cuts = _interior_cuts(rng, rng.randint(0, 3), max_denominator)
-    breakpoints = [ZERO, *cuts, ONE]
-    densities = []
-    for _ in range(len(breakpoints) - 1):
-        if rng.random() < 0.15:
-            densities.append(ZERO)
-        else:
-            densities.append(_fraction_between(rng, 0, 4, max_denominator))
-    return IntervalMeasure(tuple(breakpoints), tuple(densities))
+    return IntervalMeasure((ZERO, *cuts, ONE), _masses(rng, len(cuts) + 1, max_denominator))
 
 
 def _deal(rng: random.Random, items, count: int) -> list[list]:

@@ -68,16 +68,16 @@ class PiecewiseLinear:
             pieces.append(self.pieces[j])
         return PiecewiseLinear(bp, pieces)
 
+    def _aligned(self, other: "PiecewiseLinear") -> tuple:
+        """(grid, pieces of self, pieces of other) on the union of both grids."""
+        bp = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
+        return bp, self.refined(bp).pieces, other.refined(bp).pieces
+
     def _binary(self, other: "PiecewiseLinear", op) -> "PiecewiseLinear":
         if not isinstance(other, PiecewiseLinear):
             raise TypeError("expected another piecewise-linear function")
-        bp = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
-        left = self.refined(bp)
-        right = other.refined(bp)
-        pieces = [
-            (op(a1, a2), op(b1, b2))
-            for (a1, b1), (a2, b2) in zip(left.pieces, right.pieces)
-        ]
+        bp, left, right = self._aligned(other)
+        pieces = [(op(a1, a2), op(b1, b2)) for (a1, b1), (a2, b2) in zip(left, right)]
         return PiecewiseLinear(bp, pieces)
 
     def __add__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
@@ -141,8 +141,8 @@ class PiecewiseLinear:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiecewiseLinear):
             return NotImplemented
-        bp = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
-        return self.refined(bp).pieces == other.refined(bp).pieces
+        _, left, right = self._aligned(other)
+        return left == right
 
     __hash__ = None
 

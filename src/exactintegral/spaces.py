@@ -35,9 +35,10 @@ and a measure of c cells:
   compare in C and only equal floats fall back to an exact compare, and a
   key stays two words however many distinct denominators the endpoints
   have;
-* `intersection`, `difference`: one linear pass (two-pointer merge of
-  intervals, membership tests for indices); `complement`: the gap cell of
-  the set's own table, O(k log k) or O(N);
+* `complement`: the gap cell of the set's own table, O(k log k) or O(N);
+  `intersection`, `difference`: for intervals by De Morgan, a - b =
+  ~(~a | b) and a & b = a - ~b, complements and one `union_of`,
+  O(k log k); for indices one pass of membership tests;
 * `contains`: O(log k) by bisection, after the point passes the rational
   gate (a discrete space takes only an `int`);
 * cell tables: a `CellTable` partitions the space into numbered cells
@@ -483,36 +484,22 @@ class IntervalSet:
             yield lo
             yield hi
 
-    def _require_same_space(self, other: "MeasurableSet") -> "IntervalSet":
-        if not isinstance(other, IntervalSet):
-            raise SpaceMismatchError("sets belong to different spaces")
-        return other
-
     def union(self, other: "MeasurableSet") -> "IntervalSet":
         return UNIT_INTERVAL.union_of((self, other))
 
     def intersection(self, other: "MeasurableSet") -> "IntervalSet":
-        other = self._require_same_space(other)
-        out = []
-        i = j = 0
-        a, b = self.intervals, other.intervals
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo < hi:
-                out.append((lo, hi))
-            if a[i][1] <= b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet._canonical(tuple(out))
+        # De Morgan: a & b = ~(~a | ~b) = a - ~b.
+        if not isinstance(other, IntervalSet):
+            raise SpaceMismatchError("sets belong to different spaces")
+        return self.difference(other.complement())
 
     def complement(self) -> "IntervalSet":
         # The one cell of the gaps in the table of this set.
         return UNIT_INTERVAL._cell_sets(UNIT_INTERVAL._tabulate((self,), [-1, 0]))[0]
 
     def difference(self, other: "MeasurableSet") -> "IntervalSet":
-        return self.intersection(self._require_same_space(other).complement())
+        # De Morgan: a - b = ~(~a | b); `union_of` refuses a set of another space.
+        return UNIT_INTERVAL.union_of((self.complement(), other)).complement()
 
     __or__ = union
     __and__ = intersection

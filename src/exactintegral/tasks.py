@@ -113,6 +113,14 @@ def _rational(value, field_path: str) -> Fraction:
         raise TaskSpecError(field_path, str(exc)) from None
 
 
+def _built(field_path: str, make, *args):
+    """make(*args), a `ValueError` from it refused as the entry `field_path`."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise TaskSpecError(field_path, str(exc)) from None
+
+
 def _rational_list(value, field_path: str) -> list[Fraction]:
     _require(isinstance(value, list), field_path, "expected a list of rational strings")
     return [_rational(item, f"{field_path}[{i}]") for i, item in enumerate(value)]
@@ -147,10 +155,7 @@ def parse_measure(obj, field_path: str = "space") -> Measure:
         densities = _rational_list(
             _get(obj, "densities", field_path), f"{field_path}.densities"
         )
-        try:
-            return IntervalMeasure(tuple(breakpoints), tuple(densities))
-        except ValueError as exc:
-            raise TaskSpecError(field_path, str(exc)) from None
+        return _built(field_path, IntervalMeasure, tuple(breakpoints), tuple(densities))
     raise TaskSpecError(
         f"{field_path}.type", f"unknown space type {kind!r} (discrete or interval)"
     )
@@ -192,10 +197,7 @@ def parse_set(obj, field_path: str, measure: Measure) -> MeasurableSet:
         indices = [
             _integer(i, f"{field_path}.indices[{k}]", 0) for k, i in enumerate(raw)
         ]
-        try:
-            return DiscreteSet(space, indices)
-        except ValueError as exc:
-            raise TaskSpecError(f"{field_path}.indices", str(exc)) from None
+        return _built(f"{field_path}.indices", DiscreteSet, space, indices)
     raise TaskSpecError(field_path, "a set needs \"intervals\" or \"indices\"")
 
 
@@ -228,10 +230,7 @@ def parse_simple_function(obj, field_path: str, measure: Measure) -> SimpleFunct
         value = _parse_value(_get(raw, "value", term_path), f"{term_path}.value")
         part = parse_set(_get(raw, "set", term_path), f"{term_path}.set", measure)
         terms.append((value, part))
-    try:
-        return SimpleFunction(space_of(measure), terms)
-    except ValueError as exc:
-        raise TaskSpecError(f"{field_path}.terms", str(exc)) from None
+    return _built(f"{field_path}.terms", SimpleFunction, space_of(measure), terms)
 
 
 def parse_piecewise(obj, field_path: str, measure: Measure) -> PiecewiseLinear:
@@ -251,10 +250,7 @@ def parse_piecewise(obj, field_path: str, measure: Measure) -> PiecewiseLinear:
         slope = _rational(_get(raw, "a", piece_path), f"{piece_path}.a")
         intercept = _rational(_get(raw, "b", piece_path), f"{piece_path}.b")
         pieces.append((slope, intercept))
-    try:
-        return PiecewiseLinear(breakpoints, pieces)
-    except ValueError as exc:
-        raise TaskSpecError(field_path, str(exc)) from None
+    return _built(field_path, PiecewiseLinear, breakpoints, pieces)
 
 
 # The integrands a function or a series term may be, each with its parser.
@@ -286,10 +282,7 @@ def parse_function(
                 f"unknown term type {term_kind!r} (simple or piecewise_linear)",
             )
             terms.append(_INTEGRAND_PARSERS[term_kind](raw, term_path, measure))
-        try:
-            return FiniteSeries(measure, terms, norm_kind=norm_kind)
-        except ValueError as exc:
-            raise TaskSpecError(field_path, str(exc)) from None
+        return _built(field_path, FiniteSeries, measure, terms, norm_kind)
     if kind == "series_rule":
         rule = _get(obj, "rule", field_path)
         _require(
@@ -298,10 +291,7 @@ def parse_function(
             f"unknown rule {rule!r} (only geometric_indicator is defined)",
         )
         ratio = _rational(_get(obj, "ratio", field_path), f"{field_path}.ratio")
-        try:
-            return GeometricIndicatorSeries(measure, ratio)
-        except ValueError as exc:
-            raise TaskSpecError(f"{field_path}.ratio", str(exc)) from None
+        return _built(f"{field_path}.ratio", GeometricIndicatorSeries, measure, ratio)
     raise TaskSpecError(f"{field_path}.type", f"unknown function type {kind!r}")
 
 

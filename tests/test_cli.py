@@ -151,8 +151,19 @@ def test_task_command_mismatch_exit_1(tmp_path, capsys):
         ("table", "approx_table", "max_level", 31),
         ("compare", "compare", "eta", "-1"),
         ("compare", "compare", "eta", "1/x"),
+        ("compare", "compare", "depth", "x"),
+        ("table", "approx_table", "max_level", "2.5"),
     ],
-    ids=["depth_0", "depth_31", "max_level_0", "max_level_31", "eta_negative", "eta_unparsable"],
+    ids=[
+        "depth_0",
+        "depth_31",
+        "max_level_0",
+        "max_level_31",
+        "eta_negative",
+        "eta_unparsable",
+        "depth_not_an_integer",
+        "max_level_not_an_integer",
+    ],
 )
 def test_a_flag_obeys_its_parameters_rule_and_message(
     tmp_path, capsys, command, task_name, key, value

@@ -290,6 +290,25 @@ def test_discrete_set_operations_stay_sorted_and_unique(space, data):
         assert a.contains(point) == (point in members_a)
 
 
+@given(interval_sets(), interval_sets())
+def test_interval_set_operations_match_pointwise_membership(a, b):
+    # Every result is canonical and ends only at ends of a, b or [0, 1), so
+    # it is constant between consecutive ends: checking each end and each
+    # midpoint between two covers every point.
+    ends = sorted({F(0), F(1), *a.endpoints(), *b.endpoints()})
+    points = ends[:-1] + [(x + y) / 2 for x, y in zip(ends, ends[1:])]
+    meet, minus, join, rest = a & b, a - b, a | b, a.complement()
+    for result in (meet, minus, join, rest):
+        assert IntervalSet(result.intervals) == result
+        assert set(result.endpoints()) <= set(ends)
+    for point in points:
+        in_a, in_b = a.contains(point), b.contains(point)
+        assert meet.contains(point) == (in_a and in_b)
+        assert minus.contains(point) == (in_a and not in_b)
+        assert join.contains(point) == (in_a or in_b)
+        assert rest.contains(point) == (not in_a)
+
+
 @given(interval_sets(), st.integers(0, 2 * GRID - 1))
 def test_interval_contains_matches_a_scan(part, tick):
     point = F(tick, 2 * GRID)
