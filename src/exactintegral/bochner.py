@@ -121,25 +121,18 @@ class FunctionSeries:
     def term_value_at(self, index: int, point):
         return self.term(index).evaluate(point)
 
-    @staticmethod
-    def _summed(indices, each, total):
-        """`total` plus each(n) for every index n, in order."""
-        for n in indices:
-            total = total + each(n)
-        return total
-
     def partial_integral_sum(self, upto: int):
         terms = range(1, self._effective(upto) + 1)
-        return self._summed(terms, self.term_integral, self._zero_value())
+        return sum(map(self.term_integral, terms), self._zero_value())
 
     def partial_abs_sum(self, upto: int) -> Fraction:
-        return self._summed(range(1, self._effective(upto) + 1), self.term_abs_integral, ZERO)
+        return sum(map(self.term_abs_integral, range(1, self._effective(upto) + 1)), ZERO)
 
     def partial_value_at(self, point, upto: int):
         if not space_of(self.measure).contains(point):
             raise OutsideDomainError(f"point {point!r} outside the space")
         terms = range(1, self._effective(upto) + 1)
-        return self._summed(terms, lambda n: self.term_value_at(n, point), self._zero_value())
+        return sum((self.term_value_at(n, point) for n in terms), self._zero_value())
 
     def certificate(self, upto: int) -> tuple[Fraction, Fraction]:
         """(partial sum of term-norm integrals, exact tail bound) at `upto`."""
@@ -177,7 +170,7 @@ class FiniteSeries(FunctionSeries):
 
     def tail_bound(self, after: int) -> Fraction:
         tail = range(self._effective(after) + 1, self.term_count + 1)
-        return self._summed(tail, self.term_abs_integral, ZERO)
+        return sum(map(self.term_abs_integral, tail), ZERO)
 
 
 class GeometricIndicatorSeries(FunctionSeries):

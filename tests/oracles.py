@@ -18,9 +18,10 @@ points where such step functions can change value.
 The set-algebra references are the plain algorithms the library replaced
 by sweeps and cell tables: pairwise disjointness checks, the common
 refinement of two functions by intersecting every pair of their
-canonical terms (through the binary `intersection`), per-cell overlaps,
-and unions that sort intervals by their `Fraction` lower ends and merge
-them left to right.  They order endpoints only by `Fraction`
+canonical terms, per-cell overlaps, unions that sort intervals by their
+`Fraction` lower ends and merge them left to right, complements as the
+gaps between consecutive intervals, and the two-pointer merge of two
+sorted interval lists for `intersection_reference`.  They order endpoints only by `Fraction`
 comparisons, never through the library's float-keyed sorts and sweeps.
 
 `parse_rational_reference` and `decimal_string_reference` are the
@@ -261,11 +262,41 @@ def term_points(space, functions) -> list:
 # --- set-algebra references ----------------------------------------------------
 
 
+def intersection_reference(a, b):
+    """a & b: for intervals a two-pointer merge of the two sorted interval
+    lists, by `Fraction` max, min and <; for indices one Python set
+    intersection."""
+    if isinstance(a, DiscreteSet):
+        return DiscreteSet(a.space, set(a.indices) & set(b.indices))
+    out = []
+    i = j = 0
+    while i < len(a.intervals) and j < len(b.intervals):
+        (a_lo, a_hi), (b_lo, b_hi) = a.intervals[i], b.intervals[j]
+        lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
+        if lo < hi:
+            out.append((lo, hi))
+        if a_hi <= b_hi:
+            i += 1
+        else:
+            j += 1
+    return IntervalSet._canonical(tuple(out))
+
+
+def complement_reference(part):
+    """The points of the space outside `part`: the gaps between consecutive
+    intervals and the two ends of [0, 1), or the indices not in `part`."""
+    if isinstance(part, DiscreteSet):
+        return DiscreteSet(part.space, set(range(part.space.size)) - set(part.indices))
+    ends = [ZERO, *(end for iv in part.intervals for end in iv), Fraction(1)]
+    gaps = zip(ends[::2], ends[1::2])
+    return IntervalSet._canonical(tuple((lo, hi) for lo, hi in gaps if lo < hi))
+
+
 def pairwise_disjoint_reference(parts) -> bool:
     """Every pair of sets intersects in the empty set."""
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            if not parts[i].intersection(parts[j]).is_empty:
+            if not intersection_reference(parts[i], parts[j]).is_empty:
                 return False
     return True
 
@@ -310,7 +341,7 @@ def canonical_terms_reference(fn: SimpleFunction) -> tuple:
             continue
         groups.setdefault(_value_key(value), (value, []))[1].append(part)
     terms = [(value, union_reference(fn.space, parts)) for value, parts in groups.values()]
-    rest = union_reference(fn.space, [part for _, part in terms]).complement()
+    rest = complement_reference(union_reference(fn.space, [part for _, part in terms]))
     if not rest.is_empty:
         zero = ZERO if fn.dim is None else Vec.zero(fn.dim)
         terms.append((zero, rest))
@@ -321,11 +352,11 @@ def canonical_terms_reference(fn: SimpleFunction) -> tuple:
 def refinement_reference(f: SimpleFunction, g: SimpleFunction) -> list:
     """(v, w, a & b) for every canonical term (v, a) of f and (w, b) of g
     whose sets meet, in the order of the two canonical term lists, each
-    cell by the binary `intersection`."""
+    cell by `intersection_reference`."""
     cells = []
     for v, a in canonical_terms_reference(f):
         for w, b in canonical_terms_reference(g):
-            cell = a.intersection(b)
+            cell = intersection_reference(a, b)
             if not cell.is_empty:
                 cells.append((v, w, cell))
     return cells

@@ -31,7 +31,9 @@ from exactintegral import (
 from oracles import (
     canonical_terms_reference,
     combine_terms_reference,
+    complement_reference,
     integral_oracle,
+    intersection_reference,
     measure_of_reference,
     merged_intervals_reference,
     pairwise_disjoint_reference,
@@ -368,6 +370,10 @@ def test_set_algebra_orders_one_float_ends_exactly(pool, data):
     assert UNIT_INTERVAL.union_of(sets) == union_reference(UNIT_INTERVAL, sets)
     tabulated = UNIT_INTERVAL._tabulate(sets, [*range(len(sets)), -1])
     assert (tabulated is not None) == pairwise_disjoint_reference(sets)
+    a, b = sets[:2]
+    assert a.complement() == complement_reference(a)
+    assert a & b == intersection_reference(a, b)
+    assert a - b == intersection_reference(a, complement_reference(b))
 
 
 @given(colliding_pools(), st.data())
