@@ -39,11 +39,11 @@ its r-step times q.  The level-n staircase integral is
 (an atom contributes mass * s_n(y), a uniform piece an arithmetic
 series), and the limit is sum((2*e*p*q - c*p^2) / (2*q^2*L)).
 Both sums go through `rationals.exact_sum`, which adds the terms per
-denominator and then pairwise, so no row is scaled to a denominator
-common to all rows, and each makes one `Fraction`.  So stage-two
-convergence is checkable exactly at any level without materializing the
-staircase, and neither the integral nor the staircase branches on the
-integrand class.
+denominator and then over their lcm while it stays short, pairwise
+otherwise, so no row is scaled to a long denominator common to all rows,
+and each makes one `Fraction`.  So stage-two convergence is checkable
+exactly at any level without materializing the staircase, and neither
+the integral nor the staircase branches on the integrand class.
 
 The signed integral and the L1 norm read one distribution of f and split
 it at zero: the rows at positive values give ∫f+, those at negative

@@ -41,8 +41,9 @@ classes, so nothing here branches on the set kind.
 `integrate_simple` reads the masses of all cells in one batch from the
 measure (integer numerators over one denominator) and hands the integer
 products value * mass, each over its value's own denominator, to
-`rationals.exact_sum`, so an integral costs one `Fraction` per component
-and no product is scaled to a denominator common to all values.
+`rationals.exact_sum`, so an integral costs one `Fraction` per component,
+and the products are scaled to a denominator common to all values only
+while that denominator stays short.
 """
 
 from __future__ import annotations

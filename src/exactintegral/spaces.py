@@ -26,7 +26,8 @@ and a measure of c cells:
   an inline `type(x) is Fraction` fast path; O(k log k) for intervals; a
   discrete set checks each index's type and the range at the two ends of
   its sorted indices, and a discrete space reads each weight once as an
-  integer ratio, for the sign check, the lcm and the scaled weights;
+  integer ratio, for the sign check, the lcm and the scaled weights, with
+  one scale factor per distinct weight denominator;
 * `union`, and `union_of` on a space for any number of sets: one sort of
   all the intervals and one merge pass, or one `set` update for indices;
   a union with one nonempty operand returns it;
@@ -56,12 +57,16 @@ and a measure of c cells:
   integer numerators over one common denominator.  A discrete space keeps
   its weights as integers over their lcm and adds them up by owner, O(N);
   an interval measure keeps its merged grid, densities and cumulative
-  masses as integers once, scales the grid and every cut to the lcm of
-  their denominators, finds the cumulative mass at each cut by one walk
-  along the grid in step with the sorted cuts (no bisection), and
-  differences them per piece: O(m + c) for m cuts.  `measure_of` is the
-  read of a one-set table and makes one `Fraction`; every integral of a
-  simple function reads all its cells in one call.
+  masses as integers once, reads each cut once as an integer ratio,
+  scales the grid, its cumulative masses and every cut to the lcm of
+  their denominators (one factor per distinct cut denominator and one per
+  grid cell, not one per cut), finds the cumulative mass at each cut by
+  one walk along the grid in step with the sorted cuts (no bisection),
+  and differences them per piece: O(m + c) for m cuts.  Both add the
+  masses of the points or pieces into one integer per cell in the same
+  pass, with no list per cell.  `measure_of` is the read of a one-set
+  table and makes one `Fraction`; every integral of a simple function
+  reads all its cells in one call.
 
 Results of the set operations on canonical operands are canonical by
 construction, so they come from the private `_canonical` constructors,
@@ -209,7 +214,9 @@ class UnitIntervalSpace:
         cuts, codes, i, j, width = [ZERO], [], 1, 1, right.count
         while i < len(a):  # both tables end at 1, so b runs out with a
             codes.append(left.owners[i - 1] * width + right.owners[j - 1])
-            x, y = (a_f[i], b_f[j]) if a_f[i] != b_f[j] else (a[i], b[j])
+            x, y = a_f[i], b_f[j]
+            if x == y and a[i] is not b[j]:  # equal floats of two cut objects
+                x, y = a[i], b[j]
             cuts.append(a[i] if x <= y else b[j])
             i, j = i + (x <= y), j + (y <= x)
         return _numbered(codes, width, tuple(cuts))
@@ -289,9 +296,20 @@ class DiscreteSpace:
         if min(ratios)[0] < 0:  # the smallest numerator
             raise ValueError("weights must be nonnegative")
         object.__setattr__(self, "weights", coerced)
-        denominator = lcm(*(den for _, den in ratios))
-        scaled = tuple(num * (denominator // den) for num, den in ratios)
-        object.__setattr__(self, "_scaled", scaled)
+        # One scale factor per distinct denominator, each dropped before the
+        # next is made: with many distinct denominators the factors are as
+        # long as the scaled weights, and holding them all would double the
+        # peak memory.
+        at: dict[int, list[int]] = {}
+        for k, (_, den) in enumerate(ratios):
+            at.setdefault(den, []).append(k)
+        denominator = lcm(*at)
+        scaled = [0] * len(ratios)
+        for den, points in at.items():
+            factor = denominator // den
+            for k in points:
+                scaled[k] = ratios[k][0] * factor
+        object.__setattr__(self, "_scaled", tuple(scaled))
         object.__setattr__(self, "_denominator", denominator)
 
     @property
@@ -360,7 +378,11 @@ class DiscreteSpace:
         """(numerators, denominator): the mass of each cell of a table of
         this space is its numerator over the one common denominator of the
         weights, from one pass of the weights by owner."""
-        return list(map(sum, _by_owner(self._scaled, table))), self._denominator
+        sums = [0] * (table.count + 1)  # the last: no cell
+        for mass, owner in zip(self._scaled, table.owners):
+            sums[owner] += mass
+        sums.pop()
+        return sums, self._denominator
 
 
 class DiscreteSet:
@@ -621,25 +643,32 @@ class IntervalMeasure:
         table is its numerator over one common denominator.
 
         Every cut x is scaled to the integer X = L * x, with L the lcm of the
-        grid's and the cuts' denominators.  One walk along the grid scaled
-        by s = L / D, in step with the sorted cuts, finds the cell k of each
-        cut, and the mass of [0, x) is (s * B[k] + A[k] * X) / (L * E); a
-        piece's mass is the difference at its two cuts.
+        grid's and the cuts' denominators, by one factor L / d per distinct
+        cut denominator d.  One walk along the grid scaled by s = L / D, in
+        step with the sorted cuts, finds the cell k of each cut, and the
+        mass of [0, x) is (s * B[k] + A[k] * X) / (L * E), with s * B[k]
+        made once per grid cell; a piece's mass is the difference at its two
+        cuts, added to its cell's sum in the same walk.
         """
         grid_den, points, slopes, offsets, density_den = self._table
-        cuts = table.cuts
-        common = lcm(grid_den, *{x.denominator for x in cuts})
+        ratios = [x.as_integer_ratio() for x in table.cuts]
+        denominators = {den for _, den in ratios}
+        common = lcm(grid_den, *denominators)
+        factor = {den: common // den for den in denominators}
         stretch = common // grid_den
         scaled_grid = [t * stretch for t in points]
-        last, k = len(points) - 1, 0
-        below = []
-        for x in cuts:
-            x = x.numerator * (common // x.denominator)
+        scaled_offsets = [b * stretch for b in offsets]
+        last, k, lo = len(points) - 1, 0, 0
+        sums = [0] * (table.count + 1)  # the last: no cell, and the mass below cuts[0]
+        for (num, den), owner in zip(ratios, (-1, *table.owners)):
+            x = num * factor[den]
             while k < last and scaled_grid[k + 1] <= x:
                 k += 1
-            below.append(offsets[k] * stretch + slopes[k] * x)
-        pieces = [hi - lo for lo, hi in zip(below, below[1:])]
-        return list(map(sum, _by_owner(pieces, table))), common * density_den
+            hi = scaled_offsets[k] + slopes[k] * x
+            sums[owner] += hi - lo
+            lo = hi
+        sums.pop()
+        return sums, common * density_den
 
 
 MeasurableSet = Union[DiscreteSet, IntervalSet]

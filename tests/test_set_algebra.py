@@ -385,6 +385,32 @@ def test_canonical_and_sum_order_one_float_ends_exactly(pool, data):
     assert (f - f).terms == combine_terms_reference(f, f, operator.sub)
 
 
+class _UncomparedCut(F):
+    """A cut whose exact order compare fails the test."""
+
+    def __lt__(self, other):
+        raise AssertionError(f"the cut {self} was compared exactly")
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+
+@given(colliding_pools(), st.data())
+def test_pairing_a_table_with_itself_steps_past_shared_cuts(pool, data):
+    """A gapless table paired with itself gives back its own cuts and, for
+    every piece, the diagonal pair of its cell: with its cuts held as the
+    same objects on both sides no cut is compared exactly, and with equal
+    copies the exact compare of equal floats still steps both sides."""
+    table = data.draw(colliding_functions(pool)).canonical()._table
+    shared = table._replace(cuts=tuple(map(_UncomparedCut, table.cuts)))
+    copied = table._replace(cuts=tuple(F(x.numerator, x.denominator) for x in table.cuts))
+    diagonal = [(k, k) for k in sorted(set(table.owners))]
+    for left, right in ((shared, shared), (table, copied)):
+        paired, pairs = UNIT_INTERVAL._paired(left, right)
+        assert paired.cuts == table.cuts
+        assert pairs == diagonal
+        assert [pairs[k] for k in paired.owners] == [(k, k) for k in table.owners]
+
+
 # --- scale ----------------------------------------------------------------------------
 
 
