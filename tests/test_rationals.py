@@ -268,13 +268,12 @@ def test_exact_sum_of_fixed_pairs(pairs, total):
 def test_exact_sum_takes_the_tree_only_past_the_cap(pairs, tree, monkeypatch):
     """Both ways give the one pair (sum(n * (L // d)), L), L the lcm of the
     denominators; the groups go to the tree iff L has more bits than the cap."""
-    calls = []
+    calls, tree_sum = [], rationals._tree_sum
 
     def counted(terms):
         calls.append(len(terms))
         return tree_sum(terms)
 
-    tree_sum = rationals._tree_sum
     monkeypatch.setattr(rationals, "_tree_sum", counted)
     common = lcm(*(d for _, d in pairs))
     assert exact_sum(pairs) == (sum(n * (common // d) for n, d in pairs), common)
