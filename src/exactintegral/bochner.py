@@ -16,9 +16,10 @@ The bridge to the monotone scheme goes through telescoping: the staircase
 sequences of the two parts of an integrand turn into the series
 h_n = (f_n+ - f_(n-1)+) - (f_n- - f_(n-1)-), whose partial sums reproduce
 the staircases exactly and whose absolute-integral sum never exceeds the
-integral of |f|.  That sum telescopes as well: up to depth d it is the
-two part staircase integrals at level d minus those at level 0, so the
-certificate reads two levels per part, whatever the depth.
+integral of |f|.  That sum telescopes as well: the level-0 staircase is
+zero, so up to depth d it is the sum of the two part staircase integrals
+at level d, and the certificate reads one level per part, whatever the
+depth.
 `series_from_integrand` returns the series and its certificate as one
 `BochnerRepresentation`, whose `series` also carries the part limits and
 the part approximations.  The reverse direction recovers the integral of
@@ -210,12 +211,13 @@ class TelescopeSeries(FunctionSeries):
     The two part approximations determine the rest: the part limits are
     their staircase limits, and `term_count` is the later of their
     termination levels (None unless both terminate), where the tail bound
-    is exactly zero.  Term integrals, partial sums and tails come from the
-    closed-form staircase integrals, a partial sum telescoping to level k
-    minus level 0, so no term is materialized; `term(n)` builds h_n on
-    demand for desk-scale levels, as the difference of the two part
-    increments paired on their cell tables.  Indices follow the
-    `FunctionSeries` contract.
+    is exactly zero.  Partial sums and tails come from the closed-form
+    staircase integrals of the two parts at one level, a partial sum
+    telescoping to level k (the level-0 staircase being zero), and each
+    term accessor is the difference of two partial sums, so no term is
+    materialized; `term(n)` builds h_n on demand for desk-scale levels, as
+    the difference of the two part increments paired on their cell tables.
+    Indices follow the `FunctionSeries` contract.
     """
 
     def __init__(
@@ -237,37 +239,26 @@ class TelescopeSeries(FunctionSeries):
         # One pairing of the two canonical increment tables; no set is built.
         return self.positive.increment(index) - self.negative.increment(index)
 
-    def _rises(self, lower: int, upper: int) -> tuple[Fraction, Fraction]:
-        """(positive, negative) part staircase integrals at `upper` minus at `lower`."""
-        measure = self.measure
-        return (
-            self.positive.integral(upper, measure) - self.positive.integral(lower, measure),
-            self.negative.integral(upper, measure) - self.negative.integral(lower, measure),
-        )
+    def _levels(self, upto: int) -> tuple[Fraction, Fraction]:
+        """(positive, negative) part staircase integrals at level `upto`."""
+        level, measure = self._effective(upto), self.measure
+        return self.positive.integral(level, measure), self.negative.integral(level, measure)
 
     def term_integral(self, index: int) -> Fraction:
         self._check_index(index)
-        pos, neg = self._rises(index - 1, index)
-        return pos - neg
+        return self.partial_integral_sum(index) - self.partial_integral_sum(index - 1)
 
     def term_abs_integral(self, index: int) -> Fraction:
-        # |h_n| = h_n(+part) + h_n(-part): the two parts have disjoint supports.
         self._check_index(index)
-        pos, neg = self._rises(index - 1, index)
-        return pos + neg
+        return self.partial_abs_sum(index) - self.partial_abs_sum(index - 1)
 
     def term_value_at(self, index: int, point) -> Fraction:
         self._check_index(index)
-        pos = self.positive.value_at(index, point) - self.positive.value_at(
-            index - 1, point
-        )
-        neg = self.negative.value_at(index, point) - self.negative.value_at(
-            index - 1, point
-        )
-        return pos - neg
+        return self.partial_value_at(point, index) - self.partial_value_at(point, index - 1)
 
-    # The partial sums telescope: summing h_1..h_k leaves level k minus level 0
-    # (and the level-0 staircase is zero).
+    # The partial sums telescope: summing h_1..h_k leaves level k minus level 0,
+    # and the level-0 staircase is zero.  |h_n| = h_n(+part) + h_n(-part), the
+    # two parts having disjoint supports, so the absolute sums add the parts.
 
     def partial_value_at(self, point, upto: int) -> Fraction:
         if not space_of(self.measure).contains(point):
@@ -276,19 +267,17 @@ class TelescopeSeries(FunctionSeries):
         return self.positive.value_at(level, point) - self.negative.value_at(level, point)
 
     def partial_integral_sum(self, upto: int) -> Fraction:
-        pos, neg = self._rises(0, self._effective(upto))
+        pos, neg = self._levels(upto)
         return pos - neg
 
     def partial_abs_sum(self, upto: int) -> Fraction:
-        pos, neg = self._rises(0, self._effective(upto))
+        pos, neg = self._levels(upto)
         return pos + neg
 
     def tail_bound(self, after: int) -> Fraction:
         """Exact remainder: what the part staircases still miss at `after`."""
-        after = self._effective(after)
-        missing_pos = self.positive_limit - self.positive.integral(after, self.measure)
-        missing_neg = self.negative_limit - self.negative.integral(after, self.measure)
-        return missing_pos + missing_neg
+        pos, neg = self._levels(after)
+        return (self.positive_limit - pos) + (self.negative_limit - neg)
 
 
 @dataclass
@@ -365,8 +354,8 @@ def series_from_integrand(
     the exact remainder of the two part staircases.  Either way the
     representation's series is a `TelescopeSeries` and no term is
     materialized: the certificate telescopes to the part staircase
-    integrals at levels 0 and `depth`, so only those levels are computed,
-    and `series.term(n)` builds h_n only on request.  A caller that needs
+    integrals at level `depth`, so only that level of each part is
+    computed, and `series.term(n)` builds h_n only on request.  A caller that needs
     the task-file form of a terminating series can rebuild it as
     `FiniteSeries(measure, [series.term(n) for n in range(1, series.term_count + 1)])`.
     """

@@ -35,9 +35,10 @@ it crosses; each end of such a uniform piece adds +-(r*y, r), and one
 sweep of the sloped pieces along the density grid merges the two ends
 that meet at a density breakpoint into one row, over the denominator of
 its r-step times q.  The level-n staircase integral is
-4^-n * sum((e*k*2^n - c*k(k+1)/2) / L) with k = min(n*2^n, floor(2^n*y))
-(an atom contributes mass * s_n(y), a uniform piece an arithmetic
-series), and the limit is sum((2*e*p*q - c*p^2) / (2*q^2*L)).
+4^-n * sum((e*k*2^n - c*k(k+1)/2) / L) with k = min(n*2^n, floor(2^n*y)),
+the grid index of y that `_grid_index` computes (an atom contributes
+mass * s_n(y), a uniform piece an arithmetic series), and the limit is
+sum((2*e*p*q - c*p^2) / (2*q^2*L)).
 Both sums go through `rationals.exact_sum`, which adds the terms per
 denominator and then over their lcm while it stays short, pairwise
 otherwise, so no row is scaled to a long denominator common to all rows,
@@ -63,14 +64,15 @@ integer terms over the rows' denominators, and each level costs one
 `Fraction`, made once and kept.
 `value_at` finds the cell of its point in the table (or bisects the
 sloped pieces) and rounds the integer pair (p, q) of the value there to
-the grid index k = min(n*2^n, floor(2^n*p/q)); `level`/`increment` round
-the cell values the same way, cut each sloped piece at its grid
-crossings in one walk of the table's pieces, and group the rounded cells
-into a canonical simple function.
+its grid index k (`_grid_index`); `level`/`increment` round the cell
+values the same way, cut each sloped piece at its grid crossings in one
+walk of the table's pieces, and group the rounded cells into a canonical
+simple function.
 Levels are kept sparsely, by level: asking for level n computes level n
-alone, so a caller that reads levels 0 and d pays for two levels, not for
-d + 1.  From the termination level of a terminating staircase on, every
-level integral is the limit itself, so no level past it is ever computed.
+alone, so a caller that reads one level d, as the telescoped series
+does, pays for one level, not for d + 1.  From the termination level of
+a terminating staircase on, every level integral is the limit itself,
+so no level past it is ever computed.
 
 Where an integrand decreases through a grid value exactly, the staircase
 level sets are half-open like every other set in the package, which puts
@@ -189,6 +191,12 @@ def _termination_level(values: list) -> Optional[int]:
             return None
         level = max(level, den.bit_length() - 1, math.ceil(v))
     return level
+
+
+def _grid_index(p: int, q: int, n: int) -> int:
+    """The level-n grid index of the value p/q >= 0: floor(2^n*p/q), capped
+    at n*2^n, so the level-n staircase takes the value k/2^n there."""
+    return min(n << n, (p << n) // q)
 
 
 def _value_distribution(lowered: tuple, measure: Measure) -> list:
@@ -345,7 +353,7 @@ class DyadicApproximation:
             # From the termination level on the staircase is the target.
             return value
         p, q = value.numerator, value.denominator
-        k = min(level << level, (p << level) // q)
+        k = _grid_index(p, q, level)
         if slope < 0 and 0 < k and k * q == p << level:
             # Decreasing through the grid value k/2^n exactly: the half-open
             # level sets put this point in the cell just below.
@@ -361,9 +369,9 @@ class DyadicApproximation:
         value."""
 
         def rounded(p: int, q: int) -> tuple[int, int]:
-            k = min(n << n, (p << n) // q)
+            k = _grid_index(p, q, n)
             if increment:
-                k -= 2 * min((n - 1) << (n - 1), (p << (n - 1)) // q)
+                k -= 2 * _grid_index(p, q, n - 1)
             return k, 1 << n
 
         table, values, sloped = self._part
@@ -428,10 +436,7 @@ class DyadicApproximation:
 
     def _table(self, measure: Measure) -> "_StaircaseTable":
         for known, tables in self._tables:
-            if known is measure:
-                return tables[self._sign]
-        for known, tables in self._tables:
-            if known == measure:
+            if known is measure or known == measure:
                 return tables[self._sign]
         check_integrand_measure(self, measure)
         # One read of the signed distribution, split at zero: a row of f at
@@ -451,7 +456,7 @@ class _StaircaseTable:
 
     It keeps the integer rows (p, q, e, c, L) of `_value_distribution`,
     each over its own denominator L: level n is 4^-n times the sum of
-    (e*k*2^n - c*k(k+1)/2) / L, k = min(n*2^n, floor(2^n*p/q)), over the
+    (e*k*2^n - c*k(k+1)/2) / L, k = `_grid_index(p, q, n)`, over the
     rows, one `exact_sum` turned into a single `Fraction` and kept by
     level, so each level asked for is computed alone.  The limit is the
     mean of the same rows.
@@ -469,10 +474,9 @@ class _StaircaseTable:
         return value
 
     def _level(self, n: int) -> Fraction:
-        cap = n << n
         terms = []
         for p, q, e, c, L in self._rows:
-            k = min(cap, (p << n) // q)
+            k = _grid_index(p, q, n)
             terms.append(((e * k << n) - c * (k * (k + 1) >> 1), L))
         total, denominator = exact_sum(terms)
         return Fraction(total, denominator << (2 * n))

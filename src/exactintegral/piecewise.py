@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .rationals import ONE, ZERO, as_rational
-from .spaces import UNIT_INTERVAL, IntervalSet, OutsideDomainError, _breakpoint_grid
+from .spaces import UNIT_INTERVAL, OutsideDomainError, _breakpoint_grid
 
 __all__ = ["PiecewiseLinear"]
 
@@ -94,17 +94,6 @@ class PiecewiseLinear:
         return PiecewiseLinear(
             self.breakpoints, [(a * factor, b * factor) for a, b in self.pieces]
         )
-
-    def restrict(self, region: IntervalSet) -> "PiecewiseLinear":
-        """Pointwise product with the region's indicator (zero outside)."""
-        if not isinstance(region, IntervalSet):
-            raise TypeError("restriction region must be an IntervalSet")
-        refined = self.refined(region.endpoints())
-        pieces = []
-        for u, w, a, b in refined.cells():
-            inside = region.contains((u + w) / 2)
-            pieces.append((a, b) if inside else (ZERO, ZERO))
-        return PiecewiseLinear(refined.breakpoints, pieces)
 
     def split_at_roots(self) -> "PiecewiseLinear":
         """Refine so no piece changes sign in the interior of its cell."""

@@ -121,6 +121,12 @@ def _built(field_path: str, make, *args):
         raise TaskSpecError(field_path, str(exc)) from None
 
 
+def _entries(value, field_path: str) -> list[tuple]:
+    """(entry, its field path) for each entry of a list; a non-list is refused."""
+    _require(isinstance(value, list), field_path, "expected a list")
+    return [(entry, f"{field_path}[{i}]") for i, entry in enumerate(value)]
+
+
 def _rational_list(value, field_path: str) -> list[Fraction]:
     _require(isinstance(value, list), field_path, "expected a list of rational strings")
     return [_rational(item, f"{field_path}[{i}]") for i, item in enumerate(value)]
@@ -170,17 +176,15 @@ def parse_set(obj, field_path: str, measure: Measure) -> MeasurableSet:
             field_path,
             "interval set declared over a discrete space",
         )
-        raw = obj["intervals"]
-        _require(isinstance(raw, list), f"{field_path}.intervals", "expected a list")
         intervals = []
-        for i, pair in enumerate(raw):
+        for pair, pair_path in _entries(obj["intervals"], f"{field_path}.intervals"):
             _require(
                 isinstance(pair, list) and len(pair) == 2,
-                f"{field_path}.intervals[{i}]",
+                pair_path,
                 "expected a [lo, hi] pair",
             )
-            lo = _rational(pair[0], f"{field_path}.intervals[{i}][0]")
-            hi = _rational(pair[1], f"{field_path}.intervals[{i}][1]")
+            lo = _rational(pair[0], f"{pair_path}[0]")
+            hi = _rational(pair[1], f"{pair_path}[1]")
             intervals.append((lo, hi))
         try:
             return IntervalSet(intervals)
@@ -192,11 +196,8 @@ def parse_set(obj, field_path: str, measure: Measure) -> MeasurableSet:
             field_path,
             "index set declared over the interval space",
         )
-        raw = obj["indices"]
-        _require(isinstance(raw, list), f"{field_path}.indices", "expected a list")
-        indices = [
-            _integer(i, f"{field_path}.indices[{k}]", 0) for k, i in enumerate(raw)
-        ]
+        entries = _entries(obj["indices"], f"{field_path}.indices")
+        indices = [_integer(i, index_path, 0) for i, index_path in entries]
         return _built(f"{field_path}.indices", DiscreteSet, space, indices)
     raise TaskSpecError(field_path, "a set needs \"intervals\" or \"indices\"")
 
@@ -222,11 +223,8 @@ def _parse_value(value, field_path: str):
 
 
 def parse_simple_function(obj, field_path: str, measure: Measure) -> SimpleFunction:
-    raw_terms = _get(obj, "terms", field_path)
-    _require(isinstance(raw_terms, list), f"{field_path}.terms", "expected a list")
     terms = []
-    for i, raw in enumerate(raw_terms):
-        term_path = f"{field_path}.terms[{i}]"
+    for raw, term_path in _entries(_get(obj, "terms", field_path), f"{field_path}.terms"):
         value = _parse_value(_get(raw, "value", term_path), f"{term_path}.value")
         part = parse_set(_get(raw, "set", term_path), f"{term_path}.set", measure)
         terms.append((value, part))
@@ -242,11 +240,8 @@ def parse_piecewise(obj, field_path: str, measure: Measure) -> PiecewiseLinear:
     breakpoints = _rational_list(
         _get(obj, "breakpoints", field_path), f"{field_path}.breakpoints"
     )
-    raw_pieces = _get(obj, "pieces", field_path)
-    _require(isinstance(raw_pieces, list), f"{field_path}.pieces", "expected a list")
     pieces = []
-    for i, raw in enumerate(raw_pieces):
-        piece_path = f"{field_path}.pieces[{i}]"
+    for raw, piece_path in _entries(_get(obj, "pieces", field_path), f"{field_path}.pieces"):
         slope = _rational(_get(raw, "a", piece_path), f"{piece_path}.a")
         intercept = _rational(_get(raw, "b", piece_path), f"{piece_path}.b")
         pieces.append((slope, intercept))
@@ -268,11 +263,8 @@ def parse_function(
     if isinstance(kind, str) and kind in _INTEGRAND_PARSERS:
         return _INTEGRAND_PARSERS[kind](obj, field_path, measure)
     if kind == "series":
-        raw_terms = _get(obj, "terms", field_path)
-        _require(isinstance(raw_terms, list), f"{field_path}.terms", "expected a list")
         terms = []
-        for i, raw in enumerate(raw_terms):
-            term_path = f"{field_path}.terms[{i}]"
+        for raw, term_path in _entries(_get(obj, "terms", field_path), f"{field_path}.terms"):
             term_kind = _get(raw, "type", term_path, required=False)
             if term_kind is None:
                 term_kind = "simple"
@@ -377,6 +369,10 @@ def load_task(path: str) -> TaskSpec:
         ) from None
     except RecursionError:
         raise TaskSpecError("<file>", f"{path} nests too deeply to parse") from None
+    except UnicodeDecodeError as exc:
+        raise TaskSpecError(
+            "<file>", f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
     return parse_task_document(doc)
 
 

@@ -30,11 +30,11 @@ own pattern and then hands the text to `Fraction(str)`, which parses it a
 second time, and the decimal rendering that opens a `localcontext` per
 value.
 
-`slope_at`, `upper_bound`, `lower_bound`, `is_nonnegative` and
-`level_set` are plain piecewise-linear helpers of the tests: the slope
-of the piece at a point, bounds and a sign test from the cell-closure
-values, and the preimage of [lower, upper) as a half-open interval
-union.  The library's own integrals never need them.
+`slope_at`, `restrict`, `upper_bound`, `lower_bound`, `is_nonnegative`
+and `level_set` are plain piecewise-linear helpers of the tests: the
+slope of the piece at a point, the product with a region's indicator,
+bounds and a sign test from the cell-closure values, and the preimage of
+[lower, upper) as a half-open interval union.  The library's own integrals never need them.
 
 `primes_from` lists consecutive primes, the distinct denominators of the
 growth guards.
@@ -141,6 +141,16 @@ def measure_oracle(measure, part) -> Fraction:
 def slope_at(fn: PiecewiseLinear, x: Fraction) -> Fraction:
     """Slope of the piece whose half-open cell holds x."""
     return fn.pieces[bisect_right(fn.breakpoints, x) - 1][0]
+
+
+def restrict(fn: PiecewiseLinear, region: IntervalSet) -> PiecewiseLinear:
+    """Pointwise product with the region's indicator (zero outside)."""
+    refined = fn.refined(region.endpoints())
+    pieces = []
+    for u, w, a, b in refined.cells():
+        inside = region.contains((u + w) / 2)
+        pieces.append((a, b) if inside else (ZERO, ZERO))
+    return PiecewiseLinear(refined.breakpoints, pieces)
 
 
 def _closure_values(fn: PiecewiseLinear):

@@ -381,26 +381,31 @@ def test_hand_built_series_with_overlapping_parts_has_its_defined_terms():
 
 
 @pytest.mark.parametrize(
-    "fn",
+    "fn, computing",
     [
-        PiecewiseLinear([F(0), F(1, 3), F(1)], [(F(3), F(-1, 2)), (F(-1), F(2))]),
-        sf((F(3, 4), iv((0, "1/4"))), (F(-5, 2), iv(("1/2", 1)))),
-        sf((F(40), iv((0, "1/2"))), (F(-3, 8), iv(("1/2", 1)))),
+        (PiecewiseLinear([F(0), F(1, 3), F(1)], [(F(3), F(-1, 2)), (F(-1), F(2))]), 2),
+        (sf((F(3, 4), iv((0, "1/4"))), (F(-5, 2), iv(("1/2", 1)))), 0),
+        (sf((F(40), iv((0, "1/2"))), (F(-3, 8), iv(("1/2", 1)))), 1),
     ],
     ids=["piecewise_linear", "terminating_simple", "terminating_past_depth"],
 )
-def test_report_computes_at_most_two_staircase_levels_per_part(fn, monkeypatch):
+def test_report_computes_at_most_one_staircase_level_per_part(fn, computing, monkeypatch):
+    """The certificate at depth d reads each part at level d alone: a part
+    that terminates by d reads its limit, every other part computes level d
+    and no other level, level 0 included."""
+    levels = [part.termination_level() for part in DyadicApproximation.parts(fn)]
+    assert sum(level is None or level > 30 for level in levels) == computing
     computed = {}
     original = lebesgue._StaircaseTable._level
 
     def counting_level(table, n):
-        computed[id(table)] = computed.get(id(table), 0) + 1
+        computed.setdefault(id(table), []).append(n)
         return original(table, n)
 
     monkeypatch.setattr(lebesgue._StaircaseTable, "_level", counting_level)
     report = equivalence_report(fn, LEBESGUE, depth=30)
     assert report["integral_value"] == lebesgue_integral(fn, LEBESGUE).value
-    assert computed and max(computed.values()) <= 2, computed
+    assert list(computed.values()) == [[30]] * computing, computed
 
 
 def test_report_recovery_equals_integral_from_series():

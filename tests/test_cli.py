@@ -274,6 +274,35 @@ def test_deeply_nested_json_exit_1_without_traceback(tmp_path, capsys):
     assert err_lines[0].startswith("validation error: <file>: ")
 
 
+def test_non_utf8_file_exit_1_naming_the_path(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"space": "\xff"}')
+    code = main(["integrate", "--spec", str(path)])
+    err_lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err_lines == [
+        f"validation error: <file>: {path} is not UTF-8 text: invalid start byte at byte 11"
+    ]
+
+
+def test_refused_outputs_exit_1_naming_the_flag(tmp_path, capsys):
+    doc = {
+        "space": {"type": "interval", "breakpoints": ["0", "1"], "densities": ["1"]},
+        "function": {
+            "type": "piecewise_linear",
+            "breakpoints": ["0", "1"],
+            "pieces": [{"a": "1", "b": "0"}],
+        },
+    }
+    path = write_task(tmp_path, doc)
+    assert main(["table", "--spec", path, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"validation error: --out: cannot write {tmp_path}: Is a directory\n"
+    )
+    assert main(["gen", "--family", "simple", "--seed", "1", "--count", "0"]) == 1
+    assert capsys.readouterr().err == "validation error: gen: count must be >= 1\n"
+
+
 def test_one_process_reuses_its_parser_like_fresh_processes(tmp_path, monkeypatch):
     # argparse wraps usage lines at the terminal width; fix it for both sides.
     monkeypatch.setenv("COLUMNS", "80")

@@ -15,7 +15,14 @@ from exactintegral import (
 )
 from exactintegral.generators import random_measure, random_piecewise_linear, sample_points
 
-from oracles import integral_oracle, is_nonnegative, level_set, lower_bound, upper_bound
+from oracles import (
+    integral_oracle,
+    is_nonnegative,
+    level_set,
+    lower_bound,
+    restrict,
+    upper_bound,
+)
 
 
 def iv(*pairs):
@@ -51,10 +58,16 @@ def test_algebra_on_merged_grids():
 
 
 def test_restrict_zeroes_outside_region():
-    restricted = IDENTITY.restrict(iv(("1/4", "1/2")))
+    restricted = restrict(IDENTITY, iv(("1/4", "1/2")))
     assert restricted.evaluate(F(1, 3)) == F(1, 3)
     assert restricted.evaluate(F(1, 8)) == 0
     assert restricted.evaluate(F(3, 4)) == 0
+
+
+def test_negation_and_repr():
+    assert (-TENT).pieces == ((F(-2), F(0)), (F(2), F(-2)))
+    assert -TENT == TENT.scale(-1)
+    assert repr(TENT) == "PiecewiseLinear([0,1/2): 2*x+0, [1/2,1): -2*x+2)"
 
 
 def test_parts_of_shifted_identity():

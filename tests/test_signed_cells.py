@@ -33,7 +33,7 @@ from exactintegral import (
     series_from_integrand,
 )
 
-from oracles import integral_oracle, staircase_integral_oracle, term_points
+from oracles import integral_oracle, restrict, staircase_integral_oracle, term_points
 
 # Large pairwise-coprime denominators beside the small ones drawn below, so
 # that the rows of one staircase table fall into many denominator groups.
@@ -162,7 +162,7 @@ def probe_points(fn) -> list:
 
 def restricted(fn, region):
     if isinstance(fn, PiecewiseLinear):
-        return fn.restrict(region)
+        return restrict(fn, region)
     return SimpleFunction(fn.space, [(v, part.intersection(region)) for v, part in fn.terms])
 
 
