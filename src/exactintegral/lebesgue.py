@@ -15,7 +15,8 @@ per cell, the value p/q, and a list of sloped pieces (u, w, a, b, ends).
 A simple function is its own table and values, the pairs as it keeps
 them (possibly unreduced), with no sloped piece.  A piecewise-linear
 function gets a table over its breakpoints with one cell per nonzero flat
-piece; each sloped piece a*x + b on [u, w) is split at a root inside it,
+piece; each sloped piece a*x + b on [u, w) is split at a root inside it
+by the function's one root-split walk (`PiecewiseLinear._split_cells`),
 keeps its two end values `ends`, computed once, and lies, in increasing
 order, where the table has no cell.  The function is zero on the points
 of no cell and no sloped piece.  No cell and no sloped piece changes
@@ -142,29 +143,22 @@ def _lowered(fn: Integrand) -> tuple:
 
     A simple function is its own table and values, the pairs as kept, and
     has no sloped piece.  A piecewise-linear function gets a table over its
-    breakpoints with one cell per nonzero flat piece; a sloped piece
-    a*x + b on [u, w) whose end values have strictly opposite signs is
-    split at its root, and `ends` holds a piece's values at its two ends,
-    computed once.  The function is zero on the points of no cell and no
-    sloped piece.
+    breakpoints with one cell per nonzero flat piece, and its sloped pieces
+    are those of `PiecewiseLinear._split_cells`: a sloped piece a*x + b on
+    [u, w) whose end values have strictly opposite signs is split at its
+    root, and `ends` holds a piece's values at its two ends, computed once.
+    The function is zero on the points of no cell and no sloped piece.
     """
     if isinstance(fn, SimpleFunction):
         if fn.is_vector:
             raise ValueError("a scalar integrand is required")
         return fn._table, fn._values, []
-    owners, values, sloped = [], [], []
-    for u, w, a, b in fn.cells():
+    owners, values = [], []
+    for a, b in fn.pieces:
         owners.append(len(values) if b and not a else -1)
-        if not a:
-            if b:
-                values.append((b.numerator, b.denominator))
-            continue
-        y_u, y_w = a * u + b, a * w + b
-        if y_u.numerator * y_w.numerator < 0:
-            root = -b / a
-            sloped.append((u, root, a, b, (y_u, ZERO)))
-            u, y_u = root, ZERO
-        sloped.append((u, w, a, b, (y_u, y_w)))
+        if b and not a:
+            values.append((b.numerator, b.denominator))
+    sloped = [cell for cell in fn._split_cells() if cell[2]]
     return CellTable(owners, len(values), fn.breakpoints), values, sloped
 
 

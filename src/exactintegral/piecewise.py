@@ -5,6 +5,22 @@ through `rationals.as_rational`), so preimages of rational intervals
 under each affine piece are rational intervals again: staircase
 approximations, sign decompositions and closed-form integrals all stay in
 exact arithmetic.  This is the non-simple integrand class of the package.
+
+Costs, for functions of m and n pieces:
+
+* `f + g`, `f - g` and `f == g` pair the two breakpoint grids in one
+  `UnitIntervalSpace._paired` sweep, each grid read as a gapless cell
+  table with one cell per piece: O(m + n) float compares, an exact
+  compare only where two floats are equal, plus the numbering of the
+  distinct cell pairs; `refined(cuts)` is the same sweep against the
+  table of the cuts inside (0, 1), after one sort of those k cuts;
+* `evaluate`: one bisection of the grid, O(log m);
+* the root split lives in one walk, `_split_cells`, which yields each cell
+  with its two end values and splits a sloped cell whose ends have
+  strictly opposite signs at its root -b/a, in O(m);
+  `split_at_roots`, `pos_part`, `neg_part` and `absolute` rebuild the
+  function from it, and `lebesgue` lowers an integrand's sloped pieces
+  from it.
 """
 
 from __future__ import annotations
@@ -14,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .rationals import ONE, ZERO, as_rational
-from .spaces import UNIT_INTERVAL, OutsideDomainError, _breakpoint_grid
+from .spaces import UNIT_INTERVAL, CellTable, OutsideDomainError, _breakpoint_grid
 
 __all__ = ["PiecewiseLinear"]
 
@@ -60,25 +76,22 @@ class PiecewiseLinear:
     def refined(self, cuts: Iterable[Fraction]) -> "PiecewiseLinear":
         """The same function on a grid refined by the given interior points."""
         points = (as_rational(c, "cut") for c in cuts)
-        extra = {c for c in points if 0 < c < 1}
-        bp = tuple(sorted(set(self.breakpoints) | extra))
-        pieces = []
-        for i in range(len(bp) - 1):
-            j = bisect_right(self.breakpoints, bp[i]) - 1
-            pieces.append(self.pieces[j])
-        return PiecewiseLinear(bp, pieces)
+        grid = (ZERO, *sorted({c for c in points if 0 < c < 1}), ONE)
+        table, cells = UNIT_INTERVAL._paired(_gapless(self.breakpoints), _gapless(grid))
+        return PiecewiseLinear(table.cuts, [self.pieces[i] for i, _ in cells])
 
     def _aligned(self, other: "PiecewiseLinear") -> tuple:
-        """(grid, pieces of self, pieces of other) on the union of both grids."""
-        bp = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
-        return bp, self.refined(bp).pieces, other.refined(bp).pieces
+        """(grid, pairs): the union of both grids and, per cell of it, the
+        pieces of self and of other there."""
+        grids = _gapless(self.breakpoints), _gapless(other.breakpoints)
+        table, cells = UNIT_INTERVAL._paired(*grids)
+        return table.cuts, [(self.pieces[i], other.pieces[j]) for i, j in cells]
 
     def _binary(self, other: "PiecewiseLinear", op) -> "PiecewiseLinear":
         if not isinstance(other, PiecewiseLinear):
             raise TypeError("expected another piecewise-linear function")
-        bp, left, right = self._aligned(other)
-        pieces = [(op(a1, a2), op(b1, b2)) for (a1, b1), (a2, b2) in zip(left, right)]
-        return PiecewiseLinear(bp, pieces)
+        bp, pairs = self._aligned(other)
+        return PiecewiseLinear(bp, [(op(a1, a2), op(b1, b2)) for (a1, b1), (a2, b2) in pairs])
 
     def __add__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
         return self._binary(other, lambda u, v: u + v)
@@ -95,25 +108,33 @@ class PiecewiseLinear:
             self.breakpoints, [(a * factor, b * factor) for a, b in self.pieces]
         )
 
+    def _split_cells(self) -> Iterator[tuple]:
+        """Yield (u, w, a, b, (f(u), f(w-))) per cell, f(w-) the limit at
+        the right end; a sloped cell whose two end values have strictly
+        opposite signs is yielded as its two halves on either side of its
+        root -b/a, so no yielded cell changes sign inside."""
+        for u, w, a, b in self.cells():
+            y_u, y_w = (a * u + b, a * w + b) if a else (b, b)
+            if y_u.numerator * y_w.numerator < 0:
+                root = -b / a
+                yield u, root, a, b, (y_u, ZERO)
+                u, y_u = root, ZERO
+            yield u, w, a, b, (y_u, y_w)
+
     def split_at_roots(self) -> "PiecewiseLinear":
         """Refine so no piece changes sign in the interior of its cell."""
-        cuts = []
-        for u, w, a, b in self.cells():
-            if a != 0:
-                root = -b / a
-                if u < root < w:
-                    cuts.append(root)
-        return self.refined(cuts)
+        return self._by_sign(1, 1)
 
     def _by_sign(self, positive: int, negative: int) -> "PiecewiseLinear":
         """f split at its roots, each piece scaled by `positive` where f > 0
-        and by `negative` elsewhere."""
-        split = self.split_at_roots()
-        pieces = []
-        for u, w, a, b in split.cells():
-            factor = positive if a * (u + w) / 2 + b > 0 else negative
+        and by `negative` elsewhere.  A split cell does not change sign
+        inside, so f > 0 on it iff f > 0 at one of its ends."""
+        bp, pieces = [ZERO], []
+        for _, w, a, b, (y_u, y_w) in self._split_cells():
+            factor = positive if y_u.numerator > 0 or y_w.numerator > 0 else negative
+            bp.append(w)
             pieces.append((factor * a, factor * b))
-        return PiecewiseLinear(split.breakpoints, pieces)
+        return PiecewiseLinear(bp, pieces)
 
     def pos_part(self) -> "PiecewiseLinear":
         """max(0, f), again piecewise linear."""
@@ -130,8 +151,8 @@ class PiecewiseLinear:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiecewiseLinear):
             return NotImplemented
-        _, left, right = self._aligned(other)
-        return left == right
+        _, pairs = self._aligned(other)
+        return all(left == right for left, right in pairs)
 
     __hash__ = None
 
@@ -140,3 +161,9 @@ class PiecewiseLinear:
             f"[{u},{w}): {a}*x+{b}" for u, w, a, b in self.cells()
         )
         return f"PiecewiseLinear({parts})"
+
+
+def _gapless(grid: tuple) -> CellTable:
+    """A strictly increasing grid from 0 to 1 as a cell table, one cell per
+    piece, as `UnitIntervalSpace._paired` reads it."""
+    return CellTable(range(len(grid) - 1), len(grid) - 1, grid)

@@ -49,7 +49,11 @@ and a measure of c cells:
   they overlap, in one sort and one pass (one fill of N owners for
   indices); `_paired` refines two tables in one linear pass (a zip of the
   owners, or a two-pointer merge of the cuts) and numbers the distinct
-  cell pairs; `_regrouped` relabels the owners; `_owner_at` finds the
+  cell pairs: `SimpleFunction` arithmetic pairs its canonical tables,
+  `integrate_over` an integrand's table with the region's, and
+  `PiecewiseLinear` `+`, `-`, `==` and `refined` its breakpoint grids,
+  each read as a gapless table of one cell per piece;
+  `_regrouped` relabels the owners; `_owner_at` finds the
   cell of one point by bisection (or indexing); `_cell_sets` builds the
   sets of all cells in one pass, only when a caller asks for them;
 * mass reads: each measure reads the masses of all cells of a table in

@@ -373,6 +373,12 @@ def load_task(path: str) -> TaskSpec:
         raise TaskSpecError(
             "<file>", f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
         ) from None
+    except ValueError:  # after its two subclasses above: an integer past the digit limit
+        raise TaskSpecError(
+            "<file>",
+            f"{path} holds an integer longer than the "
+            f"{sys.get_int_max_str_digits()}-digit limit for integer strings",
+        ) from None
     return parse_task_document(doc)
 
 

@@ -30,6 +30,13 @@ own pattern and then hands the text to `Fraction(str)`, which parses it a
 second time, and the decimal rendering that opens a `localcontext` per
 value.
 
+`refined_reference`, `combined_reference`, `split_at_roots_reference` and
+`by_sign_reference` are the piecewise-linear grid algorithms the library
+replaced by the shared two-pointer sweep and one root-split walk: the
+common refinement as a `set` union of `Fraction` breakpoints, one exact
+sort and one bisection per new cell, and the root split as cuts handed to
+that refinement, with the sign of each split cell read at its midpoint.
+
 `slope_at`, `restrict`, `upper_bound`, `lower_bound`, `is_nonnegative`
 and `level_set` are plain piecewise-linear helpers of the tests: the
 slope of the piece at a point, the product with a region's indicator,
@@ -143,9 +150,46 @@ def slope_at(fn: PiecewiseLinear, x: Fraction) -> Fraction:
     return fn.pieces[bisect_right(fn.breakpoints, x) - 1][0]
 
 
+def refined_reference(fn: PiecewiseLinear, cuts) -> PiecewiseLinear:
+    """`fn` on its grid refined by the cuts inside (0, 1): a `set` union of
+    the breakpoints and the cuts, one exact sort, and the piece of each new
+    cell found by bisecting the old grid at its left end."""
+    extra = {Fraction(c) for c in cuts if 0 < c < 1}
+    grid = tuple(sorted(set(fn.breakpoints) | extra))
+    pieces = [fn.pieces[bisect_right(fn.breakpoints, x) - 1] for x in grid[:-1]]
+    return PiecewiseLinear(grid, pieces)
+
+
+def combined_reference(f: PiecewiseLinear, g: PiecewiseLinear, op) -> PiecewiseLinear:
+    """op(f, g) on the union of both grids, both refined by `refined_reference`."""
+    grid = sorted(set(f.breakpoints) | set(g.breakpoints))
+    left, right = refined_reference(f, grid).pieces, refined_reference(g, grid).pieces
+    pieces = [(op(a1, a2), op(b1, b2)) for (a1, b1), (a2, b2) in zip(left, right)]
+    return PiecewiseLinear(grid, pieces)
+
+
+def split_at_roots_reference(fn: PiecewiseLinear) -> PiecewiseLinear:
+    """`fn` refined by `refined_reference` at every root -b/a of a sloped
+    piece that lies strictly inside its cell."""
+    roots = [-b / a for u, w, a, b in fn.cells() if a and u < -b / a < w]
+    return refined_reference(fn, roots)
+
+
+def by_sign_reference(fn: PiecewiseLinear, positive: int, negative: int) -> PiecewiseLinear:
+    """`fn` split at its roots, each piece scaled by `positive` where `fn`
+    is positive at the cell's midpoint and by `negative` elsewhere: pos_part
+    is (1, 0), neg_part (0, -1) and absolute (1, -1)."""
+    split = split_at_roots_reference(fn)
+    pieces = []
+    for u, w, a, b in split.cells():
+        factor = positive if a * (u + w) / 2 + b > 0 else negative
+        pieces.append((factor * a, factor * b))
+    return PiecewiseLinear(split.breakpoints, pieces)
+
+
 def restrict(fn: PiecewiseLinear, region: IntervalSet) -> PiecewiseLinear:
     """Pointwise product with the region's indicator (zero outside)."""
-    refined = fn.refined(region.endpoints())
+    refined = refined_reference(fn, region.endpoints())
     pieces = []
     for u, w, a, b in refined.cells():
         inside = region.contains((u + w) / 2)

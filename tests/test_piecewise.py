@@ -1,9 +1,12 @@
 """Piecewise-linear integrands: evaluation, level sets, sign decomposition."""
 
+import operator
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactintegral import (
     IntervalMeasure,
@@ -16,11 +19,16 @@ from exactintegral import (
 from exactintegral.generators import random_measure, random_piecewise_linear, sample_points
 
 from oracles import (
+    by_sign_reference,
+    combined_reference,
     integral_oracle,
     is_nonnegative,
     level_set,
     lower_bound,
+    primes_from,
+    refined_reference,
     restrict,
+    split_at_roots_reference,
     upper_bound,
 )
 
@@ -144,3 +152,78 @@ def test_refinement_preserves_function():
         assert g == f
         for x in sample_points(rng, LEBESGUE, 15):
             assert g.evaluate(x) == f.evaluate(x)
+
+
+# Breakpoints come from one pool, so two functions often share some; 1/3 and
+# 1/3 + 2^-80, and 2/3 - 2^-81 and 2/3, are two distinct points with one
+# float each, which only the exact tie-break of the sweep tells apart.
+POOL = sorted(
+    {F(k, 12) for k in range(1, 12)} | {F(1, 3) + F(1, 2**80), F(2, 3) - F(1, 2**81), F(1, 7)}
+)
+# Cuts besides the pool: 0 and 1 and points outside [0, 1], as ints and
+# as `Fraction`s, all of which `refined` drops.
+OUTSIDE = [0, 1, F(0), F(1), -1, 2, F(-1, 2), F(3, 2)]
+CUTS = st.one_of(st.sampled_from(POOL), st.sampled_from(OUTSIDE))
+COEFFICIENTS = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def piecewise_functions(draw):
+    """Up to seven pieces on a grid cut at points of the pool; zero slopes
+    and intercepts, and so flat, zero and root-crossing pieces, are common."""
+    grid = [F(0), *sorted(draw(st.sets(st.sampled_from(POOL), max_size=6))), F(1)]
+    cells = len(grid) - 1
+    pieces = draw(st.lists(st.tuples(COEFFICIENTS, COEFFICIENTS), min_size=cells, max_size=cells))
+    return PiecewiseLinear(grid, pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(piecewise_functions(), piecewise_functions(), st.lists(CUTS, max_size=6))
+def test_grid_operations_match_the_retired_algorithms(f, g, cuts):
+    """`+`, `-`, `refined` and the root split give exactly the breakpoints
+    and pieces of the set-union, sort and bisect refinement and of the root
+    split through it, and `==` agrees with them."""
+    results = {
+        "add": (f + g, combined_reference(f, g, operator.add)),
+        "sub": (f - g, combined_reference(f, g, operator.sub)),
+        "refined": (f.refined(cuts), refined_reference(f, cuts)),
+        "split_at_roots": (f.split_at_roots(), split_at_roots_reference(f)),
+        "pos_part": (f.pos_part(), by_sign_reference(f, 1, 0)),
+        "neg_part": (f.neg_part(), by_sign_reference(f, 0, -1)),
+        "absolute": (f.absolute(), by_sign_reference(f, 1, -1)),
+    }
+    for name, (result, reference) in results.items():
+        assert result.breakpoints == reference.breakpoints, name
+        assert result.pieces == reference.pieces, name
+    for p, q in ((f, g), (f, f.refined(cuts)), (f + (g - g), f)):
+        on_both_grids = refined_reference(p, q.breakpoints), refined_reference(q, p.breakpoints)
+        assert (p == q) == (on_both_grids[0].pieces == on_both_grids[1].pieces)
+
+
+def test_eight_thousand_prime_denominator_pieces_add_and_compare_fast():
+    """Two 8000-piece functions whose breakpoints k/n + 1/p have distinct
+    ~21-bit prime denominators: `f + g`, `f - g` and `f == g` must finish
+    within 1.5 s together.  The shared sweep takes about 0.23 s for the
+    three on a shared 2-vCPU x86-64 host, and 0.39 s there in Python's
+    development mode (`PYTHONDEVMODE=1`, as CI runs the tests), so the
+    bound leaves at least 3.8x headroom; the `set` union of the two grids,
+    its exact sort and one bisection per cell took 1.1 to 1.6 s per
+    operation (4.2 s for the three) on the same host."""
+    n = 8000
+    primes = primes_from(1 << 20, 2 * (n - 1))
+
+    def spread(denominators, shift):
+        cuts = [F(k, n) + F(1, p) for k, p in enumerate(denominators, start=1)]
+        pieces = [(F(k % 5 - 2 + shift, 3), F(k % 7 - 3, 5)) for k in range(n)]
+        return PiecewiseLinear([F(0), *cuts, F(1)], pieces)
+
+    f, g = spread(primes[: n - 1], 0), spread(primes[n - 1 :], 1)
+    started = time.perf_counter()
+    total, difference, equal = f + g, f - g, f == g
+    elapsed = time.perf_counter() - started
+    assert len(total.breakpoints) == len(difference.breakpoints) == 2 * n
+    assert not equal
+    x = F(1, 3)
+    assert total.evaluate(x) == f.evaluate(x) + g.evaluate(x)
+    assert difference.evaluate(x) == f.evaluate(x) - g.evaluate(x)
+    assert elapsed < 1.5

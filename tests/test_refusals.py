@@ -1,7 +1,9 @@
 """Refusals across the package: each call raises one exception type with one
 exact message, on inputs that no other test hands to that check."""
 
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,7 @@ from exactintegral import (
     series_from_integrand,
     space_of,
 )
-from exactintegral.tasks import approx_table_rows, function_fragment
+from exactintegral.tasks import TaskSpecError, approx_table_rows, function_fragment, load_task
 
 LEBESGUE = IntervalMeasure.lebesgue()
 POINTS = DiscreteSpace((F(1), F(2)))
@@ -31,6 +33,14 @@ SCALAR = SimpleFunction(UNIT_INTERVAL, [(F(3, 4), HALF)])
 VECTOR = SimpleFunction(UNIT_INTERVAL, [(Vec((F(1), F(2))), HALF)])
 ON_POINTS = SimpleFunction(POINTS, [(F(1), DiscreteSet(POINTS, [0]))])
 RAMP = PiecewiseLinear.linear(F(1), F(-1, 3))
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+
+def _written(name: str, text: str) -> str:
+    """Write `text` to the file `name` in the working directory; return the name."""
+    Path(name).write_text(text, encoding="utf-8")
+    return name
+
 
 REFUSALS = {
     "finite_series_point_outside": (
@@ -143,11 +153,18 @@ REFUSALS = {
         TypeError,
         "no task-file form for TelescopeSeries",
     ),
+    "task_file_integer_past_the_digit_limit": (
+        lambda: load_task(_written("long.json", '{"depth": ' + "9" * (DIGIT_LIMIT + 1) + "}")),
+        TaskSpecError,
+        f"<file>: long.json holds an integer longer than the {DIGIT_LIMIT}-digit limit"
+        " for integer strings",
+    ),
 }
 
 
 @pytest.mark.parametrize("call, kind, message", REFUSALS.values(), ids=REFUSALS.keys())
-def test_refusal(call, kind, message):
+def test_refusal(call, kind, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # an empty directory for the rows that write a file
     with pytest.raises(kind) as info:
         call()
     assert type(info.value) is kind
