@@ -39,7 +39,9 @@ its r-step times q.  The level-n staircase integral is
 4^-n * sum((e*k*2^n - c*k(k+1)/2) / L) with k = min(n*2^n, floor(2^n*y)),
 the grid index of y that `_grid_index` computes (an atom contributes
 mass * s_n(y), a uniform piece an arithmetic series), and the limit is
-sum((2*e*p*q - c*p^2) / (2*q^2*L)).
+sum((2*e*p*q - c*p^2) / (2*q^2*L)); when every row is an atom over one L,
+as the rows of one batch read are, the limit is sum(2*e*p / q) / (2*L),
+so no term carries L.
 Both sums go through `rationals.exact_sum`, which adds the terms per
 denominator and then over their lcm while it stays short, pairwise
 otherwise, so no row is scaled to a long denominator common to all rows,
@@ -52,7 +54,10 @@ it at zero: the rows at positive values give ∫f+, those at negative
 values −∫f−.  `integrate_over` reads the same distribution of f on the
 region: the table is refined by the region's own table, a cell inside
 the region keeping its value and every other cell zero, and only the
-sloped pieces are intersected with the region's intervals.
+sloped pieces are intersected with the region's intervals.  The batch
+read of a table goes through the measure's one-slot memo, so the signed
+integral of `f - g` after the integral of `f + g`, which share their
+table, reads no mass again.
 
 `DyadicApproximation` keeps the lowered form of one nonnegative
 integrand, and `DyadicApproximation.parts(f)` builds the approximations
@@ -244,7 +249,13 @@ def _mean(rows: list) -> Fraction:
     """The mean of a value distribution: the sum of (e*y - c*y^2/2) / L over
     its rows, the limit of the level-n staircase integrals, as one
     `Fraction`.  Twice a row's term is 2*e*p/(q*L) for an atom and
-    (2*e*p*q - c*p^2)/(q^2*L) otherwise; `exact_sum` adds them."""
+    (2*e*p*q - c*p^2)/(q^2*L) otherwise; `exact_sum` adds them.  When every
+    row is an atom over one L, as the rows of one batch read are, the terms
+    2*e*p/q are added and L is applied once, to the sum."""
+    common = rows[0][4] if rows else 1
+    if all(not c and L == common for _, _, _, c, L in rows):
+        total, denominator = exact_sum((2 * e * p, q) for p, q, e, _, _ in rows)
+        return Fraction(total, 2 * denominator * common)
     total, denominator = exact_sum(
         (2 * e * p * q - c * p * p, q * q * L) if c else (2 * e * p, q * L)
         for p, q, e, c, L in rows

@@ -20,7 +20,11 @@ Costs, for functions of m and n pieces:
   strictly opposite signs at its root -b/a, in O(m);
   `split_at_roots`, `pos_part`, `neg_part` and `absolute` rebuild the
   function from it, and `lebesgue` lowers an integrand's sloped pieces
-  from it.
+  from it;
+* the results of `+`, `-`, `-f`, `scale`, `refined` and the root split
+  come from the trusted `_trusted` constructor: their grids and
+  coefficients are built from checked ones, so the public constructor's
+  checks are not run again.
 """
 
 from __future__ import annotations
@@ -51,6 +55,16 @@ class PiecewiseLinear:
         self.pieces = coeffs
 
     @classmethod
+    def _trusted(cls, breakpoints: tuple, pieces: tuple) -> "PiecewiseLinear":
+        # Trusted: a derived result, whose breakpoints run strictly
+        # increasing from 0 to 1 and whose coefficients are Fractions, one
+        # pair per cell.
+        fn = cls.__new__(cls)
+        fn.breakpoints = breakpoints
+        fn.pieces = pieces
+        return fn
+
+    @classmethod
     def constant(cls, value: Fraction) -> "PiecewiseLinear":
         return cls((ZERO, ONE), ((ZERO, value),))
 
@@ -78,7 +92,7 @@ class PiecewiseLinear:
         points = (as_rational(c, "cut") for c in cuts)
         grid = (ZERO, *sorted({c for c in points if 0 < c < 1}), ONE)
         table, cells = UNIT_INTERVAL._paired(_gapless(self.breakpoints), _gapless(grid))
-        return PiecewiseLinear(table.cuts, [self.pieces[i] for i, _ in cells])
+        return PiecewiseLinear._trusted(table.cuts, tuple(self.pieces[i] for i, _ in cells))
 
     def _aligned(self, other: "PiecewiseLinear") -> tuple:
         """(grid, pairs): the union of both grids and, per cell of it, the
@@ -91,7 +105,9 @@ class PiecewiseLinear:
         if not isinstance(other, PiecewiseLinear):
             raise TypeError("expected another piecewise-linear function")
         bp, pairs = self._aligned(other)
-        return PiecewiseLinear(bp, [(op(a1, a2), op(b1, b2)) for (a1, b1), (a2, b2) in pairs])
+        return PiecewiseLinear._trusted(
+            bp, tuple((op(a1, a2), op(b1, b2)) for (a1, b1), (a2, b2) in pairs)
+        )
 
     def __add__(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
         return self._binary(other, lambda u, v: u + v)
@@ -100,12 +116,12 @@ class PiecewiseLinear:
         return self._binary(other, lambda u, v: u - v)
 
     def __neg__(self) -> "PiecewiseLinear":
-        return PiecewiseLinear(self.breakpoints, [(-a, -b) for a, b in self.pieces])
+        return PiecewiseLinear._trusted(self.breakpoints, tuple((-a, -b) for a, b in self.pieces))
 
     def scale(self, factor: Fraction) -> "PiecewiseLinear":
         factor = as_rational(factor, "scale factor")
-        return PiecewiseLinear(
-            self.breakpoints, [(a * factor, b * factor) for a, b in self.pieces]
+        return PiecewiseLinear._trusted(
+            self.breakpoints, tuple((a * factor, b * factor) for a, b in self.pieces)
         )
 
     def _split_cells(self) -> Iterator[tuple]:
@@ -134,7 +150,7 @@ class PiecewiseLinear:
             factor = positive if y_u.numerator > 0 or y_w.numerator > 0 else negative
             bp.append(w)
             pieces.append((factor * a, factor * b))
-        return PiecewiseLinear(bp, pieces)
+        return PiecewiseLinear._trusted(tuple(bp), tuple(pieces))
 
     def pos_part(self) -> "PiecewiseLinear":
         """max(0, f), again piecewise linear."""

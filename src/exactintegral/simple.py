@@ -29,7 +29,13 @@ where two floats are equal.  The distinct cell pairs (i, j) are numbered
 in (i, j) order, and each gets one value: a cross-multiplied pair for `+`
 and `-` (left unreduced), one of the two pairs for max and min, picked by
 integer cross-products, so no `Fraction` is made per cell; vectors keep
-their componentwise operations.  The unary maps (`-`, `abs`, `scale`,
+their componentwise operations.  The left canonical function keeps its
+last pairing (right, table, pairs) in one memo slot keyed by the identity
+of the right canonical function, so `f + g` and `f - g` pair once and
+share one table, which the measure's own one-slot memo then reads once
+(see `spaces`).  A canonical function answers `canonical()` with itself
+and holds no reference to itself, so no canonical function is cyclic
+garbage.  The unary maps (`-`, `abs`, `scale`,
 `pos_part`, `neg_part`, `norm_function`, `component`) map the cell values
 and share the table.  `terms` is a cache of the table: the constructor
 keeps its own terms, and a derived function builds its sets only when
@@ -39,7 +45,8 @@ table, by one bisection of the cuts or one index.  Equality compares
 canonical tables.  The kind-specific algorithms live on the space
 classes, so nothing here branches on the set kind.
 `integrate_simple` reads the masses of all cells in one batch from the
-measure (integer numerators over one denominator) and hands the integer
+measure (integer numerators over one denominator, kept by the measure
+for the table it last read) and hands the integer
 products value * mass, each over its value's own denominator, to
 `rationals.exact_sum`, so an integral costs one `Fraction` per component,
 and the products are scaled to a denominator common to all values only
@@ -215,7 +222,13 @@ class SimpleFunction:
         self._table: CellTable = table
         self._values: list = values
         self._terms: Optional[tuple[tuple[Value, MeasurableSet], ...]] = None
-        self._canonical: Optional["SimpleFunction"] = None
+        # The canonical form once made; False on a canonical function, which
+        # answers with itself and keeps no reference to itself, so reference
+        # counting alone frees it.
+        self._canonical: Union["SimpleFunction", None, bool] = None
+        # On a canonical function, its last pairing (right, table, pairs):
+        # the common refinement with the canonical function `right`.
+        self._pairing: Optional[tuple] = None
 
     @staticmethod
     def _resolve_dim(terms, dim: Optional[int]) -> Optional[int]:
@@ -254,7 +267,7 @@ class SimpleFunction:
         table = _regrouped(table, [rank.get(key, -1) for key in keys], len(distinct))
         values = distinct if dim is None else [Vec(key) for key in distinct]
         fn = cls._trusted(space, dim, table, values)
-        fn._canonical = fn
+        fn._canonical = False
         return fn
 
     @classmethod
@@ -306,7 +319,7 @@ class SimpleFunction:
         """The unique representation: distinct values, sets partitioning the space."""
         if self._canonical is None:
             self._canonical = self._grouped(self.space, self._table, self._values, self.dim)
-        return self._canonical
+        return self._canonical or self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimpleFunction):
@@ -326,10 +339,18 @@ class SimpleFunction:
 
     def _combine(self, other: "SimpleFunction", op: str) -> "SimpleFunction":
         """Pointwise `op` ("+", "-", "max" or "min") on the common refinement
-        of both canonical tables, one cell per pair of cells that meet."""
+        of both canonical tables, one cell per pair of cells that meet.  The
+        left canonical function keeps its last refinement, keyed by the
+        identity of the right one, so `f + g` and `f - g` pair once and
+        share one table."""
         self._require_compatible(other)
         left, right = self.canonical(), other.canonical()
-        table, pairs = self.space._paired(left._table, right._table)
+        pairing = left._pairing
+        if pairing is None or pairing[0] is not right:
+            pairing = (right, *self.space._paired(left._table, right._table))
+            if right is not left:  # kept on itself, the pairing would be a cycle
+                left._pairing = pairing
+        _, table, pairs = pairing
         values = _combined_values(op, left._values, right._values, pairs)
         return SimpleFunction._trusted(self.space, self.dim, table, values)
 

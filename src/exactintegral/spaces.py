@@ -68,9 +68,13 @@ and a measure of c cells:
   one walk along the grid in step with the sorted cuts (no bisection),
   and differences them per piece: O(m + c) for m cuts.  Both add the
   masses of the points or pieces into one integer per cell in the same
-  pass, with no list per cell.  `measure_of` is the read of a one-set
-  table and makes one `Fraction`; every integral of a simple function
-  reads all its cells in one call.
+  pass, with no list per cell.  The numerators come as a tuple.  Each
+  measure keeps its last read with its table in one memo slot, keyed by
+  the table's identity (`_masses`; `_read_masses` is the pass itself), so
+  the shared table of `f + g` and `f - g` is read once however many
+  integrals read it.  `measure_of` is the read of a one-set table, made
+  anew each call and read past the slot, and makes one `Fraction`; every
+  integral of a simple function reads all its cells in one call.
 
 Results of the set operations on canonical operands are canonical by
 construction, so they come from the private `_canonical` constructors,
@@ -157,6 +161,19 @@ def _by_owner(items: Iterable, table: CellTable) -> list[list]:
 
 
 _lower_end = itemgetter(0)
+
+
+def _last_masses(measure, table: CellTable) -> tuple[tuple[int, ...], int]:
+    """The measure's `_read_masses` of the table, kept with the table in the
+    measure's one memo slot: the same table object read again, as the
+    shared table of `f + g` and `f - g` is, costs no second pass.  The slot
+    is read once and replaced whole, so a concurrent read of another table
+    costs at most a second pass, never a wrong answer."""
+    last = measure._last_read
+    if last is None or last[0] is not table:
+        last = (table, measure._read_masses(table))
+        object.__setattr__(measure, "_last_read", last)
+    return last[1]
 
 
 @dataclass(frozen=True)
@@ -289,6 +306,8 @@ class DiscreteSpace:
     # The weights as integer numerators over their common denominator.
     _scaled: tuple = field(init=False, repr=False, compare=False)
     _denominator: int = field(init=False, repr=False, compare=False)
+    # The last mass read, (table, (numerators, denominator)) (see `_masses`).
+    _last_read: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         coerced = tuple(
@@ -375,10 +394,12 @@ class DiscreteSpace:
         return [DiscreteSet._canonical(self, tuple(points)) for points in members]
 
     def measure_of(self, subset: "MeasurableSet") -> Fraction:
-        numerators, denominator = self._masses(self._tabulate((subset,), [0, -1]))
+        numerators, denominator = self._read_masses(self._tabulate((subset,), [0, -1]))
         return Fraction(numerators[0], denominator)
 
-    def _masses(self, table: "CellTable") -> tuple[list[int], int]:
+    _masses = _last_masses
+
+    def _read_masses(self, table: "CellTable") -> tuple[tuple[int, ...], int]:
         """(numerators, denominator): the mass of each cell of a table of
         this space is its numerator over the one common denominator of the
         weights, from one pass of the weights by owner."""
@@ -386,7 +407,7 @@ class DiscreteSpace:
         for mass, owner in zip(self._scaled, table.owners):
             sums[owner] += mass
         sums.pop()
-        return sums, self._denominator
+        return tuple(sums), self._denominator
 
 
 class DiscreteSet:
@@ -579,6 +600,8 @@ class IntervalMeasure:
     # A closing entry A = 0, B = C[cells] answers x = 1.
     _merged: tuple = field(init=False, repr=False, compare=False)
     _table: tuple = field(init=False, repr=False, compare=False)
+    # The last mass read, (table, (numerators, denominator)) (see `_masses`).
+    _last_read: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         bp = _breakpoint_grid(self.breakpoints)
@@ -639,10 +662,12 @@ class IntervalMeasure:
             yield self.breakpoints[k], self.breakpoints[k + 1], density
 
     def measure_of(self, subset: "MeasurableSet") -> Fraction:
-        numerators, denominator = self._masses(UNIT_INTERVAL._tabulate((subset,), [0, -1]))
+        numerators, denominator = self._read_masses(UNIT_INTERVAL._tabulate((subset,), [0, -1]))
         return Fraction(numerators[0], denominator)
 
-    def _masses(self, table: "CellTable") -> tuple[list[int], int]:
+    _masses = _last_masses
+
+    def _read_masses(self, table: "CellTable") -> tuple[tuple[int, ...], int]:
         """(numerators, denominator): the mass of each cell of an interval
         table is its numerator over one common denominator.
 
@@ -672,7 +697,7 @@ class IntervalMeasure:
             sums[owner] += hi - lo
             lo = hi
         sums.pop()
-        return sums, common * density_den
+        return tuple(sums), common * density_den
 
 
 MeasurableSet = Union[DiscreteSet, IntervalSet]

@@ -3,6 +3,8 @@ integral against the enumeration/quadrature oracle, their space checks, and
 one batch read per integral, `integrate_over` and piecewise-linear
 integrands included."""
 
+import gc
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -235,3 +237,123 @@ def test_an_integral_of_n_terms_makes_one_batch_read(monkeypatch, measure):
         counts.update(batch=0, measure_of=0)
         integrate()
         assert counts == {"batch": batches, "measure_of": 0}, name
+
+
+# --- the memo slots: one pairing per left canonical function, one mass read per measure
+
+
+def _rebuilt(fn):
+    """A copy of `fn` that shares no table or memo with it."""
+    return SimpleFunction(fn.space, fn.terms, fn.dim)
+
+
+def _rebuilt_measure(measure):
+    if isinstance(measure, DiscreteSpace):
+        return DiscreteSpace(measure.weights)
+    return IntervalMeasure(measure.breakpoints, measure.densities)
+
+
+def _count(monkeypatch, owner, name):
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+SPACES = [DiscreteSpace(tuple(F(k % 5, 7) for k in range(16))), UNIT_INTERVAL]
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_f_plus_g_and_f_minus_g_pair_once(monkeypatch, space):
+    f, g = _wide_function(space, 16), _wide_function(space, 5)
+    h = _rebuilt(g)  # equal to g, but another function
+    paired = _count(monkeypatch, type(space), "_paired")
+    total, difference = f + g, f - g
+    assert paired[0] == 1
+    assert total._table is difference._table
+    paired[0] = 0
+    f = _rebuilt(f)
+    f + g, f + h, f - g  # one slot: h takes the place of g, and g that of h
+    assert paired[0] == 3
+    paired[0] = 0
+    f + f, f - f  # a pairing with itself is not kept: it would hold its owner
+    assert paired[0] == 2
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_the_sum_and_the_difference_read_the_masses_once(monkeypatch, space):
+    measure = space if isinstance(space, DiscreteSpace) else IntervalMeasure.lebesgue()
+    f, g = _wide_function(space, 16), _wide_function(space, 5)
+    reads = _count(monkeypatch, type(measure), "_read_masses")
+    integrate_simple(f + g, measure)
+    lebesgue_integral(f - g, measure)
+    assert reads[0] == 1
+    lebesgue_integral(f - g, _rebuilt_measure(measure))  # another measure reads again
+    assert reads[0] == 2
+    numerators, _ = measure._masses((f + g)._table)
+    assert isinstance(numerators, tuple)  # a kept read cannot be changed by a caller
+
+
+def test_a_canonical_function_is_freed_by_reference_counting():
+    f = _wide_function(UNIT_INTERVAL, 16)
+    g = _wide_function(UNIT_INTERVAL, 5)
+    canonical = f.canonical()
+    assert canonical.canonical() is canonical
+    f + g, f - g  # the left canonical function keeps its pairing with g's
+    alive = [weakref.ref(fn) for fn in (f, g, canonical, g.canonical())]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del f, g, canonical
+        assert [ref() for ref in alive] == [None] * len(alive)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@st.composite
+def operand_triples(draw):
+    """(measure, f, g, h) on one space: h equal to g but another function;
+    scalar or vector values."""
+    measure = draw(measures())
+    space = measure if isinstance(measure, DiscreteSpace) else UNIT_INTERVAL
+    dim = draw(st.sampled_from([None, None, 2]))
+    values = st.one_of(st.just(F(0)), rationals())
+    if dim is not None:
+        values = st.builds(Vec, st.tuples(*([values] * dim)))
+    f, g = (
+        SimpleFunction(space, [(draw(values), part) for part in draw(partitions(space))], dim)
+        for _ in range(2)
+    )
+    return measure, f, g, _rebuilt(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operand_triples())
+def test_memoized_results_equal_memo_free_ones(triple):
+    """Every `+`, `-`, max/min and integral on functions and a measure that
+    keep their memos equals the one on copies rebuilt from their terms."""
+    measure, f, g, h = triple
+    operations = ["+", "-"] if f.is_vector else ["+", "-", "max", "min"]
+    combine = {
+        "+": lambda x, y: x + y,
+        "-": lambda x, y: x - y,
+        "max": SimpleFunction.pointwise_max,
+        "min": SimpleFunction.pointwise_min,
+    }
+    for right in (g, h, g, f):
+        for op in operations:
+            kept = combine[op](f, right)
+            fresh = combine[op](_rebuilt(f), _rebuilt(right))
+            assert kept == fresh
+            fresh_measure = _rebuilt_measure(measure)
+            assert integrate_simple(kept, measure) == integrate_simple(fresh, fresh_measure)
+            if not f.is_vector:
+                assert lebesgue_integral(kept, measure) == lebesgue_integral(
+                    fresh, fresh_measure
+                )

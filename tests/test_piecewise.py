@@ -200,6 +200,23 @@ def test_grid_operations_match_the_retired_algorithms(f, g, cuts):
         assert (p == q) == (on_both_grids[0].pieces == on_both_grids[1].pieces)
 
 
+@settings(max_examples=200, deadline=None)
+@given(piecewise_functions(), piecewise_functions(), st.lists(CUTS, max_size=6), COEFFICIENTS)
+def test_derived_results_pass_the_public_checks(f, g, cuts, factor):
+    """The derived results skip the public constructor's checks; each is
+    exactly what that constructor makes of its breakpoints and pieces."""
+    results = [
+        f + g, f - g, -f, f.scale(factor), f.refined(cuts),
+        f.split_at_roots(), f.pos_part(), f.neg_part(), f.absolute(),
+    ]
+    for result in results:
+        rebuilt = PiecewiseLinear(result.breakpoints, result.pieces)
+        assert type(result.breakpoints) is type(result.pieces) is tuple
+        assert result.breakpoints == rebuilt.breakpoints
+        assert result.pieces == rebuilt.pieces
+        assert all(type(x) is F for x in (*result.breakpoints, *sum(result.pieces, ())))
+
+
 def test_eight_thousand_prime_denominator_pieces_add_and_compare_fast():
     """Two 8000-piece functions whose breakpoints k/n + 1/p have distinct
     ~21-bit prime denominators: `f + g`, `f - g` and `f == g` must finish
