@@ -214,7 +214,6 @@ def random_piecewise_linear(
     max_pieces: int = 6,
     coefficient_bound: int = 8,
     max_denominator: int = 64,
-    nonneg: bool = False,
 ) -> PiecewiseLinear:
     """A piecewise-linear function on [0, 1) with |f| <= 2 * coefficient_bound."""
     cuts = _interior_cuts(rng, rng.randint(0, max_pieces - 1), max_denominator)
@@ -226,8 +225,7 @@ def random_piecewise_linear(
             rng, -coefficient_bound, coefficient_bound, max_denominator
         )
         pieces.append((slope, intercept))
-    fn = PiecewiseLinear(breakpoints, pieces)
-    return fn.pos_part() if nonneg else fn
+    return PiecewiseLinear(breakpoints, pieces)
 
 
 def random_series(

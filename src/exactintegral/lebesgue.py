@@ -9,19 +9,19 @@ the grid {k/2^n} and caps it at n.  Stage three is the signed integral
 space kind) and piecewise-linear functions on [0, 1).
 
 No stage builds a part function, and no stage builds a set.  Every
-integrand is lowered once to (table, values, sloped): a cell table
-(`spaces.CellTable`) of its constant pieces with one integer pair (p, q)
-per cell, the value p/q, and a list of sloped pieces (u, w, a, b, ends).
+integrand is lowered once to (table, values, sloped): one cell table
+(`spaces.CellTable`) with one integer pair (p, q) per cell, the value
+p/q, and the sloped pieces (u, w, a, b, ends) by the owner of their cell.
 A simple function is its own table and values, the pairs as it keeps
 them (possibly unreduced), with no sloped piece.  A piecewise-linear
-function gets a table over its breakpoints with one cell per nonzero flat
-piece; each sloped piece a*x + b on [u, w) is split at a root inside it
-by the function's one root-split walk (`PiecewiseLinear._split_cells`),
-keeps its two end values `ends`, computed once, and lies, in increasing
-order, where the table has no cell.  The function is zero on the points
-of no cell and no sloped piece.  No cell and no sloped piece changes
-sign, so f+ keeps the positive cell values and sloped pieces of f, and f−
-the negative ones, negated.
+function gets a table over the cells of its one root-split walk
+(`PiecewiseLinear._split_cells`), which splits a sloped piece at a root
+inside it: one cell per nonzero flat piece, with its value, and one cell
+per sloped piece a*x + b on [u, w), holding (0, 1), whose piece keeps
+its two end values `ends`, computed once; `sloped` lists those pieces in
+increasing order.  The function is zero on the points of no cell.  No
+cell changes sign, so f+ keeps the positive cell values and sloped
+pieces of f, and f− the negative ones, negated.
 
 A nonnegative integrand f enters stage two only through the distribution
 m∘f⁻¹ of its values: the limit is the mean of that distribution, and each
@@ -29,8 +29,8 @@ staircase level is `∫ s_n(f) dm = ∫ s_n(y) d(m∘f⁻¹)(y)`.  For both
 integrand classes the distribution is finite and is read as integer rows
 (p, q, e, c, L), each over its own denominator L.  A cell of nonzero
 value y = p/q is an atom: its row is (mass, 0) over the denominator of
-the one batch read of the table that gives every cell mass (no mass is
-read when no cell value is nonzero).  A sloped piece spreads its mass
+the one batch read of the table that gives every cell mass, the sloped
+cells left out (no mass is read when no cell value is nonzero).  A sloped piece spreads its mass
 over its values with the value density r = d/|a| of each density cell d
 it crosses; each end of such a uniform piece adds +-(r*y, r), and one
 sweep of the sloped pieces along the density grid merges the two ends
@@ -51,10 +51,12 @@ the integral nor the staircase branches on the integrand class.
 
 The signed integral and the L1 norm read one distribution of f and split
 it at zero: the rows at positive values give ∫f+, those at negative
-values −∫f−.  `integrate_over` reads the same distribution of f on the
-region: the table is refined by the region's own table, a cell inside
-the region keeping its value and every other cell zero, and only the
-sloped pieces are intersected with the region's intervals.  The batch
+values −∫f−.  `integrate_over` is the signed integral of the restriction
+f·1_R, built from one refinement of a table of f by the region's own
+table (a simple function's own table, or a piecewise-linear function's
+breakpoint grid with one cell per piece), in which a cell inside the
+region keeps its value or piece and every other cell is zero; it clips
+no piece itself.  The batch
 read of a table goes through the measure's one-slot memo, so the signed
 integral of `f - g` after the integral of `f + g`, which share their
 table, reads no mass again.
@@ -68,12 +70,12 @@ of f− at the mirrored value), and each keeps its rows with their limit
 in one table; level n is then one exact sum of
 integer terms over the rows' denominators, and each level costs one
 `Fraction`, made once and kept.
-`value_at` finds the cell of its point in the table (or bisects the
-sloped pieces) and rounds the integer pair (p, q) of the value there to
-its grid index k (`_grid_index`); `level`/`increment` round the cell
-values the same way, cut each sloped piece at its grid crossings in one
-walk of the table's pieces, and group the rounded cells into a canonical
-simple function.
+`value_at` finds the cell of its point in the table, evaluates the
+sloped piece of that cell if it has one, and rounds the integer pair
+(p, q) of the value there to its grid index k (`_grid_index`);
+`level`/`increment` round the cell values the same way, cut the cell of
+each sloped piece at its grid crossings in one walk of the table's
+pieces, and group the rounded cells into a canonical simple function.
 Levels are kept sparsely, by level: asking for level n computes level n
 alone, so a caller that reads one level d, as the telescoped series
 does, pays for one level, not for d + 1.  From the termination level of
@@ -92,12 +94,11 @@ pointwise, and no integral moves, the affected sets being null.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .piecewise import PiecewiseLinear
+from .piecewise import PiecewiseLinear, _gapless
 from .rationals import ONE, ZERO, exact_sum
 from .simple import SimpleFunction
 from .spaces import (
@@ -106,7 +107,7 @@ from .spaces import (
     MeasurableSet,
     OutsideDomainError,
     SpaceMismatchError,
-    _lower_end,
+    _regrouped,
     space_of,
 )
 
@@ -141,30 +142,33 @@ def check_integrand_measure(fn: Integrand, measure: Measure) -> None:
 
 
 def _lowered(fn: Integrand) -> tuple:
-    """(table, values, sloped): a scalar integrand as a cell table of its
-    flat pieces with one integer pair (p, q) per cell, the value p/q, and
-    its sloped pieces (u, w, a, b, ends), which lie in increasing order
-    where the table has no cell.
+    """(table, values, sloped): a scalar integrand as one cell table with
+    one integer pair (p, q) per cell, the value p/q, and its sloped pieces
+    (u, w, a, b, ends) by the owner of their cell, in increasing order.
 
     A simple function is its own table and values, the pairs as kept, and
-    has no sloped piece.  A piecewise-linear function gets a table over its
-    breakpoints with one cell per nonzero flat piece, and its sloped pieces
-    are those of `PiecewiseLinear._split_cells`: a sloped piece a*x + b on
-    [u, w) whose end values have strictly opposite signs is split at its
-    root, and `ends` holds a piece's values at its two ends, computed once.
-    The function is zero on the points of no cell and no sloped piece.
+    has no sloped piece.  A piecewise-linear function gets a table over the
+    cells of `PiecewiseLinear._split_cells`, in which a sloped cell whose
+    end values have strictly opposite signs is split at its root: one cell
+    per nonzero flat piece, and one cell per sloped piece a*x + b on
+    [u, w), holding (0, 1), whose `ends` are its values at its two ends,
+    computed once.  The function is zero on the points of no cell.
     """
     if isinstance(fn, SimpleFunction):
         if fn.is_vector:
             raise ValueError("a scalar integrand is required")
-        return fn._table, fn._values, []
-    owners, values = [], []
-    for a, b in fn.pieces:
-        owners.append(len(values) if b and not a else -1)
-        if b and not a:
+        return fn._table, fn._values, {}
+    cuts, owners, values, sloped = [], [], [], {}
+    for cell in fn._split_cells():
+        u, _, a, b, _ = cell
+        cuts.append(u)
+        owners.append(len(values) if a or b else -1)
+        if a:
+            sloped[len(values)] = cell
+            values.append((0, 1))
+        elif b:
             values.append((b.numerator, b.denominator))
-    sloped = [cell for cell in fn._split_cells() if cell[2]]
-    return CellTable(owners, len(values), fn.breakpoints), values, sloped
+    return CellTable(owners, len(values), (*cuts, ONE)), values, sloped
 
 
 def _lowered_nonneg(fn: Integrand) -> tuple:
@@ -173,7 +177,7 @@ def _lowered_nonneg(fn: Integrand) -> tuple:
     table, values, sloped = lowered = _lowered(fn)
     negative = {k for k, (p, _) in enumerate(values) if p < 0}
     if not negative.isdisjoint(table.owners) or any(
-        y.numerator < 0 or z.numerator < 0 for *_, (y, z) in sloped
+        y.numerator < 0 or z.numerator < 0 for *_, (y, z) in sloped.values()
     ):
         kind = "simple integrand" if isinstance(fn, SimpleFunction) else "integrand"
         raise NegativeIntegrandError(f"{kind} takes negative values")
@@ -205,19 +209,24 @@ def _value_distribution(lowered: tuple, measure: Measure) -> list:
 
     A cell of nonzero value y and mass m is an atom, the row (m, 0) over
     the denominator of the one batch read of the table that gives every
-    cell mass; without a nonzero cell value no mass is read.  The sloped
+    cell mass; without a nonzero cell value no mass is read.  The read
+    leaves the sloped cells out, and with them the root cuts of split
+    pieces, which would only lengthen its common denominator.  The sloped
     pieces give the rows of `_ramps`.  Null masses contribute to no
     integral and are left out.
     """
     table, values, sloped = lowered
     rows = []
     if any(p for p, _ in values):  # a piecewise-linear integrand often has no flat cell
+        if sloped:
+            keep = [-1 if k in sloped else k for k in range(table.count)]
+            table = _regrouped(table, [*keep, -1], table.count)
         numerators, denominator = measure._masses(table)
         rows = [(p, q, n, 0, denominator) for (p, q), n in zip(values, numerators) if p and n]
-    return rows + _ramps(sloped, measure) if sloped else rows
+    return rows + _ramps(sloped.values(), measure) if sloped else rows
 
 
-def _ramps(sloped: list, measure: Measure) -> list:
+def _ramps(sloped, measure: Measure) -> list:
     """Integer rows (p, q, e, c, L) of sloped pieces, which come in
     increasing order, from one sweep along the measure's merged density
     grid.  A piece y = a*x + b under density d spreads mass over its values
@@ -293,13 +302,13 @@ class DyadicApproximation:
         table, values, sloped = signed = _lowered(fn)
         positive = [v if v[0] > 0 else (0, 1) for v in values]
         negative = [(-p, q) if p < 0 else (0, 1) for p, q in values]
-        above, below = [], []
-        for u, w, a, b, (y_u, y_w) in sloped:
+        above, below = {}, {}
+        for owner, (u, w, a, b, (y_u, y_w)) in sloped.items():
             # No piece has a root inside, so a nonzero end gives its sign.
             if y_u.numerator > 0 or y_w.numerator > 0:
-                above.append((u, w, a, b, (y_u, y_w)))
+                above[owner] = sloped[owner]
             else:
-                below.append((u, w, -a, -b, (-y_u, -y_w)))
+                below[owner] = (u, w, -a, -b, (-y_u, -y_w))
         shared = (signed, [])
         pair = cls.__new__(cls), cls.__new__(cls)
         pair[0]._start(fn, (table, positive, above), 1, shared)
@@ -312,7 +321,7 @@ class DyadicApproximation:
         # The nonzero values of the cells that hold a point.
         held = [Fraction(*values[k]) for k in set(table.owners) if k >= 0 and values[k][0]]
         # A bound >= sup: the largest held value or end of a sloped piece.
-        self._bound = max((*held, *(y for *_, ends in sloped for y in ends)), default=ZERO)
+        self._bound = max((*held, *(y for *_, ends in sloped.values() for y in ends)), default=ZERO)
         self._termination = None if sloped else _termination_level(held)
         # The part this approximation follows (1: f+, -1: f−), and what the
         # parts of one target share: its lowered form and the
@@ -346,12 +355,11 @@ class DyadicApproximation:
         table, values, sloped = self._part
         owner = self.space._owner_at(table, point)
         value = slope = ZERO
-        if owner >= 0:
+        if owner in sloped:
+            _, _, slope, b, _ = sloped[owner]
+            value = slope * point + b
+        elif owner >= 0:
             value = Fraction(*values[owner])
-        elif sloped:
-            u, w, a, b, _ = sloped[max(0, bisect_right(sloped, point, key=_lower_end) - 1)]
-            if u <= point < w:
-                value, slope = a * point + b, a
         if level == 0:
             return ZERO
         if self._termination is not None and level >= self._termination:
@@ -367,11 +375,10 @@ class DyadicApproximation:
 
     def _staircase(self, n: int, increment: bool) -> SimpleFunction:
         """The level-n staircase, or its increment over level n - 1, as a
-        canonical function.  Every cell keeps its value rounded.  The
-        crossing points of every grid value up to the cap cut each sloped
-        piece, spliced into the table's pieces in one walk, so each open
-        piece maps into one grid step and its midpoint determines its
-        value."""
+        canonical function.  Every cell keeps its value rounded.  In one
+        walk of the table's pieces, the crossing points of every grid value
+        up to the cap cut the cell of each sloped piece, so each open piece
+        maps into one grid step and its midpoint determines its value."""
 
         def rounded(p: int, q: int) -> tuple[int, int]:
             k = _grid_index(p, q, n)
@@ -382,33 +389,29 @@ class DyadicApproximation:
         table, values, sloped = self._part
         values = [rounded(p, q) for p, q in values]
         if sloped:
-            scale, cuts, owners, j = 1 << n, [], [], 0
-            for lo, hi, owner in zip(table.cuts, table.cuts[1:], table.owners):
-                while j < len(sloped) and sloped[j][0] < hi:
-                    u, w, a, b, ends = sloped[j]
-                    if lo < u:
-                        cuts.append(lo)
-                        owners.append(owner)
-                    y_lo, y_hi = sorted(ends)
-                    k_min = max(1, (y_lo.numerator * scale) // y_lo.denominator + 1)
-                    k_max = min(n * scale, -((-y_hi.numerator * scale) // y_hi.denominator) - 1)
-                    if k_max - k_min > _MATERIALIZE_CELL_LIMIT:
-                        raise ValueError(
-                            f"level {n} would materialize about {k_max - k_min} cells; "
-                            "use value_at/integral instead"
-                        )
-                    # Every crossing lies strictly inside the piece.
-                    crossings = [(Fraction(k, scale) - b) / a for k in range(k_min, k_max + 1)]
-                    points = [u, *(crossings if a > 0 else reversed(crossings)), w]
-                    for x, y in zip(points, points[1:]):
-                        cuts.append(x)
-                        owners.append(len(values))
-                        mid = a * (x + y) / 2 + b
-                        values.append(rounded(mid.numerator, mid.denominator))
-                    lo, j = w, j + 1
-                if lo < hi:
+            scale, cuts, owners = 1 << n, [], []
+            for lo, owner in zip(table.cuts, table.owners):
+                if owner not in sloped:
                     cuts.append(lo)
                     owners.append(owner)
+                    continue
+                u, w, a, b, ends = sloped[owner]
+                y_lo, y_hi = sorted(ends)
+                k_min = max(1, (y_lo.numerator * scale) // y_lo.denominator + 1)
+                k_max = min(n * scale, -((-y_hi.numerator * scale) // y_hi.denominator) - 1)
+                if k_max - k_min > _MATERIALIZE_CELL_LIMIT:
+                    raise ValueError(
+                        f"level {n} would materialize about {k_max - k_min} cells; "
+                        "use value_at/integral instead"
+                    )
+                # Every crossing lies strictly inside the piece.
+                crossings = [(Fraction(k, scale) - b) / a for k in range(k_min, k_max + 1)]
+                points = [u, *(crossings if a > 0 else reversed(crossings)), w]
+                for x, y in zip(points, points[1:]):
+                    cuts.append(x)
+                    owners.append(len(values))
+                    mid = a * (x + y) / 2 + b
+                    values.append(rounded(mid.numerator, mid.denominator))
             table = CellTable(owners, len(values), (*cuts, ONE))
         return SimpleFunction._grouped(self.space, table, values, None)
 
@@ -515,24 +518,27 @@ def lebesgue_integral(fn: Integrand, measure: Measure) -> IntegralResult:
 def integrate_over(
     region: MeasurableSet, fn: Integrand, measure: Measure
 ) -> Fraction:
-    """Integral of 1_region * f; additive over disjoint regions."""
-    table, values, sloped = _lowered(fn)
+    """Integral of 1_region * f, the signed integral of the restriction;
+    additive over disjoint regions.
+
+    The restriction comes from one refinement of a table of f by the
+    region's table (cell 0: the region), in which a cell (i, 0) keeps the
+    value of cell i and every other cell is zero: a simple function's own
+    table and values, or a piecewise-linear function's gapless breakpoint
+    grid, one cell per piece (slope, intercept)."""
+    if isinstance(fn, SimpleFunction):
+        table, values, _ = _lowered(fn)  # refuses a vector integrand
+        values, zero = [*values, (0, 1)], (0, 1)  # values[-1]: the points of no cell
+    else:
+        table, values, zero = _gapless(fn.breakpoints), fn.pieces, (ZERO, ZERO)
     if region.space != fn.space:
         raise SpaceMismatchError("region belongs to another space")
     check_integrand_measure(fn, measure)
-    # The refinement by the region's table (cell 0: the region): a cell
-    # (i, 0) keeps the value of cell i, every other cell is zero.
     space = fn.space
     paired, pairs = space._paired(table, space._tabulate((region,), [0, 1]))
-    values = [*values, (0, 1)]  # values[-1]: the points of no cell
-    inside = [(0, 1) if j else values[i] for i, j in pairs]
-    clipped = []
-    for u, w, a, b, _ in sloped:  # only on [0, 1), where the region has intervals
-        intervals = region.intervals
-        k = max(0, bisect_right(intervals, u, key=_lower_end) - 1)
-        while k < len(intervals) and intervals[k][0] < w:
-            lo, hi = max(u, intervals[k][0]), min(w, intervals[k][1])
-            if lo < hi:
-                clipped.append((lo, hi, a, b, (a * lo + b, a * hi + b)))
-            k += 1
-    return _signed_integral(_value_distribution((paired, inside, clipped), measure)).value
+    inside = [zero if j else values[i] for i, j in pairs]
+    if isinstance(fn, SimpleFunction):
+        restricted = SimpleFunction._trusted(space, None, paired, inside)
+    else:
+        restricted = PiecewiseLinear._trusted(paired.cuts, tuple(inside[k] for k in paired.owners))
+    return lebesgue_integral(restricted, measure).value

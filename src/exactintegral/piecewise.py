@@ -13,7 +13,8 @@ Costs, for functions of m and n pieces:
   table with one cell per piece: O(m + n) float compares, an exact
   compare only where two floats are equal, plus the numbering of the
   distinct cell pairs; `refined(cuts)` is the same sweep against the
-  table of the cuts inside (0, 1), after one sort of those k cuts;
+  table of the cuts inside (0, 1), after one sort of those k cuts by
+  the endpoint key (float(c), c) of `spaces`;
 * `evaluate`: one bisection of the grid, O(log m);
 * the root split lives in one walk, `_split_cells`, which yields each cell
   with its two end values and splits a sloped cell whose ends have
@@ -90,7 +91,8 @@ class PiecewiseLinear:
     def refined(self, cuts: Iterable[Fraction]) -> "PiecewiseLinear":
         """The same function on a grid refined by the given interior points."""
         points = (as_rational(c, "cut") for c in cuts)
-        grid = (ZERO, *sorted({c for c in points if 0 < c < 1}), ONE)
+        inside = {c for c in points if 0 < c.numerator < c.denominator}
+        grid = (ZERO, *sorted(inside, key=lambda c: (c.numerator / c.denominator, c)), ONE)
         table, cells = UNIT_INTERVAL._paired(_gapless(self.breakpoints), _gapless(grid))
         return PiecewiseLinear._trusted(table.cuts, tuple(self.pieces[i] for i, _ in cells))
 

@@ -50,9 +50,10 @@ and a measure of c cells:
   indices); `_paired` refines two tables in one linear pass (a zip of the
   owners, or a two-pointer merge of the cuts) and numbers the distinct
   cell pairs: `SimpleFunction` arithmetic pairs its canonical tables,
-  `integrate_over` an integrand's table with the region's, and
-  `PiecewiseLinear` `+`, `-`, `==` and `refined` its breakpoint grids,
-  each read as a gapless table of one cell per piece;
+  `integrate_over` a simple function's table or a piecewise-linear
+  function's breakpoint grid with the region's, and `PiecewiseLinear`
+  `+`, `-`, `==` and `refined` its breakpoint grids, each grid read as a
+  gapless table of one cell per piece;
   `_regrouped` relabels the owners; `_owner_at` finds the
   cell of one point by bisection (or indexing); `_cell_sets` builds the
   sets of all cells in one pass, only when a caller asks for them;

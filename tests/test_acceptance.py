@@ -151,7 +151,7 @@ def test_criterion_04_staircase_monotone_and_bounded():
     functions = 0
     for index in range(60):
         if index % 2 == 0:
-            fn = random_piecewise_linear(rng, nonneg=True)
+            fn = random_piecewise_linear(rng).pos_part()
             measure = random_measure(rng, kind="interval")
         else:
             measure = random_measure(rng)

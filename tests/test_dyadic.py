@@ -132,7 +132,7 @@ def _bad_points(fn, max_level=4):
 def test_monotone_below_target_at_points():
     rng = random.Random(11)
     for _ in range(25):
-        fn = random_piecewise_linear(rng, nonneg=True)
+        fn = random_piecewise_linear(rng).pos_part()
         approx = DyadicApproximation(fn)
         points = sample_points(rng, LEBESGUE, 30) + _bad_points(fn)
         for x in points:
@@ -166,7 +166,7 @@ def test_simple_targets_monotone_and_terminating():
 def test_materialized_agrees_with_lazy_everywhere():
     rng = random.Random(4)
     for _ in range(15):
-        fn = random_piecewise_linear(rng, nonneg=True)
+        fn = random_piecewise_linear(rng).pos_part()
         approx = DyadicApproximation(fn)
         points = sample_points(rng, LEBESGUE, 25) + _bad_points(fn)
         for n in (1, 2, 3, 5):
@@ -181,7 +181,7 @@ def test_materialized_agrees_with_lazy_everywhere():
 def test_closed_form_integral_agrees_with_materialized():
     rng = random.Random(6)
     for _ in range(15):
-        fn = random_piecewise_linear(rng, nonneg=True)
+        fn = random_piecewise_linear(rng).pos_part()
         measure = random_measure(rng, kind="interval")
         approx = DyadicApproximation(fn)
         for n in (1, 2, 4, 6):
@@ -191,7 +191,7 @@ def test_closed_form_integral_agrees_with_materialized():
 def test_certified_level_bound():
     rng = random.Random(19)
     for _ in range(20):
-        fn = random_piecewise_linear(rng, nonneg=True)
+        fn = random_piecewise_linear(rng).pos_part()
         measure = random_measure(rng, kind="interval")
         exact = integrate_nonneg(fn, measure)
         approx = DyadicApproximation(fn)
@@ -216,7 +216,7 @@ def test_bound_not_certified_below_cap():
 def test_staircase_integrals_nondecreasing():
     rng = random.Random(29)
     for _ in range(10):
-        fn = random_piecewise_linear(rng, nonneg=True)
+        fn = random_piecewise_linear(rng).pos_part()
         measure = random_measure(rng, kind="interval")
         approx = DyadicApproximation(fn)
         values = [approx.integral(n, measure) for n in range(0, 15)]
@@ -340,7 +340,7 @@ def test_table_answers_any_measure_and_level_order():
         twin = IntervalMeasure(first.breakpoints, first.densities)
         assert twin == first and twin is not first
         for fn in (
-            random_piecewise_linear(rng, nonneg=True),
+            random_piecewise_linear(rng).pos_part(),
             random_simple_function(rng, first, values="nonneg"),
         ):
             shared = DyadicApproximation(fn)

@@ -98,7 +98,7 @@ def test_monotone_on_piecewise_linear():
     for _ in range(40):
         measure = random_measure(rng, kind="interval")
         f = random_piecewise_linear(rng)
-        bump = random_piecewise_linear(rng, nonneg=True)
+        bump = random_piecewise_linear(rng).pos_part()
         assert (
             lebesgue_integral(f, measure).value
             <= lebesgue_integral(f + bump, measure).value
@@ -155,7 +155,8 @@ def test_thousand_signed_pieces_on_a_thousand_cell_measure_stay_fast():
     cell against every density cell made the pair take several seconds,
     and intersecting every sloped piece with every region interval made
     the region integral alone take about 5 s; one sweep of both grids and
-    a bisection into the region keep them linear in the cell counts."""
+    one refinement of the breakpoint grid by the region's table keep them
+    linear in the cell counts."""
     n = 1000
     fn = PiecewiseLinear(
         [F(k, n) for k in range(n + 1)],

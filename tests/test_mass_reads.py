@@ -239,6 +239,24 @@ def test_an_integral_of_n_terms_makes_one_batch_read(monkeypatch, measure):
         assert counts == {"batch": batches, "measure_of": 0}, name
 
 
+def test_a_piecewise_linear_read_walks_no_root(monkeypatch):
+    """The mass read of a piecewise-linear integrand leaves its sloped cells
+    out, and with them the roots that split them, whose denominators would
+    only lengthen the read's common denominator."""
+    fn = _wide_piecewise(16)  # every sloped piece crosses zero inside its cell
+    roots = {-b / a for _, _, a, b in fn.cells() if a}
+    measure = IntervalMeasure((F(0), F(1, 3), F(1)), (F(2), F(1, 5)))
+    tables = []
+    read = IntervalMeasure._read_masses
+    monkeypatch.setattr(
+        IntervalMeasure, "_read_masses", lambda self, table: tables.append(table) or read(self, table)
+    )
+    assert lebesgue_integral(fn, measure).value == integral_oracle(fn, measure)
+    (table,) = tables
+    assert roots.isdisjoint(table.cuts)
+    assert set(table.cuts) <= set(fn.breakpoints)
+
+
 # --- the memo slots: one pairing per left canonical function, one mass read per measure
 
 

@@ -116,7 +116,7 @@ def test_level_set_constant_piece():
 def test_level_set_measures_match_oracle():
     rng = random.Random(40)
     for _ in range(25):
-        f = random_piecewise_linear(rng, nonneg=True)
+        f = random_piecewise_linear(rng).pos_part()
         measure = random_measure(rng, kind="interval")
         lo = F(rng.randint(0, 3), 4)
         hi = lo + F(rng.randint(1, 4), 4)

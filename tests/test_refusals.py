@@ -21,6 +21,7 @@ from exactintegral import (
     SpaceMismatchError,
     Vec,
     bochner_integrate,
+    integrate_over,
     series_from_integrand,
     space_of,
 )
@@ -142,6 +143,23 @@ REFUSALS = {
         lambda: RAMP + SCALAR,
         TypeError,
         "expected another piecewise-linear function",
+    ),
+    # A vector integrand is refused before a region or a measure of another
+    # space, and a region of another space before a measure of another space.
+    "integrate_over_of_a_vector": (
+        lambda: integrate_over(DiscreteSet(POINTS, [0]), VECTOR, POINTS),
+        ValueError,
+        "a scalar integrand is required",
+    ),
+    "integrate_over_a_region_of_another_space": (
+        lambda: integrate_over(DiscreteSet(POINTS, [0]), RAMP, POINTS),
+        SpaceMismatchError,
+        "region belongs to another space",
+    ),
+    "integrate_over_against_a_measure_of_another_space": (
+        lambda: integrate_over(HALF, SCALAR, POINTS),
+        SpaceMismatchError,
+        "integrand and measure live on different spaces",
     ),
     "table_past_the_level_cap": (
         lambda: approx_table_rows(SCALAR, LEBESGUE, 31),

@@ -250,6 +250,57 @@ def test_part_tables_equal_the_per_cell_oracles(data):
             ), n
 
 
+@st.composite
+def regions_over(draw, fn):
+    """The empty or the full region, or a union of cells of a grid that
+    holds the integrand's roots and ends beside drawn points.  On a sloped
+    piece cut into eighths the cells alternate in and out, so the region
+    and its complement each hold several intervals inside that piece."""
+    shape = draw(st.sampled_from(("cells", "empty", "cells", "full")))
+    if shape != "cells":
+        full = fn.space.full_set()
+        return full if shape == "full" else full.complement()
+    if isinstance(fn.space, DiscreteSpace):
+        return DiscreteSet(fn.space, [i for i in range(fn.space.size) if draw(st.booleans())])
+    drawn = st.fractions(0, 1, max_denominator=24).filter(lambda t: 0 < t < 1)
+    points = {F(0), F(1), *roots_and_ends(fn), *draw(st.lists(drawn, max_size=3))}
+    sloped = [(u, w) for u, w, a, _ in fn.cells() if a] if isinstance(fn, PiecewiseLinear) else []
+    u, w = draw(st.sampled_from(sloped)) if sloped else (F(1), F(1))
+    points.update(u + (w - u) * k / 8 for k in range(1, 8))
+    grid = sorted(points)
+    intervals, alternate = [], False
+    for lo, hi in zip(grid, grid[1:]):
+        if u <= lo < w:
+            alternate = keep = not alternate
+        else:
+            keep = draw(st.booleans())
+        if keep:
+            intervals.append((lo, hi))
+    return IntervalSet(intervals)
+
+
+@st.composite
+def over_cases(draw):
+    kind = draw(st.sampled_from((piecewise_cases, interval_simple_cases, discrete_simple_cases)))
+    fn, measure, _ = draw(kind())
+    if isinstance(fn, PiecewiseLinear):
+        measure = draw(measures_on_roots(fn))
+    return fn, measure, draw(regions_over(fn))
+
+
+@settings(max_examples=120, deadline=None)
+@given(over_cases())
+def test_integrate_over_is_the_integral_of_the_restriction(case):
+    """`integrate_over(R, f, m)` against the oracle integral of f·1_R, both
+    integrand classes on both space kinds, and the integrals over R and ~R
+    add up to the signed integral of f."""
+    fn, measure, region = case
+    over = integrate_over(region, fn, measure)
+    assert over == integral_oracle(restricted(fn, region), measure)
+    complement = integrate_over(region.complement(), fn, measure)
+    assert over + complement == lebesgue_integral(fn, measure).value
+
+
 PAIR = DiscreteSpace((F(1), F(2)))
 
 
