@@ -51,6 +51,10 @@ FAMILIES = ("simple", "piecewise_linear", "vector_simple", "series")
 MAX_TERMS = 16
 MAX_DENOMINATOR = 4096
 MAX_DIM = 4
+# The size of a drawn piecewise-linear function: at most this many pieces,
+# slopes and intercepts in [-bound, bound].
+_MAX_PIECES = 6
+_COEFFICIENT_BOUND = 8
 
 
 @dataclass(frozen=True)
@@ -209,21 +213,15 @@ def random_simple_function(
     return SimpleFunction(space_of(measure), terms, dim)
 
 
-def random_piecewise_linear(
-    rng: random.Random,
-    max_pieces: int = 6,
-    coefficient_bound: int = 8,
-    max_denominator: int = 64,
-) -> PiecewiseLinear:
-    """A piecewise-linear function on [0, 1) with |f| <= 2 * coefficient_bound."""
-    cuts = _interior_cuts(rng, rng.randint(0, max_pieces - 1), max_denominator)
+def random_piecewise_linear(rng: random.Random, max_denominator: int = 64) -> PiecewiseLinear:
+    """A piecewise-linear function on [0, 1) with |f| <= 2 * _COEFFICIENT_BOUND."""
+    bound = _COEFFICIENT_BOUND
+    cuts = _interior_cuts(rng, rng.randint(0, _MAX_PIECES - 1), max_denominator)
     breakpoints = [ZERO, *cuts, ONE]
     pieces = []
     for _ in range(len(breakpoints) - 1):
-        slope = _fraction_between(rng, -coefficient_bound, coefficient_bound, max_denominator)
-        intercept = _fraction_between(
-            rng, -coefficient_bound, coefficient_bound, max_denominator
-        )
+        slope = _fraction_between(rng, -bound, bound, max_denominator)
+        intercept = _fraction_between(rng, -bound, bound, max_denominator)
         pieces.append((slope, intercept))
     return PiecewiseLinear(breakpoints, pieces)
 

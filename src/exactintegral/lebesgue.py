@@ -29,13 +29,14 @@ staircase level is `∫ s_n(f) dm = ∫ s_n(y) d(m∘f⁻¹)(y)`.  For both
 integrand classes the distribution is finite and is read as integer rows
 (p, q, e, c, L), each over its own denominator L.  A cell of nonzero
 value y = p/q is an atom: its row is (mass, 0) over the denominator of
-the one batch read of the table that gives every cell mass, the sloped
-cells left out (no mass is read when no cell value is nonzero).  A sloped piece spreads its mass
-over its values with the value density r = d/|a| of each density cell d
-it crosses; each end of such a uniform piece adds +-(r*y, r), and one
-sweep of the sloped pieces along the density grid merges the two ends
-that meet at a density breakpoint into one row, over the denominator of
-its r-step times q.  The level-n staircase integral is
+the one batch read of the table that gives every cell mass, the cells of
+value zero left out when there are sloped cells (no mass is read when no
+cell value is nonzero).  A sloped piece spreads its mass over its values
+with the value density r = d/|a| of each density cell d it crosses; each
+end of such a uniform piece adds +-(r*y, r), and one sweep of the sloped
+pieces along the measure's public density cells merges the two ends that
+meet at a density breakpoint into one row, over the denominator of its
+r-step times q.  The level-n staircase integral is
 4^-n * sum((e*k*2^n - c*k(k+1)/2) / L) with k = min(n*2^n, floor(2^n*y)),
 the grid index of y that `_grid_index` computes (an atom contributes
 mass * s_n(y), a uniform piece an arithmetic series), and the limit is
@@ -62,14 +63,15 @@ integral of `f - g` after the integral of `f + g`, which share their
 table, reads no mass again.
 
 `DyadicApproximation` keeps the lowered form of one nonnegative
-integrand, and `DyadicApproximation.parts(f)` builds the approximations
-of f+ and f− from the lowered form of f.  On first use against a measure
-the two read one value distribution of f, split it at zero (a row
-(p, q, e, c, L) of f at a value below zero is the row (-p, q, e, -c, L)
-of f− at the mirrored value), and each keeps its rows with their limit
-in one table; level n is then one exact sum of
-integer terms over the rows' denominators, and each level costs one
-`Fraction`, made once and kept.
+integrand, and `DyadicApproximation.parts(f)` builds the lowered forms of
+f+ and f− from the lowered form of f, without building either part
+function.  On first use against a measure each approximation reads the
+value distribution of its own part and keeps its rows with their limit in
+one table; level n is then one exact sum of integer terms over the rows'
+denominators, and each level costs one `Fraction`, made once and kept.
+The two parts of a simple function keep its own cell table, so the
+second part's read finds the first's in the measure's memo slot and a
+compare reads the masses once.
 `value_at` finds the cell of its point in the table, evaluates the
 sloped piece of that cell if it has one, and rounds the integer pair
 (p, q) of the value there to its grid index k (`_grid_index`);
@@ -209,17 +211,18 @@ def _value_distribution(lowered: tuple, measure: Measure) -> list:
 
     A cell of nonzero value y and mass m is an atom, the row (m, 0) over
     the denominator of the one batch read of the table that gives every
-    cell mass; without a nonzero cell value no mass is read.  The read
-    leaves the sloped cells out, and with them the root cuts of split
-    pieces, which would only lengthen its common denominator.  The sloped
-    pieces give the rows of `_ramps`.  Null masses contribute to no
-    integral and are left out.
+    cell mass; without a nonzero cell value no mass is read.  With sloped
+    pieces the read keeps only the cells of nonzero value: it leaves the
+    sloped cells out, and with them the root cuts of split pieces, which
+    would only lengthen its common denominator, and on the table of a part
+    the flat cells of the other sign too.  The sloped pieces give the rows
+    of `_ramps`.  Null masses contribute to no integral and are left out.
     """
     table, values, sloped = lowered
     rows = []
     if any(p for p, _ in values):  # a piecewise-linear integrand often has no flat cell
         if sloped:
-            keep = [-1 if k in sloped else k for k in range(table.count)]
+            keep = [k if p else -1 for k, (p, _) in enumerate(values)]
             table = _regrouped(table, [*keep, -1], table.count)
         numerators, denominator = measure._masses(table)
         rows = [(p, q, n, 0, denominator) for (p, q), n in zip(values, numerators) if p and n]
@@ -228,27 +231,30 @@ def _value_distribution(lowered: tuple, measure: Measure) -> list:
 
 def _ramps(sloped, measure: Measure) -> list:
     """Integer rows (p, q, e, c, L) of sloped pieces, which come in
-    increasing order, from one sweep along the measure's merged density
-    grid.  A piece y = a*x + b under density d spreads mass over its values
+    increasing order, from one sweep along the measure's density cells as
+    given.  A piece y = a*x + b under density d spreads mass over its values
     with density r = d/|a|, whose ends add +-(r*y, r); where the density
     steps from d to d' at x, the two ends meeting there make one row
-    ((d - d')/a * y, (d - d')/a) at y = a*x + b, over the denominator of
-    (d - d')/a times q."""
-    grid = measure._merged[0]
-    _, _, densities, _, density_den = measure._table
+    (c*y, c) at y = a*x + b, c = (d - d')/a, over the denominator of c
+    times q.  A step of zero makes no row."""
+    grid, densities = measure.breakpoints, measure.densities
     rows = []
     k = 0
     for u, w, a, b, (y_u, y_w) in sloped:
         while grid[k + 1] <= u:
             k += 1
-        steps = [(y_u, -densities[k])]
+        d = densities[k]
+        # Each step as an integer pair: negating or testing it makes no Fraction.
+        steps = [(y_u, -d.numerator, d.denominator)]
         while grid[k + 1] < w:
             k += 1
-            steps.append((a * grid[k] + b, densities[k - 1] - densities[k]))
-        steps.append((y_w, densities[k]))
-        for y, step in steps:
-            if step:
-                c = Fraction(step * a.denominator, density_den * a.numerator)
+            d = densities[k - 1] - densities[k]
+            steps.append((a * grid[k] + b, d.numerator, d.denominator))
+        d = densities[k]
+        steps.append((y_w, d.numerator, d.denominator))
+        for y, num, den in steps:
+            if num:
+                c = Fraction(num * a.denominator, den * a.numerator)
                 p, q = y.numerator, y.denominator
                 rows.append((p, q, c.numerator * p, c.numerator * q, c.denominator * q))
     return rows
@@ -289,17 +295,17 @@ class DyadicApproximation:
     """
 
     def __init__(self, target: Integrand):
-        lowered = _lowered_nonneg(target)
-        self._start(target, lowered, 1, (lowered, []))
+        self._start(target, _lowered_nonneg(target))
 
     @classmethod
     def parts(cls, fn: Integrand) -> tuple["DyadicApproximation", "DyadicApproximation"]:
         """The approximations of f+ = max(0, f) and f− = max(0, −f), built
         from the lowered form of f without building either part function:
         each part maps the cell values and keeps the sloped pieces of its
-        sign, negated for f−.  Both read one value distribution of f per
-        measure."""
-        table, values, sloped = signed = _lowered(fn)
+        sign, negated for f−, on the table of f.  Each reads its own value
+        distribution; a simple function's two parts share its table, so
+        its masses are read once per measure."""
+        table, values, sloped = _lowered(fn)
         positive = [v if v[0] > 0 else (0, 1) for v in values]
         negative = [(-p, q) if p < 0 else (0, 1) for p, q in values]
         above, below = {}, {}
@@ -309,13 +315,12 @@ class DyadicApproximation:
                 above[owner] = sloped[owner]
             else:
                 below[owner] = (u, w, -a, -b, (-y_u, -y_w))
-        shared = (signed, [])
         pair = cls.__new__(cls), cls.__new__(cls)
-        pair[0]._start(fn, (table, positive, above), 1, shared)
-        pair[1]._start(fn, (table, negative, below), -1, shared)
+        pair[0]._start(fn, (table, positive, above))
+        pair[1]._start(fn, (table, negative, below))
         return pair
 
-    def _start(self, target: Integrand, part: tuple, sign: int, shared: tuple) -> None:
+    def _start(self, target: Integrand, part: tuple) -> None:
         self.space = target.space
         table, values, sloped = self._part = part
         # The nonzero values of the cells that hold a point.
@@ -323,10 +328,8 @@ class DyadicApproximation:
         # A bound >= sup: the largest held value or end of a sloped piece.
         self._bound = max((*held, *(y for *_, ends in sloped.values() for y in ends)), default=ZERO)
         self._termination = None if sloped else _termination_level(held)
-        # The part this approximation follows (1: f+, -1: f−), and what the
-        # parts of one target share: its lowered form and the
-        # (measure, {sign: _StaircaseTable}) pairs read so far.
-        self._sign, (self._signed, self._tables) = sign, shared
+        # The (measure, _StaircaseTable) pairs read so far.
+        self._tables: list = []
 
     @property
     def upper_bound(self) -> Fraction:
@@ -443,19 +446,13 @@ class DyadicApproximation:
         return self._table(measure).limit
 
     def _table(self, measure: Measure) -> "_StaircaseTable":
-        for known, tables in self._tables:
+        for known, table in self._tables:
             if known is measure or known == measure:
-                return tables[self._sign]
+                return table
         check_integrand_measure(self, measure)
-        # One read of the signed distribution, split at zero: a row of f at
-        # a value y < 0 is the row (-p, q, e, -c, L) of f− at -y.
-        rows = _value_distribution(self._signed, measure)
-        tables = {
-            1: _StaircaseTable([row for row in rows if row[0] > 0]),
-            -1: _StaircaseTable([(-p, q, e, -c, L) for p, q, e, c, L in rows if p < 0]),
-        }
-        self._tables.append((measure, tables))
-        return tables[self._sign]
+        table = _StaircaseTable(_value_distribution(self._part, measure))
+        self._tables.append((measure, table))
+        return table
 
 
 class _StaircaseTable:
@@ -499,20 +496,18 @@ class IntegralResult:
     negative_part: Fraction
 
 
-def _signed_integral(rows: list) -> IntegralResult:
-    """∫f+ and ∫f− from one value distribution of f, split at zero: no
-    cell or sloped piece changes sign, so no row does either."""
+def lebesgue_integral(fn: Integrand, measure: Measure) -> IntegralResult:
+    """Signed integral ∫f+ dm − ∫f− dm, with both part integrals, from one
+    batch read of the masses whatever the integrand class: no cell or
+    sloped piece changes sign, so no row of the value distribution of f
+    does either, and the rows at positive values give ∫f+, those at
+    negative values −∫f−."""
+    lowered = _lowered(fn)
+    check_integrand_measure(fn, measure)
+    rows = _value_distribution(lowered, measure)
     pos_value = _mean([row for row in rows if row[0] > 0])
     neg_value = -_mean([row for row in rows if row[0] < 0])
     return IntegralResult(pos_value - neg_value, pos_value, neg_value)
-
-
-def lebesgue_integral(fn: Integrand, measure: Measure) -> IntegralResult:
-    """Signed integral ∫f+ dm − ∫f− dm, with both part integrals, from one
-    batch read of the masses whatever the integrand class."""
-    lowered = _lowered(fn)
-    check_integrand_measure(fn, measure)
-    return _signed_integral(_value_distribution(lowered, measure))
 
 
 def integrate_over(

@@ -177,6 +177,19 @@ def _last_masses(measure, table: CellTable) -> tuple[tuple[int, ...], int]:
     return last[1]
 
 
+def _measure_of(measure: "Measure", subset: "MeasurableSet") -> Fraction:
+    """The measure of one set: the read of its one-set table, made anew
+    each call and read past the memo slot."""
+    numerators, denominator = measure._read_masses(measure.space._tabulate((subset,), [0, -1]))
+    return Fraction(numerators[0], denominator)
+
+
+def _complement(subset: "MeasurableSet") -> "MeasurableSet":
+    """The one cell of the points of no set in the table of this set."""
+    space = subset.space
+    return space._cell_sets(space._tabulate((subset,), [-1, 0]))[0]
+
+
 @dataclass(frozen=True)
 class UnitIntervalSpace:
     """The sample space [0, 1).  All instances are interchangeable."""
@@ -197,7 +210,7 @@ class UnitIntervalSpace:
                 pieces.append(part)
         if len(pieces) == 1:  # already canonical; no key is needed
             return pieces[0]
-        return IntervalSet._canonical(_merged(_keyed(pieces)))
+        return IntervalSet._canonical(_coalesced(_keyed(pieces)))
 
     def _tabulate(self, parts: Sequence["MeasurableSet"], owner_of: list) -> Optional[CellTable]:
         """The cell table of interval sets, or None where two of them
@@ -283,7 +296,7 @@ def _keyed(parts: Iterable["IntervalSet"]) -> list[tuple]:
     )
 
 
-def _merged(keyed: Iterable[tuple]) -> tuple:
+def _coalesced(keyed: Iterable[tuple]) -> tuple:
     """Keyed nonempty intervals sorted by lower end -> canonical tuple
     (overlapping and adjacent runs merged)."""
     merged: list[tuple[Fraction, Fraction]] = []
@@ -394,10 +407,7 @@ class DiscreteSpace:
         members = _by_owner(range(self.size), table)
         return [DiscreteSet._canonical(self, tuple(points)) for points in members]
 
-    def measure_of(self, subset: "MeasurableSet") -> Fraction:
-        numerators, denominator = self._read_masses(self._tabulate((subset,), [0, -1]))
-        return Fraction(numerators[0], denominator)
-
+    measure_of = _measure_of
     _masses = _last_masses
 
     def _read_masses(self, table: "CellTable") -> tuple[tuple[int, ...], int]:
@@ -461,9 +471,7 @@ class DiscreteSet:
             self.space, tuple(i for i in self.indices if i not in members)
         )
 
-    def complement(self) -> "DiscreteSet":
-        # The one cell of the points of no set in the table of this set.
-        return self.space._cell_sets(self.space._tabulate((self,), [-1, 0]))[0]
+    complement = _complement
 
     __or__ = union
     __and__ = intersection
@@ -503,7 +511,7 @@ class IntervalSet:
             if lo_key < hi_key:  # degenerate [a, a) is empty and dropped
                 keyed.append((*lo_key, *hi_key, 0))
         keyed.sort()
-        self.intervals: tuple[tuple[Fraction, Fraction], ...] = _merged(keyed)
+        self.intervals: tuple[tuple[Fraction, Fraction], ...] = _coalesced(keyed)
 
     @classmethod
     def _canonical(cls, intervals: tuple[tuple[Fraction, Fraction], ...]) -> "IntervalSet":
@@ -541,9 +549,7 @@ class IntervalSet:
             raise SpaceMismatchError("sets belong to different spaces")
         return self.difference(other.complement())
 
-    def complement(self) -> "IntervalSet":
-        # The one cell of the gaps in the table of this set.
-        return UNIT_INTERVAL._cell_sets(UNIT_INTERVAL._tabulate((self,), [-1, 0]))[0]
+    complement = _complement
 
     def difference(self, other: "MeasurableSet") -> "IntervalSet":
         # De Morgan: a - b = ~(~a | b); `union_of` refuses a set of another space.
@@ -586,20 +592,20 @@ class IntervalMeasure:
     always a finite rational.
 
     `breakpoints` and `densities` keep the cells as given.  Equality and
-    the hash use the form with adjacent equal-density cells merged, so
-    measures that agree on every set compare equal.
+    the hash use the integer table, whose grid has adjacent equal-density
+    cells merged, so measures that agree on every set compare equal.
     """
 
     breakpoints: tuple[Fraction, ...]
     densities: tuple[Fraction, ...]
-    # The merged (breakpoints, densities), and the integer table `_masses`
-    # reads: (D, G, A, B, E).  With the merged grid over its common
-    # denominator D (G[k] = D * grid[k]) and the densities over theirs, E
-    # (A[k] = E * density[k]), the mass of [0, x) for grid[k] <= x <
-    # grid[k + 1] is (C[k] + A[k] * (D * x - G[k])) / (D * E), where C[k] is
-    # the integer D * E * mass of [0, grid[k]); B[k] = C[k] - A[k] * G[k].
-    # A closing entry A = 0, B = C[cells] answers x = 1.
-    _merged: tuple = field(init=False, repr=False, compare=False)
+    # The integer table `_masses` reads, (D, G, A, B, E), a canonical form
+    # of the measure.  The grid has adjacent equal-density cells merged.
+    # With the grid over its common denominator D (G[k] = D * grid[k]) and
+    # the densities over theirs, E (A[k] = E * density[k]), the mass of
+    # [0, x) for grid[k] <= x < grid[k + 1] is
+    # (C[k] + A[k] * (D * x - G[k])) / (D * E), where C[k] is the integer
+    # D * E * mass of [0, grid[k]); B[k] = C[k] - A[k] * G[k].  A closing
+    # entry A = 0, B = C[cells] answers x = 1.
     _table: tuple = field(init=False, repr=False, compare=False)
     # The last mass read, (table, (numerators, denominator)) (see `_masses`).
     _last_read: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
@@ -630,7 +636,6 @@ class IntervalMeasure:
             below += slope * (points[k + 1] - points[k])
         slopes.append(0)
         offsets.append(below)
-        object.__setattr__(self, "_merged", (tuple(grid), tuple(steps)))
         object.__setattr__(
             self,
             "_table",
@@ -640,10 +645,10 @@ class IntervalMeasure:
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalMeasure):
             return NotImplemented
-        return self._merged == other._merged
+        return self._table == other._table
 
     def __hash__(self) -> int:
-        return hash(self._merged)
+        return hash(self._table)
 
     @classmethod
     def lebesgue(cls) -> "IntervalMeasure":
@@ -662,10 +667,7 @@ class IntervalMeasure:
         for k, density in enumerate(self.densities):
             yield self.breakpoints[k], self.breakpoints[k + 1], density
 
-    def measure_of(self, subset: "MeasurableSet") -> Fraction:
-        numerators, denominator = self._read_masses(UNIT_INTERVAL._tabulate((subset,), [0, -1]))
-        return Fraction(numerators[0], denominator)
-
+    measure_of = _measure_of
     _masses = _last_masses
 
     def _read_masses(self, table: "CellTable") -> tuple[tuple[int, ...], int]:
@@ -708,8 +710,6 @@ Space = Union[DiscreteSpace, UnitIntervalSpace]
 
 def space_of(measure: Measure) -> Space:
     """The sample space a measure lives on."""
-    if isinstance(measure, DiscreteSpace):
-        return measure
-    if isinstance(measure, IntervalMeasure):
-        return UNIT_INTERVAL
-    raise TypeError(f"not a measure: {measure!r}")
+    if not isinstance(measure, (DiscreteSpace, IntervalMeasure)):
+        raise TypeError(f"not a measure: {measure!r}")
+    return measure.space

@@ -136,6 +136,20 @@ def test_interval_outside_the_unit_interval_exit_1_names_the_end(
     )
 
 
+def test_negative_density_exit_1_names_the_space(tmp_path, capsys):
+    doc = dict(STEP_TASK)
+    doc["space"] = {
+        "type": "interval",
+        "breakpoints": ["0", "1/2", "1"],
+        "densities": ["1", "-1/3"],
+    }
+    code = main(["integrate", "--spec", write_task(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "validation error: space: densities must be nonnegative\n"
+
+
 def test_task_command_mismatch_exit_1(tmp_path, capsys):
     code = main(["table", "--spec", write_task(tmp_path, IDENTITY_COMPARE)])
     assert code == 1

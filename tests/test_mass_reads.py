@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from exactintegral import (
     DiscreteSet,
     DiscreteSpace,
+    DyadicApproximation,
     IntervalMeasure,
     IntervalSet,
     PiecewiseLinear,
@@ -24,6 +25,7 @@ from exactintegral import (
     integrate_over,
     integrate_simple,
     lebesgue_integral,
+    series_from_integrand,
 )
 
 from oracles import integral_oracle, measure_oracle
@@ -239,22 +241,65 @@ def test_an_integral_of_n_terms_makes_one_batch_read(monkeypatch, measure):
         assert counts == {"batch": batches, "measure_of": 0}, name
 
 
+def _recorded_reads(monkeypatch, measure_class) -> list:
+    """The tables of every `_read_masses` call from now on, in call order."""
+    tables = []
+    read = measure_class._read_masses
+    monkeypatch.setattr(
+        measure_class, "_read_masses", lambda self, table: tables.append(table) or read(self, table)
+    )
+    return tables
+
+
 def test_a_piecewise_linear_read_walks_no_root(monkeypatch):
     """The mass read of a piecewise-linear integrand leaves its sloped cells
     out, and with them the roots that split them, whose denominators would
-    only lengthen the read's common denominator."""
+    only lengthen the read's common denominator.  The read of a staircase
+    part also leaves out the flat cells of the other sign."""
     fn = _wide_piecewise(16)  # every sloped piece crosses zero inside its cell
     roots = {-b / a for _, _, a, b in fn.cells() if a}
     measure = IntervalMeasure((F(0), F(1, 3), F(1)), (F(2), F(1, 5)))
-    tables = []
-    read = IntervalMeasure._read_masses
-    monkeypatch.setattr(
-        IntervalMeasure, "_read_masses", lambda self, table: tables.append(table) or read(self, table)
-    )
+    tables = _recorded_reads(monkeypatch, IntervalMeasure)
     assert lebesgue_integral(fn, measure).value == integral_oracle(fn, measure)
     (table,) = tables
     assert roots.isdisjoint(table.cuts)
     assert set(table.cuts) <= set(fn.breakpoints)
+
+    tables.clear()
+    positive, negative = DyadicApproximation.parts(fn)
+    assert positive.limit(measure) == integral_oracle(fn.pos_part(), measure)
+    assert negative.limit(measure) == integral_oracle(fn.neg_part(), measure)
+    assert len(tables) == 2
+    for table, sign in zip(tables, (1, -1)):
+        # The ends of the flat pieces of this sign, with 0 and 1.
+        ends = {F(0), F(1)}
+        for u, w, a, b in fn.cells():
+            if not a and b * sign > 0:
+                ends |= {u, w}
+        assert roots.isdisjoint(table.cuts)
+        assert set(table.cuts) <= ends
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        DiscreteSpace(tuple(F(k % 5, 7) for k in range(16))),
+        IntervalMeasure((F(0), F(1, 3), F(1)), (F(2), F(1, 5))),
+    ],
+)
+def test_a_signed_simple_series_reads_the_masses_once(monkeypatch, measure):
+    """The two staircase parts of a simple function keep its table, so the
+    second part's read finds the first's in the measure's memo slot."""
+    space = measure if isinstance(measure, DiscreteSpace) else UNIT_INTERVAL
+    fn = _wide_function(space, 16)  # values of both signs
+    tables = _recorded_reads(monkeypatch, type(measure))
+    representation = series_from_integrand(fn, measure, depth=12)
+    assert tables == [fn._table]
+    series = representation.series
+    assert series.positive_limit == integral_oracle(fn.pos_part(), measure)
+    assert series.negative_limit == integral_oracle(fn.neg_part(), measure)
+    series_from_integrand(fn, _rebuilt_measure(measure), depth=12)  # another measure
+    assert tables == [fn._table] * 2
 
 
 # --- the memo slots: one pairing per left canonical function, one mass read per measure

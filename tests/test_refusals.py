@@ -134,6 +134,11 @@ REFUSALS = {
         ValueError,
         "breakpoints must be strictly increasing",
     ),
+    "negative_density": (
+        lambda: IntervalMeasure((F(0), F(1, 2), F(1)), (F(1), F(-1, 3))),
+        ValueError,
+        "densities must be nonnegative",
+    ),
     "space_of_a_number": (
         lambda: space_of(3),
         TypeError,

@@ -122,6 +122,11 @@ def test_canonical_idempotent_and_equality():
     assert f.canonical().canonical() is f.canonical()
     assert f == g
     assert f != g.scale(2)
+    # Another dimension, or another space, is unequal without a comparison
+    # of the cells.
+    assert f != SimpleFunction(UNIT_INTERVAL, [(Vec((F(1),)), iv((0, 1)))], 1)
+    points = DiscreteSpace((F(1), F(1)))
+    assert f != SimpleFunction(points, [(F(1), DiscreteSet(points, [0, 1]))])
 
 
 # --- evaluation ---------------------------------------------------------------

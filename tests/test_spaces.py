@@ -31,6 +31,7 @@ LEBESGUE = IntervalMeasure.lebesgue()
 def test_interval_set_is_normalized():
     messy = iv(("1/2", "3/4"), (0, "1/4"), ("1/4", "1/2"))
     assert messy == iv((0, "3/4"))
+    assert hash(messy) == hash(iv((0, "3/4")))
     assert messy.intervals == ((F(0), F(3, 4)),)
 
 
@@ -72,6 +73,8 @@ def test_degenerate_intervals_drop():
 def test_discrete_set_sorted_unique():
     space = DiscreteSpace((F(1), F(1), F(1)))
     assert DiscreteSet(space, [2, 0, 2]).indices == (0, 2)
+    assert DiscreteSet(space, [2, 0, 2]) == DiscreteSet(space, [0, 2])
+    assert hash(DiscreteSet(space, [2, 0, 2])) == hash(DiscreteSet(space, [0, 2]))
     with pytest.raises(ValueError):
         DiscreteSet(space, [3])
 
@@ -267,6 +270,10 @@ def test_measures_compare_equal_after_merging_equal_density_cells():
     )
     zeros = IntervalMeasure((F(0), F(1, 4), F(1, 2), F(1)), (F(0), F(0), F(3)))
     assert zeros == IntervalMeasure((F(0), F(1, 2), F(1)), (F(0), F(3)))
+    # A breakpoint merged away leaves no trace of its denominator.
+    thirds = IntervalMeasure((F(0), F(1, 3), F(1)), (F(1, 2), F(1, 2)))
+    assert thirds == IntervalMeasure((F(0), F(1)), (F(1, 2),))
+    assert hash(thirds) == hash(IntervalMeasure((F(0), F(1)), (F(1, 2),)))
     assert IntervalMeasure((F(0), F(1, 2), F(1)), (F(1), F(2))) != LEBESGUE
     assert IntervalMeasure((F(0), F(1, 3), F(1)), (F(0), F(1))) != IntervalMeasure(
         (F(0), F(1, 2), F(1)), (F(0), F(1))
