@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .lebesgue import (
@@ -288,7 +289,8 @@ class BochnerRepresentation:
     `tail_at_depth` form the certificate at that depth; `exact` marks a
     series that terminates by it, making the truncated sum the integral
     itself.  The part limits, the part approximations and the per-level
-    values are read off `series`.
+    values are read off `series`; `absolute_integral` is computed on first
+    read and kept.
     """
 
     target: Optional[Integrand]
@@ -300,7 +302,7 @@ class BochnerRepresentation:
     tail_at_depth: Fraction
     exact: bool
 
-    @property
+    @cached_property
     def absolute_integral(self) -> Fraction:
         return self.series.positive_limit + self.series.negative_limit
 
@@ -324,7 +326,8 @@ def bochner_integrate(series_or_rep, truncation: Optional[int] = None):
     For a finite series with N covering every term the bound is zero and
     the value is the series integral itself, exactly.  N defaults to the
     term count; a series that never terminates needs it given, or raises
-    `CertificateError`.
+    `CertificateError`.  A representation truncated where its certificate
+    stands gives that certificate's tail bound, computed once.
     """
     series = _as_series(series_or_rep)
     if truncation is None:
@@ -334,8 +337,12 @@ def bochner_integrate(series_or_rep, truncation: Optional[int] = None):
             )
         truncation = series.term_count
     value = series.partial_integral_sum(truncation)
-    bound = series.tail_bound(truncation)
-    return value, bound
+    if (
+        isinstance(series_or_rep, BochnerRepresentation)
+        and series._effective(truncation) == series._effective(series_or_rep.depth)
+    ):
+        return value, series_or_rep.tail_at_depth
+    return value, series.tail_bound(truncation)
 
 
 def series_from_integrand(

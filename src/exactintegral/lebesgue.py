@@ -19,9 +19,13 @@ function gets a table over the cells of its one root-split walk
 inside it: one cell per nonzero flat piece, with its value, and one cell
 per sloped piece a*x + b on [u, w), holding (0, 1), whose piece keeps
 its two end values `ends`, computed once; `sloped` lists those pieces in
-increasing order.  The function is zero on the points of no cell.  No
-cell changes sign, so f+ keeps the positive cell values and sloped
-pieces of f, and f− the negative ones, negated.
+increasing order.  The cuts u and w are `Fraction`s; the slope a, the
+intercept b and the end values are reduced integer pairs (p, q) with
+q > 0, so every value that is only compared, negated or put into an
+integer row is read from integers, and a `Fraction` is made only where a
+cut or a public value needs one.  The function is zero on the points of
+no cell.  No cell changes sign, so f+ keeps the positive cell values and
+sloped pieces of f, and f− the negative ones, negated pair by pair.
 
 A nonnegative integrand f enters stage two only through the distribution
 m∘f⁻¹ of its values: the limit is the mean of that distribution, and each
@@ -34,9 +38,9 @@ value zero left out when there are sloped cells (no mass is read when no
 cell value is nonzero).  A sloped piece spreads its mass over its values
 with the value density r = d/|a| of each density cell d it crosses; each
 end of such a uniform piece adds +-(r*y, r), and one sweep of the sloped
-pieces along the measure's public density cells merges the two ends that
-meet at a density breakpoint into one row, over the denominator of its
-r-step times q.  The level-n staircase integral is
+pieces along the measure's public density cells, read as integer pairs,
+merges the two ends that meet at a density breakpoint into one row, over
+the denominator of its r-step times q.  The level-n staircase integral is
 4^-n * sum((e*k*2^n - c*k(k+1)/2) / L) with k = min(n*2^n, floor(2^n*y)),
 the grid index of y that `_grid_index` computes (an atom contributes
 mass * s_n(y), a uniform piece an arithmetic series), and the limit is
@@ -65,9 +69,13 @@ table, reads no mass again.
 `DyadicApproximation` keeps the lowered form of one nonnegative
 integrand, and `DyadicApproximation.parts(f)` builds the lowered forms of
 f+ and f− from the lowered form of f, without building either part
-function.  On first use against a measure each approximation reads the
-value distribution of its own part and keeps its rows with their limit in
-one table; level n is then one exact sum of integer terms over the rows'
+function; a part with no sloped piece of its own, of a function that has
+some, gets the table regrouped to its own nonzero cells, so its read
+walks no cut of the other part.  Its upper bound is the largest held
+value or end, found by integer cross-products and made one `Fraction`.
+On first use against a measure each approximation reads the value
+distribution of its own part and keeps its rows with their limit in one
+table; level n is then one exact sum of integer terms over the rows'
 denominators, and each level costs one `Fraction`, made once and kept.
 The two parts of a simple function keep its own cell table, so the
 second part's read finds the first's in the measure's memo slot and a
@@ -98,9 +106,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Union
 
-from .piecewise import PiecewiseLinear, _gapless
+from .piecewise import PiecewiseLinear, _affine_pair, _gapless
 from .rationals import ONE, ZERO, exact_sum
 from .simple import SimpleFunction
 from .spaces import (
@@ -154,7 +163,9 @@ def _lowered(fn: Integrand) -> tuple:
     end values have strictly opposite signs is split at its root: one cell
     per nonzero flat piece, and one cell per sloped piece a*x + b on
     [u, w), holding (0, 1), whose `ends` are its values at its two ends,
-    computed once.  The function is zero on the points of no cell.
+    computed once.  The slope, the intercept, the ends and the flat values
+    are the walk's reduced integer pairs.  The function is zero on the
+    points of no cell.
     """
     if isinstance(fn, SimpleFunction):
         if fn.is_vector:
@@ -162,14 +173,14 @@ def _lowered(fn: Integrand) -> tuple:
         return fn._table, fn._values, {}
     cuts, owners, values, sloped = [], [], [], {}
     for cell in fn._split_cells():
-        u, _, a, b, _ = cell
+        u, _, (a, _), _, (y, _) = cell
         cuts.append(u)
-        owners.append(len(values) if a or b else -1)
+        owners.append(len(values) if a or y[0] else -1)
         if a:
             sloped[len(values)] = cell
             values.append((0, 1))
-        elif b:
-            values.append((b.numerator, b.denominator))
+        elif y[0]:
+            values.append(y)
     return CellTable(owners, len(values), (*cuts, ONE)), values, sloped
 
 
@@ -179,7 +190,7 @@ def _lowered_nonneg(fn: Integrand) -> tuple:
     table, values, sloped = lowered = _lowered(fn)
     negative = {k for k, (p, _) in enumerate(values) if p < 0}
     if not negative.isdisjoint(table.owners) or any(
-        y.numerator < 0 or z.numerator < 0 for *_, (y, z) in sloped.values()
+        y[0] < 0 or z[0] < 0 for *_, (y, z) in sloped.values()
     ):
         kind = "simple integrand" if isinstance(fn, SimpleFunction) else "integrand"
         raise NegativeIntegrandError(f"{kind} takes negative values")
@@ -188,13 +199,14 @@ def _lowered_nonneg(fn: Integrand) -> tuple:
 
 def _termination_level(values: list) -> Optional[int]:
     """First level whose staircase equals a piecewise-constant function
-    with these nonzero values, or None."""
+    with these nonzero values, integer pairs (p, q) with q > 0 that may be
+    unreduced, as a derived simple function keeps them; or None."""
     level = 0
-    for v in values:
-        den = v.denominator
+    for p, q in values:
+        den = q // math.gcd(p, q)
         if den & (den - 1):  # not a power of two: off every dyadic grid
             return None
-        level = max(level, den.bit_length() - 1, math.ceil(v))
+        level = max(level, den.bit_length() - 1, -(-p // q))
     return level
 
 
@@ -215,18 +227,25 @@ def _value_distribution(lowered: tuple, measure: Measure) -> list:
     pieces the read keeps only the cells of nonzero value: it leaves the
     sloped cells out, and with them the root cuts of split pieces, which
     would only lengthen its common denominator, and on the table of a part
-    the flat cells of the other sign too.  The sloped pieces give the rows
-    of `_ramps`.  Null masses contribute to no integral and are left out.
+    the flat cells of the other sign too (a part without sloped pieces
+    comes with its table so regrouped by `parts`).  The sloped pieces give
+    the rows of `_ramps`.  Null masses contribute to no integral and are
+    left out.
     """
     table, values, sloped = lowered
     rows = []
     if any(p for p, _ in values):  # a piecewise-linear integrand often has no flat cell
         if sloped:
-            keep = [k if p else -1 for k, (p, _) in enumerate(values)]
-            table = _regrouped(table, [*keep, -1], table.count)
+            table = _nonzero_cells(table, values)
         numerators, denominator = measure._masses(table)
         rows = [(p, q, n, 0, denominator) for (p, q), n in zip(values, numerators) if p and n]
     return rows + _ramps(sloped.values(), measure) if sloped else rows
+
+
+def _nonzero_cells(table: CellTable, values: list) -> CellTable:
+    """The table with its cells of value zero joined to the points of no cell."""
+    keep = [k if p else -1 for k, (p, _) in enumerate(values)]
+    return _regrouped(table, [*keep, -1], table.count)
 
 
 def _ramps(sloped, measure: Measure) -> list:
@@ -236,27 +255,33 @@ def _ramps(sloped, measure: Measure) -> list:
     with density r = d/|a|, whose ends add +-(r*y, r); where the density
     steps from d to d' at x, the two ends meeting there make one row
     (c*y, c) at y = a*x + b, c = (d - d')/a, over the denominator of c
-    times q.  A step of zero makes no row."""
-    grid, densities = measure.breakpoints, measure.densities
+    times q.  A step of zero makes no row.  The breakpoints and densities
+    are read once as integer pairs: the sweep compares by cross-products,
+    each value y is a pair, each step d - d' a cross-difference and
+    c = step/a is reduced by one gcd, so no `Fraction` is made."""
+    grid = [t.as_integer_ratio() for t in measure.breakpoints]
+    densities = [d.as_integer_ratio() for d in measure.densities]
     rows = []
     k = 0
     for u, w, a, b, (y_u, y_w) in sloped:
-        while grid[k + 1] <= u:
+        un, ud = u.as_integer_ratio()
+        wn, wd = w.as_integer_ratio()
+        while grid[k + 1][0] * ud <= un * grid[k + 1][1]:
             k += 1
-        d = densities[k]
-        # Each step as an integer pair: negating or testing it makes no Fraction.
-        steps = [(y_u, -d.numerator, d.denominator)]
-        while grid[k + 1] < w:
+        n, m = densities[k]
+        steps = [(y_u, -n, m)]
+        while grid[k + 1][0] * wd < wn * grid[k + 1][1]:
             k += 1
-            d = densities[k - 1] - densities[k]
-            steps.append((a * grid[k] + b, d.numerator, d.denominator))
-        d = densities[k]
-        steps.append((y_w, d.numerator, d.denominator))
-        for y, num, den in steps:
+            (n0, m0), (n, m) = densities[k - 1], densities[k]
+            steps.append((_affine_pair(a, b, *grid[k]), n0 * m - n * m0, m0 * m))
+        steps.append((y_w, n, m))
+        an, ad = a
+        for (p, q), num, den in steps:
             if num:
-                c = Fraction(num * a.denominator, den * a.numerator)
-                p, q = y.numerator, y.denominator
-                rows.append((p, q, c.numerator * p, c.numerator * q, c.denominator * q))
+                cn, cd = num * ad, den * an
+                g = math.gcd(cn, cd) if an > 0 else -math.gcd(cn, cd)
+                cn, cd = cn // g, cd // g
+                rows.append((p, q, cn * p, cn * q, cd * q))
     return rows
 
 
@@ -302,31 +327,44 @@ class DyadicApproximation:
         """The approximations of f+ = max(0, f) and f− = max(0, −f), built
         from the lowered form of f without building either part function:
         each part maps the cell values and keeps the sloped pieces of its
-        sign, negated for f−, on the table of f.  Each reads its own value
+        sign, negated for f− pair by pair, on the table of f, or, when it
+        has no sloped piece of its own but f has some, on that table
+        regrouped to its own nonzero cells.  Each reads its own value
         distribution; a simple function's two parts share its table, so
         its masses are read once per measure."""
         table, values, sloped = _lowered(fn)
         positive = [v if v[0] > 0 else (0, 1) for v in values]
         negative = [(-p, q) if p < 0 else (0, 1) for p, q in values]
         above, below = {}, {}
-        for owner, (u, w, a, b, (y_u, y_w)) in sloped.items():
+        for owner, piece in sloped.items():
+            u, w, (an, ad), (bn, bd), ((p_u, q_u), (p_w, q_w)) = piece
             # No piece has a root inside, so a nonzero end gives its sign.
-            if y_u.numerator > 0 or y_w.numerator > 0:
-                above[owner] = sloped[owner]
+            if p_u > 0 or p_w > 0:
+                above[owner] = piece
             else:
-                below[owner] = (u, w, -a, -b, (-y_u, -y_w))
-        pair = cls.__new__(cls), cls.__new__(cls)
-        pair[0]._start(fn, (table, positive, above))
-        pair[1]._start(fn, (table, negative, below))
-        return pair
+                below[owner] = (u, w, (-an, ad), (-bn, bd), ((-p_u, q_u), (-p_w, q_w)))
+        pair = []
+        for part_values, part_sloped in ((positive, above), (negative, below)):
+            part_table = table
+            if sloped and not part_sloped:
+                part_table = _nonzero_cells(table, part_values)
+            approx = cls.__new__(cls)
+            approx._start(fn, (part_table, part_values, part_sloped))
+            pair.append(approx)
+        return pair[0], pair[1]
 
     def _start(self, target: Integrand, part: tuple) -> None:
         self.space = target.space
         table, values, sloped = self._part = part
         # The nonzero values of the cells that hold a point.
-        held = [Fraction(*values[k]) for k in set(table.owners) if k >= 0 and values[k][0]]
-        # A bound >= sup: the largest held value or end of a sloped piece.
-        self._bound = max((*held, *(y for *_, ends in sloped.values() for y in ends)), default=ZERO)
+        held = [values[k] for k in set(table.owners) if k >= 0 and values[k][0]]
+        # A bound >= sup: the largest held value or end of a sloped piece,
+        # found by integer cross-products and made one Fraction.
+        p, q = 0, 1
+        for y in chain(held, *(ends for *_, ends in sloped.values())):
+            if y[0] * q > p * y[1]:
+                p, q = y
+        self._bound = Fraction(p, q)
         self._termination = None if sloped else _termination_level(held)
         # The (measure, _StaircaseTable) pairs read so far.
         self._tables: list = []
@@ -357,20 +395,20 @@ class DyadicApproximation:
             raise OutsideDomainError(f"point {point!r} outside the space")
         table, values, sloped = self._part
         owner = self.space._owner_at(table, point)
-        value = slope = ZERO
+        p, q, falling = 0, 1, False
         if owner in sloped:
-            _, _, slope, b, _ = sloped[owner]
-            value = slope * point + b
+            _, _, a, b, _ = sloped[owner]
+            p, q = _affine_pair(a, b, *point.as_integer_ratio())
+            falling = a[0] < 0
         elif owner >= 0:
-            value = Fraction(*values[owner])
+            p, q = values[owner]
         if level == 0:
             return ZERO
         if self._termination is not None and level >= self._termination:
             # From the termination level on the staircase is the target.
-            return value
-        p, q = value.numerator, value.denominator
+            return Fraction(p, q)
         k = _grid_index(p, q, level)
-        if slope < 0 and 0 < k and k * q == p << level:
+        if falling and 0 < k and k * q == p << level:
             # Decreasing through the grid value k/2^n exactly: the half-open
             # level sets put this point in the cell just below.
             k -= 1
@@ -399,22 +437,27 @@ class DyadicApproximation:
                     owners.append(owner)
                     continue
                 u, w, a, b, ends = sloped[owner]
-                y_lo, y_hi = sorted(ends)
-                k_min = max(1, (y_lo.numerator * scale) // y_lo.denominator + 1)
-                k_max = min(n * scale, -((-y_hi.numerator * scale) // y_hi.denominator) - 1)
+                (an, ad), (bn, bd) = a, b
+                # The piece is strictly monotone: its slope orders its ends.
+                (p_lo, q_lo), (p_hi, q_hi) = ends if an > 0 else ends[::-1]
+                k_min = max(1, (p_lo * scale) // q_lo + 1)
+                k_max = min(n * scale, -((-p_hi * scale) // q_hi) - 1)
                 if k_max - k_min > _MATERIALIZE_CELL_LIMIT:
                     raise ValueError(
                         f"level {n} would materialize about {k_max - k_min} cells; "
                         "use value_at/integral instead"
                     )
-                # Every crossing lies strictly inside the piece.
-                crossings = [(Fraction(k, scale) - b) / a for k in range(k_min, k_max + 1)]
-                points = [u, *(crossings if a > 0 else reversed(crossings)), w]
+                # Every crossing (k/2^n - b)/a lies strictly inside the piece.
+                crossings = [
+                    Fraction((k * bd - bn * scale) * ad, scale * bd * an)
+                    for k in range(k_min, k_max + 1)
+                ]
+                points = [u, *(crossings if an > 0 else reversed(crossings)), w]
                 for x, y in zip(points, points[1:]):
                     cuts.append(x)
                     owners.append(len(values))
-                    mid = a * (x + y) / 2 + b
-                    values.append(rounded(mid.numerator, mid.denominator))
+                    mid = (x + y) / 2
+                    values.append(rounded(*_affine_pair(a, b, *mid.as_integer_ratio())))
             table = CellTable(owners, len(values), (*cuts, ONE))
         return SimpleFunction._grouped(self.space, table, values, None)
 

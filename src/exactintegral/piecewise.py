@@ -18,10 +18,13 @@ Costs, for functions of m and n pieces:
 * `evaluate`: one bisection of the grid, O(log m);
 * the root split lives in one walk, `_split_cells`, which yields each cell
   with its two end values and splits a sloped cell whose ends have
-  strictly opposite signs at its root -b/a, in O(m);
-  `split_at_roots`, `pos_part`, `neg_part` and `absolute` rebuild the
-  function from it, and `lebesgue` lowers an integrand's sloped pieces
-  from it;
+  strictly opposite signs at its root -b/a, in O(m); it carries the slope,
+  the intercept and the end values as reduced integer pairs (p, q) with
+  q > 0, each end value one cross-multiplication and one gcd
+  (`_affine_pair`), and makes a `Fraction` only for a root, which becomes
+  a cut; `split_at_roots`, `pos_part`, `neg_part` and `absolute` rebuild
+  the function from it, and `lebesgue` lowers an integrand's sloped
+  pieces from it;
 * the results of `+`, `-`, `-f`, `scale`, `refined` and the root split
   come from the trusted `_trusted` constructor: their grids and
   coefficients are built from checked ones, so the public constructor's
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator
 
 from .rationals import ONE, ZERO, as_rational
@@ -128,16 +132,26 @@ class PiecewiseLinear:
 
     def _split_cells(self) -> Iterator[tuple]:
         """Yield (u, w, a, b, (f(u), f(w-))) per cell, f(w-) the limit at
-        the right end; a sloped cell whose two end values have strictly
+        the right end: the cut points u and w as `Fraction`s, the slope a,
+        the intercept b and the two end values as reduced integer pairs
+        (p, q), q > 0.  A sloped cell whose two end values have strictly
         opposite signs is yielded as its two halves on either side of its
-        root -b/a, so no yielded cell changes sign inside."""
-        for u, w, a, b in self.cells():
-            y_u, y_w = (a * u + b, a * w + b) if a else (b, b)
-            if y_u.numerator * y_w.numerator < 0:
-                root = -b / a
-                yield u, root, a, b, (y_u, ZERO)
-                u, y_u = root, ZERO
-            yield u, w, a, b, (y_u, y_w)
+        root -b/a, the one `Fraction` made, so no yielded cell changes sign
+        inside."""
+        bp = self.breakpoints
+        ratios = [t.as_integer_ratio() for t in bp]
+        for j, (a, b) in enumerate(self.pieces):
+            a, b = a.as_integer_ratio(), b.as_integer_ratio()
+            if not a[0]:
+                yield bp[j], bp[j + 1], a, b, (b, b)
+                continue
+            u = bp[j]
+            y_u, y_w = _affine_pair(a, b, *ratios[j]), _affine_pair(a, b, *ratios[j + 1])
+            if y_u[0] * y_w[0] < 0:
+                root = Fraction(-b[0] * a[1], b[1] * a[0])
+                yield u, root, a, b, (y_u, (0, 1))
+                u, y_u = root, (0, 1)
+            yield u, bp[j + 1], a, b, (y_u, y_w)
 
     def split_at_roots(self) -> "PiecewiseLinear":
         """Refine so no piece changes sign in the interior of its cell."""
@@ -148,10 +162,10 @@ class PiecewiseLinear:
         and by `negative` elsewhere.  A split cell does not change sign
         inside, so f > 0 on it iff f > 0 at one of its ends."""
         bp, pieces = [ZERO], []
-        for _, w, a, b, (y_u, y_w) in self._split_cells():
-            factor = positive if y_u.numerator > 0 or y_w.numerator > 0 else negative
+        for _, w, (an, ad), (bn, bd), (y_u, y_w) in self._split_cells():
+            factor = positive if y_u[0] > 0 or y_w[0] > 0 else negative
             bp.append(w)
-            pieces.append((factor * a, factor * b))
+            pieces.append((Fraction(factor * an, ad), Fraction(factor * bn, bd)))
         return PiecewiseLinear._trusted(tuple(bp), tuple(pieces))
 
     def pos_part(self) -> "PiecewiseLinear":
@@ -179,6 +193,16 @@ class PiecewiseLinear:
             f"[{u},{w}): {a}*x+{b}" for u, w, a, b in self.cells()
         )
         return f"PiecewiseLinear({parts})"
+
+
+def _affine_pair(a: tuple, b: tuple, xn: int, xd: int) -> tuple[int, int]:
+    """a*x + b at x = xn/xd, xd > 0, as a reduced integer pair (p, q) with
+    q > 0, the slope a and the intercept b given as integer pairs with
+    positive denominators: one cross-multiplication and one gcd."""
+    (an, ad), (bn, bd) = a, b
+    p, q = an * xn * bd + bn * ad * xd, ad * xd * bd
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def _gapless(grid: tuple) -> CellTable:

@@ -37,6 +37,13 @@ common refinement as a `set` union of `Fraction` breakpoints, one exact
 sort and one bisection per new cell, and the root split as cuts handed to
 that refinement, with the sign of each split cell read at its midpoint.
 
+`split_cells_reference`, `ramps_reference` and
+`termination_level_reference` are the `Fraction` forms of the lowering
+that the library replaced by integer pairs: the root-split walk with its
+end values as `Fraction`s, the sweep of the sloped pieces along the
+measure's public density cells with one `Fraction` per density step, and
+the termination level read off `Fraction` values.
+
 `slope_at`, `restrict`, `upper_bound`, `lower_bound`, `is_nonnegative`
 and `level_set` are plain piecewise-linear helpers of the tests: the
 slope of the piece at a point, the product with a region's indicator,
@@ -49,6 +56,7 @@ growth guards.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from bisect import bisect_right
@@ -185,6 +193,57 @@ def by_sign_reference(fn: PiecewiseLinear, positive: int, negative: int) -> Piec
         factor = positive if a * (u + w) / 2 + b > 0 else negative
         pieces.append((factor * a, factor * b))
     return PiecewiseLinear(split.breakpoints, pieces)
+
+
+def split_cells_reference(fn: PiecewiseLinear):
+    """Yield (u, w, a, b, (f(u), f(w-))) per cell, every entry a `Fraction`;
+    a sloped cell whose end values have strictly opposite signs is yielded
+    as its two halves on either side of its root -b/a."""
+    for u, w, a, b in fn.cells():
+        y_u, y_w = (a * u + b, a * w + b) if a else (b, b)
+        if y_u.numerator * y_w.numerator < 0:
+            root = -b / a
+            yield u, root, a, b, (y_u, ZERO)
+            u, y_u = root, ZERO
+        yield u, w, a, b, (y_u, y_w)
+
+
+def ramps_reference(sloped, measure: IntervalMeasure) -> list:
+    """Integer rows (p, q, e, c, L) of sloped pieces (u, w, a, b, (y_u, y_w))
+    of `Fraction`s, in increasing order, from one sweep along the measure's
+    public density cells: a density step d - d' at x gives the row
+    (c*y, c) at y = a*x + b, c = (d - d')/a, over the denominator of c
+    times q, the ends stepping from and to zero density.  A step of zero
+    makes no row."""
+    grid, densities = measure.breakpoints, measure.densities
+    rows = []
+    k = 0
+    for u, w, a, b, (y_u, y_w) in sloped:
+        while grid[k + 1] <= u:
+            k += 1
+        steps = [(y_u, -densities[k])]
+        while grid[k + 1] < w:
+            k += 1
+            steps.append((a * grid[k] + b, densities[k - 1] - densities[k]))
+        steps.append((y_w, densities[k]))
+        for y, step in steps:
+            if step:
+                c = step / a
+                p, q = y.numerator, y.denominator
+                rows.append((p, q, c.numerator * p, c.numerator * q, c.denominator * q))
+    return rows
+
+
+def termination_level_reference(values) -> int | None:
+    """First level whose staircase equals a piecewise-constant function
+    with these nonzero `Fraction` values, or None."""
+    level = 0
+    for v in values:
+        den = v.denominator
+        if den & (den - 1):
+            return None
+        level = max(level, den.bit_length() - 1, math.ceil(v))
+    return level
 
 
 def restrict(fn: PiecewiseLinear, region: IntervalSet) -> PiecewiseLinear:

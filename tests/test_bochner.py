@@ -4,11 +4,13 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactintegral import (
+    BochnerRepresentation,
     CertificateError,
     DiscreteSet,
     DiscreteSpace,
@@ -406,6 +408,39 @@ def test_report_computes_at_most_one_staircase_level_per_part(fn, computing, mon
     report = equivalence_report(fn, LEBESGUE, depth=30)
     assert report["integral_value"] == lebesgue_integral(fn, LEBESGUE).value
     assert list(computed.values()) == [[30]] * computing, computed
+
+
+def test_report_computes_each_certificate_value_once(monkeypatch):
+    """A depth-30 report of a piecewise-linear integrand computes the tail
+    bound at depth 30 once, for the certificate and the series integral's
+    error bound both, and the absolute integral once, for its entry and for
+    `certificate_ok` both."""
+    fn = PiecewiseLinear([F(0), F(1, 3), F(1)], [(F(3), F(-1, 2)), (F(-1), F(2))])
+    expected = equivalence_report(fn, LEBESGUE, depth=30)
+    tails = []
+    tail_bound = TelescopeSeries.tail_bound
+
+    def counting_tail(series, after):
+        tails.append(after)
+        return tail_bound(series, after)
+
+    absolute = BochnerRepresentation.__dict__["absolute_integral"]
+    assert isinstance(absolute, cached_property)
+    computed = []
+
+    def counting_absolute(representation):
+        computed.append(representation)
+        return absolute.func(representation)
+
+    counted = cached_property(counting_absolute)
+    counted.__set_name__(BochnerRepresentation, "absolute_integral")
+    monkeypatch.setattr(TelescopeSeries, "tail_bound", counting_tail)
+    monkeypatch.setattr(BochnerRepresentation, "absolute_integral", counted)
+    report = equivalence_report(fn, LEBESGUE, depth=30)
+    assert tails == [30]
+    assert len(computed) == 1
+    assert report == expected
+    assert report["series_integral_error_bound"] == report["summability_tail_bound"] > 0
 
 
 def test_report_recovery_equals_integral_from_series():

@@ -255,7 +255,8 @@ def test_a_piecewise_linear_read_walks_no_root(monkeypatch):
     """The mass read of a piecewise-linear integrand leaves its sloped cells
     out, and with them the roots that split them, whose denominators would
     only lengthen the read's common denominator.  The read of a staircase
-    part also leaves out the flat cells of the other sign."""
+    part also leaves out the flat cells of the other sign, and so does the
+    read of a part with no sloped piece of its own."""
     fn = _wide_piecewise(16)  # every sloped piece crosses zero inside its cell
     roots = {-b / a for _, _, a, b in fn.cells() if a}
     measure = IntervalMeasure((F(0), F(1, 3), F(1)), (F(2), F(1, 5)))
@@ -265,19 +266,27 @@ def test_a_piecewise_linear_read_walks_no_root(monkeypatch):
     assert roots.isdisjoint(table.cuts)
     assert set(table.cuts) <= set(fn.breakpoints)
 
-    tables.clear()
-    positive, negative = DyadicApproximation.parts(fn)
-    assert positive.limit(measure) == integral_oracle(fn.pos_part(), measure)
-    assert negative.limit(measure) == integral_oracle(fn.neg_part(), measure)
-    assert len(tables) == 2
-    for table, sign in zip(tables, (1, -1)):
-        # The ends of the flat pieces of this sign, with 0 and 1.
-        ends = {F(0), F(1)}
-        for u, w, a, b in fn.cells():
-            if not a and b * sign > 0:
-                ends |= {u, w}
-        assert roots.isdisjoint(table.cuts)
-        assert set(table.cuts) <= ends
+    # Every sloped piece of the second function is positive, so its f- has
+    # no sloped piece of its own: its read keeps its two negative flat
+    # pieces alone, not the whole table of f.
+    rising = [(F(1), F(1)), (F(0), F(-2)), (F(2), F(0)), (F(0), F(3))]
+    falling = [(F(-1), F(2)), (F(0), F(-1, 3)), (F(4), F(1)), (F(0), F(5))]
+    positive_slopes = PiecewiseLinear([F(k, 8) for k in range(9)], rising + falling)
+    for fn in (fn, positive_slopes):
+        tables.clear()
+        positive, negative = DyadicApproximation.parts(fn)
+        assert positive.limit(measure) == integral_oracle(fn.pos_part(), measure)
+        assert negative.limit(measure) == integral_oracle(fn.neg_part(), measure)
+        assert len(tables) == 2
+        for table, sign in zip(tables, (1, -1)):
+            # The ends of the flat pieces of this sign, with 0 and 1.
+            ends = {F(0), F(1)}
+            for u, w, a, b in fn.cells():
+                if not a and b * sign > 0:
+                    ends |= {u, w}
+            assert roots.isdisjoint(table.cuts)
+            assert set(table.cuts) <= ends
+    assert tables[1].cuts == (F(0), F(1, 8), F(1, 4), F(5, 8), F(3, 4), F(1))
 
 
 @pytest.mark.parametrize(
