@@ -52,7 +52,7 @@ class PiecewiseLinear:
         breakpoints: Iterable[Fraction],
         pieces: Iterable[tuple[Fraction, Fraction]],
     ):
-        bp = _breakpoint_grid(breakpoints)
+        bp, _ = _breakpoint_grid(breakpoints)
         coeffs = tuple((as_rational(a, "slope"), as_rational(b, "intercept")) for a, b in pieces)
         if len(coeffs) != len(bp) - 1:
             raise ValueError("need one (slope, intercept) pair per cell")

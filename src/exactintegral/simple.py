@@ -17,15 +17,19 @@ disjointness while it builds the table of its terms, one cell per term in
 term order, a zero value or an empty set included: one keyed sort and one
 pass over the intervals (O(K log K)), or one owner array of N entries.  A
 scalar cell value is kept as its integer pair (numerator, denominator), a
-vector as a `Vec`.  `canonical()` groups the values of the cells that
-hold a point by their reduced pairs, orders the groups by the float-first
-key (float(x), x) of the endpoints, and relabels the owners in one pass
-(merging adjacent interval pieces of one value), the points of no cell
-joining the zero cell.  The binary operations (`+`, `-`,
-`pointwise_max/min`) pair the two canonical tables in one linear pass: a
-zip of the owner arrays on a discrete space, a two-pointer merge of the
-cuts on [0, 1) that compares floats and falls back to the exact cut only
-where two floats are equal.  The distinct cell pairs (i, j) are numbered
+vector as a `Vec`.  The constructor takes a term set on the very space
+object without the space equality, and `_tabulate` makes no compare
+where an interval starts at the endpoint object the one before it ended
+at.  `canonical()` groups the values of the cells that hold a point by
+their reduced pairs, orders the groups by the float n / d and puts only
+the runs of equal floats in exact order, by integer cross-products, so it
+makes no `Fraction`; it relabels the owners in one pass (merging adjacent
+interval pieces of one value), the points of no cell joining the zero
+cell.  The binary operations (`+`, `-`, `pointwise_max/min`) pair the two
+canonical tables in one linear pass: a zip of the owner arrays on a
+discrete space, a two-pointer merge of the cuts on [0, 1) that compares
+floats and falls back to the integer cross-products of two cuts only
+where their floats are equal.  The distinct cell pairs (i, j) are numbered
 in (i, j) order, and each gets one value: a cross-multiplied pair for `+`
 and `-` (left unreduced), one of the two pairs for max and min, picked by
 integer cross-products, so no `Fraction` is made per cell; vectors keep
@@ -55,12 +59,14 @@ while that denominator stays short.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Collection, Iterable, Optional, Union
 
 from .rationals import ZERO, as_rational, exact_sum
 from .spaces import (
@@ -150,15 +156,36 @@ def _value_is_zero(value: Value) -> bool:
     return value.is_zero if isinstance(value, Vec) else not value.numerator
 
 
-def _order_key(pair: tuple[int, int]):
-    """The exact order key of a scalar n/d given as its reduced pair (n, d):
-    (n / d, n/d), the float-first key `spaces` orders endpoints by (a value
-    beyond the floats keys as the infinity of its sign)."""
+def _float_of(pair: tuple[int, int]) -> float:
+    """n / d for the pair (n, d), d > 0; a value beyond the floats as the
+    infinity of its sign."""
     n, d = pair
     try:
-        return (n / d, Fraction(n, d))
+        return n / d
     except OverflowError:
-        return (math.inf if n > 0 else -math.inf, Fraction(n, d))
+        return math.inf if n > 0 else -math.inf
+
+
+# Orders two (float, (n, d)) entries of equal floats by n/d, exactly.
+_exact_order = functools.cmp_to_key(lambda x, y: x[1][0] * y[1][1] - y[1][0] * x[1][1])
+
+
+def _in_value_order(pairs: Collection) -> list:
+    """Distinct reduced pairs (n, d), d > 0, sorted by the value n/d: by the
+    float n / d, which is correctly rounded and so monotone, then, only
+    within a run of equal floats, by the integer cross-products."""
+    try:
+        floats = [n / d for n, d in pairs]
+    except OverflowError:
+        floats = list(map(_float_of, pairs))
+    keyed = sorted(zip(floats, pairs))
+    if len(set(floats)) < len(floats):
+        keyed = [
+            entry
+            for _, run in itertools.groupby(keyed, key=operator.itemgetter(0))
+            for entry in sorted(run, key=_exact_order)
+        ]
+    return [pair for _, pair in keyed]
 
 
 def _combined_values(op: str, left: list, right: list, pairs: list) -> list:
@@ -169,15 +196,21 @@ def _combined_values(op: str, left: list, right: list, pairs: list) -> list:
     pair (numerator, denominator): a sum or difference is the
     cross-multiplied pair, left unreduced; max and min compare the integer
     cross-products and pick one of the two pairs (x on a tie, as the
-    builtins do).  No `Fraction` is made.
+    builtins do).  No `Fraction` is made, and a sum or difference reads
+    its two pairs straight off `pairs`, with no list of cells between.
     """
+    vector = isinstance(left[0], Vec)
+    if op == "+" and not vector:
+        return [
+            (n * q + m * p, p * q) for i, j in pairs for (n, p), (m, q) in [(left[i], right[j])]
+        ]
+    if op == "-" and not vector:
+        return [
+            (n * q - m * p, p * q) for i, j in pairs for (n, p), (m, q) in [(left[i], right[j])]
+        ]
     cells = [(left[i], right[j]) for i, j in pairs]
-    if isinstance(left[0], Vec):
+    if vector:
         return [x + y if op == "+" else x - y for x, y in cells]
-    if op == "+":
-        return [(n * q + m * p, p * q) for (n, p), (m, q) in cells]
-    if op == "-":
-        return [(n * q - m * p, p * q) for (n, p), (m, q) in cells]
     if op == "max":
         return [y if y[0] * x[1] > x[0] * y[1] else x for x, y in cells]
     return [y if y[0] * x[1] < x[0] * y[1] else x for x, y in cells]
@@ -205,7 +238,7 @@ class SimpleFunction:
         for value, part in terms:
             if type(value) is not Fraction and not isinstance(value, Vec):
                 value = as_rational(value, "term value")
-            if part.space != space:
+            if part.space is not space and part.space != space:
                 raise SpaceMismatchError("term set belongs to another space")
             term_list.append((value, part))
         dim = self._resolve_dim(term_list, dim)
@@ -254,15 +287,19 @@ class SimpleFunction:
         """The canonical function of the cells of `table`: one cell per
         distinct value that a point holds, in increasing value order, the
         points of no cell joining the zero cell.  Scalars are grouped by
-        their reduced integer pairs, which hash far faster than `Fraction`s."""
+        their reduced integer pairs, which hash far faster than `Fraction`s,
+        and ordered by the float n / d, with only runs of equal floats put
+        in exact order by integer cross-products (`_in_value_order`), so no
+        `Fraction` is made or compared.  Vectors order by their component
+        tuples."""
         if dim is None:
             keys = [(n // g, d // g) for n, d in values for g in (math.gcd(n, d),)]
-            zero, order = (0, 1), _order_key
+            zero, order = (0, 1), _in_value_order
         else:
             keys = [value.components for value in values]
-            zero, order = Vec.zero(dim).components, None
+            zero, order = Vec.zero(dim).components, sorted
         keys.append(zero)  # keys[-1]: the key of owner -1, the points of no cell
-        distinct = sorted({keys[owner] for owner in set(table.owners)}, key=order)
+        distinct = order({keys[owner] for owner in set(table.owners)})
         rank = dict(zip(distinct, range(len(distinct))))
         table = _regrouped(table, [rank.get(key, -1) for key in keys], len(distinct))
         values = distinct if dim is None else [Vec(key) for key in distinct]

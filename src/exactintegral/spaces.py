@@ -22,12 +22,20 @@ and a measure of c cells:
 * public constructors validate and normalise: every endpoint, weight,
   breakpoint and density passes the one rational gate
   `rationals.as_rational` (a `Fraction` as it is, an `int` converted,
-  anything else refused), the endpoint, weight and breakpoint loops with
-  an inline `type(x) is Fraction` fast path; O(k log k) for intervals; a
-  discrete set checks each index's type and the range at the two ends of
-  its sorted indices, and a discrete space reads each weight once as an
-  integer ratio, for the sign check, the lcm and the scaled weights, with
-  one scale factor per distinct weight denominator;
+  anything else refused), each loop with an inline `type(x) is Fraction`
+  fast path; O(k log k) for intervals; a discrete set checks each index's
+  type and the range at the two ends of its sorted indices;
+* the measure constructors read every rational once as an integer pair
+  and call no `Fraction` operator: a discrete space reads each weight
+  once, for the sign check, the lcm and the scaled weights, with one scale
+  factor per distinct weight denominator; an interval measure reads each
+  breakpoint and density once, checks that the grid runs from 0 (a zero
+  numerator) to 1 (numerator equal to denominator) and increases strictly
+  (cross-products of neighbours), checks each density's sign from its
+  numerator, merges equal-density neighbours by comparing their reduced
+  pairs and builds its integer table from the pairs, O(c); the breakpoint
+  checks are one helper, `_breakpoint_grid`, which `PiecewiseLinear`
+  calls too;
 * `union`, and `union_of` on a space for any number of sets: one sort of
   all the intervals and one merge pass, or one `set` update for indices;
   a union with one nonempty operand returns it;
@@ -35,7 +43,10 @@ and a measure of c cells:
   `_paired`) order endpoints by the exact key (float(x), x): the floats
   compare in C and only equal floats fall back to an exact compare, and a
   key stays two words however many distinct denominators the endpoints
-  have;
+  have; `_tabulate` and `_paired` make that compare by integer
+  cross-products, and skip it where the two endpoints are one object (an
+  interval that starts where the one before it ended, a cut shared by
+  both tables);
 * `complement`: the gap cell of the set's own table, O(k log k) or O(N);
   `intersection`, `difference`: for intervals by De Morgan, a - b =
   ~(~a | b) and a & b = a - ~b, complements and one `union_of`,
@@ -217,13 +228,15 @@ class UnitIntervalSpace:
         overlap: owner owner_of[k] for the pieces of parts[k], owner_of[-1]
         for the gaps, and max(owner_of) + 1 cells.  One keyed sort and one
         pass: sorted by lower end, the sets are pairwise disjoint iff each
-        interval starts at or after the end of the one before it."""
+        interval starts at or after the end of the one before it, which
+        needs no compare where it starts at the very endpoint object that
+        interval ended at."""
         if not all(isinstance(part, IntervalSet) for part in parts):
             raise SpaceMismatchError("set does not belong to the interval space")
         cuts, owners = [ZERO], []
         reach_f, reach = 0.0, ZERO
         for lo_f, lo, hi_f, hi, k in _keyed(parts):
-            if lo_f == reach_f:  # equal floats: compare the exact cross-products
+            if lo_f == reach_f and lo is not reach:  # equal floats of two endpoint objects
                 lo_f, reach_f = lo.numerator * reach.denominator, reach.numerator * lo.denominator
             if lo_f < reach_f:
                 return None
@@ -233,16 +246,17 @@ class UnitIntervalSpace:
             cuts.append(hi)
             owners.append(owner_of[k])
             reach_f, reach = hi_f, hi
-        if reach != 1:
+        if reach_f < 1 or reach.numerator != reach.denominator:
             cuts.append(ONE)
             owners.append(owner_of[-1])
         return CellTable(owners, max(owner_of) + 1, tuple(cuts))
 
     def _paired(self, left: CellTable, right: CellTable) -> tuple[CellTable, list]:
         """The common refinement of two gapless tables, from one two-pointer
-        merge of their cuts that compares their floats and the exact cuts
-        only where two floats are equal (see `_numbered`).  A left owner may
-        be -1: `divmod` gives back i = -1 for its pieces."""
+        merge of their cuts that compares their floats, and the integer
+        cross-products of two cut objects only where their floats are equal
+        (see `_numbered`).  A left owner may be -1: `divmod` gives back
+        i = -1 for its pieces."""
         a, b = left.cuts, right.cuts
         a_f = [x.numerator / x.denominator for x in a]
         b_f = [y.numerator / y.denominator for y in b]
@@ -251,7 +265,8 @@ class UnitIntervalSpace:
             codes.append(left.owners[i - 1] * width + right.owners[j - 1])
             x, y = a_f[i], b_f[j]
             if x == y and a[i] is not b[j]:  # equal floats of two cut objects
-                x, y = a[i], b[j]
+                x, y = a[i].as_integer_ratio(), b[j].as_integer_ratio()
+                x, y = x[0] * y[1], y[0] * x[1]
             cuts.append(a[i] if x <= y else b[j])
             i, j = i + (x <= y), j + (y <= x)
         return _numbered(codes, width, tuple(cuts))
@@ -383,7 +398,10 @@ class DiscreteSpace:
         """The cell table of sets of this space, or None where two of them
         overlap: owner owner_of[k] for the points of parts[k], owner_of[-1]
         for the points of none, and max(owner_of) + 1 cells."""
-        if not all(isinstance(part, DiscreteSet) and part.space == self for part in parts):
+        if not all(
+            isinstance(part, DiscreteSet) and (part.space is self or part.space == self)
+            for part in parts
+        ):
             raise SpaceMismatchError("set does not belong to this discrete space")
         if len(set().union(*(p.indices for p in parts))) != sum(len(p.indices) for p in parts):
             return None
@@ -572,15 +590,18 @@ class IntervalSet:
         return f"IntervalSet({parts})" if parts else "IntervalSet(empty)"
 
 
-def _breakpoint_grid(breakpoints: Iterable) -> tuple[Fraction, ...]:
-    """The breakpoints through the rational gate, checked to run strictly
-    increasing from 0 to 1."""
+def _breakpoint_grid(breakpoints: Iterable) -> tuple[tuple[Fraction, ...], list]:
+    """(grid, ratios): the breakpoints through the rational gate and their
+    integer ratios (n, d), each read once.  The ratios show that the grid
+    runs from 0 (n = 0) to 1 (n = d) and increases strictly (by the
+    cross-products of neighbours), with no `Fraction` compare."""
     bp = tuple(t if type(t) is Fraction else as_rational(t, "breakpoint") for t in breakpoints)
-    if len(bp) < 2 or bp[0] != 0 or bp[-1] != 1:
+    ratios = [t.as_integer_ratio() for t in bp]
+    if len(ratios) < 2 or ratios[0][0] or ratios[-1][0] != ratios[-1][1]:
         raise ValueError("breakpoints must run from 0 to 1")
-    if any(a >= b for a, b in zip(bp, bp[1:])):
+    if any(n * e >= m * d for (n, d), (m, e) in zip(ratios, ratios[1:])):
         raise ValueError("breakpoints must be strictly increasing")
-    return bp
+    return bp, ratios
 
 
 @dataclass(frozen=True)
@@ -611,25 +632,30 @@ class IntervalMeasure:
     _last_read: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        bp = _breakpoint_grid(self.breakpoints)
-        dens = tuple(as_rational(d, "density") for d in self.densities)
+        bp, ratios = _breakpoint_grid(self.breakpoints)
+        dens = tuple(
+            d if type(d) is Fraction else as_rational(d, "density") for d in self.densities
+        )
         if len(dens) != len(bp) - 1:
             raise ValueError("need one density per breakpoint cell")
-        if any(d < 0 for d in dens):
+        rates = [d.as_integer_ratio() for d in dens]
+        if min(rates)[0] < 0:  # the smallest numerator
             raise ValueError("densities must be nonnegative")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "densities", dens)
-        grid, steps = [ZERO], []
-        for density, hi in zip(dens, bp[1:]):
-            if steps and steps[-1] == density:
+        # Reduced pairs are equal iff their values are, so equal-density
+        # neighbours merge by a tuple compare.
+        grid, steps = [(0, 1)], []
+        for rate, hi in zip(rates, ratios[1:]):
+            if steps and steps[-1] == rate:
                 grid[-1] = hi
             else:
-                steps.append(density)
+                steps.append(rate)
                 grid.append(hi)
-        grid_den = lcm(*(t.denominator for t in grid))
-        density_den = lcm(*(d.denominator for d in steps))
-        points = [t.numerator * (grid_den // t.denominator) for t in grid]
-        slopes = [d.numerator * (density_den // d.denominator) for d in steps]
+        grid_den = lcm(*(d for _, d in grid))
+        density_den = lcm(*(d for _, d in steps))
+        points = [n * (grid_den // d) for n, d in grid]
+        slopes = [n * (density_den // d) for n, d in steps]
         offsets, below = [], 0
         for k, slope in enumerate(slopes):
             offsets.append(below - slope * points[k])
@@ -662,10 +688,6 @@ class IntervalMeasure:
     def total_mass(self) -> Fraction:
         grid_den, _, _, offsets, density_den = self._table
         return Fraction(offsets[-1], grid_den * density_den)
-
-    def density_cells(self) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
-        for k, density in enumerate(self.densities):
-            yield self.breakpoints[k], self.breakpoints[k + 1], density
 
     measure_of = _measure_of
     _masses = _last_masses

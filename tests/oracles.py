@@ -88,11 +88,17 @@ def _interval_grid(fn, measure: IntervalMeasure) -> list[Fraction]:
     return sorted(points)
 
 
+def _density_cells(measure: IntervalMeasure):
+    """(lo, hi, density) for each density cell of the measure, as given."""
+    bp = measure.breakpoints
+    return zip(bp, bp[1:], measure.densities)
+
+
 def _grid_cells(fn, measure: IntervalMeasure):
     """(lo, hi, density) for each cell of the merged grid, walking the
     density cells alongside the sorted grid (which holds their breakpoints)."""
     grid = _interval_grid(fn, measure)
-    cells = measure.density_cells()
+    cells = _density_cells(measure)
     cell_lo, cell_hi, density = next(cells)
     for lo, hi in zip(grid, grid[1:]):
         while cell_hi <= lo:
@@ -488,7 +494,7 @@ def measure_of_reference(measure: IntervalMeasure, part) -> Fraction:
     """Sum of density * overlap over every (interval, density cell) pair."""
     total = ZERO
     for lo, hi in part.intervals:
-        for cell_lo, cell_hi, density in measure.density_cells():
+        for cell_lo, cell_hi, density in _density_cells(measure):
             overlap = min(hi, cell_hi) - max(lo, cell_lo)
             if overlap > 0:
                 total += density * overlap

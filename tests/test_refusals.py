@@ -1,5 +1,7 @@
 """Refusals across the package: each call raises one exception type with one
-exact message, on inputs that no other test hands to that check."""
+exact message, on inputs that no other test hands to that check.  Beside
+them, the shortcuts that let the constructors skip a check on shared
+objects are shown to accept exactly what the full checks accept."""
 
 import sys
 from fractions import Fraction as F
@@ -22,6 +24,8 @@ from exactintegral import (
     Vec,
     bochner_integrate,
     integrate_over,
+    integrate_simple,
+    lebesgue_integral,
     series_from_integrand,
     space_of,
 )
@@ -139,6 +143,101 @@ REFUSALS = {
         ValueError,
         "densities must be nonnegative",
     ),
+    # The measure constructor's checks, in their order: the breakpoint
+    # gate, the grid's ends, its strict increase, the density gate, the
+    # density count, the density signs.  Each row of two faults pins which
+    # check comes first.
+    "measure_breakpoint_not_rational": (
+        lambda: IntervalMeasure((0, 0.5, 1), (1, 1)),
+        ValueError,
+        "breakpoint 0.5 is not an int or a Fraction",
+    ),
+    "measure_grid_not_from_zero": (
+        lambda: IntervalMeasure((F(1, 4), F(1)), (F(1),)),
+        ValueError,
+        "breakpoints must run from 0 to 1",
+    ),
+    "measure_grid_not_to_one": (
+        lambda: IntervalMeasure((F(0), F(3, 4)), (F(1),)),
+        ValueError,
+        "breakpoints must run from 0 to 1",
+    ),
+    "measure_grid_of_one_breakpoint": (
+        lambda: IntervalMeasure((F(0),), ()),
+        ValueError,
+        "breakpoints must run from 0 to 1",
+    ),
+    "measure_breakpoints_decreasing": (
+        lambda: IntervalMeasure((F(0), F(2, 3), F(1, 3), F(1)), (F(1),) * 3),
+        ValueError,
+        "breakpoints must be strictly increasing",
+    ),
+    "measure_breakpoint_repeated": (
+        lambda: IntervalMeasure((F(0), F(1, 2), F(2, 4), F(1)), (F(1),) * 3),
+        ValueError,
+        "breakpoints must be strictly increasing",
+    ),
+    "density_not_rational": (
+        lambda: IntervalMeasure((F(0), F(1)), (0.5,)),
+        ValueError,
+        "density 0.5 is not an int or a Fraction",
+    ),
+    "density_a_bool": (
+        lambda: IntervalMeasure((F(0), F(1)), (True,)),
+        ValueError,
+        "density True is not an int or a Fraction",
+    ),
+    "density_count_wrong": (
+        lambda: IntervalMeasure((F(0), F(1, 2), F(1)), (F(1),)),
+        ValueError,
+        "need one density per breakpoint cell",
+    ),
+    "negative_int_density": (
+        lambda: IntervalMeasure((0, 1), (-1,)),
+        ValueError,
+        "densities must be nonnegative",
+    ),
+    "breakpoint_not_rational_before_the_ends": (
+        lambda: IntervalMeasure((0.25, F(1)), (F(1),)),
+        ValueError,
+        "breakpoint 0.25 is not an int or a Fraction",
+    ),
+    "grid_ends_before_its_order": (
+        lambda: IntervalMeasure((F(1, 2), F(1, 4), F(1)), (F(1), F(1))),
+        ValueError,
+        "breakpoints must run from 0 to 1",
+    ),
+    "grid_order_before_the_density_gate": (
+        lambda: IntervalMeasure((F(0), F(2, 3), F(1, 3), F(1)), (0.5, F(1), F(1))),
+        ValueError,
+        "breakpoints must be strictly increasing",
+    ),
+    "density_gate_before_the_count": (
+        lambda: IntervalMeasure((F(0), F(1)), (0.5, F(1))),
+        ValueError,
+        "density 0.5 is not an int or a Fraction",
+    ),
+    "density_count_before_the_signs": (
+        lambda: IntervalMeasure((F(0), F(1)), (F(-1), F(1))),
+        ValueError,
+        "need one density per breakpoint cell",
+    ),
+    "density_gate_before_the_signs": (
+        lambda: IntervalMeasure((F(0), F(1, 2), F(1)), (F(-1), 0.5)),
+        ValueError,
+        "density 0.5 is not an int or a Fraction",
+    ),
+    # `PiecewiseLinear` shares the breakpoint checks.
+    "piecewise_breakpoint_not_rational": (
+        lambda: PiecewiseLinear((0, "1/2", 1), [(F(0), F(1))] * 2),
+        ValueError,
+        "breakpoint '1/2' is not an int or a Fraction",
+    ),
+    "piecewise_grid_not_to_one": (
+        lambda: PiecewiseLinear((F(0), F(1, 2)), [(F(0), F(1))]),
+        ValueError,
+        "breakpoints must run from 0 to 1",
+    ),
     "space_of_a_number": (
         lambda: space_of(3),
         TypeError,
@@ -192,3 +291,45 @@ def test_refusal(call, kind, message, tmp_path, monkeypatch):
         call()
     assert type(info.value) is kind
     assert str(info.value) == message
+
+
+def test_shared_endpoint_and_space_objects_give_the_tables_of_equal_copies():
+    """`_tabulate` makes no compare where an interval starts at the endpoint
+    object the one before it ended at, and the constructors take the very
+    space object without the dataclass equality: a function built that way
+    and one built from equal but distinct objects have the same table, the
+    same values and the same integrals."""
+    # 1/3 and 1/3 + 10^-30 have one float; the cell between them is a gap.
+    cuts = [F(0), F(1, 3), F(1, 3) + F(1, 10**30), F(2, 3), F(1)]
+    copies = [F(c.numerator, c.denominator) for c in cuts]
+    values = [F(-2), None, F(5, 7), F(1, 3)]
+
+    def build(lower, upper):
+        return SimpleFunction(
+            UNIT_INTERVAL,
+            [(v, IntervalSet([cell])) for v, *cell in zip(values, lower, upper) if v is not None],
+        )
+
+    shared = build(cuts, cuts[1:])
+    distinct = build(cuts, copies[1:])
+    assert all(a is not b for a, b in zip(cuts[1:], copies[1:]))
+    measure = IntervalMeasure(cuts, (F(1), F(2), F(3), F(4)))
+    pairs = [
+        (shared, distinct),
+        (shared.canonical(), distinct.canonical()),
+        (shared + shared, distinct + distinct),
+    ]
+    for fn, other in pairs:
+        assert (fn._table, fn._values) == (other._table, other._values)
+        assert integrate_simple(fn, measure) == integrate_simple(other, measure)
+        assert lebesgue_integral(fn, measure) == lebesgue_integral(other, measure)
+    middle = F(5, 7) * 3 * (F(1, 3) - F(1, 10**30))
+    assert integrate_simple(shared, measure) == F(-2, 3) + middle + F(4, 9)
+
+    space = DiscreteSpace((F(1), F(2), F(0), F(1, 2)))
+    twin = DiscreteSpace((F(1), F(2), F(0), F(1, 2)))
+    terms = [(F(3), [0, 2]), (F(-1), [3])]
+    same = SimpleFunction(space, [(v, DiscreteSet(space, i)) for v, i in terms])
+    equal = SimpleFunction(space, [(v, DiscreteSet(twin, i)) for v, i in terms])
+    assert (same._table, same._values) == (equal._table, equal._values)
+    assert integrate_simple(same, space) == integrate_simple(equal, twin) == F(5, 2)
