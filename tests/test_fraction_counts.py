@@ -6,25 +6,28 @@ counts are exact and do not depend on timing.  A construction is a call of
 `Fraction.__new__`; a comparison is a call of one of the rich comparison
 methods (`__eq__`, `__lt__`, `__le__`, `__gt__`, `__ge__`).
 
-Counts at the parent of the change that read every rational once as an
-integer pair (same inputs as below):
+Counts at the parent of the change that reads every rational once as an
+integer pair, on the same inputs as below:
 
-* the 64-cell `IntervalMeasure` made 126 comparisons (63 for the strictly
-  increasing check, 63 for the equal-density merge) and no construction;
+* the 64-cell `IntervalMeasure` made 193 comparisons (2 for the grid's
+  ends, 64 for its strict increase, 64 for the density signs and 63 for
+  the equal-density merge) and no construction;
 * `canonical()` of the 100-value function made 100 constructions, one per
-  distinct value in `simple._order_key`, and no comparison;
-* `f + g` then `f - g` on two fresh 50-term functions made 100
-  constructions (the two canonical forms) and no comparison;
-* building a 40-term function whose intervals meet at shared endpoint
-  objects read `numerator` or `denominator` 318 times: 4 per interval in
-  the keyed sort and 4 per meeting point in `_tabulate`'s exact compare.
+  distinct value in the sort key, and no comparison;
+* `f + g` then `f - g` on two fresh 50-term functions made 55
+  constructions (one per distinct value of each canonical form) and 129
+  comparisons (`_paired` on the cuts k/50 that both tables hold as
+  distinct objects);
+* building a 41-term function whose intervals meet at shared endpoint
+  objects read `numerator` or `denominator` 328 times (4 per interval in
+  the keyed sort, 4 per meeting point in `_tabulate`'s exact compare) and
+  made 1 comparison (the last end against 1).
 """
 
+import fractions
 import sys
 from collections import Counter
 from fractions import Fraction as F
-
-import fractions
 
 from exactintegral import UNIT_INTERVAL, IntervalMeasure, IntervalSet, SimpleFunction
 
@@ -53,7 +56,7 @@ def _comparisons(counts: Counter) -> int:
     return sum(counts[name] for name in COMPARISONS)
 
 
-def _function(values: list, offset: int = 0) -> SimpleFunction:
+def _function(values: list) -> SimpleFunction:
     """One term [k/n, (k+1)/n) per value, n the number of values."""
     n = len(values)
     terms = [(v, IntervalSet([(F(k, n), F(k + 1, n))])) for k, v in enumerate(values)]
@@ -103,3 +106,4 @@ def test_intervals_meeting_at_shared_endpoints_are_read_once_each():
     # `Fraction(0)` that is not the object the sweep starts from, and 2 for
     # the last upper end, whose float is 1.0.
     assert counts["numerator"] + counts["denominator"] == 4 * 41 + 4 + 2
+    assert _comparisons(counts) == 0
