@@ -98,7 +98,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, nan
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -292,12 +292,13 @@ UNIT_INTERVAL = UnitIntervalSpace()
 # as x.numerator / x.denominator (integer true division, correctly rounded,
 # without the generic `__float__` call).  The floats compare in C, and since
 # the conversion is correctly rounded it is monotone: x < y implies
-# float(x) <= float(y), so only equal floats fall back to the exact
-# `Fraction` compare.  Every key stays two words, whatever the denominators;
+# float(x) <= float(y), so only equal floats need an exact compare: in a
+# sort the tuple compare falls back to the `Fraction` compare, and the range
+# check and the merge take integer cross-products (`_at_most`).  Every key
+# stays two words, whatever the denominators;
 # integers scaled to one lcm of all the denominators would also be exact,
 # but they grow with the number of distinct denominators, which makes a sort
 # of k intervals with distinct prime denominators quadratic in k.
-_ZERO_KEY, _ONE_KEY = (0.0, ZERO), (1.0, ONE)
 _NO_REACH = float("-inf")  # below every key: no interval has been seen
 
 
@@ -311,14 +312,20 @@ def _keyed(parts: Iterable["IntervalSet"]) -> list[tuple]:
     )
 
 
+def _at_most(x: Fraction, y: Fraction) -> bool:
+    """x <= y from the integer cross-products: the order of two endpoints
+    whose floats are equal, found without a `Fraction` compare."""
+    return x.numerator * y.denominator <= y.numerator * x.denominator
+
+
 def _coalesced(keyed: Iterable[tuple]) -> tuple:
     """Keyed nonempty intervals sorted by lower end -> canonical tuple
     (overlapping and adjacent runs merged)."""
     merged: list[tuple[Fraction, Fraction]] = []
     reach_f, reach = _NO_REACH, None
     for lo_f, lo, hi_f, hi, _ in keyed:
-        if lo_f < reach_f or lo_f == reach_f and lo <= reach:
-            if hi_f > reach_f or hi_f == reach_f and hi > reach:
+        if lo_f < reach_f or lo_f == reach_f and _at_most(lo, reach):
+            if hi_f > reach_f or hi_f == reach_f and not _at_most(hi, reach):
                 merged[-1] = (merged[-1][0], hi)
                 reach_f, reach = hi_f, hi
         else:
@@ -520,14 +527,18 @@ class IntervalSet:
             lo = lo if type(lo) is Fraction else as_rational(lo, "interval endpoint")
             hi = hi if type(hi) is Fraction else as_rational(hi, "interval endpoint")
             try:
-                lo_key = (lo.numerator / lo.denominator, lo)
-                hi_key = (hi.numerator / hi.denominator, hi)
+                lo_f, hi_f = lo.numerator / lo.denominator, hi.numerator / hi.denominator
             except OverflowError:  # |x| beyond the floats: far outside [0, 1]
-                lo_key = hi_key = None
-            if lo_key is None or not _ZERO_KEY <= lo_key <= hi_key <= _ONE_KEY:
+                lo_f = hi_f = nan  # no compare with a NaN holds
+            # 0 <= lo <= hi <= 1 by the floats, and on a tie exactly.
+            if not (
+                (lo_f > 0.0 or lo_f == 0.0 and lo.numerator >= 0)
+                and (lo_f < hi_f or lo_f == hi_f and _at_most(lo, hi))
+                and (hi_f < 1.0 or hi_f == 1.0 and hi.numerator <= hi.denominator)
+            ):
                 raise ValueError(f"interval [{lo}, {hi}) not inside [0, 1)")
-            if lo_key < hi_key:  # degenerate [a, a) is empty and dropped
-                keyed.append((*lo_key, *hi_key, 0))
+            if lo_f < hi_f or not _at_most(hi, lo):  # degenerate [a, a) is empty and dropped
+                keyed.append((lo_f, lo, hi_f, hi, 0))
         keyed.sort()
         self.intervals: tuple[tuple[Fraction, Fraction], ...] = _coalesced(keyed)
 

@@ -14,14 +14,24 @@ the interpreter renders (`sys.get_int_max_str_digits()`) is not rendered:
 rendering raises a `ValueError` naming the report entry (or table column
 and level) and the limit, and the limit itself is left as it is.
 
-A report is encoded as `json.dumps(report, sort_keys=True, indent=2)`
-would encode it, but a report of scalar entries goes through the standard
-library's C encoder: CPython uses it only when `indent` is None, so the
-indented layout is made by the item separator ",\n  " and the braces are
-put on their own lines around it.  A report holding a list (a `Vec`
-entry) takes `json.dumps` itself.  Numbers in a task file are parsed once,
-by `rationals.parse_rational`, and the constructors the parser calls take
-its `Fraction`s as they are.
+A refusal names the first offending entry in document order by its field
+path ("function.terms[2].set.intervals[1][0]"), and a path is built only
+on a refusal.  A list of rational strings or of indices is read in one
+pass and walked again with entry paths only when an entry is refused.  The
+other walks parse each entry with field paths relative to it ("[0]",
+".set.intervals") and move a refusal under the entry's own path, built
+from its index, on the way out.
+
+A report is rendered in one typed pass: a `Fraction` entry becomes its two
+strings, other scalars are kept as they are, and the same pass notes
+whether the report is flat.  It is encoded as
+`json.dumps(report, sort_keys=True, indent=2)` would encode it, but a flat
+report goes through the standard library's C encoder: CPython uses it only
+when `indent` is None, so the indented layout is made by the item separator
+",\n  " and the braces are put on their own lines around it.  A report
+holding a list (a `Vec` entry) or no entry takes `json.dumps` itself.
+Numbers in a task file are parsed once, by `rationals.parse_rational`, and
+the constructors the parser calls take its `Fraction`s as they are.
 """
 
 from __future__ import annotations
@@ -54,6 +64,7 @@ from .spaces import (
     IntervalSet,
     Measure,
     MeasurableSet,
+    Space,
     space_of,
 )
 
@@ -93,24 +104,37 @@ def _require(condition: bool, field_path: str, message: str) -> None:
 
 
 def _get(obj: dict, key: str, field_path: str, required: bool = True):
+    if isinstance(obj, dict) and key in obj:
+        return obj[key]
     _require(isinstance(obj, dict), field_path, "expected an object")
-    if key not in obj:
-        if required:
-            raise TaskSpecError(f"{field_path}.{key}", "missing required entry")
-        return None
-    return obj[key]
+    if required:
+        raise TaskSpecError(f"{field_path}.{key}", "missing required entry")
+    return None
+
+
+def _list(obj: dict, key: str, field_path: str, what: str = "a list") -> list:
+    """obj[key], refused unless it is a list."""
+    value = _get(obj, key, field_path)
+    if not isinstance(value, list):
+        raise TaskSpecError(f"{field_path}.{key}", f"expected {what}")
+    return value
+
+
+def _under(entry_path: str, exc: TaskSpecError) -> TaskSpecError:
+    """A refusal raised at a field path relative to a list entry ("" for the
+    entry itself, ".set.intervals[1]" below it), moved under the entry."""
+    return TaskSpecError(entry_path + exc.field, str(exc)[len(exc.field) + 2 :])
+
+
+_NUMBER_REFUSED = "rationals must be strings like \"1/3\" (numbers are rejected to keep exactness)"
 
 
 def _rational(value, field_path: str) -> Fraction:
-    _require(
-        isinstance(value, str),
-        field_path,
-        "rationals must be strings like \"1/3\" (numbers are rejected to keep exactness)",
-    )
     try:
         return parse_rational(value)
     except ValueError as exc:
-        raise TaskSpecError(field_path, str(exc)) from None
+        message = str(exc) if isinstance(value, str) else _NUMBER_REFUSED
+        raise TaskSpecError(field_path, message) from None
 
 
 def _built(field_path: str, make, *args):
@@ -121,33 +145,31 @@ def _built(field_path: str, make, *args):
         raise TaskSpecError(field_path, str(exc)) from None
 
 
-def _entries(value, field_path: str) -> list[tuple]:
-    """(entry, its field path) for each entry of a list; a non-list is refused."""
-    _require(isinstance(value, list), field_path, "expected a list")
-    return [(entry, f"{field_path}[{i}]") for i, entry in enumerate(value)]
-
-
-def _rational_list(value, field_path: str) -> list[Fraction]:
-    _require(isinstance(value, list), field_path, "expected a list of rational strings")
-    return [_rational(item, f"{field_path}[{i}]") for i, item in enumerate(value)]
+def _rationals(obj: dict, key: str, field_path: str) -> list[Fraction]:
+    """The list of rational strings obj[key], parsed in one pass.  Only if
+    an entry is refused is the list walked again with entry paths, so that
+    the first offender is named."""
+    items = _list(obj, key, field_path, "a list of rational strings")
+    try:
+        return [parse_rational(item) for item in items]
+    except ValueError:
+        for i, item in enumerate(items):
+            _rational(item, f"{field_path}.{key}[{i}]")
+        raise
 
 
 def _integer(value, field_path: str, minimum: int, maximum: Optional[int] = None) -> int:
-    _require(
-        isinstance(value, int) and not isinstance(value, bool),
-        field_path,
-        "expected an integer",
-    )
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TaskSpecError(field_path, "expected an integer")
     _require(value >= minimum, field_path, f"must be >= {minimum}")
-    if maximum is not None:
-        _require(value <= maximum, field_path, f"must be <= {maximum}")
+    _require(maximum is None or value <= maximum, field_path, f"must be <= {maximum}")
     return value
 
 
 def parse_measure(obj, field_path: str = "space") -> Measure:
     kind = _get(obj, "type", field_path)
     if kind == "discrete":
-        weights = _rational_list(_get(obj, "weights", field_path), f"{field_path}.weights")
+        weights = _rationals(obj, "weights", field_path)
         _require(bool(weights), f"{field_path}.weights", "needs at least one weight")
         try:
             return DiscreteSpace(tuple(weights))
@@ -155,50 +177,54 @@ def parse_measure(obj, field_path: str = "space") -> Measure:
             # With at least one weight, a negative weight is all it refuses.
             raise TaskSpecError(f"{field_path}.weights", "weights must be >= 0") from None
     if kind == "interval":
-        breakpoints = _rational_list(
-            _get(obj, "breakpoints", field_path), f"{field_path}.breakpoints"
-        )
-        densities = _rational_list(
-            _get(obj, "densities", field_path), f"{field_path}.densities"
-        )
+        breakpoints = _rationals(obj, "breakpoints", field_path)
+        densities = _rationals(obj, "densities", field_path)
         return _built(field_path, IntervalMeasure, tuple(breakpoints), tuple(densities))
     raise TaskSpecError(
         f"{field_path}.type", f"unknown space type {kind!r} (discrete or interval)"
     )
 
 
-def parse_set(obj, field_path: str, measure: Measure) -> MeasurableSet:
-    _require(isinstance(obj, dict), field_path, "expected an object")
-    space = space_of(measure)
+# Each walk of a list of pairs or objects parses its entries with field
+# paths relative to the entry; a refused entry's own path is built from its
+# index, the number of entries parsed before it.
+
+
+def parse_set(obj, field_path: str, space: Space) -> MeasurableSet:
+    if not isinstance(obj, dict):
+        raise TaskSpecError(field_path, "expected an object")
     if "intervals" in obj:
-        _require(
-            not isinstance(space, DiscreteSpace),
-            field_path,
-            "interval set declared over a discrete space",
-        )
+        if isinstance(space, DiscreteSpace):
+            raise TaskSpecError(field_path, "interval set declared over a discrete space")
+        pairs = obj["intervals"]
+        if not isinstance(pairs, list):
+            raise TaskSpecError(f"{field_path}.intervals", "expected a list")
         intervals = []
-        for pair, pair_path in _entries(obj["intervals"], f"{field_path}.intervals"):
-            _require(
-                isinstance(pair, list) and len(pair) == 2,
-                pair_path,
-                "expected a [lo, hi] pair",
-            )
-            lo = _rational(pair[0], f"{pair_path}[0]")
-            hi = _rational(pair[1], f"{pair_path}[1]")
-            intervals.append((lo, hi))
+        try:
+            for pair in pairs:
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise TaskSpecError("", "expected a [lo, hi] pair")
+                intervals.append((_rational(pair[0], "[0]"), _rational(pair[1], "[1]")))
+        except TaskSpecError as exc:
+            raise _under(f"{field_path}.intervals[{len(intervals)}]", exc) from None
         try:
             return IntervalSet(intervals)
         except ValueError as exc:
             raise TaskSpecError(_refused_interval(field_path, intervals), str(exc)) from None
     if "indices" in obj:
-        _require(
-            isinstance(space, DiscreteSpace),
-            field_path,
-            "index set declared over the interval space",
-        )
-        entries = _entries(obj["indices"], f"{field_path}.indices")
-        indices = [_integer(i, index_path, 0) for i, index_path in entries]
-        return _built(f"{field_path}.indices", DiscreteSet, space, indices)
+        if not isinstance(space, DiscreteSpace):
+            raise TaskSpecError(field_path, "index set declared over the interval space")
+        indices = obj["indices"]
+        if not isinstance(indices, list):
+            raise TaskSpecError(f"{field_path}.indices", "expected a list")
+        # Plain ints >= 0 pass without a walk; else the first offender is named.
+        if not (set(map(type, indices)) <= {int} and min(indices, default=0) >= 0):
+            for i, index in enumerate(indices):
+                _integer(index, f"{field_path}.indices[{i}]", 0)
+        try:
+            return DiscreteSet(space, indices)
+        except ValueError as exc:
+            raise TaskSpecError(f"{field_path}.indices", str(exc)) from None
     raise TaskSpecError(field_path, "a set needs \"intervals\" or \"indices\"")
 
 
@@ -215,36 +241,40 @@ def _refused_interval(field_path: str, intervals) -> str:
     return f"{field_path}.intervals"
 
 
-def _parse_value(value, field_path: str):
-    if isinstance(value, list):
-        _require(bool(value), field_path, "vector values need at least one component")
-        return Vec(tuple(_rational(c, f"{field_path}[{i}]") for i, c in enumerate(value)))
-    return _rational(value, field_path)
+def _term_value(raw):
+    """The value of a simple-function term, refused at ".value" or below."""
+    value = _get(raw, "value", "")
+    if not isinstance(value, list):
+        return _rational(value, ".value")
+    _require(bool(value), ".value", "vector values need at least one component")
+    return Vec(tuple(_rationals(raw, "value", "")))
 
 
 def parse_simple_function(obj, field_path: str, measure: Measure) -> SimpleFunction:
+    raw_terms = _list(obj, "terms", field_path)
+    space = space_of(measure)
     terms = []
-    for raw, term_path in _entries(_get(obj, "terms", field_path), f"{field_path}.terms"):
-        value = _parse_value(_get(raw, "value", term_path), f"{term_path}.value")
-        part = parse_set(_get(raw, "set", term_path), f"{term_path}.set", measure)
-        terms.append((value, part))
-    return _built(f"{field_path}.terms", SimpleFunction, space_of(measure), terms)
+    try:
+        for raw in raw_terms:
+            value = _term_value(raw)
+            terms.append((value, parse_set(_get(raw, "set", ""), ".set", space)))
+    except TaskSpecError as exc:
+        raise _under(f"{field_path}.terms[{len(terms)}]", exc) from None
+    return _built(f"{field_path}.terms", SimpleFunction, space, terms)
 
 
 def parse_piecewise(obj, field_path: str, measure: Measure) -> PiecewiseLinear:
-    _require(
-        isinstance(measure, IntervalMeasure),
-        field_path,
-        "piecewise_linear functions live on the interval space",
-    )
-    breakpoints = _rational_list(
-        _get(obj, "breakpoints", field_path), f"{field_path}.breakpoints"
-    )
+    if not isinstance(measure, IntervalMeasure):
+        raise TaskSpecError(field_path, "piecewise_linear functions live on the interval space")
+    breakpoints = _rationals(obj, "breakpoints", field_path)
+    raw_pieces = _list(obj, "pieces", field_path)
     pieces = []
-    for raw, piece_path in _entries(_get(obj, "pieces", field_path), f"{field_path}.pieces"):
-        slope = _rational(_get(raw, "a", piece_path), f"{piece_path}.a")
-        intercept = _rational(_get(raw, "b", piece_path), f"{piece_path}.b")
-        pieces.append((slope, intercept))
+    try:
+        for raw in raw_pieces:
+            slope = _rational(_get(raw, "a", ""), ".a")
+            pieces.append((slope, _rational(_get(raw, "b", ""), ".b")))
+    except TaskSpecError as exc:
+        raise _under(f"{field_path}.pieces[{len(pieces)}]", exc) from None
     return _built(field_path, PiecewiseLinear, breakpoints, pieces)
 
 
@@ -253,35 +283,31 @@ def parse_piecewise(obj, field_path: str, measure: Measure) -> PiecewiseLinear:
 _INTEGRAND_PARSERS = {"simple": parse_simple_function, "piecewise_linear": parse_piecewise}
 
 
-def parse_function(
-    obj,
-    field_path: str,
-    measure: Measure,
-    norm_kind: Optional[NormKind] = None,
-):
+def parse_function(obj, field_path: str, measure: Measure, norm_kind: Optional[NormKind] = None):
     kind = _get(obj, "type", field_path)
     if isinstance(kind, str) and kind in _INTEGRAND_PARSERS:
         return _INTEGRAND_PARSERS[kind](obj, field_path, measure)
     if kind == "series":
+        raw_terms = _list(obj, "terms", field_path)
         terms = []
-        for raw, term_path in _entries(_get(obj, "terms", field_path), f"{field_path}.terms"):
-            term_kind = _get(raw, "type", term_path, required=False)
-            if term_kind is None:
-                term_kind = "simple"
-            _require(
-                isinstance(term_kind, str) and term_kind in _INTEGRAND_PARSERS,
-                f"{term_path}.type",
-                f"unknown term type {term_kind!r} (simple or piecewise_linear)",
-            )
-            terms.append(_INTEGRAND_PARSERS[term_kind](raw, term_path, measure))
+        try:
+            for raw in raw_terms:
+                term_kind = _get(raw, "type", "", required=False)
+                if term_kind is None:
+                    term_kind = "simple"
+                if not (isinstance(term_kind, str) and term_kind in _INTEGRAND_PARSERS):
+                    raise TaskSpecError(
+                        ".type", f"unknown term type {term_kind!r} (simple or piecewise_linear)"
+                    )
+                terms.append(_INTEGRAND_PARSERS[term_kind](raw, "", measure))
+        except TaskSpecError as exc:
+            raise _under(f"{field_path}.terms[{len(terms)}]", exc) from None
         return _built(field_path, FiniteSeries, measure, terms, norm_kind)
     if kind == "series_rule":
         rule = _get(obj, "rule", field_path)
-        _require(
-            rule == "geometric_indicator",
-            f"{field_path}.rule",
-            f"unknown rule {rule!r} (only geometric_indicator is defined)",
-        )
+        if rule != "geometric_indicator":
+            message = f"unknown rule {rule!r} (only geometric_indicator is defined)"
+            raise TaskSpecError(f"{field_path}.rule", message)
         ratio = _rational(_get(obj, "ratio", field_path), f"{field_path}.ratio")
         return _built(f"{field_path}.ratio", GeometricIndicatorSeries, measure, ratio)
     raise TaskSpecError(f"{field_path}.type", f"unknown function type {kind!r}")
@@ -318,13 +344,18 @@ def parse_parameters(obj, field_path: str = "parameters") -> dict:
         return {}
     _require(isinstance(obj, dict), field_path, "expected an object")
     for key in obj:
-        _require(
-            key in PARAMETERS,
-            f"{field_path}.{key}",
-            f"unknown parameter (known: {', '.join(PARAMETERS)})",
-        )
-    checks = PARAMETERS.items()
-    return {key: check(obj[key], f"{field_path}.{key}") for key, check in checks if key in obj}
+        if key not in PARAMETERS:
+            raise TaskSpecError(
+                f"{field_path}.{key}", f"unknown parameter (known: {', '.join(PARAMETERS)})"
+            )
+    parameters = {}
+    try:
+        for key, check in PARAMETERS.items():
+            if key in obj:
+                parameters[key] = check(obj[key], "")
+    except TaskSpecError as exc:
+        raise _under(f"{field_path}.{key}", exc) from None
+    return parameters
 
 
 @dataclass
@@ -341,19 +372,12 @@ def parse_task_document(doc) -> TaskSpec:
     _require(isinstance(doc, dict), "<document>", "a task file is one JSON object")
     measure = parse_measure(_get(doc, "space", "<document>"))
     parameters = parse_parameters(doc.get("parameters"))
-    function = parse_function(
-        _get(doc, "function", "<document>"),
-        "function",
-        measure,
-        norm_kind=parameters.get("norm"),
-    )
+    raw_function = _get(doc, "function", "<document>")
+    function = parse_function(raw_function, "function", measure, parameters.get("norm"))
     task = doc.get("task")
-    if task is not None:
-        _require(
-            task in TASK_NAMES,
-            "task",
-            f"unknown task {task!r} (known: {', '.join(TASK_NAMES)})",
-        )
+    if task is not None and task not in TASK_NAMES:
+        message = f"unknown task {task!r} (known: {', '.join(TASK_NAMES)})"
+        raise TaskSpecError("task", message)
     return TaskSpec(measure, function, task, parameters)
 
 
@@ -388,11 +412,8 @@ def load_task(path: str) -> TaskSpec:
 def _require_integrand(task: TaskSpec, task_name: str, vector_message: str) -> Integrand:
     """The task's scalar function; a series or a vector function is refused."""
     fn = task.function
-    _require(
-        not isinstance(fn, FunctionSeries),
-        "function",
-        f"task {task_name} needs a function, not a series",
-    )
+    if isinstance(fn, FunctionSeries):
+        raise TaskSpecError("function", f"task {task_name} needs a function, not a series")
     _require(not (isinstance(fn, SimpleFunction) and fn.is_vector), "function", vector_message)
     return fn
 
@@ -500,16 +521,8 @@ def _unrenderable(entry: str) -> ValueError:
     )
 
 
-def _render_value(key: str, value, out: dict) -> None:
-    if isinstance(value, Fraction):
-        out[key] = str(value)
-        out[f"{key}_decimal"] = decimal_string(value)
-    elif isinstance(value, Vec):
-        out[key] = [str(c) for c in value.components]
-        out[f"{key}_decimal"] = [decimal_string(c) for c in value.components]
-    else:
-        out[key] = value
-
+# Report entries of these types are rendered as they are.
+_AS_IS = frozenset({str, int, bool, type(None)})
 
 # With `indent` None, `encode` runs the C encoder; this item separator puts
 # each entry of a flat object on its own line, indented as by `indent=2`.
@@ -519,12 +532,24 @@ _FLAT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n  ", ": "))
 def render_report(report: dict) -> str:
     """Flat JSON with exact rationals and decimal companions; stable bytes."""
     rendered: dict = {}
-    for key, value in report.items():
-        try:
-            _render_value(key, value, rendered)
-        except ValueError:
-            raise _unrenderable(f"report entry {key!r}") from None
-    if not rendered or any(isinstance(v, (list, tuple, dict)) for v in rendered.values()):
+    flat = bool(report)
+    try:
+        for key, value in report.items():
+            if type(value) in _AS_IS:
+                rendered[key] = value
+            elif isinstance(value, Fraction):
+                rendered[key] = str(value)
+                rendered[f"{key}_decimal"] = decimal_string(value)
+            elif isinstance(value, Vec):
+                rendered[key] = [str(c) for c in value.components]
+                rendered[f"{key}_decimal"] = [decimal_string(c) for c in value.components]
+                flat = False
+            else:
+                rendered[key] = value
+                flat = flat and not isinstance(value, (list, tuple, dict))
+    except ValueError:
+        raise _unrenderable(f"report entry {key!r}") from None
+    if not flat:
         return json.dumps(rendered, sort_keys=True, indent=2) + "\n"
     return "{\n  " + _FLAT_ENCODER.encode(rendered)[1:-1] + "\n}\n"
 

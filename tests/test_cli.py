@@ -136,6 +136,165 @@ def test_interval_outside_the_unit_interval_exit_1_names_the_end(
     )
 
 
+NUMBERS_REFUSED = 'rationals must be strings like "1/3" (numbers are rejected to keep exactness)'
+LEBESGUE_SPACE = {"type": "interval", "breakpoints": ["0", "1"], "densities": ["1"]}
+FOUR_POINTS = {"type": "discrete", "weights": ["1/4", "1/4", "1/4", "1/4"]}
+ZERO_PIECE = {"a": "0", "b": "0"}
+
+
+def _simple(*terms):
+    return {"type": "simple", "terms": [{"value": v, "set": s} for v, s in terms]}
+
+
+def _intervals(*pairs):
+    return _simple(
+        ("1", {"intervals": [["0", "1/4"]]}),
+        ("2", {"intervals": [["1/4", "1/2"]]}),
+        ("3", {"intervals": [["1/2", "3/4"], *pairs]}),
+    )
+
+
+def _indices(*indices):
+    return _simple(("1", {"indices": [0]}), ("2", {"indices": [1]}), ("3", {"indices": [*indices]}))
+
+
+def _pwl(breakpoints, pieces):
+    return {"type": "piecewise_linear", "breakpoints": breakpoints, "pieces": pieces}
+
+
+# id -> (space, function, refused field, message).  Each offender sits past
+# the first entry of the list walk that names it.
+LATER_ENTRY_REFUSALS = {
+    "weight": (
+        {"type": "discrete", "weights": ["1/4", "1/4", 1, "1/4"]},
+        _indices(2),
+        "space.weights[2]",
+        NUMBERS_REFUSED,
+    ),
+    "breakpoint": (
+        {"type": "interval", "breakpoints": ["0", "1/2.5", "1"], "densities": ["1", "2"]},
+        _intervals(),
+        "space.breakpoints[1]",
+        "not a rational string: '1/2.5'",
+    ),
+    "density": (
+        {"type": "interval", "breakpoints": ["0", "1/2", "1"], "densities": ["1", "two"]},
+        _intervals(),
+        "space.densities[1]",
+        "not a rational string: 'two'",
+    ),
+    "term_value": (
+        LEBESGUE_SPACE,
+        _simple(("1", {"intervals": [["0", "1/2"]]}), (2, {"intervals": [["1/2", "1"]]})),
+        "function.terms[1].value",
+        NUMBERS_REFUSED,
+    ),
+    "vector_component": (
+        LEBESGUE_SPACE,
+        _simple(
+            (["1", "2", "3"], {"intervals": [["0", "1/2"]]}),
+            (["1", "2", "3/"], {"intervals": [["1/2", "1"]]}),
+        ),
+        "function.terms[1].value[2]",
+        "not a rational string: '3/'",
+    ),
+    "interval_not_a_pair": (
+        LEBESGUE_SPACE,
+        _intervals(["3/4", "7/8", "1"]),
+        "function.terms[2].set.intervals[1]",
+        "expected a [lo, hi] pair",
+    ),
+    "interval_lo": (
+        LEBESGUE_SPACE,
+        _intervals([0.75, "1"]),
+        "function.terms[2].set.intervals[1][0]",
+        NUMBERS_REFUSED,
+    ),
+    "interval_hi": (
+        LEBESGUE_SPACE,
+        _intervals(["3/4", "1.0"]),
+        "function.terms[2].set.intervals[1][1]",
+        "not a rational string: '1.0'",
+    ),
+    "index_bool": (
+        FOUR_POINTS,
+        _indices(0, 1, 2, True),
+        "function.terms[2].set.indices[3]",
+        "expected an integer",
+    ),
+    "index_negative": (
+        FOUR_POINTS,
+        _indices(0, 1, 2, -1),
+        "function.terms[2].set.indices[3]",
+        "must be >= 0",
+    ),
+    "index_string": (
+        FOUR_POINTS,
+        _indices(0, 1, 2, "3"),
+        "function.terms[2].set.indices[3]",
+        "expected an integer",
+    ),
+    "pwl_breakpoint": (
+        LEBESGUE_SPACE,
+        _pwl(["0", "1/2", 1], [ZERO_PIECE, ZERO_PIECE]),
+        "function.breakpoints[2]",
+        NUMBERS_REFUSED,
+    ),
+    "piece_slope": (
+        LEBESGUE_SPACE,
+        _pwl(["0", "1/2", "1"], [ZERO_PIECE, {"a": 1, "b": "0"}]),
+        "function.pieces[1].a",
+        NUMBERS_REFUSED,
+    ),
+    "piece_intercept": (
+        LEBESGUE_SPACE,
+        _pwl(["0", "1/2", "1"], [ZERO_PIECE, {"a": "1", "b": "-"}]),
+        "function.pieces[1].b",
+        "not a rational string: '-'",
+    ),
+    "series_term": (
+        LEBESGUE_SPACE,
+        {"type": "series", "terms": [_pwl(["0", "1"], [ZERO_PIECE]), _intervals(["3/4", 1])]},
+        "function.terms[1].terms[2].set.intervals[1][1]",
+        NUMBERS_REFUSED,
+    ),
+    # A string that does not parse, then a number, in one list: a walk that
+    # ran every entry's type check before any parse would name weights[2].
+    "first_of_one_list": (
+        {"type": "discrete", "weights": ["1/4", "x", 1, "1/4"]},
+        _indices(2),
+        "space.weights[1]",
+        "not a rational string: 'x'",
+    ),
+    # An end of the second term, then a value and an entry that is no object.
+    "first_of_two_terms": (
+        LEBESGUE_SPACE,
+        {
+            "type": "simple",
+            "terms": [
+                {"value": "1", "set": {"intervals": [["0", "1/4"]]}},
+                {"value": "2", "set": {"intervals": [["1/4", "1/2"], [1, "3/4"]]}},
+                {"value": 3, "set": {"intervals": [["3/4", "1"]]}},
+                "not a term",
+            ],
+        },
+        "function.terms[1].set.intervals[1][0]",
+        NUMBERS_REFUSED,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LATER_ENTRY_REFUSALS)
+def test_a_refusal_past_the_first_entry_names_its_field(tmp_path, capsys, case):
+    space, function, field, message = LATER_ENTRY_REFUSALS[case]
+    doc = {"space": space, "function": function, "task": "integrate_mi"}
+    code = main(["integrate", "--spec", write_task(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"validation error: {field}: {message}\n"
+
+
 def test_negative_density_exit_1_names_the_space(tmp_path, capsys):
     doc = dict(STEP_TASK)
     doc["space"] = {

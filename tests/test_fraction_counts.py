@@ -107,3 +107,20 @@ def test_intervals_meeting_at_shared_endpoints_are_read_once_each():
     # the last upper end, whose float is 1.0.
     assert counts["numerator"] + counts["denominator"] == 4 * 41 + 4 + 2
     assert _comparisons(counts) == 0
+
+
+def test_interval_sets_at_the_unit_ends_and_at_a_shared_value_make_no_fraction_comparison():
+    half, other_half = F(1, 2), F(1, 2)
+    assert half is not other_half
+
+    def build():
+        IntervalSet([(F(0), F(1, 3))])
+        IntervalSet([(F(2, 3), F(1))])
+        IntervalSet([(F(0), F(1))])
+        return IntervalSet([(F(1, 3), half), (other_half, F(3, 4))])
+
+    counts = _fraction_calls(build)
+    # The range check and the empty-interval test compare floats, and the
+    # merge of [1/3, 1/2) with [1/2, 3/4) compares integer cross-products.
+    assert _comparisons(counts) == 0
+    assert build().intervals == ((F(1, 3), F(3, 4)),)

@@ -4,14 +4,15 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactintegral import (
     DiscreteSpace,
     GeneratorConfig,
     IntervalMeasure,
+    NormKind,
     PiecewiseLinear,
     SimpleFunction,
-    generate,
     parse_rational,
 )
 from exactintegral import bochner
@@ -426,23 +427,32 @@ def test_table_csv_round_trips():
 # --- fragments ----------------------------------------------------------------
 
 
-def test_fragments_round_trip_through_parser():
-    for family in ("simple", "vector_simple", "piecewise_linear", "series"):
-        for seed in range(8):
-            case = generate(GeneratorConfig(seed=seed, family=family))
-            fragment = case_fragment(case)
-            measure = parse_measure(fragment["space"])
-            assert measure == case.measure
-            norm = None
-            if family == "vector_simple":
-                from exactintegral import NormKind
-
-                norm = NormKind.L1
-            parsed = parse_function(fragment["function"], "function", measure, norm)
-            if family in ("simple", "vector_simple", "piecewise_linear"):
-                assert parsed == case.function
-            else:
-                assert function_fragment(parsed) == fragment["function"]
+@settings(max_examples=100, deadline=None)
+@given(
+    family=st.sampled_from(("simple", "vector_simple", "piecewise_linear", "series")),
+    seed=st.one_of(st.integers(0, 7), st.integers(0, 2**64 - 1)),
+    count=st.integers(1, 4),
+)
+def test_fragments_round_trip_through_parser(family, seed, count):
+    norm = NormKind.L1 if family == "vector_simple" else None
+    for case in generate_stream(GeneratorConfig(seed=seed, family=family), count):
+        fragment = case_fragment(case)
+        measure = parse_measure(fragment["space"])
+        assert measure == case.measure
+        parsed = parse_function(fragment["function"], "function", measure, norm)
+        # The whole document, through JSON text, as a task file reaches it.
+        doc = {"space": fragment["space"], "function": fragment["function"]}
+        if norm is not None:
+            doc["parameters"] = {"norm": norm.value}
+        task = parse_task_document(json.loads(json.dumps(doc)))
+        assert task.measure == case.measure
+        assert (task.task, task.parameters) == (None, {"norm": norm} if norm else {})
+        if family in ("simple", "vector_simple", "piecewise_linear"):
+            assert parsed == case.function
+            assert task.function == case.function
+        else:
+            assert function_fragment(parsed) == fragment["function"]
+            assert function_fragment(task.function) == fragment["function"]
 
 
 def test_fragment_of_measures():
