@@ -25,6 +25,17 @@ depth.
 the part approximations.  The reverse direction recovers the integral of
 a target from any certified representation, including series whose
 terms are merely integrable (piecewise linear) rather than simple.
+
+The certificate is worked on integer pairs.  The telescoped series reads
+its two part limits once, and each of its partial sums and tail bounds
+the two part staircase integrals at one level, as `as_integer_ratio()`
+pairs; each value it returns is one `Fraction` of their integer
+cross-products, and so are the absolute integral and the report's direct
+integral, difference and difference bound.  Every check of the
+certificate (`certificate_ok`, and the report's recovered-matches,
+within-bound and exact-equal entries) compares integer cross-products,
+so no `Fraction` operator or comparison runs after the part values are
+read.
 """
 
 from __future__ import annotations
@@ -232,6 +243,11 @@ class TelescopeSeries(FunctionSeries):
         self.negative = negative
         self.positive_limit = positive.limit(measure)
         self.negative_limit = negative.limit(measure)
+        # The part limits as integer pairs, read once for the certificate.
+        self._limits = (
+            self.positive_limit.as_integer_ratio(),
+            self.negative_limit.as_integer_ratio(),
+        )
         levels = (positive.termination_level(), negative.termination_level())
         self.term_count = None if None in levels else max(levels)
 
@@ -240,10 +256,14 @@ class TelescopeSeries(FunctionSeries):
         # One pairing of the two canonical increment tables; no set is built.
         return self.positive.increment(index) - self.negative.increment(index)
 
-    def _levels(self, upto: int) -> tuple[Fraction, Fraction]:
-        """(positive, negative) part staircase integrals at level `upto`."""
+    def _levels(self, upto: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(positive, negative) part staircase integrals at level `upto`, as
+        integer pairs."""
         level, measure = self._effective(upto), self.measure
-        return self.positive.integral(level, measure), self.negative.integral(level, measure)
+        return (
+            self.positive.integral(level, measure).as_integer_ratio(),
+            self.negative.integral(level, measure).as_integer_ratio(),
+        )
 
     def term_integral(self, index: int) -> Fraction:
         self._check_index(index)
@@ -268,17 +288,20 @@ class TelescopeSeries(FunctionSeries):
         return self.positive.value_at(level, point) - self.negative.value_at(level, point)
 
     def partial_integral_sum(self, upto: int) -> Fraction:
-        pos, neg = self._levels(upto)
-        return pos - neg
+        (a, b), (c, d) = self._levels(upto)
+        return Fraction(a * d - c * b, b * d)
 
     def partial_abs_sum(self, upto: int) -> Fraction:
-        pos, neg = self._levels(upto)
-        return pos + neg
+        (a, b), (c, d) = self._levels(upto)
+        return Fraction(a * d + c * b, b * d)
 
     def tail_bound(self, after: int) -> Fraction:
-        """Exact remainder: what the part staircases still miss at `after`."""
-        pos, neg = self._levels(after)
-        return (self.positive_limit - pos) + (self.negative_limit - neg)
+        """Exact remainder: what the part staircases still miss at `after`,
+        (p/q - a/b) + (n/m - c/d) for the limits p/q, n/m and the levels a/b,
+        c/d."""
+        (a, b), (c, d) = self._levels(after)
+        (p, q), (n, m) = self._limits
+        return Fraction((p * b - a * q) * m * d + (n * d - c * m) * q * b, q * b * m * d)
 
 
 @dataclass
@@ -304,12 +327,17 @@ class BochnerRepresentation:
 
     @cached_property
     def absolute_integral(self) -> Fraction:
-        return self.series.positive_limit + self.series.negative_limit
+        (p, q), (n, m) = self.series._limits
+        return Fraction(p * m + n * q, q * m)
 
     @property
     def certificate_ok(self) -> bool:
-        """Sum of |h_n| integrals up to depth stays within integral(|f|) + eta."""
-        return self.summability_partial <= self.absolute_integral + self.eta
+        """Sum of |h_n| integrals up to depth stays within integral(|f|) + eta,
+        s/t <= a/b + e/f compared by integer cross-products."""
+        s, t = self.summability_partial.as_integer_ratio()
+        a, b = self.absolute_integral.as_integer_ratio()
+        e, f = self.eta.as_integer_ratio()
+        return s * b * f <= (a * f + e * b) * t
 
 
 def _as_series(series_or_rep) -> FunctionSeries:
@@ -367,7 +395,7 @@ def series_from_integrand(
     `FiniteSeries(measure, [series.term(n) for n in range(1, series.term_count + 1)])`.
     """
     eta = as_rational(eta, "eta")
-    if eta < 0:
+    if eta.numerator < 0:
         raise ValueError("eta must be >= 0")
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -454,21 +482,32 @@ def equivalence_report(
     The direct integral is assembled from the part limits the construction
     already computed, and the recovered integral is the series integral
     itself: `integral_from_series` at the same truncation sums the same
-    terms and compares them with the same direct integral.
+    terms and compares them with the same direct integral.  The part
+    limits, the series integral, its error bound and the total mass are
+    read once each as integer pairs; the direct integral, the difference
+    and its bound are one `Fraction` each of their cross-products, and the
+    three checks compare cross-products.
     """
     representation = series_from_integrand(fn, measure, eta, depth)
     series = representation.series
-    direct_value = series.positive_limit - series.negative_limit
+    (p, q), (n, m) = series._limits
+    direct = (p * m - n * q, q * m)
     truncation = None if series.term_count is not None else depth
     series_value, series_bound = bochner_integrate(representation, truncation)
 
-    difference = abs(series_value - direct_value)
-    mass = measure.total_mass
-    difference_bound = 2 * Fraction(1, 1 << depth) * mass
+    # Each reported value is one Fraction of integer cross-products, and each
+    # check compares cross-products: v/w is the series integral, b/c its
+    # error bound, the difference is |v/w - direct| and its bound is
+    # 2 * 2^-depth * mass.
+    v, w = series_value.as_integer_ratio()
+    b, c = series_bound.as_integer_ratio()
+    difference = (abs(v * direct[1] - direct[0] * w), w * direct[1])
+    mass_n, mass_d = measure.total_mass.as_integer_ratio()
+    bound = (2 * mass_n, mass_d << depth)
     certified = depth >= max(series.positive.cap_level, series.negative.cap_level)
     return {
         "integral_class": INTEGRAL_CLASS,
-        "integral_value": direct_value,
+        "integral_value": Fraction(*direct),
         "positive_part_integral": series.positive_limit,
         "negative_part_integral": series.negative_limit,
         "series_depth": depth,
@@ -482,10 +521,10 @@ def equivalence_report(
         "series_integral": series_value,
         "series_integral_error_bound": series_bound,
         "recovered_integral": series_value,
-        "recovered_matches_target": difference <= series_bound,
-        "difference": difference,
-        "difference_bound": difference_bound,
+        "recovered_matches_target": difference[0] * c <= b * difference[1],
+        "difference": Fraction(*difference),
+        "difference_bound": Fraction(*bound),
         "difference_bound_certified": certified,
-        "difference_within_bound": difference <= difference_bound,
-        "exact_equal": representation.exact and difference == 0,
+        "difference_within_bound": difference[0] * bound[1] <= bound[0] * difference[1],
+        "exact_equal": representation.exact and difference[0] == 0,
     }

@@ -30,39 +30,41 @@ sloped pieces of f, and f− the negative ones, negated pair by pair.
 A nonnegative integrand f enters stage two only through the distribution
 m∘f⁻¹ of its values: the limit is the mean of that distribution, and each
 staircase level is `∫ s_n(f) dm = ∫ s_n(y) d(m∘f⁻¹)(y)`.  For both
-integrand classes the distribution is finite and is read as integer rows
-(p, q, e, c, L), each over its own denominator L.  A cell of nonzero
-value y = p/q is an atom: its row is (mass, 0) over the denominator of
-the one batch read of the table that gives every cell mass, the cells of
-value zero left out when there are sloped cells (no mass is read when no
-cell value is nonzero).  A sloped piece spreads its mass over its values
-with the value density r = d/|a| of each density cell d it crosses; each
-end of such a uniform piece adds +-(r*y, r), and one sweep of the sloped
-pieces along the measure's public density cells, read as integer pairs,
-merges the two ends that meet at a density breakpoint into one row, over
-the denominator of its r-step times q.  The level-n staircase integral is
-4^-n * sum((e*k*2^n - c*k(k+1)/2) / L) with k = min(n*2^n, floor(2^n*y)),
-the grid index of y that `_grid_index` computes (an atom contributes
-mass * s_n(y), a uniform piece an arithmetic series), and the limit is
-sum((2*e*p*q - c*p^2) / (2*q^2*L)); when every row is an atom over one L,
-as the rows of one batch read are, the limit is sum(2*e*p / q) / (2*L),
-so no term carries L.
-Both sums go through `rationals.exact_sum`, which adds the terms per
-denominator and then over their lcm while it stays short, pairwise
-otherwise, so no row is scaled to a long denominator common to all rows,
-and each makes one `Fraction`.  So stage-two convergence is checkable
-exactly at any level without materializing the staircase, and neither
-the integral nor the staircase branches on the integrand class.
+integrand classes the distribution is finite and comes in two parts.  The
+atoms are the one batch read of the table as it came: the cell values
+(p, q), the mass numerators m and their one denominator D; no mass is read
+when no cell value is nonzero, and the cells of value zero are left out
+of the read when there are sloped cells.  A sloped piece spreads its mass
+over its values with the value density r = d/|a| of each density cell d
+it crosses; each end of such a uniform piece adds +-(r*y, r), and one
+sweep of the sloped pieces along the measure's public density cells, read
+as integer pairs, merges the two ends that meet at a density breakpoint
+into one ramp row (p, q, e, c, L), over the denominator of its r-step
+times q.  The level-n staircase integral is
+4^-n * sum((e*k*2^n - c*k(k+1)/2) / L) over the rows, with
+k = min(n*2^n, floor(2^n*y)), the grid index of y that `_grid_index`
+computes, plus 2^-n * sum(m*k) / D over the atoms, one integer sum over
+the batch's one denominator; the limit is
+sum((2*e*p*q - c*p^2) / (2*q^2*L)) over the rows plus sum(p*m / q) / D.
+The atoms are summed in one loop that groups p*m by q
+(`rationals._add_products`, split by sign where the signed integral needs
+it); a sum with ramp rows goes through `rationals.exact_sum`, and every
+sum ends in its lcm-or-tree finish (`rationals._sum_groups`), shared by
+the atom sums: the groups are added over their lcm while it stays short,
+pairwise otherwise, so no term is scaled to a long denominator common to
+all, and each sum makes one `Fraction`.  So stage-two convergence is
+checkable exactly at any level without materializing the staircase, and
+neither the integral nor the staircase branches on the integrand class.
 
 The signed integral and the L1 norm read one distribution of f and split
-it at zero: the rows at positive values give ∫f+, those at negative
-values −∫f−.  `integrate_over` is the signed integral of the restriction
-f·1_R, built from one refinement of a table of f by the region's own
-table (a simple function's own table, or a piecewise-linear function's
-breakpoint grid with one cell per piece), in which a cell inside the
-region keeps its value or piece and every other cell is zero; it clips
-no piece itself.  The batch
-read of a table goes through the measure's one-slot memo, so the signed
+it at zero: the atoms and ramp rows at positive values give ∫f+, those at
+negative values −∫f−, and the three results are made from the two integer
+pairs, one `Fraction` each.  `integrate_over` is the signed integral of
+the restriction f·1_R, built from one refinement of a table of f by the
+region's own table (a simple function's own table, or a piecewise-linear
+function's breakpoint grid with one cell per piece), in which a cell
+inside the region keeps its value or piece and every other cell is zero;
+it clips no piece itself.  The batch read of a table goes through the measure's one-slot memo, so the signed
 integral of `f - g` after the integral of `f + g`, which share their
 table, reads no mass again.
 
@@ -72,11 +74,12 @@ f+ and f− from the lowered form of f, without building either part
 function; a part with no sloped piece of its own, of a function that has
 some, gets the table regrouped to its own nonzero cells, so its read
 walks no cut of the other part.  Its upper bound is the largest held
-value or end, found by integer cross-products and made one `Fraction`.
+value or end, found by integer cross-products and kept as its pair, so
+`cap_level` is the pair's integer ceiling.
 On first use against a measure each approximation reads the value
-distribution of its own part and keeps its rows with their limit in one
-table; level n is then one exact sum of integer terms over the rows'
-denominators, and each level costs one `Fraction`, made once and kept.
+distribution of its own part and keeps its atoms and ramp rows with their
+limit in one table; level n is then one exact sum of integer terms, and
+each level costs one `Fraction`, made once and kept.
 The two parts of a simple function keep its own cell table, so the
 second part's read finds the first's in the measure's memo slot and a
 compare reads the masses once.
@@ -110,7 +113,7 @@ from itertools import chain
 from typing import Optional, Union
 
 from .piecewise import PiecewiseLinear, _affine_pair, _gapless
-from .rationals import ONE, ZERO, exact_sum
+from .rationals import ONE, ZERO, _add_products, _sum_groups, exact_sum
 from .simple import SimpleFunction
 from .spaces import (
     CellTable,
@@ -216,30 +219,33 @@ def _grid_index(p: int, q: int, n: int) -> int:
     return min(n << n, (p << n) // q)
 
 
-def _value_distribution(lowered: tuple, measure: Measure) -> list:
+def _value_distribution(lowered: tuple, measure: Measure) -> tuple:
     """The distribution of a lowered integrand's values under the measure,
-    as integer rows (p, q, e, c, L), each over its own denominator L: the
-    coefficients e/L and c/L of `_StaircaseTable` at the value y = p/q.
+    as (atoms, ramps).
 
-    A cell of nonzero value y and mass m is an atom, the row (m, 0) over
-    the denominator of the one batch read of the table that gives every
-    cell mass; without a nonzero cell value no mass is read.  With sloped
-    pieces the read keeps only the cells of nonzero value: it leaves the
-    sloped cells out, and with them the root cuts of split pieces, which
-    would only lengthen its common denominator, and on the table of a part
-    the flat cells of the other sign too (a part without sloped pieces
-    comes with its table so regrouped by `parts`).  The sloped pieces give
-    the rows of `_ramps`.  Null masses contribute to no integral and are
-    left out.
+    The atoms are the batch read of the table as it came, (values,
+    numerators, denominator): the cell of value y = p/q, values[k] = (p, q),
+    has mass numerators[k] / denominator.  Without a nonzero cell value no
+    mass is read and the batch is empty.  With sloped pieces the read keeps
+    only the cells of nonzero value: it leaves the sloped cells out, and
+    with them the root cuts of split pieces, which would only lengthen its
+    common denominator, and on the table of a part the flat cells of the
+    other sign too (a part without sloped pieces comes with its table so
+    regrouped by `parts`).  The ramps are the integer rows (p, q, e, c, L)
+    of the sloped pieces (`_ramps`), each over its own denominator L: the
+    coefficients e/L and c/L of `_StaircaseTable` at the value y = p/q.
     """
     table, values, sloped = lowered
-    rows = []
+    atoms = _NO_ATOMS
     if any(p for p, _ in values):  # a piecewise-linear integrand often has no flat cell
         if sloped:
             table = _nonzero_cells(table, values)
-        numerators, denominator = measure._masses(table)
-        rows = [(p, q, n, 0, denominator) for (p, q), n in zip(values, numerators) if p and n]
-    return rows + _ramps(sloped.values(), measure) if sloped else rows
+        atoms = (values, *measure._masses(table))
+    return atoms, _ramps(sloped.values(), measure) if sloped else []
+
+
+# The atoms of an integrand without a nonzero cell value: no mass is read.
+_NO_ATOMS = ((), (), 1)
 
 
 def _nonzero_cells(table: CellTable, values: list) -> CellTable:
@@ -285,28 +291,39 @@ def _ramps(sloped, measure: Measure) -> list:
     return rows
 
 
-def _mean(rows: list) -> Fraction:
-    """The mean of a value distribution: the sum of (e*y - c*y^2/2) / L over
-    its rows, the limit of the level-n staircase integrals, as one
-    `Fraction`.  Twice a row's term is 2*e*p/(q*L) for an atom and
-    (2*e*p*q - c*p^2)/(q^2*L) otherwise; `exact_sum` adds them.  When every
-    row is an atom over one L, as the rows of one batch read are, the terms
-    2*e*p/q are added and L is applied once, to the sum."""
-    common = rows[0][4] if rows else 1
-    if all(not c and L == common for _, _, _, c, L in rows):
-        total, denominator = exact_sum((2 * e * p, q) for p, q, e, _, _ in rows)
-        return Fraction(total, 2 * denominator * common)
-    total, denominator = exact_sum(
-        (2 * e * p * q - c * p * p, q * q * L) if c else (2 * e * p, q * L)
-        for p, q, e, c, L in rows
+def _mean(groups: dict, denominator: int, ramps: list) -> tuple[int, int]:
+    """The mean of a value distribution, the limit of the level-n staircase
+    integrals, as one unreduced integer pair: sum(groups[q] / q) / denominator
+    for the atoms, their sums of p * mass numerator grouped by q
+    (`rationals._add_products`), plus the sum of (e*y - c*y^2/2) / L over the
+    ramp rows.  Without ramps the groups are added and the denominator is
+    applied once, to the sum; with them twice each atom group is put over
+    q * denominator, twice a ramp row's term is (2*e*p*q - c*p^2)/(q^2*L),
+    and `exact_sum` adds them all."""
+    if not ramps:
+        total, common = _sum_groups(groups)
+        return total, common * denominator
+    total, common = exact_sum(
+        chain(
+            ((2 * n, q * denominator) for q, n in groups.items()),
+            ((2 * e * p * q - c * p * p, q * q * L) for p, q, e, c, L in ramps),
+        )
     )
-    return Fraction(total, 2 * denominator)
+    return total, 2 * common
+
+
+def _atom_groups(atoms: tuple) -> dict:
+    """The atoms' sums p * mass numerator grouped by q, in one pass."""
+    groups: dict = {}
+    _add_products(atoms[0], atoms[1], groups, groups)
+    return groups
 
 
 def integrate_nonneg(fn: Integrand, measure: Measure) -> Fraction:
     """Exact limit integral of a nonnegative integrand: the mean of its values."""
     check_integrand_measure(fn, measure)
-    return _mean(_value_distribution(_lowered_nonneg(fn), measure))
+    atoms, ramps = _value_distribution(_lowered_nonneg(fn), measure)
+    return Fraction(*_mean(_atom_groups(atoms), atoms[2], ramps))
 
 
 class DyadicApproximation:
@@ -359,12 +376,12 @@ class DyadicApproximation:
         # The nonzero values of the cells that hold a point.
         held = [values[k] for k in set(table.owners) if k >= 0 and values[k][0]]
         # A bound >= sup: the largest held value or end of a sloped piece,
-        # found by integer cross-products and made one Fraction.
+        # found by integer cross-products and kept as its pair.
         p, q = 0, 1
         for y in chain(held, *(ends for *_, ends in sloped.values())):
             if y[0] * q > p * y[1]:
                 p, q = y
-        self._bound = Fraction(p, q)
+        self._bound = p, q
         self._termination = None if sloped else _termination_level(held)
         # The (measure, _StaircaseTable) pairs read so far.
         self._tables: list = []
@@ -372,12 +389,14 @@ class DyadicApproximation:
     @property
     def upper_bound(self) -> Fraction:
         """A bound >= sup of the target (the sup itself may be unattained)."""
-        return self._bound
+        return Fraction(*self._bound)
 
     @property
     def cap_level(self) -> int:
-        """Smallest level from which the staircase cap is inactive."""
-        return max(0, math.ceil(self._bound))
+        """Smallest level from which the staircase cap is inactive: the
+        integer ceiling of the bound's pair."""
+        p, q = self._bound
+        return -(-p // q)
 
     def termination_level(self) -> Optional[int]:
         """Level from which the staircase equals the target, if any.
@@ -493,7 +512,7 @@ class DyadicApproximation:
             if known is measure or known == measure:
                 return table
         check_integrand_measure(self, measure)
-        table = _StaircaseTable(_value_distribution(self._part, measure))
+        table = _StaircaseTable(*_value_distribution(self._part, measure))
         self._tables.append((measure, table))
         return table
 
@@ -502,17 +521,21 @@ class _StaircaseTable:
     """Staircase integrals of one approximation against one measure, by level,
     and their limit.
 
-    It keeps the integer rows (p, q, e, c, L) of `_value_distribution`,
-    each over its own denominator L: level n is 4^-n times the sum of
-    (e*k*2^n - c*k(k+1)/2) / L, k = `_grid_index(p, q, n)`, over the
-    rows, one `exact_sum` turned into a single `Fraction` and kept by
-    level, so each level asked for is computed alone.  The limit is the
-    mean of the same rows.
+    It keeps the atoms and the ramp rows (p, q, e, c, L) of
+    `_value_distribution`.  Level n is 4^-n times the sum of
+    (e*k*2^n - c*k(k+1)/2) / L, k = `_grid_index(p, q, n)`, over the ramp
+    rows, each over its own denominator L, plus the atoms' one integer sum
+    of m*k, m the mass numerators, over their one denominator D, which
+    enters as (2^n * that sum, D): one `exact_sum` adds them all, and the
+    sum becomes a single `Fraction`, kept by level, so each level asked
+    for is computed alone.  The limit is the mean of the same atoms and
+    rows.
     """
 
-    def __init__(self, rows: list):
-        self._rows = rows
-        self.limit = _mean(rows)
+    def __init__(self, atoms: tuple, ramps: list):
+        self._atoms = atoms
+        self._ramps = ramps
+        self.limit = Fraction(*_mean(_atom_groups(atoms), atoms[2], ramps))
         self._values: dict[int, Fraction] = {}
 
     def at(self, level: int) -> Fraction:
@@ -522,12 +545,14 @@ class _StaircaseTable:
         return value
 
     def _level(self, n: int) -> Fraction:
-        terms = []
-        for p, q, e, c, L in self._rows:
+        values, numerators, denominator = self._atoms
+        atoms = sum(m * _grid_index(p, q, n) for (p, q), m in zip(values, numerators) if m)
+        terms = [(atoms << n, denominator)]
+        for p, q, e, c, L in self._ramps:
             k = _grid_index(p, q, n)
             terms.append(((e * k << n) - c * (k * (k + 1) >> 1), L))
-        total, denominator = exact_sum(terms)
-        return Fraction(total, denominator << (2 * n))
+        total, common = exact_sum(terms)
+        return Fraction(total, common << (2 * n))
 
 
 @dataclass(frozen=True)
@@ -542,15 +567,21 @@ class IntegralResult:
 def lebesgue_integral(fn: Integrand, measure: Measure) -> IntegralResult:
     """Signed integral ∫f+ dm − ∫f− dm, with both part integrals, from one
     batch read of the masses whatever the integrand class: no cell or
-    sloped piece changes sign, so no row of the value distribution of f
-    does either, and the rows at positive values give ∫f+, those at
-    negative values −∫f−."""
+    sloped piece changes sign, so no atom or ramp row of the value
+    distribution of f does either.  One loop over the atoms groups their
+    products by denominator and by sign; the atoms and ramp rows at
+    positive values give ∫f+ as one integer pair, those at negative values
+    −∫f−, and the value and both parts are one `Fraction` each."""
     lowered = _lowered(fn)
     check_integrand_measure(fn, measure)
-    rows = _value_distribution(lowered, measure)
-    pos_value = _mean([row for row in rows if row[0] > 0])
-    neg_value = -_mean([row for row in rows if row[0] < 0])
-    return IntegralResult(pos_value - neg_value, pos_value, neg_value)
+    (values, numerators, denominator), ramps = _value_distribution(lowered, measure)
+    positive: dict = {}
+    negative: dict = {}
+    _add_products(values, numerators, positive, negative)
+    pn, pd = _mean(positive, denominator, [row for row in ramps if row[0] > 0])
+    nn, nd = _mean(negative, denominator, [row for row in ramps if row[0] < 0])
+    # nn/nd is the mean of the negative values: ∫f− = -nn/nd.
+    return IntegralResult(Fraction(pn * nd + nn * pd, pd * nd), Fraction(pn, pd), Fraction(-nn, nd))
 
 
 def integrate_over(

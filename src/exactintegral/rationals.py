@@ -16,7 +16,10 @@ is never built; the groups are then added pairwise in a balanced tree,
 each pair over the lcm of its two denominators.  So no term is scaled to
 a long lcm, which for n distinct large denominators would make every term
 about n times as long, and the cost stays near-linear in the total size
-of the input.
+of the input.  That finish is its own step, `_sum_groups`, shared by
+`exact_sum` and by the integrals that read a batch of masses: those
+group the products value * mass by denominator in their one loop over
+the batch (`_add_products`).
 
 `as_rational` is the one rational gate of the library: every constructor
 and `scale` takes its caller's numbers through it.  It keeps a `Fraction`
@@ -136,6 +139,22 @@ def exact_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
     groups: dict[int, int] = {}
     for n, d in pairs:
         groups[d] = groups.get(d, 0) + n
+    return _sum_groups(groups)
+
+
+def _add_products(values, numerators, positive: dict, negative: dict) -> None:
+    """Add p * n to the group of q, for each value (p, q) and numerator n
+    taken pairwise: into `positive` where p > 0, into `negative` where
+    p < 0.  A caller that needs no split by sign passes one dict twice."""
+    for (p, q), n in zip(values, numerators):
+        if p and n:
+            groups = positive if p > 0 else negative
+            groups[q] = groups.get(q, 0) + p * n
+
+
+def _sum_groups(groups: dict[int, int]) -> tuple[int, int]:
+    """sum(n / d) over the {d: n} groups, as one unreduced pair: over their
+    lcm while it stays short, else in the tree (see `exact_sum`)."""
     denominators = list(groups)
     common = 1
     for start in range(0, len(denominators), _LCM_CHUNK):

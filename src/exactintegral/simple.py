@@ -50,10 +50,11 @@ canonical tables.  The kind-specific algorithms live on the space
 classes, so nothing here branches on the set kind.
 `integrate_simple` reads the masses of all cells in one batch from the
 measure (integer numerators over one denominator, kept by the measure
-for the table it last read) and hands the integer
-products value * mass, each over its value's own denominator, to
+for the table it last read) and adds the integer products
+value numerator * mass numerator in one loop, grouped by the value's
+denominator; the groups go to the lcm-or-tree finish of
 `rationals.exact_sum`, so an integral costs one `Fraction` per component,
-and the products are scaled to a denominator common to all values only
+and the groups are scaled to a denominator common to all values only
 while that denominator stays short.
 """
 
@@ -68,7 +69,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Collection, Iterable, Optional, Union
 
-from .rationals import ZERO, as_rational, exact_sum
+from .rationals import ZERO, _add_products, _sum_groups, as_rational
 from .spaces import (
     CellTable,
     Measure,
@@ -460,9 +461,10 @@ def integrate_simple(fn: SimpleFunction, measure: Measure) -> Value:
     Representation independent (the coherence property); componentwise for
     vector values; a zero value contributes nothing whatever its cell's
     mass.  The masses of all cells are read in one batch, as integer
-    numerators over one denominator, and each component of the integral is
-    one `exact_sum` of the integer products over the values' denominators,
-    made into one `Fraction`.
+    numerators over one denominator; for each component one loop adds the
+    integer products p * mass numerator of the values p/q, grouped by q
+    (`rationals._add_products`), the groups are added over their lcm or in
+    the tree (`rationals._sum_groups`), and the sum is one `Fraction`.
     """
     if space_of(measure) != fn.space:
         raise SpaceMismatchError("function and measure live on different spaces")
@@ -470,7 +472,9 @@ def integrate_simple(fn: SimpleFunction, measure: Measure) -> Value:
     numerators, denominator = measure._masses(table)
 
     def total(pairs) -> Fraction:
-        n, d = exact_sum((p * m, q) for (p, q), m in zip(pairs, numerators) if p)
+        groups: dict[int, int] = {}
+        _add_products(pairs, numerators, groups, groups)
+        n, d = _sum_groups(groups)
         return Fraction(n, d * denominator)
 
     if fn.dim is None:

@@ -44,6 +44,14 @@ end values as `Fraction`s, the sweep of the sloped pieces along the
 measure's public density cells with one `Fraction` per density step, and
 the termination level read off `Fraction` values.
 
+`rows_reference`, `mean_reference`, `level_reference` and
+`equivalence_reference` are the `Fraction` forms of the value sums and
+of the certificate that the library replaced by integer pairs: every
+atom of a batch read as its own row (p, q, e, c, L), the limit and the
+level-n staircase integral as sums of one `Fraction` per row, and every
+entry of `equivalence_report` by `Fraction` arithmetic and `Fraction`
+comparisons on those limits and levels.
+
 `slope_at`, `restrict`, `upper_bound`, `lower_bound`, `is_nonnegative`
 and `level_set` are plain piecewise-linear helpers of the tests: the
 slope of the piece at a point, the product with a region's indicator,
@@ -348,6 +356,96 @@ def staircase_integral_oracle(fn, measure, level: int) -> Fraction:
             )
             total += d * diff / (a * scale * scale)
     return total
+
+
+def rows_reference(atoms: tuple, ramps: list) -> list:
+    """The integer rows (p, q, e, c, L) of a value distribution: an atom of
+    nonzero value p/q and nonzero mass numerator n in the batch read
+    (values, numerators, D) is the row (p, q, n, 0, D); ramp rows are kept."""
+    values, numerators, denominator = atoms
+    atom_rows = [
+        (p, q, n, 0, denominator) for (p, q), n in zip(values, numerators) if p and n
+    ]
+    return atom_rows + list(ramps)
+
+
+def mean_reference(rows: list) -> Fraction:
+    """The limit of the staircase integrals: the sum of (e*y - c*y^2/2) / L
+    over the rows, y = p/q, one `Fraction` per row."""
+    total = ZERO
+    for p, q, e, c, L in rows:
+        y = Fraction(p, q)
+        total += (e * y - c * y * y / 2) / L
+    return total
+
+
+def level_reference(rows: list, level: int) -> Fraction:
+    """The level-n staircase integral: 4^-n times the sum of
+    (e*k*2^n - c*k(k+1)/2) / L over the rows, k = min(n*2^n, floor(2^n*y))."""
+    scale = 2**level
+    total = ZERO
+    for p, q, e, c, L in rows:
+        k = min(level * scale, math.floor(Fraction(p, q) * scale))
+        total += Fraction(e * k * scale - c * k * (k + 1) // 2, L)
+    return total / (scale * scale)
+
+
+def equivalence_reference(parts, measure, eta: Fraction, depth: int) -> dict:
+    """The report of `equivalence_report` from the part approximations and
+    the rows of their value distributions, as (approximation, rows) pairs:
+    limits and levels by `mean_reference` and `level_reference`, every other
+    value by `Fraction` arithmetic and every check by `Fraction` comparison."""
+    (positive, pos_rows), (negative, neg_rows) = parts
+    pos_limit, neg_limit = mean_reference(pos_rows), mean_reference(neg_rows)
+    terminations = (positive.termination_level(), negative.termination_level())
+    term_count = None if None in terminations else max(terminations)
+
+    def effective(index: int) -> int:
+        return index if term_count is None else min(index, term_count)
+
+    def levels(index: int) -> tuple:
+        level = effective(index)
+        return level_reference(pos_rows, level), level_reference(neg_rows, level)
+
+    def tail(index: int) -> Fraction:
+        pos, neg = levels(index)
+        return (pos_limit - pos) + (neg_limit - neg)
+
+    pos_d, neg_d = levels(depth)
+    partial, tail_at_depth = pos_d + neg_d, tail(depth)
+    absolute = pos_limit + neg_limit
+    truncation = depth if term_count is None else term_count
+    pos_t, neg_t = levels(truncation)
+    series_value = pos_t - neg_t
+    series_bound = tail_at_depth if effective(truncation) == effective(depth) else tail(truncation)
+    direct = pos_limit - neg_limit
+    difference = abs(series_value - direct)
+    difference_bound = 2 * Fraction(1, 1 << depth) * measure.total_mass
+    exact = term_count is not None and term_count <= depth
+    cap = max(math.ceil(positive.upper_bound), math.ceil(negative.upper_bound), 0)
+    return {
+        "integral_class": "integrable",
+        "integral_value": direct,
+        "positive_part_integral": pos_limit,
+        "negative_part_integral": neg_limit,
+        "series_depth": depth,
+        "series_terminates": exact,
+        "series_term_count": term_count,
+        "summability_partial": partial,
+        "summability_tail_bound": tail_at_depth,
+        "absolute_integral": absolute,
+        "eta": eta,
+        "summability_certified": partial <= absolute + eta,
+        "series_integral": series_value,
+        "series_integral_error_bound": series_bound,
+        "recovered_integral": series_value,
+        "recovered_matches_target": difference <= series_bound,
+        "difference": difference,
+        "difference_bound": difference_bound,
+        "difference_bound_certified": depth >= cap,
+        "difference_within_bound": difference <= difference_bound,
+        "exact_equal": exact and difference == 0,
+    }
 
 
 def materialized_telescope_reference(series) -> FiniteSeries:

@@ -100,3 +100,53 @@ def test_runs_alternate_and_append_to_the_record(tmp_path):
     assert [pair["first"] for pair in entry["lines"]] == ["parent", "change", "parent"]
     v = entry["verdicts"]["throughput_cases_per_s"]
     assert (v["wins"], v["verdict"]) == (3, "resolved")
+
+
+def _tier1_tree(root: Path, failing: bool = False) -> Path:
+    """A tree whose Tier-1 suite has three quick tests, one of them slow
+    enough to lead the durations, and optionally one failing test."""
+    (root / "src").mkdir(parents=True)
+    (root / "src" / "fakepkg.py").write_text("ANSWER = 42\n")
+    (root / "tests").mkdir()
+    body = (
+        "import time\n"
+        "import fakepkg\n\n"
+        "def test_slow():\n    time.sleep(0.2)\n\n"
+        "def test_answer():\n    assert fakepkg.ANSWER == 42\n\n"
+        "def test_quick():\n    pass\n"
+    )
+    if failing:
+        body += "\ndef test_broken():\n    assert fakepkg.ANSWER == 41\n"
+    (root / "tests" / "test_fake.py").write_text(body)
+    return root
+
+
+def test_a_tier1_run_per_tree_is_recorded_as_its_own_entry(tmp_path, capsys):
+    parent = _tier1_tree(tmp_path / "parent")
+    change = _tier1_tree(tmp_path / "change", failing=True)
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"runs": [{"inputs": {"workload": "w"}, "lines": []}]}))
+    argv = [str(parent), str(change), "--tier1", "--out", str(out), "--commits", "aaa", "bbb"]
+    assert bench_pairs.main(argv) == 1  # the change tree has a failing test
+    record = json.loads(out.read_text())
+    assert len(record["runs"]) == 2 and record["runs"][0]["inputs"] == {"workload": "w"}
+    entry = record["runs"][1]
+    assert entry["inputs"]["commits"] == {"parent": "aaa", "change": "bbb"}
+    assert set(entry["inputs"]) == {"commits", "nproc", "python"}
+    parent_run, change_run = entry["tier1"]["parent"], entry["tier1"]["change"]
+    assert (parent_run["passed"], parent_run["failed"], parent_run["exit"]) == (3, 0, 0)
+    assert (change_run["passed"], change_run["failed"]) == (3, 1)
+    assert change_run["exit"] != 0
+    for run in (parent_run, change_run):
+        assert run["wall_s"] >= 0.2
+        slowest = run["slowest"][0]
+        assert slowest["test"] == "tests/test_fake.py::test_slow" and slowest["when"] == "call"
+        assert 0.2 <= slowest["seconds"] <= run["wall_s"]
+        assert len(run["slowest"]) <= 10
+    shown = capsys.readouterr().out
+    assert "parent tier-1: 3 passed" in shown and "change tier-1: 1 failed, 3 passed" in shown
+
+
+def test_pairs_need_their_inputs_without_tier1(tmp_path):
+    with pytest.raises(SystemExit):
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "w", "--seed", "1"])

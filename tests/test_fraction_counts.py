@@ -1,5 +1,6 @@
 """Exact counts of the `Fraction` operations that the construction path
-makes: building a measure, a function's canonical form and `f ± g`.
+makes (building a measure, a function's canonical form and `f ± g`) and
+that the integrals and the compare report make.
 
 The calls into `fractions.py` are counted with `sys.setprofile`, so the
 counts are exact and do not depend on timing.  A construction is a call of
@@ -22,6 +23,21 @@ integer pair, on the same inputs as below:
   objects read `numerator` or `denominator` 328 times (4 per interval in
   the keyed sort, 4 per meeting point in `_tabulate`'s exact compare) and
   made 1 comparison (the last end against 1).
+
+Counts at the parent of the change that keeps the integral sums and the
+compare certificate on integer pairs:
+
+* one `equivalence_report` of a `grid_exact`-like integrand (seed-1
+  benchmark cases, per compare) made 18 constructions, 11 arithmetic
+  operator calls (10 `forward`, 1 `reverse`), 5 comparisons, 1 `abs` and
+  2 `__ceil__`; a `pwl_deep`-like one 20 constructions and the same
+  operators, 4 comparisons, 1 `abs` and 2 `__ceil__`;
+* `lebesgue_integral` of the 64-cell function made 4 constructions, one
+  negation and one subtraction.
+
+An arithmetic operator is counted by family, as the `forward` and
+`reverse` functions that `Fraction` builds for every binary operator, and
+`__abs__` and `__neg__`, so the counts hold on every supported Python.
 """
 
 import fractions
@@ -29,10 +45,28 @@ import sys
 from collections import Counter
 from fractions import Fraction as F
 
-from exactintegral import UNIT_INTERVAL, IntervalMeasure, IntervalSet, SimpleFunction
+import random
+
+import pytest
+
+from exactintegral import (
+    UNIT_INTERVAL,
+    IntervalMeasure,
+    IntervalSet,
+    SimpleFunction,
+    equivalence_report,
+    integrate_simple,
+    lebesgue_integral,
+)
+from exactintegral.generators import (
+    random_measure,
+    random_piecewise_linear,
+    random_simple_function,
+)
 
 FRACTIONS_FILE = fractions.__file__
 COMPARISONS = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+OPERATORS = ("forward", "reverse", "__abs__", "__neg__")
 
 
 def _fraction_calls(call) -> Counter:
@@ -125,3 +159,51 @@ def test_interval_sets_at_the_unit_ends_and_at_a_shared_value_make_no_fraction_c
     # Range-checked by tuples of (float, Fraction), these made 5 comparisons.
     assert _comparisons(counts) == 0
     assert build().intervals == ((F(1, 3), F(3, 4)),)
+
+
+def _operators(counts: Counter) -> int:
+    return sum(counts[name] for name in OPERATORS)
+
+
+def _grid_exact_like(rng):
+    """A dyadic simple function of up to 8 terms on a measure of up to 16
+    cells, compared at depth 12, as the `grid_exact` workload draws it."""
+    measure = random_measure(rng, kind=rng.choice(("discrete", "interval")), max_size=16)
+    fn = random_simple_function(rng, measure, max_terms=8, max_denominator=256, values="dyadic")
+    return fn, measure, 12
+
+
+def _pwl_deep_like(rng):
+    """A piecewise-linear function on an interval measure, compared at
+    depth 30, as the `pwl_deep` workload draws it."""
+    return random_piecewise_linear(rng), random_measure(rng, kind="interval"), 30
+
+
+@pytest.mark.parametrize("draw", [_grid_exact_like, _pwl_deep_like], ids=["grid_exact", "pwl_deep"])
+@pytest.mark.parametrize("seed", [2, 5, 9])  # grid_exact: a discrete space, then two interval measures
+def test_a_compare_report_makes_no_fraction_operator_comparison_or_ceiling(draw, seed):
+    fn, measure, depth = draw(random.Random(seed))
+    counts = _fraction_calls(lambda: equivalence_report(fn, measure, depth=depth))
+    assert _operators(counts) == 0, counts
+    assert _comparisons(counts) == 0, counts
+    assert counts["__ceil__"] == 0
+    # At most one construction each for the two part limits and the two
+    # level integrals, the partial sums, the tail bound, the absolute
+    # integral, the direct value, the difference, its bound and the total
+    # mass; the parts of a dyadic simple function terminate, and their
+    # level integrals are their limits.
+    assert counts["__new__"] <= 12, counts
+
+
+def test_the_integrals_of_a_64_cell_function_make_one_fraction_per_value():
+    fn = _function([F((k * 37) % 29 - 14, 1 + k % 7) for k in range(64)])
+    measure = IntervalMeasure([F(0), F(1, 3), F(1)], [F(2), F(1, 2)])
+    integral = integrate_simple(fn, measure)
+    counts = _fraction_calls(lambda: integrate_simple(fn, measure))
+    assert counts["__new__"] == 1
+    assert _operators(counts) == _comparisons(counts) == 0
+    counts = _fraction_calls(lambda: lebesgue_integral(fn, measure))
+    assert counts["__new__"] == 3
+    assert _operators(counts) == _comparisons(counts) == 0
+    result = lebesgue_integral(fn, measure)
+    assert result.value == integral == result.positive_part - result.negative_part

@@ -3,6 +3,8 @@ the claim rule to every end-to-end metric.
 
     python tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload wide_simple \\
         --seed 1 --seconds 30 --pairs 10 [--out BENCH.json] [--commits PARENT CHANGE]
+    python tools/bench_pairs.py PARENT_TREE CHANGE_TREE --tier1 \\
+        [--out BENCH.json] [--commits PARENT CHANGE]
 
 Each tree is a checkout holding its own `bench/run.py`, `src/` and
 `BENCHMARK.json`; `git archive <commit> | tar -x -C DIR` makes one without
@@ -24,6 +26,12 @@ A median worse than the parent's by more than the metric's bound is
 flagged beside the verdict.  With `--out` the inputs (commits, workload,
 seed, seconds, processor count, Python version), every final line and the
 verdicts are appended as one entry to the file's "runs" list.
+
+With `--tier1` it runs no pairs: it runs each tree's Tier-1 suite once,
+parent first, with the CI command (`TIER1`, in development mode with
+warnings as errors), and prints and records per tree the wall time, the
+pass and failure counts and the 10 slowest durations that pytest lists,
+as one entry with the commits, processor count and Python version.
 """
 
 from __future__ import annotations
@@ -32,13 +40,21 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 WINS_NEEDED = 0.9  # of the pairs
 SIDES = ("parent", "change")
+
+# The CI's Tier-1 command, run in a tree with its `src` on PYTHONPATH.
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
+TIER1_ENV = {"PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error"}
+# "0.52s call     tests/test_x.py::test_y", one line per listed duration.
+_DURATION = re.compile(r"(\d+(?:\.\d+)?)s (setup|call|teardown)\s+(\S.*)")
 
 
 def verdict(pairs: list, better: str, bound: float | None = None, valid: bool = True) -> dict:
@@ -82,6 +98,31 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"correct": False, "exit": done.returncode, "stderr": done.stderr[-2000:]}
 
 
+def tier1_run(tree: Path) -> dict:
+    """One Tier-1 run of the tree: wall time, counts and slowest durations."""
+    env = dict(os.environ, **TIER1_ENV)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(tree / "src"), env.get("PYTHONPATH"))))
+    started = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - started
+    lines = done.stdout.splitlines()
+    summary = lines[-1] if lines else ""
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|error)", summary)}
+    slowest = [
+        {"seconds": float(m[1]), "when": m[2], "test": m[3].strip()}
+        for m in map(_DURATION.fullmatch, lines)
+        if m
+    ]
+    return {
+        "wall_s": round(wall, 2),
+        "passed": counts.get("passed", 0),
+        "failed": counts.get("failed", 0) + counts.get("error", 0),
+        "exit": done.returncode,
+        "summary": summary.strip("= "),
+        "slowest": slowest,
+    }
+
+
 def _brief(line: dict) -> str:
     """The run's throughput, or why it has none."""
     if not valid_line(line):
@@ -122,16 +163,31 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", required=True, type=int)
-    parser.add_argument("--seconds", required=True, type=float)
-    parser.add_argument("--pairs", required=True, type=int)
+    parser.add_argument("--workload")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--seconds", type=float)
+    parser.add_argument("--pairs", type=int)
+    parser.add_argument("--tier1", action="store_true", help="record one Tier-1 run per tree")
     parser.add_argument("--out", type=Path)
     parser.add_argument("--commits", nargs=2, metavar=("PARENT", "CHANGE"))
     args = parser.parse_args(argv)
+    trees = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
+    machine = {
+        "commits": dict(zip(SIDES, args.commits or (None, None))),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+    }
+    if args.tier1:
+        record = {side: tier1_run(trees[side]) for side in SIDES}
+        for side in SIDES:
+            print(f"{side} tier-1: {record[side]['summary']}, wall {record[side]['wall_s']} s")
+        if args.out:
+            _append(args.out, {"inputs": machine, "tier1": record})
+        return 0 if all(record[side]["exit"] == 0 for side in SIDES) else 1
+    if None in (args.workload, args.seed, args.seconds, args.pairs):
+        parser.error("--workload, --seed, --seconds and --pairs are required without --tier1")
     if args.pairs < 2:
         parser.error("--pairs must be >= 2")
-    trees = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
     runs = []
     for k in range(1, args.pairs + 1):
         order = SIDES if k % 2 else SIDES[::-1]
@@ -145,26 +201,26 @@ def main(argv=None) -> int:
     for name, v in verdicts.items():
         print(render(name, v))
     if args.out:
-        record = {"runs": []}
-        if args.out.exists():
-            record = json.loads(args.out.read_text(encoding="utf-8"))
-        record["runs"].append(
-            {
-                "inputs": {
-                    "commits": dict(zip(SIDES, args.commits or (None, None))),
-                    "workload": args.workload,
-                    "seed": args.seed,
-                    "seconds": args.seconds,
-                    "pairs": args.pairs,
-                    "nproc": os.cpu_count(),
-                    "python": platform.python_version(),
-                },
-                "lines": runs,
-                "verdicts": verdicts,
-            }
-        )
-        args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        inputs = {
+            "commits": machine["commits"],
+            "workload": args.workload,
+            "seed": args.seed,
+            "seconds": args.seconds,
+            "pairs": args.pairs,
+            "nproc": machine["nproc"],
+            "python": machine["python"],
+        }
+        _append(args.out, {"inputs": inputs, "lines": runs, "verdicts": verdicts})
     return 0 if all(v["verdict"] != "invalid" for v in verdicts.values()) else 1
+
+
+def _append(out: Path, entry: dict) -> None:
+    """Append one entry to the "runs" list of the JSON record at `out`."""
+    record = {"runs": []}
+    if out.exists():
+        record = json.loads(out.read_text(encoding="utf-8"))
+    record["runs"].append(entry)
+    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
