@@ -121,7 +121,10 @@ def _tier1_tree(root: Path, failing: bool = False) -> Path:
     return root
 
 
-def test_a_tier1_run_per_tree_is_recorded_as_its_own_entry(tmp_path, capsys):
+def test_a_tier1_run_per_tree_is_recorded_as_its_own_entry(tmp_path, capsys, monkeypatch):
+    # The fake suites need no Hypothesis, whose plugin takes most of a
+    # pytest start.
+    monkeypatch.setattr(bench_pairs, "TIER1", [*bench_pairs.TIER1, "-p", "no:hypothesispytest"])
     parent = _tier1_tree(tmp_path / "parent")
     change = _tier1_tree(tmp_path / "change", failing=True)
     out = tmp_path / "BENCH.json"

@@ -41,11 +41,10 @@ An arithmetic operator is counted by family, as the `forward` and
 """
 
 import fractions
+import random
 import sys
 from collections import Counter
 from fractions import Fraction as F
-
-import random
 
 import pytest
 
@@ -188,7 +187,7 @@ def test_a_compare_report_makes_no_fraction_operator_comparison_or_ceiling(draw,
     assert _comparisons(counts) == 0, counts
     assert counts["__ceil__"] == 0
     # At most one construction each for the two part limits and the two
-    # level integrals, the partial sums, the tail bound, the absolute
+    # level integrals, the two partial sums, the tail bound, the absolute
     # integral, the direct value, the difference, its bound and the total
     # mass; the parts of a dyadic simple function terminate, and their
     # level integrals are their limits.
