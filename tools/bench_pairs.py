@@ -202,13 +202,11 @@ def main(argv=None) -> int:
         print(render(name, v))
     if args.out:
         inputs = {
-            "commits": machine["commits"],
             "workload": args.workload,
             "seed": args.seed,
             "seconds": args.seconds,
             "pairs": args.pairs,
-            "nproc": machine["nproc"],
-            "python": machine["python"],
+            **machine,
         }
         _append(args.out, {"inputs": inputs, "lines": runs, "verdicts": verdicts})
     return 0 if all(v["verdict"] != "invalid" for v in verdicts.values()) else 1
