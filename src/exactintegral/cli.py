@@ -56,6 +56,12 @@ def _integer_or_text(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+def _build() -> tuple[argparse.ArgumentParser, dict]:
+    """The full parser and its subparsers action's `choices`, the parser of
+    each command by name."""
     parser = argparse.ArgumentParser(
         prog="exactintegral",
         description="Exact integration over finite measure spaces.",
@@ -86,13 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--max-terms", type=int, default=16)
     gen.add_argument("--max-denominator", type=int, default=4096)
     gen.add_argument("--max-dim", type=int, default=4)
-    return parser
+    return parser, sub.choices
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parse_args keeps no state in the parser, so one parser serves every call.
-    return build_parser()
+# Parsing keeps no state in the parsers, so one tree serves every call.
+_parser = functools.cache(_build)
 
 
 def _cmd_task(args) -> int:
@@ -150,7 +154,25 @@ _COMMANDS = {"integrate": _cmd_task, "compare": _cmd_task, "table": _cmd_task, "
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command line (`sys.argv[1:]` when `argv` is None).
+
+    The parser of the command named by `argv[0]` reads the rest of the line
+    into a namespace that already holds the command, as the full parser's
+    subparsers action does.  The full parser reads the whole line only when
+    `argv[0]` names no command or arguments are left over, and so prints
+    the same help and usage errors as ever.  With arguments left over it
+    cannot succeed: it has no option beyond `-h`, so what the command's
+    parser left over is unrecognized to it too.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _parser()
+    args, extra = None, True
+    if argv and argv[0] in commands:
+        namespace = argparse.Namespace(command=argv[0])
+        args, extra = commands[argv[0]].parse_known_args(argv[1:], namespace)
+    if extra:
+        args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except TaskSpecError as exc:

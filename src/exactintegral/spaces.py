@@ -342,6 +342,8 @@ class DiscreteSpace:
     # The weights as integer numerators over their common denominator.
     _scaled: tuple = field(init=False, repr=False, compare=False)
     _denominator: int = field(init=False, repr=False, compare=False)
+    # The total mass as (numerator, denominator), not reduced.
+    _mass: tuple = field(init=False, repr=False, compare=False)
     # The last mass read, (table, (numerators, denominator)) (see `_masses`).
     _last_read: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
 
@@ -370,6 +372,7 @@ class DiscreteSpace:
                 scaled[k] = ratios[k][0] * factor
         object.__setattr__(self, "_scaled", tuple(scaled))
         object.__setattr__(self, "_denominator", denominator)
+        object.__setattr__(self, "_mass", (sum(scaled), denominator))
 
     @property
     def size(self) -> int:
@@ -377,7 +380,7 @@ class DiscreteSpace:
 
     @property
     def total_mass(self) -> Fraction:
-        return Fraction(sum(self._scaled), self._denominator)
+        return Fraction(*self._mass)
 
     @property
     def space(self) -> "DiscreteSpace":
@@ -639,6 +642,8 @@ class IntervalMeasure:
     # D * E * mass of [0, grid[k]); B[k] = C[k] - A[k] * G[k].  A closing
     # entry A = 0, B = C[cells] answers x = 1.
     _table: tuple = field(init=False, repr=False, compare=False)
+    # The total mass as (C[cells], D * E), not reduced.
+    _mass: tuple = field(init=False, repr=False, compare=False)
     # The last mass read, (table, (numerators, denominator)) (see `_masses`).
     _last_read: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
 
@@ -678,6 +683,7 @@ class IntervalMeasure:
             "_table",
             (grid_den, tuple(points), tuple(slopes), tuple(offsets), density_den),
         )
+        object.__setattr__(self, "_mass", (below, grid_den * density_den))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalMeasure):
@@ -697,8 +703,7 @@ class IntervalMeasure:
 
     @property
     def total_mass(self) -> Fraction:
-        grid_den, _, _, offsets, density_den = self._table
-        return Fraction(offsets[-1], grid_den * density_den)
+        return Fraction(*self._mass)
 
     measure_of = _measure_of
     _masses = _last_masses
