@@ -18,8 +18,12 @@ level flags are read with `int()` where that parses, the texts argparse's
 `type=int` took, and handed on as text otherwise.  A `table --out` path that
 cannot be written is a validation error too.
 
-`main` builds its argument parser on its first call, not at import, and
-reuses it for the life of the process; `build_parser()` returns a fresh one.
+`main` builds its argument parsers on its first call, not at import, and
+reuses them for the life of the process; `build_parser()` returns a fresh
+full parser.  A call is read by the parser of the command it names alone.
+The full parser, whose only work is to pick that command, reads a line
+only when it names no command or leaves arguments over, that is for help
+and usage errors, which it prints as ever.
 """
 
 from __future__ import annotations

@@ -339,10 +339,9 @@ class DiscreteSpace:
     """{0, ..., N-1} with nonnegative rational weights; the weights are the measure."""
 
     weights: tuple[Fraction, ...]
-    # The weights as integer numerators over their common denominator.
+    # The weights as integer numerators over their common denominator, and
+    # the total mass as (the numerators' sum, that denominator).
     _scaled: tuple = field(init=False, repr=False, compare=False)
-    _denominator: int = field(init=False, repr=False, compare=False)
-    # The total mass as (numerator, denominator), not reduced.
     _mass: tuple = field(init=False, repr=False, compare=False)
     # The last mass read, (table, (numerators, denominator)) (see `_masses`).
     _last_read: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
@@ -371,7 +370,6 @@ class DiscreteSpace:
             for k in points:
                 scaled[k] = ratios[k][0] * factor
         object.__setattr__(self, "_scaled", tuple(scaled))
-        object.__setattr__(self, "_denominator", denominator)
         object.__setattr__(self, "_mass", (sum(scaled), denominator))
 
     @property
@@ -446,7 +444,7 @@ class DiscreteSpace:
         for mass, owner in zip(self._scaled, table.owners):
             sums[owner] += mass
         sums.pop()
-        return tuple(sums), self._denominator
+        return tuple(sums), self._mass[1]
 
 
 class DiscreteSet:

@@ -1,5 +1,6 @@
 """The command-line interface: commands, exit codes, byte determinism."""
 
+import argparse
 import io
 import json
 import subprocess
@@ -498,6 +499,24 @@ def test_one_process_reuses_its_parser_like_fresh_processes(tmp_path, monkeypatc
         ["compare", "--spec", path, "--no-such-flag"],
         ["table", "--spec", path, "--max-level", "30"],
         ["gen", "--family", "simple", "--seed", "1"],
+        # Help and usage errors, which the full parser prints, and calls its
+        # commands' own parsers read.
+        [],
+        ["-h"],
+        ["--help"],
+        ["bogus"],
+        ["compare"],
+        ["compare", "-h"],
+        ["compare", "--spec", path, "--eta", "1/8"],
+        ["compare", "--spec", path, "extra"],
+        ["compare", "--spec", path, "--bogus"],
+        ["compare", "--sp", path],
+        ["compare", "--spec="],
+        ["--", "compare", "--spec", path],
+        ["compare", "--", "--spec", path],
+        ["gen", "--family", "nope", "--seed", "1"],
+        ["table", "--spec", path, "--max-level", "x"],
+        ["compare", "--spec", path, "--depth", "3", "--depth", "4"],
     ]
     in_process = []
     for argv in sequence:
@@ -512,9 +531,37 @@ def test_one_process_reuses_its_parser_like_fresh_processes(tmp_path, monkeypatc
         (run.returncode, run.stdout, run.stderr) for run in (run_cli(*argv) for argv in sequence)
     ]
     assert in_process == fresh
-    assert [code for code, _, _ in in_process] == [0, 0, 1, 2, 0, 0]
+    assert [code for code, _, _ in in_process] == [0, 0, 1, 2, 0, 0] + [
+        2, 0, 0, 2, 2, 0, 0, 2, 2, 0, 1, 2, 2, 2, 1, 0
+    ]
     assert json.loads(in_process[0][1])["series_depth"] == 7
     assert json.loads(in_process[1][1])["series_depth"] == 9
+    assert json.loads(in_process[-1][1])["series_depth"] == 4
+    assert "unrecognized arguments: extra" in in_process[13][2]
+    assert in_process[13][2].startswith("usage: exactintegral [-h] {integrate")
+
+
+def test_a_command_line_is_parsed_by_its_command_s_parser_alone(tmp_path, monkeypatch):
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    path = write_task(tmp_path, IDENTITY_COMPARE)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["compare", "--spec", path]) == 0
+    assert parsed == ["exactintegral compare"]
+    assert json.loads(out.getvalue())["exact_equal"] is False
+    # Left-over arguments go to the full parser, which reports them.
+    parsed.clear()
+    with pytest.raises(SystemExit) as exit_, redirect_stderr(io.StringIO()):
+        main(["compare", "--spec", path, "extra"])
+    assert exit_.value.code == 2
+    assert parsed[:2] == ["exactintegral compare", "exactintegral"]
 
 
 @pytest.mark.parametrize("value", [10**6, 2**40])

@@ -104,6 +104,7 @@ def test_discrete_space_coerces_weights_exactly():
     assert space.weights == (F(1), F(1, 3), F(2, 5), F(0))
     assert all(type(w) is F for w in space.weights)
     assert space.total_mass == F(26, 15)
+    assert type(space.total_mass) is F
     assert space.measure_of(DiscreteSet(space, [1, 2])) == F(11, 15)
     for bad in ((1, F(-1, 3)), (F(-1, 10**30),), (-1,)):
         with pytest.raises(ValueError, match="^weights must be nonnegative$"):
@@ -251,6 +252,7 @@ def test_measure_matches_indicator_oracle(a, measure):
 @given(step_measures())
 def test_total_mass_is_full_set_measure(measure):
     assert measure.total_mass == measure.measure_of(UNIT_INTERVAL.full_set())
+    assert type(measure.total_mass) is F
     assert measure.total_mass >= 0
 
 
