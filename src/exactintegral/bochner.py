@@ -484,7 +484,7 @@ def equivalence_report(
     itself: `integral_from_series` at the same truncation sums the same
     terms and compares them with the same direct integral.  The part
     limits, the series integral and its error bound are read once each as
-    integer pairs, and the total mass is the pair the measure keeps; the
+    integer pairs, and the total mass is the measure's own pair; the
     direct integral, the difference and its bound are one `Fraction` each
     of their cross-products, and the three checks compare cross-products.
     """
@@ -502,7 +502,7 @@ def equivalence_report(
     v, w = series_value.as_integer_ratio()
     b, c = series_bound.as_integer_ratio()
     difference = (abs(v * direct[1] - direct[0] * w), w * direct[1])
-    mass_n, mass_d = measure._mass
+    mass_n, mass_d = measure._mass_pair
     bound = (2 * mass_n, mass_d << depth)
     certified = depth >= max(series.positive.cap_level, series.negative.cap_level)
     return {

@@ -98,6 +98,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, nan
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -339,10 +340,9 @@ class DiscreteSpace:
     """{0, ..., N-1} with nonnegative rational weights; the weights are the measure."""
 
     weights: tuple[Fraction, ...]
-    # The weights as integer numerators over their common denominator, and
-    # the total mass as (the numerators' sum, that denominator).
+    # The weights as integer numerators over their common denominator.
     _scaled: tuple = field(init=False, repr=False, compare=False)
-    _mass: tuple = field(init=False, repr=False, compare=False)
+    _denominator: int = field(init=False, repr=False, compare=False)
     # The last mass read, (table, (numerators, denominator)) (see `_masses`).
     _last_read: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
 
@@ -370,15 +370,21 @@ class DiscreteSpace:
             for k in points:
                 scaled[k] = ratios[k][0] * factor
         object.__setattr__(self, "_scaled", tuple(scaled))
-        object.__setattr__(self, "_mass", (sum(scaled), denominator))
+        object.__setattr__(self, "_denominator", denominator)
 
     @property
     def size(self) -> int:
         return len(self.weights)
 
+    @cached_property
+    def _mass_pair(self) -> tuple[int, int]:
+        """The total mass as (numerator, denominator), not reduced, summed
+        on the first read, so that building a space does not pay for it."""
+        return sum(self._scaled), self._denominator
+
     @property
     def total_mass(self) -> Fraction:
-        return Fraction(*self._mass)
+        return Fraction(*self._mass_pair)
 
     @property
     def space(self) -> "DiscreteSpace":
@@ -444,7 +450,7 @@ class DiscreteSpace:
         for mass, owner in zip(self._scaled, table.owners):
             sums[owner] += mass
         sums.pop()
-        return tuple(sums), self._mass[1]
+        return tuple(sums), self._denominator
 
 
 class DiscreteSet:
@@ -640,8 +646,6 @@ class IntervalMeasure:
     # D * E * mass of [0, grid[k]); B[k] = C[k] - A[k] * G[k].  A closing
     # entry A = 0, B = C[cells] answers x = 1.
     _table: tuple = field(init=False, repr=False, compare=False)
-    # The total mass as (C[cells], D * E), not reduced.
-    _mass: tuple = field(init=False, repr=False, compare=False)
     # The last mass read, (table, (numerators, denominator)) (see `_masses`).
     _last_read: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
 
@@ -681,7 +685,6 @@ class IntervalMeasure:
             "_table",
             (grid_den, tuple(points), tuple(slopes), tuple(offsets), density_den),
         )
-        object.__setattr__(self, "_mass", (below, grid_den * density_den))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalMeasure):
@@ -700,8 +703,14 @@ class IntervalMeasure:
         return UNIT_INTERVAL
 
     @property
+    def _mass_pair(self) -> tuple[int, int]:
+        """The total mass as (C[cells], D * E), not reduced."""
+        grid_den, _, _, offsets, density_den = self._table
+        return offsets[-1], grid_den * density_den
+
+    @property
     def total_mass(self) -> Fraction:
-        return Fraction(*self._mass)
+        return Fraction(*self._mass_pair)
 
     measure_of = _measure_of
     _masses = _last_masses
