@@ -171,11 +171,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser, commands = _parser()
-    args, extra = None, True
-    if argv and argv[0] in commands:
-        namespace = argparse.Namespace(command=argv[0])
-        args, extra = commands[argv[0]].parse_known_args(argv[1:], namespace)
-    if extra:
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if command is None or extra:
         args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -499,8 +499,8 @@ def test_one_process_reuses_its_parser_like_fresh_processes(tmp_path, monkeypatc
         ["compare", "--spec", path, "--no-such-flag"],
         ["table", "--spec", path, "--max-level", "30"],
         ["gen", "--family", "simple", "--seed", "1"],
-        # Help and usage errors, which the full parser prints, and calls its
-        # commands' own parsers read.
+        # Help, usage errors and valid calls, some read by the full parser
+        # and some by a command's own parser alone.
         [],
         ["-h"],
         ["--help"],
@@ -556,7 +556,7 @@ def test_a_command_line_is_parsed_by_its_command_s_parser_alone(tmp_path, monkey
     with redirect_stdout(out):
         assert main(["compare", "--spec", path]) == 0
     assert parsed == ["exactintegral compare"]
-    assert json.loads(out.getvalue())["exact_equal"] is False
+    assert json.loads(out.getvalue())["series_depth"] == 20
     # Left-over arguments go to the full parser, which reports them.
     parsed.clear()
     with pytest.raises(SystemExit) as exit_, redirect_stderr(io.StringIO()):
