@@ -60,13 +60,14 @@ The signed integral and the L1 norm read one distribution of f and split
 it at zero: the atoms and ramp rows at positive values give ∫f+, those at
 negative values −∫f−, and the three results are made from the two integer
 pairs, one `Fraction` each.  `integrate_over` is the signed integral of
-the restriction f·1_R, built from one refinement of a table of f by the
-region's own table (a simple function's own table, or a piecewise-linear
-function's breakpoint grid with one cell per piece), in which a cell
-inside the region keeps its value or piece and every other cell is zero;
-it clips no piece itself.  The batch read of a table goes through the measure's one-slot memo, so the signed
-integral of `f - g` after the integral of `f + g`, which share their
-table, reads no mass again.
+the restriction f·1_R, built from one refinement of the cell table f
+keeps by the region's own table, the same path for both classes: a
+simple function keeps one value per cell, a piecewise-linear function a
+gapless table with one (slope, intercept) pair per cell.  A cell inside
+the region keeps its value or piece and every other cell is zero; it
+clips no piece itself.  The batch read of a table goes through the
+measure's one-slot memo, so the signed integral of `f - g` after the
+integral of `f + g`, which share their table, reads no mass again.
 
 `DyadicApproximation` keeps the lowered form of one nonnegative
 integrand, and `DyadicApproximation.parts(f)` builds the lowered forms of
@@ -109,10 +110,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from typing import Optional, Union
 
-from .piecewise import PiecewiseLinear, _affine_pair, _gapless
+from .piecewise import PiecewiseLinear, _affine_pair
 from .rationals import ONE, ZERO, _add_products, _sum_groups, exact_sum
 from .simple import SimpleFunction
 from .spaces import (
@@ -590,24 +592,22 @@ def integrate_over(
     """Integral of 1_region * f, the signed integral of the restriction;
     additive over disjoint regions.
 
-    The restriction comes from one refinement of a table of f by the
+    The restriction comes from one refinement of the table f keeps by the
     region's table (cell 0: the region), in which a cell (i, 0) keeps the
-    value of cell i and every other cell is zero: a simple function's own
-    table and values, or a piecewise-linear function's gapless breakpoint
-    grid, one cell per piece (slope, intercept)."""
+    value of cell i and every other cell, and a piece of no cell, is zero.
+    Both integrand classes keep a cell table and one value per cell: an
+    integer pair (p, q) of a simple function, a (slope, intercept) pair of
+    `Fraction`s of a piecewise-linear function, whose table is gapless.  So
+    they take this one path; only the zero value and the trusted
+    constructor differ."""
+    zero, restricted = (ZERO, ZERO), PiecewiseLinear._trusted
     if isinstance(fn, SimpleFunction):
-        table, values, _ = _lowered(fn)  # refuses a vector integrand
-        values, zero = [*values, (0, 1)], (0, 1)  # values[-1]: the points of no cell
-    else:
-        table, values, zero = _gapless(fn.breakpoints), fn.pieces, (ZERO, ZERO)
+        if fn.is_vector:
+            raise ValueError("a scalar integrand is required")
+        zero, restricted = (0, 1), partial(SimpleFunction._trusted, fn.space, None)
     if region.space != fn.space:
         raise SpaceMismatchError("region belongs to another space")
     check_integrand_measure(fn, measure)
-    space = fn.space
-    paired, pairs = space._paired(table, space._tabulate((region,), [0, 1]))
-    inside = [zero if j else values[i] for i, j in pairs]
-    if isinstance(fn, SimpleFunction):
-        restricted = SimpleFunction._trusted(space, None, paired, inside)
-    else:
-        restricted = PiecewiseLinear._trusted(paired.cuts, tuple(inside[k] for k in paired.owners))
-    return lebesgue_integral(restricted, measure).value
+    paired, pairs = fn.space._paired(fn._table, fn.space._tabulate((region,), [0, 1]))
+    inside = [zero if j or i < 0 else fn._values[i] for i, j in pairs]
+    return lebesgue_integral(restricted(paired, inside), measure).value

@@ -8,7 +8,9 @@ the unique normal form: distinct values, nonempty sets, and sets that
 partition the whole space, a zero-value term padding the complement when
 needed.  Equality compares canonical forms, so different representations
 of the same function compare equal while their integrals must also agree
-(tested as the coherence property).
+(tested as the coherence property).  Against a `PiecewiseLinear` it
+returns `NotImplemented`, so that class's `==` answers in both orders;
+`+`, `-` and max/min refuse any other class with a `TypeError`.
 
 Costs, for n terms holding K intervals or indices in all, on a discrete
 space of N points: a function is a flat cell table (`spaces.CellTable`)
@@ -328,12 +330,6 @@ class SimpleFunction:
         if self.is_vector:
             raise ValueError(f"{what} requires scalar values")
 
-    def _require_compatible(self, other: "SimpleFunction") -> None:
-        if not isinstance(other, SimpleFunction) or other.space != self.space:
-            raise SpaceMismatchError("functions live on different spaces")
-        if other.dim != self.dim:
-            raise ValueError("functions have different value dimensions")
-
     @property
     def terms(self) -> tuple[tuple[Value, MeasurableSet], ...]:
         """(value, set) pairs, pairwise disjoint, one per cell: the
@@ -381,7 +377,12 @@ class SimpleFunction:
         left canonical function keeps its last refinement, keyed by the
         identity of the right one, so `f + g` and `f - g` pair once and
         share one table."""
-        self._require_compatible(other)
+        if not isinstance(other, SimpleFunction):
+            raise TypeError("expected another simple function")
+        if other.space != self.space:
+            raise SpaceMismatchError("functions live on different spaces")
+        if other.dim != self.dim:
+            raise ValueError("functions have different value dimensions")
         left, right = self.canonical(), other.canonical()
         pairing = left._pairing
         if pairing is None or pairing[0] is not right:

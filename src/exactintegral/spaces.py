@@ -34,8 +34,9 @@ and a measure of c cells:
   (cross-products of neighbours), checks each density's sign from its
   numerator, merges equal-density neighbours by comparing their reduced
   pairs and builds its integer table from the pairs, O(c); the breakpoint
-  checks are one helper, `_breakpoint_grid`, which `PiecewiseLinear`
-  calls too;
+  checks are one helper, `_breakpoint_grid`, which the `PiecewiseLinear`
+  constructor calls too before it makes its breakpoints the cuts of its
+  cell table;
 * `union`, and `union_of` on a space for any number of sets: one sort of
   all the intervals and one merge pass, or one `set` update for indices;
   a union with one nonempty operand returns it;
@@ -55,17 +56,20 @@ and a measure of c cells:
   gate (a discrete space takes only an `int`);
 * cell tables: a `CellTable` partitions the space into numbered cells
   without building a set per cell: on a discrete space one owner per
-  point, on [0, 1) the sorted cut list with one owner per piece.
+  point, on [0, 1) the sorted cut list with one owner per piece.  Both
+  function classes are stored as a table and one value per cell: a
+  `SimpleFunction` a flat value, a `PiecewiseLinear` a (slope, intercept)
+  pair on a gapless table whose cuts are its breakpoints.
   `_tabulate` builds the table of pairwise-disjoint sets, or finds that
   they overlap, in one sort and one pass (one fill of N owners for
   indices); `_paired` refines two tables in one linear pass (a zip of the
   owners, or a two-pointer merge of the cuts) and numbers the distinct
   cell pairs: `SimpleFunction` arithmetic pairs its canonical tables,
-  `integrate_over` a simple function's table or a piecewise-linear
-  function's breakpoint grid with the region's, and `PiecewiseLinear`
-  `+`, `-`, `==` and `refined` its breakpoint grids, each grid read as a
-  gapless table of one cell per piece;
-  `_regrouped` relabels the owners; `_owner_at` finds the
+  `PiecewiseLinear` `+`, `-`, `==` and `refined` their stored tables (the
+  last against a one-cell table of the cuts), `==` across the classes a
+  piecewise-linear function's table with a simple function's canonical
+  one, and `integrate_over` the stored table of either class with the
+  region's; `_regrouped` relabels the owners; `_owner_at` finds the
   cell of one point by bisection (or indexing); `_cell_sets` builds the
   sets of all cells in one pass, only when a caller asks for them;
 * mass reads: each measure reads the masses of all cells of a table in

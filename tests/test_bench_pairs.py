@@ -104,16 +104,23 @@ def test_runs_alternate_and_append_to_the_record(tmp_path):
 
 def _tier1_tree(root: Path, failing: bool = False) -> Path:
     """A tree whose Tier-1 suite has three quick tests, one of them slow
-    enough to lead the durations, and optionally one failing test."""
+    enough to lead the durations and one that logs each run of the suite
+    to `runs.txt` and passes only once the suite has run before, and
+    optionally one failing test."""
     (root / "src").mkdir(parents=True)
     (root / "src" / "fakepkg.py").write_text("ANSWER = 42\n")
     (root / "tests").mkdir()
     body = (
         "import time\n"
+        "from pathlib import Path\n"
         "import fakepkg\n\n"
         "def test_slow():\n    time.sleep(0.2)\n\n"
         "def test_answer():\n    assert fakepkg.ANSWER == 42\n\n"
-        "def test_quick():\n    pass\n"
+        "def test_not_the_first_run():\n"
+        "    log = Path(__file__).parents[1] / 'runs.txt'\n"
+        "    earlier = log.read_text() if log.exists() else ''\n"
+        "    log.write_text(earlier + 'run\\n')\n"
+        "    assert earlier\n"
     )
     if failing:
         body += "\ndef test_broken():\n    assert fakepkg.ANSWER == 41\n"
@@ -140,6 +147,9 @@ def test_a_tier1_run_per_tree_is_recorded_as_its_own_entry(tmp_path, capsys, mon
     assert (parent_run["passed"], parent_run["failed"], parent_run["exit"]) == (3, 0, 0)
     assert (change_run["passed"], change_run["failed"]) == (3, 1)
     assert change_run["exit"] != 0
+    # One untimed run before the recorded one, in each tree.
+    for tree in (parent, change):
+        assert (tree / "runs.txt").read_text() == "run\n" * 2
     for run in (parent_run, change_run):
         assert run["wall_s"] >= 0.2
         slowest = run["slowest"][0]

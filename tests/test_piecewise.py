@@ -9,16 +9,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactintegral import (
+    UNIT_INTERVAL,
+    DiscreteSet,
+    DiscreteSpace,
     IntervalMeasure,
     IntervalSet,
     OutsideDomainError,
     PiecewiseLinear,
+    SimpleFunction,
+    Vec,
     integrate_nonneg,
+    integrate_over,
     lebesgue_integral,
 )
 from exactintegral.generators import random_measure, random_piecewise_linear, sample_points
 
 from oracles import (
+    _pointwise,
     by_sign_reference,
     combined_reference,
     integral_oracle,
@@ -28,6 +35,7 @@ from oracles import (
     primes_from,
     refined_reference,
     restrict,
+    slope_at,
     split_at_roots_reference,
     upper_bound,
 )
@@ -168,12 +176,12 @@ COEFFICIENTS = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 
 
 @st.composite
-def piecewise_functions(draw):
+def piecewise_functions(draw, slopes=COEFFICIENTS):
     """Up to seven pieces on a grid cut at points of the pool; zero slopes
     and intercepts, and so flat, zero and root-crossing pieces, are common."""
     grid = [F(0), *sorted(draw(st.sets(st.sampled_from(POOL), max_size=6))), F(1)]
     cells = len(grid) - 1
-    pieces = draw(st.lists(st.tuples(COEFFICIENTS, COEFFICIENTS), min_size=cells, max_size=cells))
+    pieces = draw(st.lists(st.tuples(slopes, COEFFICIENTS), min_size=cells, max_size=cells))
     return PiecewiseLinear(grid, pieces)
 
 
@@ -244,3 +252,81 @@ def test_eight_thousand_prime_denominator_pieces_add_and_compare_fast():
     assert total.evaluate(x) == f.evaluate(x) + g.evaluate(x)
     assert difference.evaluate(x) == f.evaluate(x) - g.evaluate(x)
     assert elapsed < 1.5
+
+
+@st.composite
+def function_twins(draw, flat: bool):
+    """(f, s): a piecewise-linear function f and a scalar simple function s
+    on [0, 1) built from the pieces of f.  A flat piece gives its value to
+    its cell, a sloped one (only without `flat`) a drawn value; some cells
+    are split at a pool point inside them, a zero value is often left to
+    the padding of the canonical form, and (only without `flat`) one value
+    is sometimes moved.  With `flat` the two are the same function;
+    without it both the equal and the unequal case are common."""
+    slopes = st.just(F(0)) if flat else st.sampled_from([F(0), F(0), F(0), F(1, 2), F(-3)])
+    f = draw(piecewise_functions(slopes))
+    terms = []
+    for u, w, a, b in f.cells():
+        value = draw(COEFFICIENTS) if a else b
+        cut = draw(st.sampled_from([None, *(p for p in POOL if u < p < w)]))
+        for cell in [(u, w)] if cut is None else [(u, cut), (cut, w)]:
+            if value or draw(st.booleans()):
+                terms.append([value, cell])
+    if terms and not flat and draw(st.booleans()):
+        terms[draw(st.integers(0, len(terms) - 1))][0] += 1
+    return f, SimpleFunction(UNIT_INTERVAL, [(v, IntervalSet([cell])) for v, cell in terms])
+
+
+@settings(max_examples=300, deadline=None)
+@given(function_twins(flat=False))
+def test_a_simple_function_equals_a_piecewise_linear_one_where_they_agree(twins):
+    """`==` across the two classes, in both orders, is agreement at the
+    midpoint of every cell of the common refinement, where f must also be
+    flat; a simple function of vector values or on a discrete space is
+    never equal, and `!=` is the negation of `==` throughout."""
+    f, s = twins
+    grid = sorted({*f.breakpoints, *(x for _, part in s.terms for x in part.endpoints())})
+    value_at = _pointwise(s)
+    agree = all(
+        slope_at(f, m) == 0 and f.evaluate(m) == value_at(m)
+        for m in ((u + w) / 2 for u, w in zip(grid, grid[1:]))
+    )
+    assert (f == s) is (s == f) is agree
+    assert (f != s) is (s != f) is (not agree)
+    points = DiscreteSpace((F(1),) * len(f.pieces))
+    on_points = [(b, DiscreteSet(points, [k])) for k, (_, b) in enumerate(f.pieces)]
+    unequal = [
+        SimpleFunction(UNIT_INTERVAL, [(Vec((v,)), part) for v, part in s.terms], dim=1),
+        SimpleFunction(points, on_points),
+    ]
+    for other in unequal:
+        assert (f == other) is (other == f) is False
+        assert (f != other) is (other != f) is True
+
+
+REGIONS = st.lists(
+    st.tuples(st.sampled_from([F(0), *POOL]), st.sampled_from([*POOL, F(1)])), max_size=4
+).map(lambda cells: IntervalSet([(lo, hi) for lo, hi in cells if lo < hi]))
+
+
+@st.composite
+def interval_measures(draw):
+    """A step density on a grid cut at points of the pool; zero densities
+    are common."""
+    grid = [F(0), *sorted(draw(st.sets(st.sampled_from(POOL), max_size=4))), F(1)]
+    cells = len(grid) - 1
+    density = st.builds(F, st.integers(0, 4), st.integers(1, 3))
+    return IntervalMeasure(grid, draw(st.lists(density, min_size=cells, max_size=cells)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(function_twins(flat=True), REGIONS, interval_measures())
+def test_equal_functions_of_both_classes_restrict_alike(twins, region, measure):
+    """`integrate_over` takes one path for both classes: a piecewise-linear
+    function of flat pieces and its equal simple function give the same
+    integral over a region, the integral of the restriction by the
+    oracles."""
+    f, s = twins
+    assert f == s
+    expected = integral_oracle(restrict(f, region), measure)
+    assert integrate_over(region, f, measure) == integrate_over(region, s, measure) == expected

@@ -248,6 +248,23 @@ REFUSALS = {
         TypeError,
         "expected another piecewise-linear function",
     ),
+    # Both live on [0, 1), yet mixed-class arithmetic is refused, in either
+    # order, as a call with the wrong class.
+    "simple_plus_piecewise": (
+        lambda: SCALAR + RAMP,
+        TypeError,
+        "expected another simple function",
+    ),
+    "simple_minus_piecewise": (
+        lambda: SCALAR - RAMP,
+        TypeError,
+        "expected another simple function",
+    ),
+    "simple_max_with_piecewise": (
+        lambda: SCALAR.pointwise_max(RAMP),
+        TypeError,
+        "expected another simple function",
+    ),
     # A vector integrand is refused before a region or a measure of another
     # space, and a region of another space before a measure of another space.
     "integrate_over_of_a_vector": (

@@ -27,11 +27,15 @@ flagged beside the verdict.  With `--out` the inputs (commits, workload,
 seed, seconds, processor count, Python version), every final line and the
 verdicts are appended as one entry to the file's "runs" list.
 
-With `--tier1` it runs no pairs: it runs each tree's Tier-1 suite once,
+With `--tier1` it runs no pairs: it runs each tree's Tier-1 suite twice,
 parent first, with the CI command (`TIER1`, in development mode with
 warnings as errors), and prints and records per tree the wall time, the
-pass and failure counts and the 10 slowest durations that pytest lists,
-as one entry with the commits, processor count and Python version.
+pass and failure counts and the 10 slowest durations that pytest lists
+of the second run, as one entry with the commits, processor count and
+Python version.  The first run is not timed: a tree's first run builds
+its Hypothesis example database and its bytecode caches, which made it
+seconds slower than every later run, so a timed first run would compare
+the trees' cache states along with their tests.
 """
 
 from __future__ import annotations
@@ -99,9 +103,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def tier1_run(tree: Path) -> dict:
-    """One Tier-1 run of the tree: wall time, counts and slowest durations."""
+    """One Tier-1 run of the tree, after one untimed run that warms its
+    caches: wall time, counts and slowest durations."""
     env = dict(os.environ, **TIER1_ENV)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(tree / "src"), env.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True)
     started = time.perf_counter()
     done = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - started
