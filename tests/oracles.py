@@ -178,7 +178,8 @@ def refined_reference(fn: PiecewiseLinear, cuts) -> PiecewiseLinear:
     cell found by bisecting the old grid at its left end."""
     extra = {Fraction(c) for c in cuts if 0 < c < 1}
     grid = tuple(sorted(set(fn.breakpoints) | extra))
-    pieces = [fn.pieces[bisect_right(fn.breakpoints, x) - 1] for x in grid[:-1]]
+    old = fn.pieces  # built anew on each read
+    pieces = [old[bisect_right(fn.breakpoints, x) - 1] for x in grid[:-1]]
     return PiecewiseLinear(grid, pieces)
 
 
