@@ -54,8 +54,8 @@ from .lebesgue import (
 )
 from .piecewise import PiecewiseLinear
 from .rationals import ZERO, as_rational
-from .simple import NormKind, SimpleFunction, Vec, integrate_simple
-from .spaces import Measure, OutsideDomainError, SpaceMismatchError, space_of
+from .simple import NormKind, SimpleFunction, _zero_of, integrate_simple
+from .spaces import Measure, SpaceMismatchError, _require_point, space_of
 
 __all__ = [
     "CertificateError",
@@ -112,9 +112,6 @@ class FunctionSeries:
         if index < 1:
             raise IndexError("series terms are 1-indexed")
 
-    def _zero_value(self):
-        return ZERO if self.dim is None else Vec.zero(self.dim)
-
     def _effective(self, upto: int) -> int:
         if upto < 0:
             raise ValueError("index must be >= 0")
@@ -136,16 +133,15 @@ class FunctionSeries:
 
     def partial_integral_sum(self, upto: int):
         terms = range(1, self._effective(upto) + 1)
-        return sum(map(self.term_integral, terms), self._zero_value())
+        return sum(map(self.term_integral, terms), _zero_of(self.dim))
 
     def partial_abs_sum(self, upto: int) -> Fraction:
         return sum(map(self.term_abs_integral, range(1, self._effective(upto) + 1)), ZERO)
 
     def partial_value_at(self, point, upto: int):
-        if not space_of(self.measure).contains(point):
-            raise OutsideDomainError(f"point {point!r} outside the space")
+        _require_point(space_of(self.measure), point)
         terms = range(1, self._effective(upto) + 1)
-        return sum((self.term_value_at(n, point) for n in terms), self._zero_value())
+        return sum((self.term_value_at(n, point) for n in terms), _zero_of(self.dim))
 
     def certificate(self, upto: int) -> tuple[Fraction, Fraction]:
         """(partial sum of term-norm integrals, exact tail bound) at `upto`."""
@@ -162,11 +158,9 @@ class FiniteSeries(FunctionSeries):
         norm_kind: Optional[NormKind] = None,
     ):
         space = space_of(measure)
-        dims = set()
-        for term in terms:
-            if term.space != space:
-                raise SpaceMismatchError("series term lives on another space")
-            dims.add(term.dim if isinstance(term, SimpleFunction) else None)
+        if any(term.space != space for term in terms):
+            raise SpaceMismatchError("series term lives on another space")
+        dims = {term.dim for term in terms}
         if len(dims) > 1:
             raise ValueError("series terms must share one value dimension")
         self.measure = measure
@@ -282,8 +276,7 @@ class TelescopeSeries(FunctionSeries):
     # two parts having disjoint supports, so the absolute sums add the parts.
 
     def partial_value_at(self, point, upto: int) -> Fraction:
-        if not space_of(self.measure).contains(point):
-            raise OutsideDomainError(f"point {point!r} outside the space")
+        _require_point(space_of(self.measure), point)
         level = self._effective(upto)
         return self.positive.value_at(level, point) - self.negative.value_at(level, point)
 
@@ -460,7 +453,7 @@ def l1_norm(fn, measure: Measure, kind: Optional[NormKind] = None) -> Fraction:
     integral; vector simple functions need a NormKind.  Zero exactly when
     the function vanishes off a null set.
     """
-    if isinstance(fn, SimpleFunction) and fn.is_vector:
+    if fn.dim is not None:
         return integrate_simple(fn.norm_function(kind), measure)
     result = lebesgue_integral(fn, measure)
     return result.positive_part + result.negative_part

@@ -19,8 +19,8 @@ level flags are read with `int()` where that parses, the texts argparse's
 cannot be written is a validation error too.
 
 `main` builds its argument parsers on its first call, not at import, and
-reuses them for the life of the process; `build_parser()` returns a fresh
-full parser.  A call is read by the parser of the command it names alone.
+reuses them for the life of the process.  A call is read by the parser of
+the command it names alone.
 The full parser, whose only work is to pick that command, reads a line
 only when it names no command or leaves arguments over, that is for help
 and usage errors, which it prints as ever.
@@ -57,10 +57,6 @@ def _integer_or_text(text: str):
         return int(text)
     except ValueError:
         return text
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _build()[0]
 
 
 def _build() -> tuple[argparse.ArgumentParser, dict]:

@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Union
 from .bochner import FiniteSeries, FunctionSeries, GeometricIndicatorSeries
 from .piecewise import PiecewiseLinear
 from .rationals import ONE, ZERO
-from .simple import SimpleFunction, Vec
+from .simple import SimpleFunction, Vec, _zero_of
 from .spaces import (
     DiscreteSet,
     DiscreteSpace,
@@ -204,7 +204,7 @@ def random_simple_function(
         if rng.random() < 0.2:
             if rng.random() < 0.5:
                 continue  # leave the cell implicit
-            value = ZERO if dim is None else Vec.zero(dim)
+            value = _zero_of(dim)
         else:
             value = _random_value(rng, values, max_denominator, dim)
         terms.append((value, part))
@@ -257,8 +257,7 @@ def split_representation(rng: random.Random, fn: SimpleFunction) -> SimpleFuncti
                 terms.append((value, piece))
     rest = fn.space.union_of(part for _, part in fn.terms).complement()
     if not rest.is_empty and rng.random() < 0.5:
-        zero = ZERO if fn.dim is None else Vec.zero(fn.dim)
-        terms.append((zero, _split_set(rng, rest)[0]))
+        terms.append((_zero_of(fn.dim), _split_set(rng, rest)[0]))
     return SimpleFunction(fn.space, terms, fn.dim)
 
 
@@ -306,24 +305,17 @@ def generate_stream(config: GeneratorConfig, count: int) -> Iterator[GeneratedCa
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = random.Random(config.seed)
+    family = config.family
     for _ in range(count):
-        if config.family == "simple":
-            measure = random_measure(rng)
-            fn: Union[SimpleFunction, PiecewiseLinear, FunctionSeries] = (
-                random_simple_function(
-                    rng, measure, config.max_terms, config.max_denominator
-                )
-            )
-        elif config.family == "vector_simple":
-            measure = random_measure(rng)
-            dim = rng.randint(1, config.max_dim)
+        # One measure draw per case, then the family's function.
+        measure = random_measure(rng, kind="interval" if family == "piecewise_linear" else None)
+        if family == "piecewise_linear":
+            fn = random_piecewise_linear(rng, max_denominator=min(config.max_denominator, 64))
+        elif family == "series":
+            fn = random_series(rng, measure, max_denominator=config.max_denominator)
+        else:
+            dim = rng.randint(1, config.max_dim) if family == "vector_simple" else None
             fn = random_simple_function(
                 rng, measure, config.max_terms, config.max_denominator, dim=dim
             )
-        elif config.family == "piecewise_linear":
-            measure = random_measure(rng, kind="interval")
-            fn = random_piecewise_linear(rng, max_denominator=min(config.max_denominator, 64))
-        else:
-            measure = random_measure(rng)
-            fn = random_series(rng, measure, max_denominator=config.max_denominator)
-        yield GeneratedCase(config.family, measure, fn)
+        yield GeneratedCase(family, measure, fn)

@@ -80,7 +80,8 @@ value or end, found by integer cross-products and kept as its pair, so
 On first use against a measure each approximation reads the value
 distribution of its own part and keeps its atoms and ramp rows with their
 limit in one table; level n is then one exact sum of integer terms, and
-each level costs one `Fraction`, made once and kept.
+each level costs one `Fraction`, made once and kept.  `integrate_nonneg`
+is the limit of its integrand's own approximation.
 The two parts of a simple function keep its own cell table, so the
 second part's read finds the first's in the measure's memo slot and a
 compare reads the masses once.
@@ -121,9 +122,9 @@ from .spaces import (
     CellTable,
     Measure,
     MeasurableSet,
-    OutsideDomainError,
     SpaceMismatchError,
     _regrouped,
+    _require_point,
     space_of,
 )
 
@@ -314,18 +315,11 @@ def _mean(groups: dict, denominator: int, ramps: list) -> tuple[int, int]:
     return total, 2 * common
 
 
-def _atom_groups(atoms: tuple) -> dict:
-    """The atoms' sums p * mass numerator grouped by q, in one pass."""
-    groups: dict = {}
-    _add_products(atoms[0], atoms[1], groups, groups)
-    return groups
-
-
 def integrate_nonneg(fn: Integrand, measure: Measure) -> Fraction:
-    """Exact limit integral of a nonnegative integrand: the mean of its values."""
+    """Exact limit integral of a nonnegative integrand: the limit of its
+    staircase integrals, the mean of its values."""
     check_integrand_measure(fn, measure)
-    atoms, ramps = _value_distribution(_lowered_nonneg(fn), measure)
-    return Fraction(*_mean(_atom_groups(atoms), atoms[2], ramps))
+    return DyadicApproximation(fn).limit(measure)
 
 
 class DyadicApproximation:
@@ -412,8 +406,7 @@ class DyadicApproximation:
         """Evaluate the level-n staircase at a point, matching `level(n)` exactly."""
         if level < 0:
             raise ValueError("level must be >= 0")
-        if not self.space.contains(point):
-            raise OutsideDomainError(f"point {point!r} outside the space")
+        _require_point(self.space, point)
         table, values, sloped = self._part
         owner = self.space._owner_at(table, point)
         p, q, falling = 0, 1, False
@@ -537,7 +530,9 @@ class _StaircaseTable:
     def __init__(self, atoms: tuple, ramps: list):
         self._atoms = atoms
         self._ramps = ramps
-        self.limit = Fraction(*_mean(_atom_groups(atoms), atoms[2], ramps))
+        groups: dict = {}  # the atoms' sums p * mass numerator grouped by q
+        _add_products(atoms[0], atoms[1], groups, groups)
+        self.limit = Fraction(*_mean(groups, atoms[2], ramps))
         self._values: dict[int, Fraction] = {}
 
     def at(self, level: int) -> Fraction:

@@ -48,7 +48,7 @@ from typing import Iterable, Iterator
 
 from .rationals import ONE, ZERO, as_rational
 from .simple import SimpleFunction
-from .spaces import UNIT_INTERVAL, CellTable, OutsideDomainError, _breakpoint_grid
+from .spaces import UNIT_INTERVAL, CellTable, _breakpoint_grid, _require_point
 
 __all__ = ["PiecewiseLinear"]
 
@@ -57,6 +57,7 @@ class PiecewiseLinear:
     """f(x) = a_j*x + b_j on the j-th half-open cell of a breakpoint grid."""
 
     space = UNIT_INTERVAL
+    dim = None  # scalar values, as a scalar `SimpleFunction` has
 
     def __init__(
         self,
@@ -103,8 +104,7 @@ class PiecewiseLinear:
         return ((u, w, a, b) for u, w, (a, b) in zip(cuts, cuts[1:], self.pieces))
 
     def evaluate(self, x: Fraction) -> Fraction:
-        if not UNIT_INTERVAL.contains(x):
-            raise OutsideDomainError(f"point {x!r} outside [0, 1)")
+        _require_point(UNIT_INTERVAL, x)
         a, b = self._values[UNIT_INTERVAL._owner_at(self._table, x)]
         return a * x + b
 

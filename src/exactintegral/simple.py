@@ -76,10 +76,10 @@ from .spaces import (
     CellTable,
     Measure,
     MeasurableSet,
-    OutsideDomainError,
     Space,
     SpaceMismatchError,
     _regrouped,
+    _require_point,
     space_of,
 )
 
@@ -153,6 +153,11 @@ class Vec:
 
 
 Value = Union[Fraction, Vec]
+
+
+def _zero_of(dim: Optional[int]) -> Value:
+    """The zero value: a scalar for dim None, else the zero vector of dim."""
+    return ZERO if dim is None else Vec.zero(dim)
 
 
 def _value_is_zero(value: Value) -> bool:
@@ -323,9 +328,6 @@ class SimpleFunction:
     def is_vector(self) -> bool:
         return self.dim is not None
 
-    def _zero(self) -> Value:
-        return ZERO if self.dim is None else Vec.zero(self.dim)
-
     def _require_scalar(self, what: str) -> None:
         if self.is_vector:
             raise ValueError(f"{what} requires scalar values")
@@ -341,11 +343,10 @@ class SimpleFunction:
 
     def evaluate(self, point) -> Value:
         """Value at a point of the space, read off the table; zero off every cell."""
-        if not self.space.contains(point):
-            raise OutsideDomainError(f"point {point!r} outside the space")
+        _require_point(self.space, point)
         owner = self.space._owner_at(self._table, point)
         if owner < 0:
-            return self._zero()
+            return _zero_of(self.dim)
         value = self._values[owner]
         return value if self.dim else Fraction(*value)
 

@@ -49,11 +49,13 @@ and a measure of c cells:
   interval that starts where the one before it ended, a cut shared by
   both tables);
 * `complement`: the gap cell of the set's own table, O(k log k) or O(N);
-  `intersection`, `difference`: for intervals by De Morgan, a - b =
-  ~(~a | b) and a & b = a - ~b, complements and one `union_of`,
-  O(k log k); for indices one pass of membership tests;
-* `contains`: O(log k) by bisection, after the point passes the rational
-  gate (a discrete space takes only an `int`);
+  `intersection`, `difference`: for both set kinds by De Morgan, a - b =
+  ~(~a | b) and a & b = a - ~b, complements and one `union_of`: one set
+  algebra, written once and assigned in both classes, O(k log k) for
+  intervals and O(N) on indices;
+* `contains`: O(log k) by bisection, after the point passes the space's
+  type gate (a discrete space takes only an `int`) and the one point check
+  `_require_point`, which every evaluation in the package shares;
 * cell tables: a `CellTable` partitions the space into numbered cells
   without building a set per cell: on a discrete space one owner per
   point, on [0, 1) the sorted cut list with one owner per piece.  Both
@@ -200,10 +202,37 @@ def _measure_of(measure: "Measure", subset: "MeasurableSet") -> Fraction:
     return Fraction(numerators[0], denominator)
 
 
+def _require_point(space: "Space", point) -> None:
+    """Refuse a point outside the space, after the space's own type gate."""
+    if not space.contains(point):
+        raise OutsideDomainError(f"point {point!r} outside the space")
+
+
+# The set algebra of both set kinds, assigned in each class body: the
+# complement from the set's own table, the union from `union_of`, and the
+# rest by De Morgan.  `union_of` refuses an operand of another space.
+
+
 def _complement(subset: "MeasurableSet") -> "MeasurableSet":
     """The one cell of the points of no set in the table of this set."""
     space = subset.space
     return space._cell_sets(space._tabulate((subset,), [-1, 0]))[0]
+
+
+def _union(subset: "MeasurableSet", other: "MeasurableSet") -> "MeasurableSet":
+    return subset.space.union_of((subset, other))
+
+
+def _difference(subset: "MeasurableSet", other: "MeasurableSet") -> "MeasurableSet":
+    # a - b = ~(~a | b)
+    return subset.space.union_of((subset.complement(), other)).complement()
+
+
+def _intersection(subset: "MeasurableSet", other: "MeasurableSet") -> "MeasurableSet":
+    # a & b = a - ~b, once `other` is known to have a complement.
+    if not isinstance(other, (DiscreteSet, IntervalSet)):
+        raise SpaceMismatchError("sets belong to different spaces")
+    return subset.difference(other.complement())
 
 
 @dataclass(frozen=True)
@@ -484,34 +513,14 @@ class DiscreteSet:
         return not self.indices
 
     def contains(self, point) -> bool:
-        if not self.space.contains(point):
-            raise OutsideDomainError(f"point {point!r} outside the discrete space")
+        _require_point(self.space, point)
         k = bisect_left(self.indices, point)
         return k < len(self.indices) and self.indices[k] == point
 
-    def _require_same_space(self, other: "MeasurableSet") -> "DiscreteSet":
-        if not isinstance(other, DiscreteSet) or other.space != self.space:
-            raise SpaceMismatchError("sets belong to different spaces")
-        return other
-
-    def union(self, other: "MeasurableSet") -> "DiscreteSet":
-        return self.space.union_of((self, other))
-
-    def intersection(self, other: "MeasurableSet") -> "DiscreteSet":
-        members = set(self._require_same_space(other).indices)
-        return DiscreteSet._canonical(self.space, tuple(i for i in self.indices if i in members))
-
-    def difference(self, other: "MeasurableSet") -> "DiscreteSet":
-        members = set(self._require_same_space(other).indices)
-        return DiscreteSet._canonical(
-            self.space, tuple(i for i in self.indices if i not in members)
-        )
-
+    union = __or__ = _union
+    intersection = __and__ = _intersection
+    difference = __sub__ = _difference
     complement = _complement
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteSet):
@@ -570,8 +579,7 @@ class IntervalSet:
         return not self.intervals
 
     def contains(self, point) -> bool:
-        if not UNIT_INTERVAL.contains(point):
-            raise OutsideDomainError(f"point {point!r} outside [0, 1)")
+        _require_point(UNIT_INTERVAL, point)
         k = bisect_right(self.intervals, point, key=_lower_end)
         return k > 0 and point < self.intervals[k - 1][1]
 
@@ -580,24 +588,10 @@ class IntervalSet:
             yield lo
             yield hi
 
-    def union(self, other: "MeasurableSet") -> "IntervalSet":
-        return UNIT_INTERVAL.union_of((self, other))
-
-    def intersection(self, other: "MeasurableSet") -> "IntervalSet":
-        # De Morgan: a & b = ~(~a | ~b) = a - ~b.
-        if not isinstance(other, IntervalSet):
-            raise SpaceMismatchError("sets belong to different spaces")
-        return self.difference(other.complement())
-
+    union = __or__ = _union
+    intersection = __and__ = _intersection
+    difference = __sub__ = _difference
     complement = _complement
-
-    def difference(self, other: "MeasurableSet") -> "IntervalSet":
-        # De Morgan: a - b = ~(~a | b); `union_of` refuses a set of another space.
-        return UNIT_INTERVAL.union_of((self.complement(), other)).complement()
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalSet):

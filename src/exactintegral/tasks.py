@@ -414,7 +414,7 @@ def _require_integrand(task: TaskSpec, task_name: str, vector_message: str) -> I
     fn = task.function
     if isinstance(fn, FunctionSeries):
         raise TaskSpecError("function", f"task {task_name} needs a function, not a series")
-    _require(not (isinstance(fn, SimpleFunction) and fn.is_vector), "function", vector_message)
+    _require(fn.dim is None, "function", vector_message)
     return fn
 
 
@@ -448,7 +448,7 @@ def run_integrate(task: TaskSpec) -> dict:
             series = fn
         else:
             norm = task.parameters.get("norm")
-            if isinstance(fn, SimpleFunction) and fn.is_vector and norm is None:
+            if fn.dim is not None and norm is None:
                 raise TaskSpecError(
                     "parameters.norm", "vector functions need a norm (L1 or LInf)"
                 )

@@ -41,7 +41,7 @@ from exactintegral.generators import (
     sample_points,
 )
 
-from oracles import materialized_telescope_reference, term_points
+from oracles import integral_oracle, materialized_telescope_reference, term_points
 
 
 def iv(*pairs):
@@ -117,6 +117,9 @@ def test_vector_series_needs_norm():
     term = SimpleFunction.indicator(Vec((F(1), F(2))), iv((0, "1/2")))
     with pytest.raises(ValueError):
         FiniteSeries(LEBESGUE, [term])
+    # A piecewise-linear term is scalar, so it shares no dimension with a vector term.
+    with pytest.raises(ValueError, match="^series terms must share one value dimension$"):
+        FiniteSeries(LEBESGUE, [IDENTITY, term], norm_kind=NormKind.L1)
 
 
 def test_geometric_truncation_and_bound():
@@ -229,6 +232,10 @@ def test_recover_from_integrable_terms():
     result = integral_from_series(series)
     assert result.value == F(5, 8)
     assert result.error_bound == 0
+    # A piecewise-linear term beside a scalar simple term: a scalar series.
+    mixed = FiniteSeries(LEBESGUE, [IDENTITY, SimpleFunction.indicator(F(1, 2), iv((0, "1/2")))])
+    assert mixed.dim is None
+    assert integral_from_series(mixed).value == F(3, 4)
 
 
 def test_recover_empty_series():
@@ -284,6 +291,14 @@ def test_l1_norm_anchors():
     assert l1_norm(SimpleFunction.indicator(F(-3), iv((0, "1/3"))), LEBESGUE) == 1
     assert l1_norm(SimpleFunction.zero(UNIT_INTERVAL), LEBESGUE) == 0
     assert l1_norm(IDENTITY, LEBESGUE) == F(1, 2)
+
+
+def test_l1_norm_of_a_piecewise_linear_function_is_the_integral_of_its_absolute_value():
+    rng = random.Random(89)
+    for _ in range(40):
+        fn = random_piecewise_linear(rng)
+        measure = random_measure(rng, kind="interval")
+        assert l1_norm(fn, measure) == integral_oracle(fn.absolute(), measure)
 
 
 def test_l1_norm_axioms_on_random_pairs():

@@ -6,7 +6,8 @@ the limit integral were read off the value distribution; the `integrate`
 digest was recorded before simple-function integrals read all their
 masses in one batch; the `gen` digest, which also integrates every drawn
 series, was recorded before the geometric rule series became its own
-class.  Any change to a rational, a decimal expansion, a
+class; the non-default `gen` digest was recorded before every family drew
+its measure through one call.  Any change to a rational, a decimal expansion, a
 key or an error message of these reports shows up here.
 """
 
@@ -38,6 +39,9 @@ GEN_SEEDS = (1, 2, 3)
 GEN_CASES = 8
 # Each drawn series is integrated with the default truncation and with 5.
 SERIES_PARAMETERS = (None, {"truncation": 5})
+# Every size flag away from its default.
+GEN_SIZE_FLAGS = ("--max-terms", "5", "--max-denominator", "97", "--max-dim", "2")
+GEN_SIZED_DIGEST = "0c90c7b878ce2a590d75d9fe3cec7d4668f43aab6e57617e44aee446b21167ec"
 
 
 def run(argv):
@@ -106,3 +110,13 @@ def test_gen_bytes_of_every_family_match_the_recorded_digest(tmp_path):
                     code, out, err = run(["integrate", "--spec", str(path)])
                     digest.update(f"{code}\n{out}\n{err}\n".encode())
     assert digest.hexdigest() == GEN_DIGEST
+
+
+def test_gen_bytes_under_non_default_size_flags_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    for family in GEN_FAMILIES:
+        for seed in GEN_SEEDS:
+            argv = ["gen", "--family", family, "--seed", str(seed), "--count", str(GEN_CASES)]
+            code, lines, err = run([*argv, *GEN_SIZE_FLAGS])
+            digest.update(f"{code}\n{lines}\n{err}\n".encode())
+    assert digest.hexdigest() == GEN_SIZED_DIGEST

@@ -3,6 +3,7 @@ exact message, on inputs that no other test hands to that check.  Beside
 them, the shortcuts that let the constructors skip a check on shared
 objects are shown to accept exactly what the full checks accept."""
 
+import operator
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -301,6 +302,32 @@ REFUSALS = {
 }
 
 
+# Each binary set operation refuses, with one message, a set of the other
+# kind in either order, a set of another discrete space, and a non-set.
+OTHER_POINTS = DiscreteSpace((F(1), F(2), F(3)))
+SET_OPERANDS = {
+    "discrete_with_interval": (DiscreteSet(POINTS, [1]), HALF),
+    "interval_with_discrete": (HALF, DiscreteSet(POINTS, [1])),
+    "discrete_sets_of_two_spaces": (DiscreteSet(POINTS, [1]), DiscreteSet(OTHER_POINTS, [1])),
+    "discrete_with_none": (DiscreteSet(POINTS, [1]), None),
+    "interval_with_none": (HALF, None),
+    "discrete_with_one": (DiscreteSet(POINTS, [1]), 1),
+    "interval_with_one": (HALF, 1),
+}
+SET_OPERATIONS = {"union": operator.or_, "intersection": operator.and_, "difference": operator.sub}
+REFUSALS.update(
+    {
+        f"set_{operation}_{operands}": (
+            lambda op=op, a=a, b=b: op(a, b),
+            SpaceMismatchError,
+            "sets belong to different spaces",
+        )
+        for operation, op in SET_OPERATIONS.items()
+        for operands, (a, b) in SET_OPERANDS.items()
+    }
+)
+
+
 @pytest.mark.parametrize("call, kind, message", REFUSALS.values(), ids=REFUSALS.keys())
 def test_refusal(call, kind, message, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # an empty directory for the rows that write a file
@@ -308,6 +335,55 @@ def test_refusal(call, kind, message, tmp_path, monkeypatch):
         call()
     assert type(info.value) is kind
     assert str(info.value) == message
+
+
+# The seven point checks on each space kind they serve.  A point outside the
+# space is refused with one message; a point of a type the space does not
+# take fails the space's own type gate first, with a plain `ValueError`.
+INTERVAL_POINT_CHECKS = {
+    "interval_set_contains": HALF.contains,
+    "simple_evaluate": SCALAR.evaluate,
+    "piecewise_evaluate": RAMP.evaluate,
+    "staircase_value_at": lambda point: DyadicApproximation(SCALAR).value_at(1, point),
+    "finite_series_partial_value_at": (
+        lambda point: FiniteSeries(LEBESGUE, [SCALAR]).partial_value_at(point, 1)
+    ),
+    "telescope_series_partial_value_at": (
+        lambda point: series_from_integrand(RAMP, LEBESGUE).series.partial_value_at(point, 3)
+    ),
+}
+DISCRETE_POINT_CHECKS = {
+    "discrete_set_contains": DiscreteSet(POINTS, [0]).contains,
+    "simple_evaluate": ON_POINTS.evaluate,
+    "staircase_value_at": lambda point: DyadicApproximation(ON_POINTS).value_at(1, point),
+    "finite_series_partial_value_at": (
+        lambda point: FiniteSeries(POINTS, [ON_POINTS]).partial_value_at(point, 1)
+    ),
+    "telescope_series_partial_value_at": (
+        lambda point: series_from_integrand(ON_POINTS, POINTS).series.partial_value_at(point, 3)
+    ),
+}
+POINT_CHECKS = [
+    pytest.param(check, outside, id=f"{kind}-{name}")
+    for kind, checks, outside in (
+        ("interval", INTERVAL_POINT_CHECKS, (F(3, 2), F(-1, 4), 1)),
+        ("discrete", DISCRETE_POINT_CHECKS, (2, -1)),
+    )
+    for name, check in checks.items()
+]
+
+
+@pytest.mark.parametrize("check, outside", POINT_CHECKS)
+def test_every_point_check_refuses_with_one_message_after_the_type_gate(check, outside):
+    for point in outside:
+        with pytest.raises(OutsideDomainError) as info:
+            check(point)
+        assert str(info.value) == f"point {point!r} outside the space"
+    for point in (0.5, True):
+        with pytest.raises(ValueError) as info:
+            check(point)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"point {point!r} is not an int or a Fraction"
 
 
 def test_shared_endpoint_and_space_objects_give_the_tables_of_equal_copies():
