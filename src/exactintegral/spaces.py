@@ -210,7 +210,8 @@ def _require_point(space: "Space", point) -> None:
 
 # The set algebra of both set kinds, assigned in each class body: the
 # complement from the set's own table, the union from `union_of`, and the
-# rest by De Morgan.  `union_of` refuses an operand of another space.
+# rest by De Morgan.  `union_of` refuses an operand of another space, so
+# every binary operation refuses it with the one message.
 
 
 def _complement(subset: "MeasurableSet") -> "MeasurableSet":
@@ -220,16 +221,18 @@ def _complement(subset: "MeasurableSet") -> "MeasurableSet":
 
 
 def _union(subset: "MeasurableSet", other: "MeasurableSet") -> "MeasurableSet":
+    """a | b: one `union_of` on the space of a."""
     return subset.space.union_of((subset, other))
 
 
 def _difference(subset: "MeasurableSet", other: "MeasurableSet") -> "MeasurableSet":
-    # a - b = ~(~a | b)
+    """a - b = ~(~a | b)."""
     return subset.space.union_of((subset.complement(), other)).complement()
 
 
 def _intersection(subset: "MeasurableSet", other: "MeasurableSet") -> "MeasurableSet":
-    # a & b = a - ~b, once `other` is known to have a complement.
+    """a & b = a - ~b; an operand that is no set has no complement, so it
+    is refused first."""
     if not isinstance(other, (DiscreteSet, IntervalSet)):
         raise SpaceMismatchError("sets belong to different spaces")
     return subset.difference(other.complement())

@@ -291,13 +291,10 @@ def test_l1_norm_anchors():
     assert l1_norm(SimpleFunction.indicator(F(-3), iv((0, "1/3"))), LEBESGUE) == 1
     assert l1_norm(SimpleFunction.zero(UNIT_INTERVAL), LEBESGUE) == 0
     assert l1_norm(IDENTITY, LEBESGUE) == F(1, 2)
-
-
-def test_l1_norm_of_a_piecewise_linear_function_is_the_integral_of_its_absolute_value():
+    # A piecewise-linear function is scalar: its norm is the integral of |f|.
     rng = random.Random(89)
     for _ in range(40):
-        fn = random_piecewise_linear(rng)
-        measure = random_measure(rng, kind="interval")
+        fn, measure = random_piecewise_linear(rng), random_measure(rng, kind="interval")
         assert l1_norm(fn, measure) == integral_oracle(fn.absolute(), measure)
 
 
