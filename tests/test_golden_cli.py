@@ -7,8 +7,8 @@ digest was recorded before simple-function integrals read all their
 masses in one batch; the `gen` digest, which also integrates every drawn
 series, was recorded before the geometric rule series became its own
 class; the non-default `gen` digest was recorded before every family drew
-its measure through one call.  Any change to a rational, a decimal expansion, a
-key or an error message of these reports shows up here.
+its measure through one call.  Any change to a rational, a decimal
+expansion, a key or an error message of these reports shows up here.
 """
 
 import hashlib
