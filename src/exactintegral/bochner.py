@@ -45,17 +45,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .lebesgue import (
-    INTEGRAL_CLASS,
-    DyadicApproximation,
-    Integrand,
-    check_integrand_measure,
-    lebesgue_integral,
-)
+from .lebesgue import INTEGRAL_CLASS, DyadicApproximation, Integrand, lebesgue_integral
 from .piecewise import PiecewiseLinear
 from .rationals import ZERO, as_rational
 from .simple import NormKind, SimpleFunction, _zero_of, integrate_simple
-from .spaces import Measure, SpaceMismatchError, _require_point, space_of
+from .spaces import Measure, SpaceMismatchError, _require_point, check_integrand_measure, space_of
 
 __all__ = [
     "CertificateError",
@@ -437,7 +431,7 @@ def integral_from_series(
         target = series_or_rep.target
         if truncation is None and series.term_count is None:
             truncation = series_or_rep.depth
-    value, bound = bochner_integrate(series, truncation)
+    value, bound = bochner_integrate(series_or_rep, truncation)
     target_value = None
     matches = None
     if target is not None:

@@ -34,7 +34,14 @@ import json
 import sys
 from typing import Optional
 
-from .generators import FAMILIES, GeneratorConfig, generate_stream
+from .generators import (
+    FAMILIES,
+    MAX_DENOMINATOR,
+    MAX_DIM,
+    MAX_TERMS,
+    GeneratorConfig,
+    generate_stream,
+)
 from .tasks import (
     PARAMETERS,
     TaskSpecError,
@@ -89,9 +96,9 @@ def _build() -> tuple[argparse.ArgumentParser, dict]:
     gen.add_argument("--family", required=True, choices=FAMILIES)
     gen.add_argument("--seed", required=True, type=int)
     gen.add_argument("--count", type=int, default=1)
-    gen.add_argument("--max-terms", type=int, default=16)
-    gen.add_argument("--max-denominator", type=int, default=4096)
-    gen.add_argument("--max-dim", type=int, default=4)
+    gen.add_argument("--max-terms", type=int, default=MAX_TERMS)
+    gen.add_argument("--max-denominator", type=int, default=MAX_DENOMINATOR)
+    gen.add_argument("--max-dim", type=int, default=MAX_DIM)
     return parser, sub.choices
 
 

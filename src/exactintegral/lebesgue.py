@@ -70,11 +70,15 @@ measure's one-slot memo, so the signed integral of `f - g` after the
 integral of `f + g`, which share their table, reads no mass again.
 
 `DyadicApproximation` keeps the lowered form of one nonnegative
-integrand, and `DyadicApproximation.parts(f)` builds the lowered forms of
-f+ and f− from the lowered form of f, without building either part
-function; a part with no sloped piece of its own, of a function that has
-some, gets the table regrouped to its own nonzero cells, so its read
-walks no cut of the other part.  Its upper bound is the largest held
+integrand.  Both of its constructors read one sign split,
+`_signed_parts`, which builds the lowered forms of f+ and f− from the
+lowered form of f, without building either part function; a part with no
+sloped piece of its own, of a function that has some, gets the table
+regrouped to its own nonzero cells, so its read walks no cut of the other
+part.  `DyadicApproximation.parts(f)` starts one approximation from each
+form; `DyadicApproximation(f)` starts from the f+ form, and refuses f
+when its f− form has a sloped piece or a nonzero value on a cell that
+holds a point.  An approximation's upper bound is the largest held
 value or end, found by integer cross-products and kept as its pair, so
 `cap_level` is the pair's integer ceiling.
 On first use against a measure each approximation reads the value
@@ -125,7 +129,7 @@ from .spaces import (
     SpaceMismatchError,
     _regrouped,
     _require_point,
-    space_of,
+    check_integrand_measure,
 )
 
 __all__ = [
@@ -153,11 +157,6 @@ class NegativeIntegrandError(ValueError):
     """A nonnegative integrand was required."""
 
 
-def check_integrand_measure(fn: Integrand, measure: Measure) -> None:
-    if fn.space != space_of(measure):
-        raise SpaceMismatchError("integrand and measure live on different spaces")
-
-
 def _lowered(fn: Integrand) -> tuple:
     """(table, values, sloped): a scalar integrand as one cell table with
     one integer pair (p, q) per cell, the value p/q, and its sloped pieces
@@ -174,7 +173,7 @@ def _lowered(fn: Integrand) -> tuple:
     points of no cell.
     """
     if isinstance(fn, SimpleFunction):
-        if fn.is_vector:
+        if fn.dim is not None:
             raise ValueError("a scalar integrand is required")
         return fn._table, fn._values, {}
     cuts, owners, values, sloped = [], [], [], {}
@@ -190,17 +189,31 @@ def _lowered(fn: Integrand) -> tuple:
     return CellTable(owners, len(values), (*cuts, ONE)), values, sloped
 
 
-def _lowered_nonneg(fn: Integrand) -> tuple:
-    """The lowered form of a nonnegative integrand: a negative value on a
-    cell that holds a point, or a negative sloped piece, is refused."""
-    table, values, sloped = lowered = _lowered(fn)
-    negative = {k for k, (p, _) in enumerate(values) if p < 0}
-    if not negative.isdisjoint(table.owners) or any(
-        y[0] < 0 or z[0] < 0 for *_, (y, z) in sloped.values()
-    ):
-        kind = "simple integrand" if isinstance(fn, SimpleFunction) else "integrand"
-        raise NegativeIntegrandError(f"{kind} takes negative values")
-    return lowered
+def _signed_parts(fn: Integrand) -> tuple[tuple, tuple]:
+    """The lowered forms of f+ = max(0, f) and f− = max(0, −f), made from
+    the lowered form of f without building either part function: each part
+    maps the cell values and keeps the sloped pieces of its sign, negated
+    for f− pair by pair, on the table of f, or, when it has no sloped piece
+    of its own but f has some, on that table regrouped to its own nonzero
+    cells."""
+    table, values, sloped = _lowered(fn)
+    positive = [v if v[0] > 0 else (0, 1) for v in values]
+    negative = [(-p, q) if p < 0 else (0, 1) for p, q in values]
+    above, below = {}, {}
+    for owner, piece in sloped.items():
+        u, w, (an, ad), (bn, bd), ((p_u, q_u), (p_w, q_w)) = piece
+        # No piece has a root inside, so a nonzero end gives its sign.
+        if p_u > 0 or p_w > 0:
+            above[owner] = piece
+        else:
+            below[owner] = (u, w, (-an, ad), (-bn, bd), ((-p_u, q_u), (-p_w, q_w)))
+    forms = []
+    for part_values, part_sloped in ((positive, above), (negative, below)):
+        part_table = table
+        if sloped and not part_sloped:
+            part_table = _nonzero_cells(table, part_values)
+        forms.append((part_table, part_values, part_sloped))
+    return forms[0], forms[1]
 
 
 def _termination_level(values: list) -> Optional[int]:
@@ -333,36 +346,26 @@ class DyadicApproximation:
     """
 
     def __init__(self, target: Integrand):
-        self._start(target, _lowered_nonneg(target))
+        """The approximation of f+ of the one sign split, after checking
+        that f− holds no sloped piece and no nonzero value on a cell that
+        holds a point."""
+        positive, (table, values, sloped) = _signed_parts(target)
+        if sloped or any(values[k][0] for k in set(table.owners) if k >= 0):
+            kind = "simple integrand" if isinstance(target, SimpleFunction) else "integrand"
+            raise NegativeIntegrandError(f"{kind} takes negative values")
+        self._start(target, positive)
 
     @classmethod
     def parts(cls, fn: Integrand) -> tuple["DyadicApproximation", "DyadicApproximation"]:
-        """The approximations of f+ = max(0, f) and f− = max(0, −f), built
-        from the lowered form of f without building either part function:
-        each part maps the cell values and keeps the sloped pieces of its
-        sign, negated for f− pair by pair, on the table of f, or, when it
-        has no sloped piece of its own but f has some, on that table
-        regrouped to its own nonzero cells.  Each reads its own value
-        distribution; a simple function's two parts share its table, so
-        its masses are read once per measure."""
-        table, values, sloped = _lowered(fn)
-        positive = [v if v[0] > 0 else (0, 1) for v in values]
-        negative = [(-p, q) if p < 0 else (0, 1) for p, q in values]
-        above, below = {}, {}
-        for owner, piece in sloped.items():
-            u, w, (an, ad), (bn, bd), ((p_u, q_u), (p_w, q_w)) = piece
-            # No piece has a root inside, so a nonzero end gives its sign.
-            if p_u > 0 or p_w > 0:
-                above[owner] = piece
-            else:
-                below[owner] = (u, w, (-an, ad), (-bn, bd), ((-p_u, q_u), (-p_w, q_w)))
+        """The approximations of f+ = max(0, f) and f− = max(0, −f), one
+        started from each lowered form of the one sign split
+        (`_signed_parts`), which the constructor reads too.  Each reads its
+        own value distribution; a simple function's two parts share its
+        table, so its masses are read once per measure."""
         pair = []
-        for part_values, part_sloped in ((positive, above), (negative, below)):
-            part_table = table
-            if sloped and not part_sloped:
-                part_table = _nonzero_cells(table, part_values)
+        for part in _signed_parts(fn):
             approx = cls.__new__(cls)
-            approx._start(fn, (part_table, part_values, part_sloped))
+            approx._start(fn, part)
             pair.append(approx)
         return pair[0], pair[1]
 
@@ -597,7 +600,7 @@ def integrate_over(
     constructor differ."""
     zero, restricted = (ZERO, ZERO), PiecewiseLinear._trusted
     if isinstance(fn, SimpleFunction):
-        if fn.is_vector:
+        if fn.dim is not None:
             raise ValueError("a scalar integrand is required")
         zero, restricted = (0, 1), partial(SimpleFunction._trusted, fn.space, None)
     if region.space != fn.space:

@@ -194,7 +194,7 @@ class PiecewiseLinear:
         value v is the affine value (0, v) of its canonical cell.  A simple
         function of another space or of vector values is unequal."""
         if isinstance(other, SimpleFunction):
-            if other.space != UNIT_INTERVAL or other.is_vector:
+            if other.space != UNIT_INTERVAL or other.dim is not None:
                 return False
             flat = other.canonical()
             other = self._trusted(flat._table, [(ZERO, Fraction(*v)) for v in flat._values])

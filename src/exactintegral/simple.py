@@ -80,7 +80,7 @@ from .spaces import (
     SpaceMismatchError,
     _regrouped,
     _require_point,
-    space_of,
+    check_integrand_measure,
 )
 
 __all__ = [
@@ -324,12 +324,8 @@ class SimpleFunction:
         """value * 1_over on the set's own space."""
         return cls(over.space, [(value, over)])
 
-    @property
-    def is_vector(self) -> bool:
-        return self.dim is not None
-
     def _require_scalar(self, what: str) -> None:
-        if self.is_vector:
+        if self.dim is not None:
             raise ValueError(f"{what} requires scalar values")
 
     @property
@@ -434,7 +430,7 @@ class SimpleFunction:
 
     def norm_function(self, kind: Optional[NormKind] = None) -> "SimpleFunction":
         """The scalar function point -> ||f(point)|| (abs for scalar values)."""
-        if not self.is_vector:
+        if self.dim is None:
             return abs(self)
         if not isinstance(kind, NormKind):
             raise ValueError("a NormKind is required for vector values")
@@ -446,7 +442,7 @@ class SimpleFunction:
 
     def component(self, index: int) -> "SimpleFunction":
         """Scalar component of a vector-valued function."""
-        if not self.is_vector:
+        if self.dim is None:
             raise ValueError("component() needs vector values")
         if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < self.dim:
             raise ValueError(f"component index {index!r} is not an int in 0..{self.dim - 1}")
@@ -468,8 +464,7 @@ def integrate_simple(fn: SimpleFunction, measure: Measure) -> Value:
     (`rationals._add_products`), the groups are added over their lcm or in
     the tree (`rationals._sum_groups`), and the sum is one `Fraction`.
     """
-    if space_of(measure) != fn.space:
-        raise SpaceMismatchError("function and measure live on different spaces")
+    check_integrand_measure(fn, measure)
     table, values = fn._table, fn._values
     numerators, denominator = measure._masses(table)
 

@@ -26,9 +26,11 @@ and a measure of c cells:
   fast path; O(k log k) for intervals; a discrete set checks each index's
   type and the range at the two ends of its sorted indices;
 * the measure constructors read every rational once as an integer pair
-  and call no `Fraction` operator: a discrete space reads each weight
-  once, for the sign check, the lcm and the scaled weights, with one scale
-  factor per distinct weight denominator; an interval measure reads each
+  and call no `Fraction` operator: weights, breakpoints and densities
+  pass the gate in one reading, `_gated`, that also gives their integer
+  ratios; a discrete space reads each weight once, for the sign check,
+  the lcm and the scaled weights, with one scale factor per distinct
+  weight denominator; an interval measure reads each
   breakpoint and density once, checks that the grid runs from 0 (a zero
   numerator) to 1 (numerator equal to denominator) and increases strictly
   (cross-products of neighbours), checks each density's sign from its
@@ -92,7 +94,10 @@ and a measure of c cells:
   the shared table of `f + g` and `f - g` is read once however many
   integrals read it.  `measure_of` is the read of a one-set table, made
   anew each call and read past the slot, and makes one `Fraction`; every
-  integral of a simple function reads all its cells in one call.
+  integral of a simple function reads all its cells in one call.  Every
+  integral in the package first refuses an integrand of another space
+  than its measure's by the one check defined here,
+  `check_integrand_measure`.
 
 Results of the set operations on canonical operands are canonical by
 construction, so they come from the private `_canonical` constructors,
@@ -200,6 +205,13 @@ def _measure_of(measure: "Measure", subset: "MeasurableSet") -> Fraction:
     each call and read past the memo slot."""
     numerators, denominator = measure._read_masses(measure.space._tabulate((subset,), [0, -1]))
     return Fraction(numerators[0], denominator)
+
+
+def check_integrand_measure(fn, measure: "Measure") -> None:
+    """Refuse an integrand (or a staircase of one) whose space is not the
+    measure's."""
+    if fn.space != space_of(measure):
+        raise SpaceMismatchError("integrand and measure live on different spaces")
 
 
 def _require_point(space: "Space", point) -> None:
@@ -318,9 +330,6 @@ class UnitIntervalSpace:
         pieces = _by_owner(zip(table.cuts, table.cuts[1:]), table)
         return [IntervalSet._canonical(tuple(cell)) for cell in pieces]
 
-    def __repr__(self) -> str:
-        return "UnitIntervalSpace()"
-
 
 UNIT_INTERVAL = UnitIntervalSpace()
 
@@ -383,12 +392,9 @@ class DiscreteSpace:
     _last_read: Optional[tuple] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        coerced = tuple(
-            w if type(w) is Fraction else as_rational(w, "weight") for w in self.weights
-        )
+        coerced, ratios = _gated(self.weights, "weight")
         if not coerced:
             raise ValueError("a discrete space needs at least one point")
-        ratios = [w.as_integer_ratio() for w in coerced]
         if min(ratios)[0] < 0:  # the smallest numerator
             raise ValueError("weights must be nonnegative")
         object.__setattr__(self, "weights", coerced)
@@ -609,13 +615,20 @@ class IntervalSet:
         return f"IntervalSet({parts})" if parts else "IntervalSet(empty)"
 
 
+def _gated(values: Iterable, what: str) -> tuple[tuple[Fraction, ...], list]:
+    """(values, ratios): the values through the rational gate, a `Fraction`
+    passed as it is without the call, and their integer ratios (n, d), each
+    read once."""
+    gated = tuple(x if type(x) is Fraction else as_rational(x, what) for x in values)
+    return gated, [x.as_integer_ratio() for x in gated]
+
+
 def _breakpoint_grid(breakpoints: Iterable) -> tuple[tuple[Fraction, ...], list]:
-    """(grid, ratios): the breakpoints through the rational gate and their
-    integer ratios (n, d), each read once.  The ratios show that the grid
-    runs from 0 (n = 0) to 1 (n = d) and increases strictly (by the
-    cross-products of neighbours), with no `Fraction` compare."""
-    bp = tuple(t if type(t) is Fraction else as_rational(t, "breakpoint") for t in breakpoints)
-    ratios = [t.as_integer_ratio() for t in bp]
+    """(grid, ratios): the breakpoints and their integer ratios (`_gated`).
+    The ratios show that the grid runs from 0 (n = 0) to 1 (n = d) and
+    increases strictly (by the cross-products of neighbours), with no
+    `Fraction` compare."""
+    bp, ratios = _gated(breakpoints, "breakpoint")
     if len(ratios) < 2 or ratios[0][0] or ratios[-1][0] != ratios[-1][1]:
         raise ValueError("breakpoints must run from 0 to 1")
     if any(n * e >= m * d for (n, d), (m, e) in zip(ratios, ratios[1:])):
@@ -652,12 +665,9 @@ class IntervalMeasure:
 
     def __post_init__(self) -> None:
         bp, ratios = _breakpoint_grid(self.breakpoints)
-        dens = tuple(
-            d if type(d) is Fraction else as_rational(d, "density") for d in self.densities
-        )
+        dens, rates = _gated(self.densities, "density")
         if len(dens) != len(bp) - 1:
             raise ValueError("need one density per breakpoint cell")
-        rates = [d.as_integer_ratio() for d in dens]
         if min(rates)[0] < 0:  # the smallest numerator
             raise ValueError("densities must be nonnegative")
         object.__setattr__(self, "breakpoints", bp)

@@ -196,9 +196,7 @@ def parse_set(obj, field_path: str, space: Space) -> MeasurableSet:
     if "intervals" in obj:
         if isinstance(space, DiscreteSpace):
             raise TaskSpecError(field_path, "interval set declared over a discrete space")
-        pairs = obj["intervals"]
-        if not isinstance(pairs, list):
-            raise TaskSpecError(f"{field_path}.intervals", "expected a list")
+        pairs = _list(obj, "intervals", field_path)
         intervals = []
         try:
             for pair in pairs:
@@ -214,17 +212,12 @@ def parse_set(obj, field_path: str, space: Space) -> MeasurableSet:
     if "indices" in obj:
         if not isinstance(space, DiscreteSpace):
             raise TaskSpecError(field_path, "index set declared over the interval space")
-        indices = obj["indices"]
-        if not isinstance(indices, list):
-            raise TaskSpecError(f"{field_path}.indices", "expected a list")
+        indices = _list(obj, "indices", field_path)
         # Plain ints >= 0 pass without a walk; else the first offender is named.
         if not (set(map(type, indices)) <= {int} and min(indices, default=0) >= 0):
             for i, index in enumerate(indices):
                 _integer(index, f"{field_path}.indices[{i}]", 0)
-        try:
-            return DiscreteSet(space, indices)
-        except ValueError as exc:
-            raise TaskSpecError(f"{field_path}.indices", str(exc)) from None
+        return _built(f"{field_path}.indices", DiscreteSet, space, indices)
     raise TaskSpecError(field_path, "a set needs \"intervals\" or \"indices\"")
 
 

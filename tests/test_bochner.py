@@ -455,6 +455,26 @@ def test_report_computes_each_certificate_value_once(monkeypatch):
     assert report["series_integral_error_bound"] == report["summability_tail_bound"] > 0
 
 
+def test_integral_from_series_reads_the_certificate_s_tail(monkeypatch):
+    """Truncated at its depth, an endless representation's recovered
+    integral takes the tail bound its certificate already holds."""
+    fn = PiecewiseLinear([F(0), F(1, 3), F(1)], [(F(3), F(-1, 2)), (F(-1), F(2))])
+    rep = series_from_integrand(fn, LEBESGUE, depth=12)
+    assert rep.series.term_count is None
+    tails = []
+    tail_bound = TelescopeSeries.tail_bound
+
+    def counting_tail(series, after):
+        tails.append(after)
+        return tail_bound(series, after)
+
+    monkeypatch.setattr(TelescopeSeries, "tail_bound", counting_tail)
+    result = integral_from_series(rep)
+    assert tails == []
+    assert result.error_bound == rep.tail_at_depth > 0
+    assert result.matches_target
+
+
 def test_report_recovery_equals_integral_from_series():
     rng = random.Random(67)
     for _ in range(20):

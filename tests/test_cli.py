@@ -6,11 +6,13 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
-from exactintegral.cli import main
+from exactintegral.cli import _build, main
+from exactintegral.generators import GeneratorConfig
 
 STEP_TASK = {
     "space": {"type": "interval", "breakpoints": ["0", "1"], "densities": ["1"]},
@@ -395,6 +397,10 @@ def test_computation_error_exit_2(tmp_path, capsys):
 def test_gen_bad_config_exit_1(capsys):
     code = main(["gen", "--family", "simple", "--seed", "3", "--max-terms", "99"])
     assert code == 1
+    # The flags' defaults are the generator's own size caps.
+    gen = _build()[1]["gen"]
+    caps = {f.name: f.default for f in fields(GeneratorConfig) if f.name.startswith("max_")}
+    assert len(caps) == 3 and {name: gen.get_default(name) for name in caps} == caps
 
 
 def test_gen_outputs_fragments(capsys):

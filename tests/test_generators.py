@@ -52,7 +52,7 @@ def test_family_shapes():
         PiecewiseLinear,
     )
     vector = generate(GeneratorConfig(seed=4, family="vector_simple")).function
-    assert isinstance(vector, SimpleFunction) and vector.is_vector
+    assert isinstance(vector, SimpleFunction) and vector.dim is not None
     series = generate(GeneratorConfig(seed=4, family="series")).function
     assert isinstance(series, (FiniteSeries, GeometricIndicatorSeries))
 

@@ -283,6 +283,11 @@ REFUSALS = {
         SpaceMismatchError,
         "integrand and measure live on different spaces",
     ),
+    "integrate_simple_against_a_measure_of_another_space": (
+        lambda: integrate_simple(ON_POINTS, LEBESGUE),
+        SpaceMismatchError,
+        "integrand and measure live on different spaces",
+    ),
     "table_past_the_level_cap": (
         lambda: approx_table_rows(SCALAR, LEBESGUE, 31),
         ValueError,

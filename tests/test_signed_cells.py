@@ -20,6 +20,7 @@ from exactintegral import (
     DyadicApproximation,
     IntervalMeasure,
     IntervalSet,
+    NegativeIntegrandError,
     OutsideDomainError,
     PiecewiseLinear,
     SimpleFunction,
@@ -189,6 +190,18 @@ def test_parts_equal_the_approximations_of_the_part_functions(case):
             assert lowered.level(n) == level, n
             for x in points:
                 assert lowered.value_at(n, x) == level.evaluate(x), (x, n)
+    # The constructor reads the same sign split: it refuses f exactly when
+    # f− is not zero off a null set, and otherwise is the f+ approximation.
+    positive, negative = DyadicApproximation.parts(fn)
+    if negative.upper_bound > 0:
+        kind = "simple integrand" if isinstance(fn, SimpleFunction) else "integrand"
+        with pytest.raises(NegativeIntegrandError, match=f"^{kind} takes negative values$"):
+            DyadicApproximation(fn)
+    else:
+        approx = DyadicApproximation(fn)
+        assert approx.limit(measure) == positive.limit(measure)
+        for n in range(1, 5):
+            assert approx.level(n) == positive.level(n), n
 
 
 @settings(max_examples=80, deadline=None)

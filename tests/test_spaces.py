@@ -258,6 +258,7 @@ def test_total_mass_is_full_set_measure(measure):
 
 def test_lebesgue_recovered_by_unit_density():
     assert LEBESGUE.total_mass == 1
+    assert LEBESGUE.space == UNIT_INTERVAL and repr(UNIT_INTERVAL) == "UnitIntervalSpace()"
     assert LEBESGUE.measure_of(iv(("1/3", "2/3"))) == F(1, 3)
 
 
